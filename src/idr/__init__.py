@@ -1,103 +1,25 @@
 """Isotonic distributional regression: conditional CDF estimation
 under partial-order constraints, with subsample aggregation and proper
-scoring rules."""
+scoring rules.
 
-from .orders import (
-    COMPONENTWISE,
-    EMPIRICAL_ICX,
-    EMPIRICAL_STOCHASTIC,
-    TOTAL,
-    OrderDag,
-    OrderGroup,
-    OrderSpec,
-    Relation,
-    build_order_dag,
-    canonical_key,
-    compare,
-    gini_mean_difference,
-)
-from .stepfun import StepCdf
-from .solvers import antitonic_l2_fit, pav_antitonic
-from .fitting import IdrModel, TrainingSet, empirical_crps_loss, fit_idr, make_training_set
-from .prediction import (
-    Prediction,
-    Provenance,
-    direct_predecessors,
-    direct_successors,
-    interpolate_total_order,
-    predict_cdf,
-    predict_rows,
-)
-from .scoring import (
-    ScoreReport,
-    brier_score,
-    crps,
-    crps_integral,
-    crps_mixture_check,
-    crps_rows,
-    elementary_probability_score,
-    elementary_quantile_score,
-    pit,
-    quantile_score,
-    reliability_bins,
-)
-from .subagging import (
-    SubaggedModel,
-    fit_even_odd,
-    fit_subagged,
-    predict_subagged,
-    predict_subagged_rows,
-)
-from .serialize import load_model, model_from_json, model_to_json, save_model
+The package root re-exports the public names (``__all__``) of each
+module below; ``idr.oracles``, the synthetic gamma benchmark, is
+imported on its own."""
+
+from . import fitting, orders, prediction, scoring, serialize, solvers, stepfun, subagging
+from .fitting import *  # noqa: F403
+from .orders import *  # noqa: F403
+from .prediction import *  # noqa: F403
+from .scoring import *  # noqa: F403
+from .serialize import *  # noqa: F403
+from .solvers import *  # noqa: F403
+from .stepfun import *  # noqa: F403
+from .subagging import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "COMPONENTWISE",
-    "EMPIRICAL_ICX",
-    "EMPIRICAL_STOCHASTIC",
-    "TOTAL",
-    "IdrModel",
-    "OrderDag",
-    "OrderGroup",
-    "OrderSpec",
-    "Prediction",
-    "Provenance",
-    "Relation",
-    "ScoreReport",
-    "StepCdf",
-    "SubaggedModel",
-    "TrainingSet",
-    "antitonic_l2_fit",
-    "brier_score",
-    "build_order_dag",
-    "canonical_key",
-    "compare",
-    "crps",
-    "crps_integral",
-    "crps_mixture_check",
-    "crps_rows",
-    "direct_predecessors",
-    "direct_successors",
-    "elementary_probability_score",
-    "elementary_quantile_score",
-    "empirical_crps_loss",
-    "fit_even_odd",
-    "fit_idr",
-    "fit_subagged",
-    "gini_mean_difference",
-    "interpolate_total_order",
-    "load_model",
-    "make_training_set",
-    "model_from_json",
-    "model_to_json",
-    "pav_antitonic",
-    "pit",
-    "predict_cdf",
-    "predict_rows",
-    "predict_subagged",
-    "predict_subagged_rows",
-    "quantile_score",
-    "reliability_bins",
-    "save_model",
+    name
+    for module in (orders, stepfun, solvers, fitting, prediction, scoring, subagging, serialize)
+    for name in module.__all__
 ]

@@ -25,10 +25,11 @@ from .orders import (
     OrderSpec,
 )
 from .oracles import simulate_gamma, true_gamma_cdf, true_gamma_crps, true_gamma_quantile
-from .prediction import interpolate_total_order, predict_cdf, predict_rows
-from .scoring import crps_rows, reliability_bins
+from .prediction import predict_batch, predict_rows
+from .scoring import brier, brier_rows, crps_rows, pinball, pit_rows, quantile_score_rows, reliability_bins
 from .serialize import load_model, save_model
-from .subagging import SubaggedModel, fit_even_odd, fit_subagged, predict_subagged, predict_subagged_rows
+from .stepfun import evaluate_rows, quantile_rows
+from .subagging import SubaggedModel, fit_even_odd, fit_subagged, predict_subagged_batch, predict_subagged_rows
 
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
@@ -344,24 +345,22 @@ def predict(model_path, data_path, out_path, quantiles, thresholds, interpolate)
     alphas = _float_list(quantiles, "quantile", low=0.0, high=1.0)
     zs = _float_list(thresholds, "threshold") if thresholds else []
 
+    if isinstance(model, SubaggedModel):
+        if interpolate:
+            raise ValueError("interpolation needs a plain model with one total-order covariate")
+        batch = predict_subagged_batch(model, covariates)
+    else:
+        batch = predict_batch(model, covariates, interpolate)
+
     out_header = (
         [f"q{a:g}" for a in alphas] + [f"p_le_{z:g}" for z in zs] + ["provenance", "bound_gap"]
     )
-    out_rows = []
-    for x in covariates:
-        if interpolate:
-            if isinstance(model, SubaggedModel):
-                raise ValueError("interpolation needs a plain model with one total-order covariate")
-            pred = interpolate_total_order(model, x)
-        elif isinstance(model, SubaggedModel):
-            pred = predict_subagged(model, x)
-        else:
-            pred = predict_cdf(model, x)
-        cells = [_fmt(pred.quantile(a)) for a in alphas]
-        cells += [_fmt(pred.cdf.evaluate(z)) for z in zs]
-        cells.append(pred.provenance.value)
-        cells.append(_fmt(pred.bound_gap) if pred.bound_gap is not None else "")
-        out_rows.append(cells)
+    cols = [quantile_rows(batch.grid, batch.center, a) for a in alphas]
+    cols += [evaluate_rows(batch.grid, batch.center, z) for z in zs]
+    out_rows = [
+        [_fmt(col[i]) for col in cols] + [prov.value, "" if np.isnan(gap) else _fmt(gap)]
+        for i, (prov, gap) in enumerate(zip(batch.provenance, batch.bound_gap))
+    ]
     _write_csv(out_path, out_header, out_rows)
     click.echo(f"wrote {len(out_rows)} predictions to {out_path}")
 
@@ -392,33 +391,17 @@ def score(model_path, true_gamma, covariate, data_path, response, out_path, thre
         xs = _numeric_columns(data_path, header, rows, [covariate])[:, 0]
         crps_vals = true_gamma_crps(xs, ys)
         pit_vals = true_gamma_cdf(xs, ys)
-        briers = {z: (true_gamma_cdf(xs, z) - (ys <= z)) ** 2 for z in zs}
-        qscores = {}
-        for a in qas:
-            q = true_gamma_quantile(xs, a)
-            qscores[a] = np.where(ys <= q, (1.0 - a) * (q - ys), a * (ys - q))
+        briers = {z: brier(true_gamma_cdf(xs, z), ys, z) for z in zs}
+        qscores = {a: pinball(true_gamma_quantile(xs, a), ys, a) for a in qas}
     else:
         model = load_model(model_path)
         names = _covariate_names(model)
         covariates = _numeric_columns(data_path, header, rows, names)
         grid, cdf_rows = _model_grid_and_rows(model, covariates)
         crps_vals = crps_rows(grid, cdf_rows, ys)
-        right = np.searchsorted(grid, ys, side="right")
-        left = np.searchsorted(grid, ys, side="left")
-        padded = np.concatenate([np.zeros((len(ys), 1)), cdf_rows], axis=1)
-        take = np.arange(len(ys))
-        f_at = padded[take, right]
-        f_before = padded[take, left]
-        pit_vals = f_before + v * (f_at - f_before)
-        briers = {}
-        for z in zs:
-            fz = padded[take, np.searchsorted(grid, z, side="right")]
-            briers[z] = (fz - (ys <= z)) ** 2
-        qscores = {}
-        for a in qas:
-            pos = np.argmax(cdf_rows >= a, axis=1)
-            q = grid[pos]
-            qscores[a] = np.where(ys <= q, (1.0 - a) * (q - ys), a * (ys - q))
+        pit_vals = pit_rows(grid, cdf_rows, ys, v)
+        briers = {z: brier_rows(grid, cdf_rows, ys, z) for z in zs}
+        qscores = {a: quantile_score_rows(grid, cdf_rows, ys, a) for a in qas}
 
     out_header = ["crps", "pit"] + [f"brier_{z:g}" for z in zs] + [f"qs_{a:g}" for a in qas]
     cols = [crps_vals, pit_vals] + [briers[z] for z in zs] + [qscores[a] for a in qas]
@@ -473,8 +456,7 @@ def reliability(model_path, data_path, response, threshold, bins, out_path):
     covariates = _numeric_columns(data_path, header, rows, names)
     ys = _numeric_columns(data_path, header, rows, [response])[:, 0]
     grid, cdf_rows = _model_grid_and_rows(model, covariates)
-    padded = np.concatenate([np.zeros((len(ys), 1)), cdf_rows], axis=1)
-    probs = padded[:, np.searchsorted(grid, threshold, side="right")]
+    probs = evaluate_rows(grid, cdf_rows, threshold)
     outcomes = (ys <= threshold).astype(float)
     table = reliability_bins(probs, outcomes, bins)
     _write_csv(

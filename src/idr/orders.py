@@ -285,9 +285,11 @@ class OrderDag:
 
 def _transitive_reduction(strict: np.ndarray) -> np.ndarray:
     # strict is transitively closed, so u covers v iff there is no
-    # two-step path u -> w -> v.
-    two_step = (strict.astype(np.uint8) @ strict.astype(np.uint8)) > 0
-    return strict & ~two_step
+    # two-step path u -> w -> v.  The path counts are sums of 0/1 terms,
+    # so a float32 product (BLAS) is positive exactly when a path
+    # exists; an 8-bit integer product would wrap at 256.
+    as_float = strict.astype(np.float32)
+    return strict & ~((as_float @ as_float) > 0)
 
 
 def build_order_dag(spec: OrderSpec, points, *, points_are_keys: bool = False) -> OrderDag:

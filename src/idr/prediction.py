@@ -8,6 +8,12 @@ exists, and to the climatological distribution when the query is
 incomparable to every node.  Models over a single totally ordered
 covariate additionally support linear interpolation between the
 neighboring fitted CDFs.
+
+:func:`predict_batch` is the one implementation of this rule: it takes
+a covariate matrix and returns the centre and bound rows on the model
+grid with a provenance per case.  :func:`predict_cdf`,
+:func:`interpolate_total_order` and :func:`predict_rows` are views of
+it.
 """
 
 from __future__ import annotations
@@ -24,8 +30,10 @@ from .stepfun import StepCdf
 __all__ = [
     "Provenance",
     "Prediction",
+    "PredictionBatch",
     "direct_predecessors",
     "direct_successors",
+    "predict_batch",
     "predict_cdf",
     "predict_rows",
     "interpolate_total_order",
@@ -67,25 +75,61 @@ class Prediction:
         return self.cdf.quantile(alpha)
 
 
+@dataclass(frozen=True)
+class PredictionBatch:
+    """Predictions for a batch of queries on one threshold grid.
+
+    ``center``, ``lower`` and ``upper`` are (cases, grid) matrices of
+    CDF values; a bound row is NaN where its side of the order holds no
+    training point.  ``provenance`` has one entry per case.
+    ``bounds_heuristic`` marks bounds averaged across subsample members.
+    """
+
+    grid: np.ndarray
+    center: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    provenance: list[Provenance]
+    bounds_heuristic: bool = False
+
+    @property
+    def bound_gap(self) -> np.ndarray:
+        """Largest gap between the bounds per case; NaN without both."""
+        return (self.upper - self.lower).max(axis=1)
+
+    def prediction(self, i: int) -> Prediction:
+        """Case ``i`` as a :class:`Prediction`."""
+        lower, upper = (
+            None if np.isnan(rows[i, 0]) else StepCdf(self.grid, rows[i], validate=False)
+            for rows in (self.lower, self.upper)
+        )
+        gap = float((self.upper[i] - self.lower[i]).max())
+        heuristic = self.bounds_heuristic and (lower is not None or upper is not None)
+        cdf = StepCdf(self.grid, self.center[i], validate=False)
+        return Prediction(cdf, lower, upper, self.provenance[i], None if np.isnan(gap) else gap, heuristic)
+
+
 def _query_key(model: IdrModel, x) -> np.ndarray:
     return np.array(canonical_key(model.spec, x), dtype=float)
 
 
 def _neighbor_sets(model: IdrModel, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    dag = model.dag
-    below, above = dag.query_masks(key)
-    reach = dag.reach
-    pred = np.zeros(dag.n_nodes, dtype=bool)
-    succ = np.zeros(dag.n_nodes, dtype=bool)
-    if below.any():
-        idx = np.nonzero(below)[0]
-        strict = reach[np.ix_(idx, idx)] & ~np.eye(idx.size, dtype=bool)
-        pred[idx[~strict.any(axis=1)]] = True  # maximal elements below x
-    if above.any():
-        idx = np.nonzero(above)[0]
-        strict = reach[np.ix_(idx, idx)] & ~np.eye(idx.size, dtype=bool)
-        succ[idx[~strict.any(axis=0)]] = True  # minimal elements above x
-    return np.nonzero(pred)[0], np.nonzero(succ)[0]
+    """Maximal nodes below ``key`` and minimal nodes above it."""
+    out = []
+    for mask, axis in zip(model.dag.query_masks(key), (1, 0)):
+        idx = np.nonzero(mask)[0]
+        strict = model.dag.reach[np.ix_(idx, idx)] & ~np.eye(idx.size, dtype=bool)
+        out.append(idx[~strict.any(axis=axis)])
+    return out[0], out[1]
+
+
+def _direct_neighbors(model: IdrModel, x) -> tuple[list[int], list[int]]:
+    key = _query_key(model, x)
+    node = model.dag.node_of_key(tuple(key))
+    if node >= 0:
+        return [node], [node]
+    pred, succ = _neighbor_sets(model, key)
+    return pred.tolist(), succ.tolist()
 
 
 def direct_predecessors(model: IdrModel, x) -> list[int]:
@@ -93,161 +137,145 @@ def direct_predecessors(model: IdrModel, x) -> list[int]:
 
     A query equal to a training key returns exactly that node.
     """
-    key = _query_key(model, x)
-    node = model.dag.node_of_key(tuple(key))
-    if node >= 0:
-        return [node]
-    pred, _ = _neighbor_sets(model, key)
-    return pred.tolist()
+    return _direct_neighbors(model, x)[0]
 
 
 def direct_successors(model: IdrModel, x) -> list[int]:
     """Nodes whose keys lie at-or-above ``x`` with nothing between."""
-    key = _query_key(model, x)
-    node = model.dag.node_of_key(tuple(key))
-    if node >= 0:
-        return [node]
-    _, succ = _neighbor_sets(model, key)
-    return succ.tolist()
+    return _direct_neighbors(model, x)[1]
 
 
-def _prediction_from_rows(model: IdrModel, pred: np.ndarray, succ: np.ndarray) -> Prediction:
-    grid = model.thresholds
-    upper_row = model.cdf[pred].min(axis=0) if len(pred) else None
-    lower_row = model.cdf[succ].max(axis=0) if len(succ) else None
-    if upper_row is not None and lower_row is not None:
-        center = 0.5 * (lower_row + upper_row)
-        gap = float((upper_row - lower_row).max())
-        return Prediction(
-            StepCdf(grid, center, validate=False),
-            StepCdf(grid, lower_row, validate=False),
-            StepCdf(grid, upper_row, validate=False),
-            Provenance.BOTH_BOUNDS,
-            gap,
-        )
-    if upper_row is not None:
-        return Prediction(
-            StepCdf(grid, upper_row, validate=False),
-            None,
-            StepCdf(grid, upper_row, validate=False),
-            Provenance.ONLY_PREDECESSORS,
-            None,
-        )
-    if lower_row is not None:
-        return Prediction(
-            StepCdf(grid, lower_row, validate=False),
-            StepCdf(grid, lower_row, validate=False),
-            None,
-            Provenance.ONLY_SUCCESSORS,
-            None,
-        )
-    return Prediction(model.climatology, None, None, Provenance.CLIMATOLOGICAL, None)
+def _chain_neighbors(model: IdrModel, x: np.ndarray):
+    """For a model over one total-order covariate: per query, the
+    largest node at-or-below it (-1 if none) and the smallest node
+    at-or-above it (n if none), equal at a training key.  None for
+    any other model."""
+    groups = model.spec.groups
+    if len(groups) != 1 or groups[0].relation != TOTAL or not model.dag.is_chain:
+        return None
+    col = x[:, groups[0].columns[0]]
+    if not np.isfinite(col).all():
+        raise ValueError("covariate entries must be finite (no NaN/inf)")
+    keys = np.array([k[0] for k in model.dag.keys])
+    above = np.searchsorted(keys, col, side="left")
+    exact = (above < keys.size) & (keys[np.minimum(above, keys.size - 1)] == col)
+    return col, keys, np.where(exact, above, above - 1), above
 
 
-def predict_cdf(model: IdrModel, x) -> Prediction:
-    """Predict at a covariate vector.
+def _bound_rows(model: IdrModel, x: np.ndarray):
+    """Lower and upper bound rows (NaN where a side is empty) and the
+    mask of queries at a training key."""
+    cdf = model.cdf
+    chain = _chain_neighbors(model, x)
+    if chain is not None:
+        _, _, below, above = chain
+        upper = np.take(cdf, below, axis=0, mode="clip")
+        lower = np.take(cdf, above, axis=0, mode="clip")
+        upper[below < 0] = np.nan
+        lower[above == cdf.shape[0]] = np.nan
+        return lower, upper, below == above
+    lower = np.full((x.shape[0], cdf.shape[1]), np.nan)
+    upper = lower.copy()
+    exact = np.zeros(x.shape[0], dtype=bool)
+    for i, row in enumerate(x):
+        key = _query_key(model, row)
+        node = model.dag.node_of_key(tuple(key))
+        if node >= 0:
+            exact[i] = True
+            lower[i] = upper[i] = cdf[node]
+            continue
+        pred, succ = _neighbor_sets(model, key)
+        if pred.size:
+            upper[i] = cdf[pred].min(axis=0)
+        if succ.size:
+            lower[i] = cdf[succ].max(axis=0)
+    return lower, upper, exact
+
+
+def _interpolated(model: IdrModel, x: np.ndarray) -> PredictionBatch:
+    chain = _chain_neighbors(model, x)
+    if chain is None:
+        raise ValueError("interpolation needs a model over a single total-order covariate")
+    col, keys, below, above = chain
+    # outside the keys both neighbours are the nearest end node
+    lo, hi = np.maximum(below, 0), np.minimum(above, keys.size - 1)
+    upper, lower = model.cdf[lo], model.cdf[hi]
+    center = upper.copy()
+    inside = lo != hi
+    t = ((col[inside] - keys[lo[inside]]) / (keys[hi[inside]] - keys[lo[inside]]))[:, None]
+    center[inside] = (1.0 - t) * upper[inside] + t * lower[inside]
+    provenance = [Provenance.INTERPOLATED] * x.shape[0]
+    return PredictionBatch(model.thresholds, center, lower, upper, provenance)
+
+
+_PROVENANCE_ORDER = (
+    Provenance.AT_TRAINING_POINT,
+    Provenance.BOTH_BOUNDS,
+    Provenance.ONLY_PREDECESSORS,
+    Provenance.ONLY_SUCCESSORS,
+    Provenance.CLIMATOLOGICAL,
+)
+
+
+def predict_batch(model: IdrModel, covariates, interpolate: bool = False) -> PredictionBatch:
+    """Predict at every row of a covariate matrix.
 
     The lower bound is the pointwise maximum over direct successors,
     the upper bound the pointwise minimum over direct predecessors; the
     prediction is their average, one of them when only one side exists,
-    or the climatology when neither does.
-    """
-    key = _query_key(model, x)
-    node = model.dag.node_of_key(tuple(key))
-    if node >= 0:
-        row = model.node_cdf(node)
-        return Prediction(row, row, row, Provenance.AT_TRAINING_POINT, 0.0)
-    pred, succ = _neighbor_sets(model, key)
-    return _prediction_from_rows(model, pred, succ)
+    or the climatology when neither does.  Models over a single total
+    order find the neighbours by binary search; other orders query the
+    DAG case by case.
 
+    With ``interpolate`` the prediction instead interpolates linearly
+    between the neighbouring fitted CDFs of a single total-order
+    covariate, bracketed by those two CDFs.  Queries below the smallest
+    key take the first fitted CDF, queries above the largest the last.
 
-def predict_rows(model: IdrModel, covariates) -> tuple[np.ndarray, list[Provenance]]:
-    """Predicted CDF values on the model grid for a batch of queries.
-
-    Returns a (cases, thresholds) matrix and the per-case provenance.
-    Models over a single totally ordered covariate use a vectorized
-    path; anything else falls back to per-query prediction.
+    A 1-d ``covariates`` is read as one column.
     """
     x = np.asarray(covariates, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
-    groups = model.spec.groups
-    if len(groups) == 1 and groups[0].relation == TOTAL and model.dag.is_chain:
-        col = x[:, groups[0].columns[0]]
-        if not np.isfinite(col).all():
-            raise ValueError("covariate entries must be finite (no NaN/inf)")
-        keys = np.array([k[0] for k in model.dag.keys])
-        n = keys.size
-        right = np.searchsorted(keys, col, side="left")  # first key >= query
-        exact = (right < n) & (keys[np.minimum(right, n - 1)] == col)
-        below_all = (right == 0) & ~exact
-        above_all = right == n
-        interior = ~exact & ~below_all & ~above_all
+    if x.ndim != 2 or x.shape[1] < model.spec.dimension:
+        raise ValueError(f"covariates of shape {x.shape} do not fit the order spec")
+    if interpolate:
+        return _interpolated(model, x)
+    lower, upper, exact = _bound_rows(model, x)
+    has_lower, has_upper = ~np.isnan(lower[:, 0]), ~np.isnan(upper[:, 0])
+    # at a training key both bounds are the node's row, and x + x halves to x exactly
+    center = 0.5 * (lower + upper)
+    center[~has_upper] = lower[~has_upper]
+    center[~has_lower] = upper[~has_lower]
+    center[~has_lower & ~has_upper] = model.climatology.evaluate(model.thresholds)
+    codes = np.select([exact, has_lower & has_upper, has_upper, has_lower], [0, 1, 2, 3], 4)
+    return PredictionBatch(model.thresholds, center, lower, upper, [_PROVENANCE_ORDER[c] for c in codes])
 
-        rows = np.empty((col.size, model.thresholds.size))
-        rows[exact] = model.cdf[right[exact]]
-        rows[below_all] = model.cdf[0]
-        rows[above_all] = model.cdf[-1]
-        if interior.any():
-            hi = right[interior]
-            rows[interior] = 0.5 * (model.cdf[hi - 1] + model.cdf[hi])
-        provs = np.empty(col.size, dtype=object)
-        provs[exact] = Provenance.AT_TRAINING_POINT
-        provs[below_all] = Provenance.ONLY_SUCCESSORS
-        provs[above_all] = Provenance.ONLY_PREDECESSORS
-        provs[interior] = Provenance.BOTH_BOUNDS
-        return rows, provs.tolist()
 
-    rows = np.empty((x.shape[0], model.thresholds.size))
-    provs = []
-    for i in range(x.shape[0]):
-        p = predict_cdf(model, x[i])
-        rows[i] = p.cdf.evaluate(model.thresholds)
-        provs.append(p.provenance)
-    return rows, provs
+def _one_row(x) -> np.ndarray:
+    """A single covariate vector as a one-row matrix."""
+    v = np.asarray(x, dtype=float)
+    if v.ndim != 1:
+        raise ValueError(f"expected a 1-d covariate vector, got shape {v.shape}")
+    return v[None, :]
+
+
+def predict_cdf(model: IdrModel, x) -> Prediction:
+    """Predict at one covariate vector: a batch of one."""
+    return predict_batch(model, _one_row(x)).prediction(0)
+
+
+def predict_rows(model: IdrModel, covariates) -> tuple[np.ndarray, list[Provenance]]:
+    """The (cases, thresholds) centre matrix of :func:`predict_batch`
+    and the per-case provenance."""
+    batch = predict_batch(model, covariates)
+    return batch.center, batch.provenance
 
 
 def interpolate_total_order(model: IdrModel, x: float) -> Prediction:
-    """Linear interpolation between neighboring fitted CDFs.
-
-    Only defined for models over a single total-order covariate.
-    Queries below the smallest key take the first fitted CDF, queries
-    above the largest take the last.
-    """
-    groups = model.spec.groups
-    if len(groups) != 1 or groups[0].relation != TOTAL:
-        raise ValueError("interpolation needs a model over a single total-order covariate")
+    """Linear interpolation between neighboring fitted CDFs at one
+    scalar covariate; see :func:`predict_batch`."""
     arr = np.asarray(x, dtype=float).reshape(-1)
     if arr.size != 1:
         raise ValueError("interpolation takes a single scalar covariate")
-    xv = float(arr[0])
-    if not np.isfinite(xv):
-        raise ValueError("covariate must be finite")
-    keys = np.array([k[0] for k in model.dag.keys])
-    grid = model.thresholds
-
-    def make(row_lo, row_hi, center) -> Prediction:
-        gap = float((row_hi - row_lo).max())
-        return Prediction(
-            StepCdf(grid, center, validate=False),
-            StepCdf(grid, row_lo, validate=False),
-            StepCdf(grid, row_hi, validate=False),
-            Provenance.INTERPOLATED,
-            gap,
-        )
-
-    pos = np.searchsorted(keys, xv)
-    if pos < keys.size and keys[pos] == xv:
-        row = model.cdf[pos]
-        return make(row, row, row)
-    if pos == 0:
-        row = model.cdf[0]
-        return make(row, row, row)
-    if pos == keys.size:
-        row = model.cdf[-1]
-        return make(row, row, row)
-    x_lo, x_hi = keys[pos - 1], keys[pos]
-    t = (xv - x_lo) / (x_hi - x_lo)
-    center = (1.0 - t) * model.cdf[pos - 1] + t * model.cdf[pos]
-    # the CDF below x (larger values) and above x bracket the interpolant
-    return make(model.cdf[pos], model.cdf[pos - 1], center)
+    return predict_batch(model, np.full((1, model.spec.dimension), arr[0]), interpolate=True).prediction(0)

@@ -1,8 +1,12 @@
 """Proper scores and calibration diagnostics for step-function CDFs.
 
-All scores act on :class:`~idr.stepfun.StepCdf` forecasts and scalar
-outcomes.  The CRPS is available in closed form, as an exact evaluation
-of its defining integral, and through quadrature of its three mixture
+The row forms (``crps_rows``, ``brier_rows``, ``quantile_score_rows``,
+``pit_rows``) score a batch of CDFs sharing one grid, given as a
+(cases, grid) matrix, against one outcome per case; ``brier_score``,
+``quantile_score`` and ``pit`` score one :class:`~idr.stepfun.StepCdf`
+as a batch of one.  ``brier`` and ``pinball`` score forecast
+probabilities and quantiles that come from elsewhere.  The CRPS is also
+available in closed form, and through quadrature of its three mixture
 representations (quantile scores over levels, elementary quantile
 scores over levels and thresholds, elementary probability scores over
 thresholds and probabilities), which serve as consistency checks.
@@ -10,24 +14,25 @@ thresholds and probabilities), which serve as consistency checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .stepfun import StepCdf
+from .stepfun import StepCdf, evaluate_rows, quantile_rows
 
 __all__ = [
     "crps",
-    "crps_integral",
     "crps_rows",
+    "brier",
+    "brier_rows",
+    "brier_score",
+    "pinball",
+    "quantile_score_rows",
     "quantile_score",
+    "pit_rows",
+    "pit",
     "elementary_quantile_score",
     "elementary_probability_score",
-    "brier_score",
-    "pit",
     "crps_mixture_check",
     "reliability_bins",
-    "ScoreReport",
 ]
 
 
@@ -45,15 +50,6 @@ def crps(cdf: StepCdf, y: float) -> float:
     pref_moment = np.concatenate(([0.0], np.cumsum(p * t)[:-1]))
     pairwise = float((p * (t * pref_mass - pref_moment)).sum())
     return term1 - pairwise
-
-
-def crps_integral(cdf: StepCdf, y: float) -> float:
-    """CRPS as the exact integral of (F(z) - 1{y <= z})^2.
-
-    The integrand is piecewise constant with knots at the jumps and at
-    ``y``, so the integral is evaluated exactly rather than on a grid.
-    """
-    return float(crps_rows(cdf.jumps, cdf.cum[None, :], np.array([y]))[0])
 
 
 def crps_rows(thresholds, rows, ys, chunk: int = 512) -> np.ndarray:
@@ -89,12 +85,19 @@ def crps_rows(thresholds, rows, ys, chunk: int = 512) -> np.ndarray:
     return out
 
 
+def pinball(q, y, alpha):
+    """Pinball loss of quantile forecasts ``q`` at level ``alpha``."""
+    return np.where(y <= q, (1.0 - alpha) * (q - y), alpha * (y - q))
+
+
+def quantile_score_rows(thresholds, rows, ys, alpha: float) -> np.ndarray:
+    """Pinball loss of each row's alpha-quantile against its outcome."""
+    return pinball(quantile_rows(thresholds, rows, alpha), np.asarray(ys, dtype=float), alpha)
+
+
 def quantile_score(cdf: StepCdf, alpha: float, y: float) -> float:
     """Pinball loss of the fitted alpha-quantile against outcome y."""
-    q = cdf.quantile(alpha)
-    if y <= q:
-        return (1.0 - alpha) * (q - y)
-    return alpha * (y - q)
+    return float(quantile_score_rows(cdf.jumps, cdf.cum[None, :], [y], alpha)[0])
 
 
 def elementary_quantile_score(cdf: StepCdf, alpha: float, theta: float, y: float) -> float:
@@ -126,63 +129,77 @@ def elementary_probability_score(cdf: StepCdf, z: float, c: float, y: float) -> 
     return 0.0
 
 
+def brier(p, y, z):
+    """Squared error of forecast probabilities ``p`` of {Y <= z}."""
+    return (p - (np.asarray(y) <= z)) ** 2
+
+
+def brier_rows(thresholds, rows, ys, z: float) -> np.ndarray:
+    """Brier score of each row's probability of {Y <= z}."""
+    return brier(evaluate_rows(thresholds, rows, z), ys, z)
+
+
 def brier_score(cdf: StepCdf, z: float, y: float) -> float:
     """Squared error of the forecast probability of {Y <= z}."""
-    f = cdf.evaluate(z)
-    return float((f - (1.0 if y <= z else 0.0)) ** 2)
+    return float(brier_rows(cdf.jumps, cdf.cum[None, :], [y], z)[0])
+
+
+def pit_rows(thresholds, rows, ys, v) -> np.ndarray:
+    """Randomized probability integral transform of each row.
+
+    ``v`` in [0, 1] (one per row) interpolates across any probability
+    mass at the outcome: F(y-) + v (F(y) - F(y-)).  Callers draw ``v``
+    from their own seeded generator.
+    """
+    v = np.asarray(v, dtype=float)
+    if np.any((v < 0.0) | (v > 1.0)):
+        raise ValueError("v must lie in [0, 1]")
+    ys = np.asarray(ys, dtype=float)
+    lo = evaluate_rows(thresholds, rows, ys, side="left")
+    hi = evaluate_rows(thresholds, rows, ys)
+    return lo + v * (hi - lo)
 
 
 def pit(cdf: StepCdf, y: float, v: float) -> float:
-    """Randomized probability integral transform.
+    """Randomized PIT of one CDF; see :func:`pit_rows`."""
+    return float(pit_rows(cdf.jumps, cdf.cum[None, :], [y], [v])[0])
 
-    ``v`` in [0, 1] interpolates across any probability mass at the
-    outcome: F(y-) + v (F(y) - F(y-)).  Callers draw ``v`` from their
-    own seeded generator.
-    """
-    if not 0.0 <= v <= 1.0:
-        raise ValueError("v must lie in [0, 1]")
-    lo = cdf.left_limit(y)
-    hi = cdf.evaluate(y)
-    return float(lo + v * (hi - lo))
+
+def _midpoints(n: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
+    return lo + (np.arange(n) + 0.5) * (hi - lo) / n
 
 
 def _mixture_quantile(cdf: StepCdf, y: float, n: int) -> float:
-    alphas = (np.arange(n) + 0.5) / n
-    q = cdf.quantile(alphas)
-    qs = np.where(y <= q, (1.0 - alphas) * (q - y), alphas * (y - q))
-    return 2.0 * float(qs.mean())
+    alphas = _midpoints(n)
+    return 2.0 * float(pinball(cdf.quantile(alphas), y, alphas).mean())
 
 
 def _mixture_quantile_theta(cdf: StepCdf, y: float, n: int, lo: float, hi: float) -> float:
     if hi <= lo:
         return 0.0
-    alphas = (np.arange(n) + 0.5) / n
+    alphas = _midpoints(n)
     q = cdf.quantile(alphas)
-    total = 0.0
-    step = max(1, int(2**22) // n)
-    for start in range(0, n, step):
-        theta = lo + (np.arange(start, min(n, start + step)) + 0.5) * (hi - lo) / n
-        first = (y <= theta[None, :]) & (theta[None, :] < q[:, None])
-        second = (q[:, None] <= theta[None, :]) & (theta[None, :] < y)
-        s = np.where(first, (1.0 - alphas)[:, None], 0.0) + np.where(second, alphas[:, None], 0.0)
-        total += float(s.sum())
-    return 2.0 * (hi - lo) * total / (n * n)
+    theta = _midpoints(n, lo, hi)
+
+    def count(a, b):  # grid points theta in [a, b), per level
+        return np.maximum(np.searchsorted(theta, b) - np.searchsorted(theta, a), 0)
+
+    # 1 - alpha where y <= theta < q, alpha where q <= theta < y
+    total = ((1.0 - alphas) * count(y, q) + alphas * count(q, y)).sum()
+    return 2.0 * (hi - lo) * float(total) / (n * n)
 
 
 def _mixture_probability(cdf: StepCdf, y: float, n: int, lo: float, hi: float) -> float:
     if hi <= lo:
         return 0.0
-    cs = (np.arange(n) + 0.5) / n
-    total = 0.0
-    step = max(1, int(2**22) // n)
-    for start in range(0, n, step):
-        z = lo + (np.arange(start, min(n, start + step)) + 0.5) * (hi - lo) / n
-        f = cdf.evaluate(z)
-        first = (f[None, :] < cs[:, None]) & (y <= z[None, :])
-        second = (f[None, :] >= cs[:, None]) & (y > z[None, :])
-        s = np.where(first, (1.0 - cs)[:, None], 0.0) + np.where(second, cs[:, None], 0.0)
-        total += float(s.sum())
-    return 2.0 * (hi - lo) * total / (n * n)
+    cs = _midpoints(n)
+    z = _midpoints(n, lo, hi)
+    k = np.searchsorted(cs, cdf.evaluate(z), side="right")  # levels c <= F(z)
+    # 1 - c over the levels above F(z) where y <= z, c over the rest where y > z
+    upper = np.concatenate(([0.0], np.cumsum((1.0 - cs)[::-1])))[::-1]
+    lower = np.concatenate(([0.0], np.cumsum(cs)))
+    total = np.where(y <= z, upper[k], lower[k]).sum()
+    return 2.0 * (hi - lo) * float(total) / (n * n)
 
 
 def crps_mixture_check(cdf: StepCdf, y: float, grid_sizes) -> dict[str, list[float]]:
@@ -245,13 +262,3 @@ def reliability_bins(probabilities, outcomes, bins: int):
         else:
             rows.append((center, float(p[sel].mean()), float(o[sel].mean()), count))
     return rows
-
-
-@dataclass
-class ScoreReport:
-    """Aggregate scores of a batch of forecast cases."""
-
-    mean_crps: float
-    mean_brier: dict[float, float] = field(default_factory=dict)
-    mean_quantile_score: dict[float, float] = field(default_factory=dict)
-    pit_values: list[float] = field(default_factory=list)

@@ -1,10 +1,15 @@
-"""Right-continuous step distribution functions."""
+"""Right-continuous step distribution functions.
+
+:class:`StepCdf` is one CDF.  The ``*_rows`` functions act on many CDFs
+that share one jump grid, stored as a (cases, grid) matrix of
+cumulative probabilities.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["StepCdf"]
+__all__ = ["StepCdf", "evaluate_rows", "quantile_rows"]
 
 
 class StepCdf:
@@ -92,3 +97,21 @@ class StepCdf:
 
     def __repr__(self):
         return f"StepCdf({self.jumps.tolist()}, {self.cum.tolist()})"
+
+
+def evaluate_rows(grid, rows, z, side: str = "right") -> np.ndarray:
+    """F(z) of every row, or with ``side="left"`` the left limit F(z-);
+    ``z`` is one threshold or one per row."""
+    rows = np.asarray(rows, dtype=float)
+    idx = np.broadcast_to(np.searchsorted(grid, z, side=side), rows.shape[:1])
+    return np.where(idx > 0, rows[np.arange(rows.shape[0]), np.maximum(idx - 1, 0)], 0.0)
+
+
+def quantile_rows(grid, rows, alpha: float) -> np.ndarray:
+    """Smallest grid point at which each row reaches ``alpha``, which
+    must lie strictly between 0 and 1."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie strictly between 0 and 1")
+    grid = np.asarray(grid, dtype=float)
+    below = (np.asarray(rows) < alpha).sum(axis=1)  # rows are nondecreasing
+    return grid[np.minimum(below, grid.size - 1)]

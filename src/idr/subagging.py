@@ -14,10 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fitting import IdrModel, TrainingSet, fit_idr, make_training_set
-from .prediction import Prediction, Provenance, predict_cdf, predict_rows
-from .stepfun import StepCdf
+from .prediction import Prediction, PredictionBatch, Provenance, _one_row, predict_batch
 
-__all__ = ["SubaggedModel", "fit_subagged", "fit_even_odd", "predict_subagged", "predict_subagged_rows"]
+__all__ = [
+    "SubaggedModel",
+    "fit_subagged",
+    "fit_even_odd",
+    "predict_subagged",
+    "predict_subagged_batch",
+    "predict_subagged_rows",
+]
 
 # weakest-first ordering used when members disagree on provenance
 _PROVENANCE_RANK = {
@@ -101,45 +107,51 @@ def _aggregate_provenance(provs) -> Provenance:
     return min(provs, key=lambda p: _PROVENANCE_RANK[p])
 
 
-def predict_subagged(model: SubaggedModel, x) -> Prediction:
-    """Aggregate member predictions at one covariate vector.
+def _member_means(model: SubaggedModel, covariates, grid, sides):
+    """Equal-weight means over members of the batch rows named in
+    ``sides``, each read off on ``grid``, plus every member's
+    provenance.  A case is NaN where any member's row is (a missing
+    bound).  Members are predicted one at a time, so only the sums
+    span the whole grid."""
+    sums = [np.zeros((len(np.asarray(covariates)), grid.size)) for _ in sides]
+    provenances = []
+    for member in model.members:
+        batch = predict_batch(member, covariates)
+        idx = np.searchsorted(member.thresholds, grid, side="right")
+        for total, side in zip(sums, sides):
+            rows = getattr(batch, side)
+            total += np.concatenate((np.zeros((rows.shape[0], 1)), rows), axis=1)[:, idx]
+            total[np.isnan(rows[:, 0])] = np.nan
+        provenances.append(batch.provenance)
+    for total in sums:
+        total /= len(model.members)
+    return sums, provenances
+
+
+def predict_subagged_batch(model: SubaggedModel, covariates) -> PredictionBatch:
+    """Aggregate member predictions at every row of a covariate matrix.
 
     The CDF is the pointwise mean of the member CDFs on the union of
-    their jump grids.  Bounds are averaged the same way when every
-    member provides them and are marked heuristic, since no single
-    monotone fit stands behind the averaged bracket.
+    their grids.  A bound is averaged the same way for the cases where
+    every member provides it, and is marked heuristic, since no single
+    monotone fit stands behind the averaged bracket.  The provenance is
+    the weakest among the members, or both-bounds when every member
+    reports both bounds.
     """
-    parts = [predict_cdf(m, x) for m in model.members]
-    grid = np.unique(np.concatenate([p.cdf.jumps for p in parts]))
-    k = len(parts)
-    center = sum(p.cdf.evaluate(grid) for p in parts) / k
-    cdf = StepCdf(grid, center, validate=False)
-    lower = upper = None
-    gap = None
-    heuristic = False
-    if all(p.lower is not None for p in parts):
-        lower = StepCdf(grid, sum(p.lower.evaluate(grid) for p in parts) / k, validate=False)
-        heuristic = True
-    if all(p.upper is not None for p in parts):
-        upper = StepCdf(grid, sum(p.upper.evaluate(grid) for p in parts) / k, validate=False)
-        heuristic = True
-    if lower is not None and upper is not None:
-        gap = float((upper.cum - lower.cum).max())
-    prov = _aggregate_provenance([p.provenance for p in parts])
-    return Prediction(cdf, lower, upper, prov, gap, bounds_heuristic=heuristic)
+    grid = np.unique(np.concatenate([m.thresholds for m in model.members]))
+    (center, lower, upper), provenances = _member_means(model, covariates, grid, ("center", "lower", "upper"))
+    provenance = [_aggregate_provenance(ps) for ps in zip(*provenances)]
+    return PredictionBatch(grid, center, lower, upper, provenance, bounds_heuristic=True)
+
+
+def predict_subagged(model: SubaggedModel, x) -> Prediction:
+    """Aggregate member predictions at one covariate vector: a batch of
+    one of :func:`predict_subagged_batch`."""
+    return predict_subagged_batch(model, _one_row(x)).prediction(0)
 
 
 def predict_subagged_rows(model: SubaggedModel, covariates, grid) -> np.ndarray:
-    """Aggregated CDF values of a query batch on a common grid."""
-    grid = np.asarray(grid, dtype=float)
-    x = np.asarray(covariates, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    out = np.zeros((x.shape[0], grid.size))
-    for member in model.members:
-        rows, _ = predict_rows(member, x)
-        idx = np.searchsorted(member.thresholds, grid, side="right")
-        padded = np.concatenate((np.zeros((rows.shape[0], 1)), rows), axis=1)
-        out += padded[:, idx]
-    out /= len(model.members)
-    return out
+    """Aggregated CDF values of a query batch on a common grid: the
+    centre of :func:`predict_subagged_batch`, read off on ``grid``."""
+    (center,), _ = _member_means(model, covariates, np.asarray(grid, dtype=float), ("center",))
+    return center

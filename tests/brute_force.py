@@ -1,0 +1,308 @@
+"""Brute-force references for the solvers.
+
+These implementations trade speed for transparency: the antitonic fit
+is recovered from a max-min formula over lower sets and cross-checked
+by direct minimization over all order-consistent level-set partitions;
+isotonic quantile vectors come from exhaustive dynamic programming over
+nested upper sets.  Node counts are capped so enumeration stays exact.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+
+import numpy as np
+
+_NODE_LIMIT = 12
+
+
+def _check_size(n: int):
+    if n > _NODE_LIMIT:
+        raise ValueError(f"oracle supports at most {_NODE_LIMIT} nodes, got {n}")
+
+
+def _strict_matrix(dag) -> np.ndarray:
+    n = dag.n_nodes
+    return dag.reach & ~np.eye(n, dtype=bool)
+
+
+def _closed_masks(constraint: np.ndarray) -> list[int]:
+    """Masks closed under the constraint: i in mask forces j in mask
+    whenever constraint[j, i]."""
+    n = constraint.shape[0]
+    need = [0] * n
+    for i in range(n):
+        m = 0
+        for j in np.nonzero(constraint[:, i])[0]:
+            m |= 1 << int(j)
+        need[i] = m
+    out = []
+    for mask in range(1 << n):
+        rest = mask
+        ok = True
+        while rest:
+            low = rest & -rest
+            if need[low.bit_length() - 1] & ~mask:
+                ok = False
+                break
+            rest ^= low
+        if ok:
+            out.append(mask)
+    return out
+
+
+@lru_cache(maxsize=64)
+def _pair_structure(strict_bytes: bytes, n: int, kind: str):
+    """Pairs (S, S') of nested closed sets, with their set differences.
+
+    ``kind`` selects lower sets (closed under predecessors) or upper
+    sets (closed under successors).  Returns index arrays aligned so
+    that vectorized per-pair values can be grouped by the outer set.
+    """
+    strict = np.frombuffer(strict_bytes, dtype=bool).reshape(n, n)
+    # strict[u, v] says u precedes v; a lower set pulls in predecessors
+    # (column masks), an upper set pulls in successors (row masks)
+    masks = _closed_masks(strict.T if kind == "upper" else strict)
+    index = {m: i for i, m in enumerate(masks)}
+    is_closed = np.zeros(1 << n, dtype=bool)
+    is_closed[masks] = True
+    outer, inner, diff = [], [], []
+    for m in masks:
+        if m == 0:
+            continue
+        sub = (m - 1) & m
+        while True:
+            if is_closed[sub]:
+                outer.append(index[m])
+                inner.append(index[sub])
+                diff.append(m & ~sub)
+            if sub == 0:
+                break
+            sub = (sub - 1) & m
+    outer = np.array(outer, dtype=np.intp)
+    inner = np.array(inner, dtype=np.intp)
+    diff = np.array(diff, dtype=np.int64)
+    order = np.argsort(outer, kind="stable")
+    outer, inner, diff = outer[order], inner[order], diff[order]
+    starts = np.searchsorted(outer, np.arange(len(masks)))
+    # expansion of each pair's difference set into (node, pair) entries
+    exp_node, exp_pair = [], []
+    for p, d in enumerate(diff.tolist()):
+        while d:
+            low = d & -d
+            exp_node.append(low.bit_length() - 1)
+            exp_pair.append(p)
+            d ^= low
+    bits = ((np.array(masks)[:, None] >> np.arange(n)[None, :]) & 1).astype(float)
+    diff_count = np.array([int(d).bit_count() for d in diff.tolist()], dtype=np.int64)
+    return {
+        "masks": np.array(masks, dtype=np.int64),
+        "bits": bits,
+        "outer": outer,
+        "inner": inner,
+        "diff": diff,
+        "diff_count": diff_count,
+        "starts": starts,
+        "exp_node": np.array(exp_node, dtype=np.intp),
+        "exp_pair": np.array(exp_pair, dtype=np.intp),
+    }
+
+
+def _mask_sums(vals: np.ndarray, n: int) -> np.ndarray:
+    """Subset sums over all 2^n masks (bit i of the mask picks vals[i])."""
+    out = np.zeros(1)
+    for i in range(n):
+        out = np.concatenate((out, out + vals[i]))
+    return out
+
+
+def brute_force_antitonic(dag, values, weights=None) -> np.ndarray:
+    """Reference antitonic least-squares fit by exhaustive max-min.
+
+    Each entry is the largest, over lower sets containing the node, of
+    the smallest weighted mean over differences with smaller lower sets
+    that still contain the node.  Agrees with direct minimization over
+    all order-consistent partitions (see
+    :func:`exhaustive_partition_fit`).
+    """
+    n = dag.n_nodes
+    _check_size(n)
+    a = np.asarray(values, dtype=float)
+    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
+    if a.shape != (n,) or w.shape != (n,):
+        raise ValueError("values and weights must have one entry per node")
+    if np.any(w <= 0):
+        raise ValueError("weights must be strictly positive")
+    strict = _strict_matrix(dag)
+    st = _pair_structure(strict.tobytes(), n, "lower")
+    wsum = _mask_sums(w, n)
+    wasum = _mask_sums(w * a, n)
+    masks = st["masks"]
+    outer_mask = masks[st["outer"]]
+    inner_mask = masks[st["inner"]]
+    v = (wasum[outer_mask] - wasum[inner_mask]) / (wsum[outer_mask] - wsum[inner_mask])
+
+    k = len(masks)
+    per_node = np.full((n, k), np.inf)
+    np.minimum.at(per_node, (st["exp_node"], st["outer"][st["exp_pair"]]), v[st["exp_pair"]])
+    contains = st["bits"].T.astype(bool)  # (n, masks)
+    per_node[~contains] = -np.inf
+    return per_node.max(axis=1)
+
+
+@lru_cache(maxsize=16)
+def _partition_labels(n: int) -> np.ndarray:
+    """All set partitions of n items as restricted growth strings."""
+    out: list[list[int]] = []
+    labels = [0] * n
+
+    def grow(i: int, top: int):
+        if i == n:
+            out.append(labels.copy())
+            return
+        for v in range(top + 2):
+            labels[i] = v
+            grow(i + 1, max(top, v))
+
+    grow(1 if n > 0 else 0, 0)
+    return np.array(out, dtype=np.int64)
+
+
+def exhaustive_partition_fit(dag, values, weights=None, return_candidates: bool = False):
+    """Antitonic least squares by trying every level-set partition.
+
+    Every partition of the nodes induces the assignment that gives each
+    block its weighted mean; assignments violating the order are
+    dropped and the feasible one with the smallest weighted squared
+    error is returned.  With ``return_candidates`` the full feasible
+    assignment matrix comes back too (used to bound per-threshold
+    scores from below in tests).
+    """
+    n = dag.n_nodes
+    if n > 8:
+        raise ValueError("partition enumeration supports at most 8 nodes")
+    a = np.asarray(values, dtype=float)
+    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
+    labels = _partition_labels(n)
+    same = labels[:, :, None] == labels[:, None, :]  # (P, n, n)
+    eta = (same @ (w * a)) / (same @ w)
+    lo, hi = np.nonzero(_strict_matrix(dag))
+    if lo.size:
+        feasible = np.all(eta[:, lo] >= eta[:, hi], axis=1)
+    else:
+        feasible = np.ones(eta.shape[0], dtype=bool)
+    sse = ((eta - a) ** 2 * w).sum(axis=1)
+    sse[~feasible] = np.inf
+    best = int(np.argmin(sse))
+    if return_candidates:
+        return eta[best], eta[feasible]
+    return eta[best]
+
+
+def pinball_loss(q, y, alpha: float, weights=None) -> float:
+    """Total weighted pinball loss of quantile predictions ``q``."""
+    q = np.asarray(q, dtype=float)
+    y = np.asarray(y, dtype=float)
+    w = np.ones_like(y) if weights is None else np.asarray(weights, dtype=float)
+    loss = np.where(y <= q, (1.0 - alpha) * (q - y), alpha * (y - q))
+    return float((w * loss).sum())
+
+
+def isotonic_quantile_oracle(dag, responses, alpha: float, weights=None) -> np.ndarray:
+    """Pinball-optimal isotonic quantile vector by exhaustive search.
+
+    ``responses`` is aligned with the raw points behind ``dag`` (its
+    ``membership``).  Candidate values are the distinct responses; the
+    search runs over all chains of nested upper sets, so the result is
+    exactly order-consistent (nondecreasing along the order).  Among
+    the minimizers, the pointwise smallest vector is returned, matching
+    lower sample quantiles on every pooled block.  Tie detection uses
+    exact float comparison, so the smallest-vector guarantee holds when
+    the loss sums are exactly representable (integer or dyadic data);
+    the minimal loss itself is found regardless.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie strictly between 0 and 1")
+    n = dag.n_nodes
+    _check_size(n)
+    y = np.asarray(responses, dtype=float)
+    node = np.asarray(dag.membership, dtype=np.intp)
+    if y.shape != node.shape:
+        raise ValueError("responses must align with the dag's raw points")
+    w = np.ones_like(y) if weights is None else np.asarray(weights, dtype=float)
+
+    cand = np.unique(y)
+    k = cand.size
+    # pointcost[j, i]: pinball cost of assigning value cand[j] to node i
+    per_raw = np.where(
+        y[None, :] <= cand[:, None],
+        (1.0 - alpha) * (cand[:, None] - y[None, :]),
+        alpha * (y[None, :] - cand[:, None]),
+    ) * w[None, :]
+    pointcost = np.zeros((k, n))
+    for j in range(k):
+        pointcost[j] = np.bincount(node, weights=per_raw[j], minlength=n)
+
+    strict = _strict_matrix(dag)
+    st = _pair_structure(strict.tobytes(), n, "upper")
+    masks = st["masks"]
+    outer, inner = st["outer"], st["inner"]
+    diff, diff_count = st["diff"], st["diff_count"]
+    starts = st["starts"]
+    # cost of assigning cand[j] to an arbitrary node subset, all 2^n masks
+    cost_full = np.zeros((1, k))
+    for i in range(n):
+        cost_full = np.concatenate((cost_full, cost_full + pointcost[:, i]))
+    sizes = st["bits"].sum(axis=1)
+
+    # h[j][U]: optimal cost over upper set U using values cand[j:];
+    # s[j][U]: smallest node-value total among those optima
+    nmask = len(masks)
+    h = np.empty((k, nmask))
+    s = np.empty((k, nmask))
+    h[k - 1] = cost_full[masks, k - 1]
+    s[k - 1] = cand[k - 1] * sizes
+    choice = np.empty((k - 1, nmask), dtype=np.intp) if k > 1 else None
+    pair_index = np.arange(len(outer))
+    stay = len(outer)  # sentinel: keep U intact, no node takes cand[j]
+    for j in range(k - 2, -1, -1):
+        pair_cost = cost_full[diff, j] + h[j + 1][inner]
+        pair_sum = cand[j] * diff_count + s[j + 1][inner]
+        best_cost = np.minimum.reduceat(pair_cost, starts)
+        tied = pair_cost == best_cost[outer]
+        best_sum = np.minimum.reduceat(np.where(tied, pair_sum, np.inf), starts)
+        pick = tied & (pair_sum == best_sum[outer])
+        first = np.minimum.reduceat(np.where(pick, pair_index, stay), starts)
+        # levels may be skipped: U' = U is not among the enumerated
+        # pairs, so fold it in as an explicit alternative
+        stay_cost, stay_sum = h[j + 1], s[j + 1]
+        use_stay = (stay_cost < best_cost) | ((stay_cost == best_cost) & (stay_sum < best_sum))
+        h[j] = np.where(use_stay, stay_cost, best_cost)
+        s[j] = np.where(use_stay, stay_sum, best_sum)
+        first = np.where(use_stay, stay, first)
+        # the empty set has no split pairs and reduceat misreads its
+        # group, so pin its true values by hand
+        h[j, 0] = 0.0
+        s[j, 0] = 0.0
+        first[0] = stay
+        choice[j] = first
+    full = nmask - 1
+
+    out = np.empty(n)
+    u = full
+    for j in range(k - 1):
+        p = int(choice[j][u])
+        if p == stay:
+            continue
+        d = int(diff[p])
+        while d:
+            low = d & -d
+            out[low.bit_length() - 1] = cand[j]
+            d ^= low
+        u = inner[p]
+    rest = int(masks[u])
+    while rest:
+        low = rest & -rest
+        out[low.bit_length() - 1] = cand[k - 1]
+        rest ^= low
+    return out

@@ -35,13 +35,13 @@ from idr import (
     predict_rows,
     predict_subagged_rows,
 )
-from idr.oracles import (
+from idr.oracles import simulate_gamma, true_gamma_crps
+
+from brute_force import (
     brute_force_antitonic,
     exhaustive_partition_fit,
     isotonic_quantile_oracle,
     pinball_loss,
-    simulate_gamma,
-    true_gamma_crps,
 )
 
 TOTAL1 = OrderSpec((OrderGroup((0,), TOTAL),))

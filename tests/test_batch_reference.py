@@ -1,0 +1,256 @@
+"""The batch prediction path against the per-query reference.
+
+The reference below is the per-query prediction rule as it was coded
+before prediction moved onto one batch path: neighbour sets of one
+query, bounds from their fitted rows, and a per-query average over
+subsample members.  The batch must reproduce it bit for bit, with the
+same provenance and bound gap.
+"""
+
+import numpy as np
+import pytest
+
+from idr import (
+    COMPONENTWISE,
+    EMPIRICAL_ICX,
+    TOTAL,
+    OrderGroup,
+    OrderSpec,
+    Prediction,
+    Provenance,
+    StepCdf,
+    fit_idr,
+    fit_subagged,
+    interpolate_total_order,
+    make_training_set,
+    predict_batch,
+    predict_cdf,
+    predict_rows,
+    predict_subagged,
+    predict_subagged_batch,
+    predict_subagged_rows,
+)
+from idr.orders import canonical_key
+
+TOTAL1 = OrderSpec((OrderGroup((0,), TOTAL),))
+CW2 = OrderSpec((OrderGroup((0, 1), COMPONENTWISE),))
+ICX = OrderSpec((OrderGroup((0,), TOTAL), OrderGroup((1, 2, 3), EMPIRICAL_ICX)))
+
+_REPORTS_BOUNDS = (Provenance.AT_TRAINING_POINT, Provenance.BOTH_BOUNDS)
+_RANK = [
+    Provenance.CLIMATOLOGICAL,
+    Provenance.ONLY_SUCCESSORS,
+    Provenance.ONLY_PREDECESSORS,
+    Provenance.INTERPOLATED,
+    Provenance.BOTH_BOUNDS,
+    Provenance.AT_TRAINING_POINT,
+]
+
+
+# ---------------------------------------------------------------------------
+# per-query reference
+# ---------------------------------------------------------------------------
+
+def ref_neighbor_sets(model, key):
+    dag = model.dag
+    below, above = dag.query_masks(key)
+    reach = dag.reach
+    pred = np.zeros(dag.n_nodes, dtype=bool)
+    succ = np.zeros(dag.n_nodes, dtype=bool)
+    if below.any():
+        idx = np.nonzero(below)[0]
+        strict = reach[np.ix_(idx, idx)] & ~np.eye(idx.size, dtype=bool)
+        pred[idx[~strict.any(axis=1)]] = True
+    if above.any():
+        idx = np.nonzero(above)[0]
+        strict = reach[np.ix_(idx, idx)] & ~np.eye(idx.size, dtype=bool)
+        succ[idx[~strict.any(axis=0)]] = True
+    return np.nonzero(pred)[0], np.nonzero(succ)[0]
+
+
+def ref_prediction_from_rows(model, pred, succ):
+    grid = model.thresholds
+    upper_row = model.cdf[pred].min(axis=0) if len(pred) else None
+    lower_row = model.cdf[succ].max(axis=0) if len(succ) else None
+    if upper_row is not None and lower_row is not None:
+        center = 0.5 * (lower_row + upper_row)
+        gap = float((upper_row - lower_row).max())
+        return Prediction(StepCdf(grid, center, validate=False), StepCdf(grid, lower_row, validate=False),
+                          StepCdf(grid, upper_row, validate=False), Provenance.BOTH_BOUNDS, gap)
+    if upper_row is not None:
+        up = StepCdf(grid, upper_row, validate=False)
+        return Prediction(up, None, up, Provenance.ONLY_PREDECESSORS, None)
+    if lower_row is not None:
+        lo = StepCdf(grid, lower_row, validate=False)
+        return Prediction(lo, lo, None, Provenance.ONLY_SUCCESSORS, None)
+    return Prediction(model.climatology, None, None, Provenance.CLIMATOLOGICAL, None)
+
+
+def ref_predict_cdf(model, x):
+    key = np.array(canonical_key(model.spec, x), dtype=float)
+    node = model.dag.node_of_key(tuple(key))
+    if node >= 0:
+        row = model.node_cdf(node)
+        return Prediction(row, row, row, Provenance.AT_TRAINING_POINT, 0.0)
+    return ref_prediction_from_rows(model, *ref_neighbor_sets(model, key))
+
+
+def ref_interpolate(model, xv):
+    keys = np.array([k[0] for k in model.dag.keys])
+    grid = model.thresholds
+
+    def make(row_lo, row_hi, center):
+        return Prediction(StepCdf(grid, center, validate=False), StepCdf(grid, row_lo, validate=False),
+                          StepCdf(grid, row_hi, validate=False), Provenance.INTERPOLATED,
+                          float((row_hi - row_lo).max()))
+
+    pos = np.searchsorted(keys, xv)
+    if pos < keys.size and keys[pos] == xv:
+        return make(model.cdf[pos], model.cdf[pos], model.cdf[pos])
+    if pos == 0 or pos == keys.size:
+        row = model.cdf[min(pos, keys.size - 1)]
+        return make(row, row, row)
+    t = (xv - keys[pos - 1]) / (keys[pos] - keys[pos - 1])
+    center = (1.0 - t) * model.cdf[pos - 1] + t * model.cdf[pos]
+    return make(model.cdf[pos], model.cdf[pos - 1], center)
+
+
+def ref_predict_subagged(model, x):
+    parts = [ref_predict_cdf(m, x) for m in model.members]
+    grid = np.unique(np.concatenate([p.cdf.jumps for p in parts]))
+    k = len(parts)
+    center = sum(p.cdf.evaluate(grid) for p in parts) / k
+    lower = upper = gap = None
+    if all(p.lower is not None for p in parts):
+        lower = StepCdf(grid, sum(p.lower.evaluate(grid) for p in parts) / k, validate=False)
+    if all(p.upper is not None for p in parts):
+        upper = StepCdf(grid, sum(p.upper.evaluate(grid) for p in parts) / k, validate=False)
+    if lower is not None and upper is not None:
+        gap = float((upper.cum - lower.cum).max())
+    provs = [p.provenance for p in parts]
+    if all(p in _REPORTS_BOUNDS for p in provs):
+        prov = Provenance.BOTH_BOUNDS
+    else:
+        prov = min(provs, key=_RANK.index)
+    heuristic = lower is not None or upper is not None
+    return Prediction(StepCdf(grid, center, validate=False), lower, upper, prov, gap, heuristic)
+
+
+# ---------------------------------------------------------------------------
+# models and queries
+# ---------------------------------------------------------------------------
+
+def chain_case():
+    rng = np.random.default_rng(101)
+    x = rng.uniform(0, 10, size=40)
+    model = fit_idr(make_training_set(TOTAL1, x, x + rng.normal(size=40)))
+    # at keys, between keys, below all, above all
+    q = np.concatenate([x[:6], rng.uniform(0, 10, size=12), [-3.0, x.min() - 1e-9, x.max() + 1e-9, 20.0]])
+    return model, q[:, None]
+
+
+def cw_case():
+    rng = np.random.default_rng(102)
+    x = rng.integers(0, 6, size=(50, 2)).astype(float)
+    model = fit_idr(make_training_set(CW2, x, x.sum(axis=1) + rng.normal(size=50)))
+    extra = [[-1.0, -1.0], [9.0, 9.0], [-1.0, 9.0], [9.0, -1.0], [2.5, 2.5], [0.5, 4.5]]
+    return model, np.vstack([x[:6], rng.uniform(-0.5, 6.5, size=(14, 2)), extra])
+
+
+def icx_rows(rng, n):
+    base = rng.uniform(0, 5, size=n)
+    return np.column_stack([base + rng.normal(scale=0.3, size=n),
+                            base[:, None] + rng.normal(scale=0.6, size=(n, 3))])
+
+
+def icx_queries(rng, x):
+    # members permuted (same key), fresh rows, below, above, incomparable
+    permuted = x[:4][:, [0, 3, 1, 2]]
+    extra = [[-9.0] * 4, [30.0] * 4, [30.0, -9.0, -9.0, -9.0], [-9.0, 30.0, 30.0, 30.0]]
+    return np.vstack([permuted, icx_rows(rng, 12), extra])
+
+
+def icx_case():
+    rng = np.random.default_rng(103)
+    x = icx_rows(rng, 40)
+    model = fit_idr(make_training_set(ICX, x, x[:, 0] + rng.normal(size=40)))
+    return model, icx_queries(rng, x)
+
+
+def subagged_case():
+    rng = np.random.default_rng(104)
+    x = icx_rows(rng, 60)
+    ts = make_training_set(ICX, x, x[:, 0] + rng.normal(size=60))
+    return fit_subagged(ts, count=4, size=25, seed=9), icx_queries(rng, x)
+
+
+def same(a, b):
+    """Bitwise equality of two optional step CDFs."""
+    if a is None or b is None:
+        return a is None and b is None
+    return np.array_equal(a.jumps, b.jumps) and np.array_equal(a.cum, b.cum)
+
+
+def assert_same_prediction(got, want):
+    assert got.provenance is want.provenance
+    assert same(got.cdf, want.cdf)
+    assert same(got.lower, want.lower)
+    assert same(got.upper, want.upper)
+    assert got.bound_gap == want.bound_gap  # None or bit-equal floats
+    assert got.bounds_heuristic == want.bounds_heuristic
+
+
+def assert_batch_row(batch, i, want):
+    """Row ``i`` of a batch agrees with a reference Prediction."""
+    assert batch.provenance[i] is want.provenance
+    assert np.array_equal(batch.center[i], want.cdf.evaluate(batch.grid))
+    for rows, ref in ((batch.lower, want.lower), (batch.upper, want.upper)):
+        if ref is None:
+            assert np.isnan(rows[i]).all()
+        else:
+            assert np.array_equal(rows[i], ref.evaluate(batch.grid))
+    gap = batch.bound_gap[i]
+    assert np.isnan(gap) if want.bound_gap is None else gap == want.bound_gap
+
+
+@pytest.mark.parametrize("case", [chain_case, cw_case, icx_case])
+def test_batch_matches_per_query_reference(case):
+    model, queries = case()
+    batch = predict_batch(model, queries)
+    rows, provs = predict_rows(model, queries)
+    assert np.array_equal(rows, batch.center) and provs == batch.provenance
+    seen = set()
+    for i, q in enumerate(queries):
+        want = ref_predict_cdf(model, q)
+        seen.add(want.provenance)
+        assert_batch_row(batch, i, want)
+        assert_same_prediction(predict_cdf(model, q), want)
+    # every kind of query the rule distinguishes is exercised
+    kinds = {Provenance.AT_TRAINING_POINT, Provenance.BOTH_BOUNDS, Provenance.ONLY_PREDECESSORS,
+             Provenance.ONLY_SUCCESSORS}
+    if case is not chain_case:
+        kinds.add(Provenance.CLIMATOLOGICAL)
+    assert kinds <= seen
+
+
+def test_interpolation_matches_per_query_reference():
+    model, queries = chain_case()
+    batch = predict_batch(model, queries, interpolate=True)
+    for i, q in enumerate(queries[:, 0]):
+        want = ref_interpolate(model, q)
+        assert_batch_row(batch, i, want)
+        assert_same_prediction(interpolate_total_order(model, q), want)
+
+
+def test_subagged_batch_matches_per_query_reference():
+    model, queries = subagged_case()
+    batch = predict_subagged_batch(model, queries)
+    assert np.array_equal(predict_subagged_rows(model, queries, batch.grid), batch.center)
+    seen = set()
+    for i, q in enumerate(queries):
+        want = ref_predict_subagged(model, q)
+        seen.add(want.provenance)
+        assert_batch_row(batch, i, want)
+        assert_same_prediction(predict_subagged(model, q), want)
+    assert {Provenance.BOTH_BOUNDS, Provenance.ONLY_PREDECESSORS, Provenance.ONLY_SUCCESSORS,
+            Provenance.CLIMATOLOGICAL} <= seen

@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -308,6 +312,16 @@ def test_malformed_rows_report_line_numbers(tmp_path):
     err = all_output(res)
     assert "lines 3, 4" in err
     assert "'x'" in err and "'y'" in err
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    """Only the gamma benchmark needs scipy.stats, and loads it itself."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, idr.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def test_exit_codes_documented_in_help():

@@ -1,0 +1,120 @@
+"""Byte-for-byte command-line output against committed golden files.
+
+The inputs and outputs under ``tests/golden/`` were written by the
+command line as it stood before prediction and scoring moved onto one
+batch path.  Every command below must reproduce each file it writes,
+and its stdout, exactly.  ``python tests/test_golden.py`` rewrites the
+golden files; do that only for a change meant to alter the output.
+"""
+
+import os
+import shutil
+from pathlib import Path
+
+import numpy as np
+from click.testing import CliRunner
+
+from idr.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+INPUTS = ("chain_test.csv", "cw_train.csv", "cw_test.csv", "icx_train.csv", "icx_test.csv")
+ICX = "hres:total;p1-p4:icx"
+
+# (command line, files it writes); later commands read earlier outputs
+COMMANDS = [
+    ("simulate --n 40 --seed 5 --out chain_train.csv", ["chain_train.csv"]),
+    ("fit --data chain_train.csv --response y --order x:total --out chain_model.json", ["chain_model.json"]),
+    ("predict --model chain_model.json --data chain_test.csv --quantiles 0.1,0.5,0.9 --thresholds 1,4 "
+     "--out chain_predict.csv", ["chain_predict.csv"]),
+    ("predict --model chain_model.json --data chain_test.csv --quantiles 0.1,0.5,0.9 --thresholds 1,4 "
+     "--interpolate --out chain_interp.csv", ["chain_interp.csv"]),
+    ("score --model chain_model.json --data chain_test.csv --response y --thresholds 1,4 --alphas 0.1,0.9 "
+     "--seed 7 --out chain_score.csv", ["chain_score.csv"]),
+    ("score --true-gamma --data chain_train.csv --response y --thresholds 1,4 --alphas 0.1,0.9 "
+     "--seed 7 --out gamma_score.csv", ["gamma_score.csv"]),
+    ("pit-hist --scores chain_score.csv --bins 5 --out chain_pit.csv", ["chain_pit.csv"]),
+    ("reliability --model chain_model.json --data chain_test.csv --response y --threshold 4 --bins 5 "
+     "--out chain_rel.csv", ["chain_rel.csv"]),
+    ("fit --data cw_train.csv --response y --order a,b:cw --out cw_model.json", ["cw_model.json"]),
+    ("predict --model cw_model.json --data cw_test.csv --quantiles 0.25,0.5 --thresholds 3 "
+     "--out cw_predict.csv", ["cw_predict.csv"]),
+    ("score --model cw_model.json --data cw_test.csv --response y --thresholds 3 --alphas 0.5 "
+     "--seed 2 --out cw_score.csv", ["cw_score.csv"]),
+    (f"fit --data icx_train.csv --response y --order {ICX} --subagg-count 4 --subagg-size 25 --seed 3 "
+     "--out icx_model.json", ["icx_model.json"]),
+    ("predict --model icx_model.json --data icx_test.csv --quantiles 0.1,0.5,0.9 --thresholds 2 "
+     "--out icx_predict.csv", ["icx_predict.csv"]),
+    ("score --model icx_model.json --data icx_test.csv --response y --thresholds 2 --alphas 0.9 "
+     "--seed 4 --out icx_score.csv", ["icx_score.csv"]),
+    ("reliability --model icx_model.json --data icx_test.csv --response y --threshold 2 --bins 4 "
+     "--out icx_rel.csv", ["icx_rel.csv"]),
+]
+
+
+def run_all(workdir: Path, commands=COMMANDS) -> str:
+    """Run ``commands`` with ``workdir`` as the current directory;
+    returns their stdout, each block headed by its command line."""
+    runner = CliRunner()
+    log = []
+    old = os.getcwd()
+    os.chdir(workdir)
+    try:
+        for line, _ in commands:
+            res = runner.invoke(main, line.split())
+            assert res.exit_code == 0, (line, res.output)
+            log.append(f"$ idr {line}\n{res.stdout}")
+    finally:
+        os.chdir(old)
+    return "".join(log)
+
+
+def test_cli_output_matches_golden_files(tmp_path):
+    for name in INPUTS:
+        shutil.copy(GOLDEN / name, tmp_path / name)
+    stdout = run_all(tmp_path)
+    assert stdout == (GOLDEN / "stdout.txt").read_text(encoding="utf-8")
+    for _, outputs in COMMANDS:
+        for name in outputs:
+            assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+def _write_inputs(rng):
+    def write(name, header, rows):
+        lines = [",".join(header)] + [",".join(repr(float(v)) for v in row) for row in rows]
+        (GOLDEN / name).write_text("\r\n".join(lines) + "\r\n", encoding="utf-8")
+
+    # chain queries: training keys, points between them, below and above all
+    train = np.loadtxt(GOLDEN / "chain_train.csv", delimiter=",", skiprows=1)
+    xs = np.concatenate([train[:5, 0], rng.uniform(0, 10, size=8), [-1.0, 0.0, 10.5, 12.0]])
+    write("chain_test.csv", ["x", "y"], np.column_stack([xs, rng.gamma(2.0, 2.0, size=xs.size)]))
+
+    # componentwise grid; queries at keys, between, below, above and
+    # incomparable to every training point
+    ab = rng.integers(0, 5, size=(30, 2)).astype(float)
+    write("cw_train.csv", ["a", "b", "y"], np.column_stack([ab, ab.sum(axis=1) + rng.normal(size=30)]))
+    q = np.vstack([ab[:4], [[2.5, 2.5], [1.5, 3.5], [-1.0, -1.0], [9.0, 9.0], [-1.0, 9.0], [9.0, -1.0]]])
+    write("cw_test.csv", ["a", "b", "y"], np.column_stack([q, q.sum(axis=1) + rng.normal(size=len(q))]))
+
+    # a point forecast plus a four-member exchangeable ensemble
+    def ensemble(n):
+        base = rng.uniform(0, 5, size=n)
+        return np.column_stack([
+            base + rng.normal(scale=0.3, size=n),
+            base[:, None] + rng.normal(scale=0.6, size=(n, 4)),
+            base + rng.normal(scale=0.5, size=n),
+        ])
+
+    icx = ensemble(60)
+    write("icx_train.csv", ["hres", "p1", "p2", "p3", "p4", "y"], icx)
+    # below all, above all, incomparable to all
+    tail = np.array([[-5.0] * 5 + [0.0], [20.0] * 5 + [6.0], [20.0] + [-5.0] * 4 + [1.0]])
+    write("icx_test.csv", ["hres", "p1", "p2", "p3", "p4", "y"], np.vstack([icx[:3], ensemble(9), tail]))
+
+
+if __name__ == "__main__":
+    # the chain training table comes from the first command, the other
+    # inputs from a fixed seed; then every output is rewritten in place
+    GOLDEN.mkdir(exist_ok=True)
+    run_all(GOLDEN, COMMANDS[:1])
+    _write_inputs(np.random.default_rng(20240))
+    (GOLDEN / "stdout.txt").write_text(run_all(GOLDEN), encoding="utf-8")

@@ -17,15 +17,18 @@ from idr import (
     make_training_set,
 )
 from idr.oracles import (
-    brute_force_antitonic,
-    exhaustive_partition_fit,
     gamma_parameters,
-    isotonic_quantile_oracle,
-    pinball_loss,
     simulate_gamma,
     true_gamma_cdf,
     true_gamma_crps,
     true_gamma_quantile,
+)
+
+from brute_force import (
+    brute_force_antitonic,
+    exhaustive_partition_fit,
+    isotonic_quantile_oracle,
+    pinball_loss,
 )
 
 TOTAL1 = OrderSpec((OrderGroup((0,), TOTAL),))

@@ -281,6 +281,18 @@ def test_dag_reach_is_transitive_closure_of_covers():
         assert not np.any(dag.covers & two_step)
 
 
+def test_cover_edges_counted_exactly_past_256_paths():
+    """On about 300 nodes some pairs have 256 two-step paths between
+    them; those pairs are not covers."""
+    rng = np.random.default_rng(53)
+    a = np.arange(300, dtype=float)
+    pts = np.column_stack([a, a + rng.integers(-2, 3, size=300)])
+    dag = build_order_dag(cw_spec(2), pts)
+    strict = (dag.reach & ~np.eye(dag.n_nodes, dtype=bool)).astype(np.int64)
+    exact = np.count_nonzero(strict & ((strict @ strict) == 0))
+    assert len(dag.edges()) == exact
+
+
 @pytest.mark.parametrize("relation", [COMPONENTWISE, EMPIRICAL_STOCHASTIC, EMPIRICAL_ICX])
 def test_dag_reach_agrees_with_compare(relation):
     """Exhaustive pairwise cross-check of reach against compare."""

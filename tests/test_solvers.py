@@ -13,7 +13,8 @@ from idr import (
     build_order_dag,
     pav_antitonic,
 )
-from idr.oracles import brute_force_antitonic
+
+from brute_force import brute_force_antitonic
 
 
 def test_pav_pools_violating_pair():

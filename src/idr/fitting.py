@@ -15,7 +15,7 @@ import numpy as np
 
 from .orders import OrderDag, OrderSpec, build_order_dag
 from .scoring import crps_rows
-from .solvers import _pav_antitonic_matrix, antitonic_l2_fit
+from .solvers import antitonic_l2_fit
 from .stepfun import StepCdf
 
 __all__ = ["TrainingSet", "make_training_set", "IdrModel", "fit_idr", "empirical_crps_loss"]
@@ -120,35 +120,27 @@ def fit_idr(training: TrainingSet) -> IdrModel:
     IdrModel
     """
     dag = training.dag
-    n = dag.n_nodes
     y = training.responses
     w = training.weights
     thresholds = np.unique(y)
-    m = thresholds.size
 
     pos = np.searchsorted(thresholds, y)
-    mass = np.zeros((n, m))
+    mass = np.zeros((dag.n_nodes, thresholds.size))
     np.add.at(mass, (training.node_ids, pos), w)
-    cum = np.cumsum(mass, axis=1)
-    node_weight = cum[:, -1].copy()
-    values = cum / cum[:, -1:]
-
-    if dag.is_chain:
-        order = np.argsort(dag.chain_positions)
-        fitted = np.empty_like(values)
-        fitted[order] = _pav_antitonic_matrix(np.ascontiguousarray(values[order]), node_weight[order])
-    else:
-        fitted = np.empty_like(values)
-        for k in range(m):
-            fitted[:, k] = antitonic_l2_fit(dag, values[:, k], node_weight)
-
-    np.clip(fitted, 0.0, 1.0, out=fitted)
-    np.maximum.accumulate(fitted, axis=1, out=fitted)
-
     pooled = np.cumsum(mass.sum(axis=0))
     pooled /= pooled[-1]
     pooled[-1] = 1.0
     climatology = StepCdf(thresholds, pooled)
+
+    # one nodes x thresholds matrix at a time besides the solver's output
+    values = np.cumsum(mass, axis=1)
+    del mass
+    node_weight = values[:, -1].copy()
+    values /= node_weight[:, None]
+    fitted = antitonic_l2_fit(dag, values, node_weight)
+
+    np.clip(fitted, 0.0, 1.0, out=fitted)
+    np.maximum.accumulate(fitted, axis=1, out=fitted)
     return IdrModel(thresholds, fitted, dag, climatology)
 
 

@@ -19,8 +19,11 @@ __all__ = [
 
 
 def gamma_parameters(x):
-    """Shape and scale of the benchmark's conditional law given X=x."""
+    """Shape and scale of the benchmark's conditional law given X=x,
+    defined for finite x > 0."""
     x = np.asarray(x, dtype=float)
+    if not (np.isfinite(x) & (x > 0)).all():
+        raise ValueError("the gamma benchmark needs finite covariates x > 0")
     return np.sqrt(x), np.clip(x, 1.0, 6.0)
 
 

@@ -216,7 +216,8 @@ def gini_mean_difference(x) -> float:
 class OrderDag:
     """Materialized comparability structure of a point set.
 
-    Nodes are the distinct canonical keys, sorted lexicographically.
+    Nodes are the distinct canonical keys, sorted lexicographically; as
+    rows of ``cmp_matrix`` (total keys unchanged) their order is componentwise.
     ``reach[u, v]`` is True iff key_u is below-or-equal key_v (the
     diagonal is True); ``covers`` is the transitive reduction of the
     strict part.  Immutable after construction.
@@ -226,7 +227,7 @@ class OrderDag:
         "spec",
         "keys",
         "membership",
-        "_cmp",
+        "cmp_matrix",
         "_reach",
         "_covers",
         "_index",
@@ -238,7 +239,7 @@ class OrderDag:
         self.spec = spec
         self.keys = keys
         self.membership = membership
-        self._cmp = cmp_matrix
+        self.cmp_matrix = cmp_matrix
         self._reach = reach
         self._covers = covers
         self._index = {k: i for i, k in enumerate(keys)}
@@ -278,8 +279,8 @@ class OrderDag:
         """
         k = np.asarray(key, dtype=float)
         q = _comparison_matrix(self.spec.key_groups(), k[None, :])[0]
-        below = np.all(self._cmp <= q, axis=1)
-        above = np.all(self._cmp >= q, axis=1)
+        below = np.all(self.cmp_matrix <= q, axis=1)
+        above = np.all(self.cmp_matrix >= q, axis=1)
         return below, above
 
 

@@ -156,7 +156,7 @@ def _chain_neighbors(model: IdrModel, x: np.ndarray):
     col = x[:, groups[0].columns[0]]
     if not np.isfinite(col).all():
         raise ValueError("covariate entries must be finite (no NaN/inf)")
-    keys = np.array([k[0] for k in model.dag.keys])
+    keys = model.dag.cmp_matrix[:, 0]
     above = np.searchsorted(keys, col, side="left")
     exact = (above < keys.size) & (keys[np.minimum(above, keys.size - 1)] == col)
     return col, keys, np.where(exact, above, above - 1), above

@@ -1,11 +1,11 @@
 """Weighted least-squares projection onto antitonic cones.
 
-Two solvers cover the per-threshold problem: pool-adjacent-violators
-for totally ordered (chain) data, and a recursive partitioning method
-for general partial orders that finds, at each step, the lower set with
-the largest positive residual mass via a min-cut and splits on it.
-Both return the unique projection of the data onto the cone of vectors
-that are nonincreasing along the order.
+:func:`antitonic_l2_fit` projects every threshold column of a fit with
+the solver for the order's shape: on a chain, pool-adjacent-violators
+over all columns at once; on a general partial order, per column, a
+recursive partitioning that splits on the lower set with the largest
+positive residual mass, found by a min-cut.  Both return the unique
+projection onto the cone of vectors nonincreasing along the order.
 """
 
 from __future__ import annotations
@@ -15,45 +15,63 @@ import numpy as np
 __all__ = ["pav_antitonic", "antitonic_l2_fit"]
 
 
-def _pav_antitonic_matrix_py(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Column-by-column antitonic PAV; reference implementation."""
+#: Columns per chain PAV pass: bounds its (nodes x columns) stacks.
+_PAV_BLOCK = 256
+
+
+def _pav_chain(values: np.ndarray, weights: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Antitonic PAV of every column of ``values`` along the chain that
+    visits the rows in ``order``.  Each step pushes the next row onto every
+    column's stack, then pools the top two blocks wherever they violate, so
+    each column gets the one-column loop's float operations, in order."""
     n, m = values.shape
-    out = np.empty_like(values)
-    sums = np.empty(n)
-    wsum = np.empty(n)
-    last = np.empty(n, dtype=np.int64)
-    for k in range(m):
-        top = -1
-        for i in range(n):
-            top += 1
-            sums[top] = weights[i] * values[i, k]
-            wsum[top] = weights[i]
-            last[top] = i
-            while top > 0 and sums[top - 1] / wsum[top - 1] < sums[top] / wsum[top]:
-                sums[top - 1] += sums[top]
-                wsum[top - 1] += wsum[top]
-                last[top - 1] = last[top]
-                top -= 1
-        start = 0
-        for b in range(top + 1):
-            mean = sums[b] / wsum[b]
-            for i in range(start, last[b] + 1):
-                out[i, k] = mean
-            start = last[b] + 1
+    out = np.empty((n, m))
+    for c0 in range(0, m, _PAV_BLOCK):
+        v = values[:, c0:c0 + _PAV_BLOCK]
+        b = v.shape[1]
+        # one stack per column, entry (stack row r, column c) at r * b + c
+        sums = np.zeros(n * b)
+        wsum = np.ones(n * b)
+        first = np.empty(n * b, dtype=np.intp)
+        top = np.arange(b) - b
+        for i, node in enumerate(order):
+            top += b
+            sums[top] = weights[node] * v[node]
+            wsum[top] = weights[node]
+            first[top] = i
+            t = top[top >= b]
+            while t.size:
+                below = t - b
+                pool = sums[below] / wsum[below] < sums[t] / wsum[t]
+                if not pool.any():
+                    break
+                t, below = t[pool], below[pool]
+                sums[below] += sums[t]
+                wsum[below] += wsum[t]
+                top[below % b] = below
+                t = below[below >= b]
+        # block means; chain position p takes the last block starting at or before p
+        sums /= wsum
+        first = first.reshape(n, b)
+        first[np.arange(n)[:, None] > top // b] = n
+        flat = np.zeros((n + 1, b), dtype=np.intp)
+        flat[first, np.arange(b)] = np.arange(n * b).reshape(n, b)
+        np.maximum.accumulate(flat, axis=0, out=flat)
+        out[order, c0:c0 + b] = sums[flat[:n]]
     return out
 
 
-try:  # pragma: no cover - exercised indirectly
-    from numba import njit
-
-    _pav_antitonic_matrix = njit(cache=True)(_pav_antitonic_matrix_py)
-except Exception:  # pragma: no cover
-    _pav_antitonic_matrix = _pav_antitonic_matrix_py
-
-
-def _check_weights(weights: np.ndarray):
-    if np.any(~np.isfinite(weights)) or np.any(weights <= 0):
+def _checked(values, weights, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Validated values (one entry or row per node) and node weights."""
+    v = np.asarray(values, dtype=float)
+    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
+    if v.ndim not in (1, 2) or v.shape[0] != n or w.shape != (n,):
+        raise ValueError("values and weights must have one entry per node")
+    if np.any(~np.isfinite(w)) or np.any(w <= 0):
         raise ValueError("weights must be finite and strictly positive")
+    if not np.isfinite(v).all():
+        raise ValueError("values must be finite")
+    return v, w
 
 
 def pav_antitonic(values, weights=None) -> np.ndarray:
@@ -76,13 +94,8 @@ def pav_antitonic(values, weights=None) -> np.ndarray:
     v = np.asarray(values, dtype=float)
     if v.ndim != 1:
         raise ValueError("values must be 1-d")
-    w = np.ones_like(v) if weights is None else np.asarray(weights, dtype=float)
-    if w.shape != v.shape:
-        raise ValueError("values and weights must have equal length")
-    _check_weights(w)
-    if not np.isfinite(v).all():
-        raise ValueError("values must be finite")
-    return _pav_antitonic_matrix(v[:, None], w)[:, 0]
+    v, w = _checked(v, weights, v.size)
+    return _pav_chain(v[:, None], w, np.arange(v.size))[:, 0]
 
 
 class _Dinic:
@@ -185,51 +198,41 @@ def _best_lower_set(strict: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarra
 def antitonic_l2_fit(dag, values, weights=None) -> np.ndarray:
     """Exact weighted L2 projection onto the antitonic cone of a DAG.
 
-    Minimizes sum_i w_i (eta_i - values_i)^2 subject to
-    eta_u >= eta_v whenever node u is below node v in ``dag``.
-    On a chain this reduces to :func:`pav_antitonic`.
+    For each column of ``values``, minimizes sum_i w_i (eta_i - values_i)^2
+    subject to eta_u >= eta_v whenever node u is below node v in ``dag``;
+    the result is shaped like ``values``.
 
     Parameters
     ----------
     dag : OrderDag
-    values, weights : array_like
-        One entry per DAG node.
+    values : array_like, shape (n_nodes,) or (n_nodes, n_columns)
+    weights : array_like, shape (n_nodes,), optional
+        Strictly positive; unit weights when omitted.
     """
-    v = np.asarray(values, dtype=float)
     n = dag.n_nodes
-    if v.shape != (n,):
-        raise ValueError("values must have one entry per dag node")
-    w = np.ones_like(v) if weights is None else np.asarray(weights, dtype=float)
-    if w.shape != v.shape:
-        raise ValueError("values and weights must have equal length")
-    _check_weights(w)
-    if not np.isfinite(v).all():
-        raise ValueError("values must be finite")
-
+    v, w = _checked(values, weights, n)
+    cols = v.reshape(n, -1)
     if dag.is_chain:
-        order = np.argsort(dag.chain_positions)
-        fitted = _pav_antitonic_matrix(v[order][:, None], w[order])[:, 0]
-        out = np.empty_like(fitted)
-        out[order] = fitted
-        return out
+        return _pav_chain(cols, w, np.argsort(dag.chain_positions)).reshape(v.shape)
 
     strict = dag.reach & ~np.eye(n, dtype=bool)
-    out = np.empty(n)
-    stack = [np.arange(n)]
-    while stack:
-        idx = stack.pop()
-        ww = w[idx]
-        vv = v[idx]
-        mu = float((ww * vv).sum() / ww.sum())
-        if idx.size == 1:
-            out[idx] = mu
-            continue
-        b = ww * (vv - mu)
-        gain, mask = _best_lower_set(strict[np.ix_(idx, idx)], b)
-        tol = 1e-12 * (1.0 + float(np.abs(b).sum()))
-        if gain <= tol or not mask.any() or mask.all():
-            out[idx] = mu
-            continue
-        stack.append(idx[mask])
-        stack.append(idx[~mask])
-    return out
+    out = np.empty_like(cols)
+    for k in range(cols.shape[1]):
+        stack = [np.arange(n)]
+        while stack:
+            idx = stack.pop()
+            ww = w[idx]
+            vv = cols[idx, k]
+            mu = float((ww * vv).sum() / ww.sum())
+            if idx.size == 1:
+                out[idx, k] = mu
+                continue
+            b = ww * (vv - mu)
+            gain, mask = _best_lower_set(strict[np.ix_(idx, idx)], b)
+            tol = 1e-12 * (1.0 + float(np.abs(b).sum()))
+            if gain <= tol or not mask.any() or mask.all():
+                out[idx, k] = mu
+                continue
+            stack.append(idx[mask])
+            stack.append(idx[~mask])
+    return out.reshape(v.shape)

@@ -5,6 +5,8 @@ is recovered from a max-min formula over lower sets and cross-checked
 by direct minimization over all order-consistent level-set partitions;
 isotonic quantile vectors come from exhaustive dynamic programming over
 nested upper sets.  Node counts are capped so enumeration stays exact.
+The chain PAV is the classic one-column stack loop, which the
+vectorised solver must match bit for bit.
 """
 
 from __future__ import annotations
@@ -14,6 +16,35 @@ from functools import lru_cache
 import numpy as np
 
 _NODE_LIMIT = 12
+
+
+def pav_antitonic_columns(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Column-by-column antitonic PAV of a (chain positions x columns)
+    matrix, rows ordered from the least chain element up."""
+    n, m = values.shape
+    out = np.empty_like(values)
+    sums = np.empty(n)
+    wsum = np.empty(n)
+    last = np.empty(n, dtype=np.int64)
+    for k in range(m):
+        top = -1
+        for i in range(n):
+            top += 1
+            sums[top] = weights[i] * values[i, k]
+            wsum[top] = weights[i]
+            last[top] = i
+            while top > 0 and sums[top - 1] / wsum[top - 1] < sums[top] / wsum[top]:
+                sums[top - 1] += sums[top]
+                wsum[top - 1] += wsum[top]
+                last[top - 1] = last[top]
+                top -= 1
+        start = 0
+        for b in range(top + 1):
+            mean = sums[b] / wsum[b]
+            for i in range(start, last[b] + 1):
+                out[i, k] = mean
+            start = last[b] + 1
+    return out
 
 
 def _check_size(n: int):

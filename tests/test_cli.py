@@ -232,6 +232,18 @@ def test_true_gamma_scores_are_seed_stable(tmp_path):
     assert abs(means[0] - means[1]) / means[0] < 0.02
 
 
+def test_true_gamma_rejects_covariates_outside_its_support(tmp_path):
+    """The benchmark's law needs x > 0; x = 0 or -1 must not score as NaN."""
+    for x in (-1, 0):
+        data = tmp_path / f"x{x}.csv"
+        write_csv(data, ["x", "y"], [[2.0, 1.5], [x, 0.5]])
+        res = invoke("score", "--true-gamma", "--data", data, "--response", "y",
+                     "--out", tmp_path / "s.csv")
+        assert res.exit_code == EXIT_VALIDATION, all_output(res)
+        assert "x > 0" in all_output(res)
+        assert "nan" not in res.output
+
+
 def test_pit_histogram_of_true_model_is_flat(tmp_path):
     sim = tmp_path / "sim.csv"
     invoke("simulate", "--n", 10_000, "--seed", 21, "--out", sim)
@@ -314,14 +326,21 @@ def test_malformed_rows_report_line_numbers(tmp_path):
     assert "'x'" in err and "'y'" in err
 
 
-def test_importing_the_cli_leaves_scipy_stats_unloaded():
-    """Only the gamma benchmark needs scipy.stats, and loads it itself."""
+def test_importing_the_cli_leaves_scipy_stats_unloaded(tmp_path):
+    """Only the gamma benchmark needs scipy.stats, and loads it itself.
+    A chain fit loads neither scipy.optimize nor numba either."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, idr.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    data = tmp_path / "train.csv"
+    write_csv(data, ["x", "y"], [[x, (7 * x) % 5] for x in range(40)])
+    fit = ["fit", "--data", str(data), "--response", "y", "--order", "x:total", "--out", str(tmp_path / "m.json")]
+    for run in ("", f"idr.cli.main({fit!r}, standalone_mode=False); "):
+        code = ("import sys, idr.cli; " + run
+                + "print([m for m in ('scipy.stats', 'scipy.optimize', 'numba') if m in sys.modules])")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip().splitlines()[-1] == "[]", (run, out.stdout)
+    assert (tmp_path / "m.json").exists()
 
 
 def test_exit_codes_documented_in_help():

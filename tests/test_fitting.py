@@ -101,6 +101,30 @@ def test_permutation_invariance():
     assert np.allclose(base.cdf, shuffled.cdf, atol=1e-12)
 
 
+def test_chain_under_a_partial_order_fits_as_its_total_order():
+    """A chain found under a componentwise or icx order fits bit for bit
+    like the same data on its chain positions.  Lexicographic node order
+    extends the componentwise order, so there the positions are the
+    identity; under icx they are not."""
+    rng = np.random.default_rng(37)
+    t = np.sort(rng.uniform(size=6))
+    collinear = (CW2, np.c_[t, 2.0 * t + 1.0], list(range(6)))
+    # tail sums (2, 1) < (3, 3) < (4, 4) < (5, 4) < (6, 6) < (8, 6)
+    icx_keys = np.array([[1, 1], [0, 3], [0, 4], [1, 4], [0, 6], [2, 6]], dtype=float)
+    icx = (OrderSpec((OrderGroup((0, 1), EMPIRICAL_ICX),)), icx_keys, [1, 2, 4, 0, 3, 5])
+    for spec, keys, positions in (collinear, icx):
+        rows = rng.integers(0, 6, size=50)
+        y = np.round(rng.normal(size=50), 1)
+        w = rng.uniform(0.5, 2.0, size=50)
+        model = fit_idr(make_training_set(spec, keys[rows], y, w))
+        assert model.dag.is_chain
+        pos = model.dag.chain_positions
+        assert pos.tolist() == positions
+        ranked = fit_idr(make_training_set(TOTAL1, pos[model.dag.membership].astype(float), y, w))
+        assert np.array_equal(model.thresholds, ranked.thresholds)
+        assert np.array_equal(model.cdf, ranked.cdf[pos])
+
+
 def test_rows_are_valid_cdfs_and_antitonic():
     rng = np.random.default_rng(23)
     icx = OrderSpec((OrderGroup((0, 1, 2), EMPIRICAL_ICX),))

@@ -14,7 +14,9 @@ from idr import (
     pav_antitonic,
 )
 
-from brute_force import brute_force_antitonic
+from idr.solvers import _PAV_BLOCK
+
+from brute_force import brute_force_antitonic, pav_antitonic_columns
 
 
 def test_pav_pools_violating_pair():
@@ -72,13 +74,20 @@ def test_antichain_values_unchanged():
 
 
 def test_chain_agrees_with_pav():
+    """The chain solver equals the one-column reference PAV bit for bit,
+    with ties, non-unit weights and more columns than one solver pass."""
     rng = np.random.default_rng(31)
-    for _ in range(25):
-        n = rng.integers(2, 40)
+    cases = [(int(n), 1) for n in rng.integers(2, 40, size=25)]
+    cases += [(n, m) for n in (1, 2, 37, 300) for m in (1, 3, _PAV_BLOCK + 7)]
+    for n, m in cases:
         dag = chain_dag(n)
-        v = rng.normal(size=n)
-        w = rng.uniform(0.5, 2.0, size=n)
-        assert np.allclose(antitonic_l2_fit(dag, v, w), pav_antitonic(v, w), atol=1e-12)
+        v = rng.normal(size=(n, m))
+        v[:, ::2] = np.round(v[:, ::2])  # tied values
+        w = rng.uniform(0.5, 2.0, size=n) if n % 2 else rng.integers(1, 4, size=n).astype(float)
+        want = pav_antitonic_columns(v, w)
+        assert np.array_equal(antitonic_l2_fit(dag, v, w), want), (n, m)
+        assert np.array_equal(antitonic_l2_fit(dag, v[:, 1 % m], w), want[:, 1 % m])
+        assert np.array_equal(pav_antitonic(v[:, 0], w), want[:, 0])
 
 
 def test_diamond_poset_matches_oracle():

@@ -115,13 +115,18 @@ class OrderSpec:
         return tuple(out)
 
 
-def _as_vector(x, dim: int) -> np.ndarray:
-    v = np.asarray(x, dtype=float)
-    if v.ndim != 1:
-        raise ValueError(f"expected a 1-d covariate vector, got shape {v.shape}")
-    if v.size < dim:
-        raise ValueError(f"vector of length {v.size} is shorter than the order spec needs ({dim})")
-    return v
+def _canonical_keys(spec: OrderSpec, x: np.ndarray) -> np.ndarray:
+    """Canonical keys of the rows of a 2-d covariate matrix, one per row
+    (key layout); see :func:`canonical_key`."""
+    if x.shape[1] < spec.dimension:
+        raise ValueError(f"vector of length {x.shape[1]} is shorter than the order spec needs ({spec.dimension})")
+    parts = []
+    for g in spec.groups:
+        sub = x[:, list(g.columns)]
+        if not np.isfinite(sub).all():
+            raise ValueError("covariate entries must be finite (no NaN/inf)")
+        parts.append(np.sort(sub, axis=1) if g.relation in _EXCHANGEABLE else sub)
+    return np.concatenate(parts, axis=1)
 
 
 def canonical_key(spec: OrderSpec, x) -> tuple[float, ...]:
@@ -132,16 +137,10 @@ def canonical_key(spec: OrderSpec, x) -> tuple[float, ...]:
     groups are kept as given.  Two vectors get the same key exactly
     when each is below-or-equal the other.
     """
-    v = _as_vector(x, spec.dimension)
-    parts = []
-    for g in spec.groups:
-        sub = v[list(g.columns)]
-        if not np.isfinite(sub).all():
-            raise ValueError("covariate entries must be finite (no NaN/inf)")
-        if g.relation in _EXCHANGEABLE:
-            sub = np.sort(sub)
-        parts.append(sub)
-    return tuple(float(t) for t in np.concatenate(parts))
+    v = np.asarray(x, dtype=float)
+    if v.ndim != 1:
+        raise ValueError(f"expected a 1-d covariate vector, got shape {v.shape}")
+    return tuple(_canonical_keys(spec, v[None, :])[0].tolist())
 
 
 def _group_transform(sub: np.ndarray, relation: str) -> np.ndarray:
@@ -272,16 +271,25 @@ class OrderDag:
         """Node id of an exact canonical key, or -1."""
         return self._index.get(tuple(key), -1)
 
-    def query_masks(self, key) -> tuple[np.ndarray, np.ndarray]:
-        """Masks of nodes below-or-equal and above-or-equal ``key``.
+    def query_masks(self, keys) -> tuple[np.ndarray, np.ndarray]:
+        """(cases, nodes) masks of the nodes below-or-equal and
+        above-or-equal each row of ``keys``.
 
-        ``key`` must already be a canonical key (key layout).
+        ``keys`` must already be canonical keys (key layout), one per row.
         """
-        k = np.asarray(key, dtype=float)
-        q = _comparison_matrix(self.spec.key_groups(), k[None, :])[0]
-        below = np.all(self.cmp_matrix <= q, axis=1)
-        above = np.all(self.cmp_matrix >= q, axis=1)
-        return below, above
+        q = _comparison_matrix(self.spec.key_groups(), np.asarray(keys, dtype=float))
+        # node <= query is -query <= -node; negation is exact
+        return _all_leq(-q, -self.cmp_matrix), _all_leq(q, self.cmp_matrix)
+
+
+def _all_leq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """out[i, j] iff a[i] <= b[j] in every column, in chunks of rows of
+    ``a`` that bound the broadcast buffer."""
+    out = np.empty((a.shape[0], b.shape[0]), dtype=bool)
+    step = max(1, int(2**22 // max(1, b.size)))
+    for lo in range(0, a.shape[0], step):
+        out[lo:lo + step] = np.all(a[lo:lo + step, None, :] <= b[None, :, :], axis=2)
+    return out
 
 
 def _transitive_reduction(strict: np.ndarray) -> np.ndarray:
@@ -313,11 +321,8 @@ def build_order_dag(spec: OrderSpec, points, *, points_are_keys: bool = False) -
     rows = np.atleast_2d(np.asarray(points, dtype=float))
     if rows.shape[0] == 0:
         raise ValueError("build_order_dag needs at least one point")
-    if points_are_keys:
-        kspec = OrderSpec(spec.key_groups())
-        keys = [canonical_key(kspec, r) for r in rows]
-    else:
-        keys = [canonical_key(spec, r) for r in rows]
+    kspec = OrderSpec(spec.key_groups()) if points_are_keys else spec
+    keys = list(map(tuple, _canonical_keys(kspec, rows).tolist()))
 
     uniq = sorted(set(keys))
     index = {k: i for i, k in enumerate(uniq)}
@@ -337,13 +342,7 @@ def build_order_dag(spec: OrderSpec, points, *, points_are_keys: bool = False) -
         return OrderDag(spec, uniq, membership, cmp_matrix, reach, covers,
                         True, np.arange(n, dtype=np.intp))
 
-    # pairwise below-or-equal, chunked to bound the broadcast buffer
-    reach = np.empty((n, n), dtype=bool)
-    step = max(1, int(2**22 // max(1, n * cmp_matrix.shape[1])))
-    for lo in range(0, n, step):
-        hi = min(n, lo + step)
-        reach[lo:hi] = np.all(cmp_matrix[lo:hi, None, :] <= cmp_matrix[None, :, :], axis=2)
-
+    reach = _all_leq(cmp_matrix, cmp_matrix)
     strict = reach & ~np.eye(n, dtype=bool)
     covers = _transitive_reduction(strict)
     is_chain = bool(np.all(strict | strict.T | np.eye(n, dtype=bool)))

@@ -11,9 +11,12 @@ neighboring fitted CDFs.
 
 :func:`predict_batch` is the one implementation of this rule: it takes
 a covariate matrix and returns the centre and bound rows on the model
-grid with a provenance per case.  :func:`predict_cdf`,
-:func:`interpolate_total_order` and :func:`predict_rows` are views of
-it.
+grid with a provenance per case.  It finds the neighbours of the whole
+batch at once, by binary search on a chain and from (cases, nodes)
+comparison masks on any other order.  :func:`predict_cdf`,
+:func:`interpolate_total_order`, :func:`predict_rows` and the neighbour
+lists :func:`direct_predecessors` and :func:`direct_successors` are
+views of it.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fitting import IdrModel
-from .orders import TOTAL, canonical_key
+from .orders import TOTAL, _canonical_keys
 from .stepfun import StepCdf
 
 __all__ = [
@@ -109,27 +112,19 @@ class PredictionBatch:
         return Prediction(cdf, lower, upper, self.provenance[i], None if np.isnan(gap) else gap, heuristic)
 
 
-def _query_key(model: IdrModel, x) -> np.ndarray:
-    return np.array(canonical_key(model.spec, x), dtype=float)
-
-
-def _neighbor_sets(model: IdrModel, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Maximal nodes below ``key`` and minimal nodes above it."""
-    out = []
-    for mask, axis in zip(model.dag.query_masks(key), (1, 0)):
-        idx = np.nonzero(mask)[0]
-        strict = model.dag.reach[np.ix_(idx, idx)] & ~np.eye(idx.size, dtype=bool)
-        out.append(idx[~strict.any(axis=axis)])
-    return out[0], out[1]
-
-
-def _direct_neighbors(model: IdrModel, x) -> tuple[list[int], list[int]]:
-    key = _query_key(model, x)
-    node = model.dag.node_of_key(tuple(key))
-    if node >= 0:
-        return [node], [node]
-    pred, succ = _neighbor_sets(model, key)
-    return pred.tolist(), succ.tolist()
+def _neighbors(model: IdrModel, x: np.ndarray):
+    """Per query row: its node when it is at a training key (-1
+    otherwise), and (cases, nodes) masks of the maximal nodes below it
+    and the minimal nodes above it."""
+    dag = model.dag
+    keys = _canonical_keys(model.spec, x)
+    node = np.array([dag.node_of_key(k) for k in keys.tolist()], dtype=np.intp)
+    below, above = dag.query_masks(keys)
+    # counts of 0/1 terms, exact in float32
+    strict = (dag.reach & ~np.eye(dag.n_nodes, dtype=bool)).astype(np.float32)
+    pred = below & ~((below.astype(np.float32) @ strict.T) > 0)
+    succ = above & ~((above.astype(np.float32) @ strict) > 0)
+    return node, pred, succ
 
 
 def direct_predecessors(model: IdrModel, x) -> list[int]:
@@ -137,12 +132,14 @@ def direct_predecessors(model: IdrModel, x) -> list[int]:
 
     A query equal to a training key returns exactly that node.
     """
-    return _direct_neighbors(model, x)[0]
+    node, pred, _ = _neighbors(model, _one_row(x))
+    return [int(node[0])] if node[0] >= 0 else np.nonzero(pred[0])[0].tolist()
 
 
 def direct_successors(model: IdrModel, x) -> list[int]:
     """Nodes whose keys lie at-or-above ``x`` with nothing between."""
-    return _direct_neighbors(model, x)[1]
+    node, _, succ = _neighbors(model, _one_row(x))
+    return [int(node[0])] if node[0] >= 0 else np.nonzero(succ[0])[0].tolist()
 
 
 def _chain_neighbors(model: IdrModel, x: np.ndarray):
@@ -174,22 +171,22 @@ def _bound_rows(model: IdrModel, x: np.ndarray):
         upper[below < 0] = np.nan
         lower[above == cdf.shape[0]] = np.nan
         return lower, upper, below == above
-    lower = np.full((x.shape[0], cdf.shape[1]), np.nan)
-    upper = lower.copy()
-    exact = np.zeros(x.shape[0], dtype=bool)
-    for i, row in enumerate(x):
-        key = _query_key(model, row)
-        node = model.dag.node_of_key(tuple(key))
-        if node >= 0:
-            exact[i] = True
-            lower[i] = upper[i] = cdf[node]
-            continue
-        pred, succ = _neighbor_sets(model, key)
-        if pred.size:
-            upper[i] = cdf[pred].min(axis=0)
-        if succ.size:
-            lower[i] = cdf[succ].max(axis=0)
+    node, pred, succ = _neighbors(model, x)
+    exact = node >= 0
+    lower, upper = _reduce_rows(np.maximum, cdf, succ), _reduce_rows(np.minimum, cdf, pred)
+    lower[exact] = upper[exact] = cdf[node[exact]]
     return lower, upper, exact
+
+
+def _reduce_rows(ufunc, cdf: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Per case, ``ufunc`` over the CDF rows of the nodes in its mask
+    row; NaN where the row is empty."""
+    out = np.full((mask.shape[0], cdf.shape[1]), np.nan)
+    cases, nodes = np.nonzero(mask)
+    if nodes.size:
+        has, starts = np.unique(cases, return_index=True)
+        out[has] = ufunc.reduceat(cdf[nodes], starts, axis=0)
+    return out
 
 
 def _interpolated(model: IdrModel, x: np.ndarray) -> PredictionBatch:
@@ -224,8 +221,8 @@ def predict_batch(model: IdrModel, covariates, interpolate: bool = False) -> Pre
     the upper bound the pointwise minimum over direct predecessors; the
     prediction is their average, one of them when only one side exists,
     or the climatology when neither does.  Models over a single total
-    order find the neighbours by binary search; other orders query the
-    DAG case by case.
+    order find the neighbours by binary search; other orders take them
+    for all cases at once from the comparison masks of the DAG.
 
     With ``interpolate`` the prediction instead interpolates linearly
     between the neighbouring fitted CDFs of a single total-order

@@ -35,6 +35,9 @@ __all__ = [
     "reliability_bins",
 ]
 
+#: Cases per block in :func:`crps_rows`, to bound memory.
+_CRPS_CHUNK = 512
+
 
 def crps(cdf: StepCdf, y: float) -> float:
     """Continuous ranked probability score, exact closed form.
@@ -52,7 +55,7 @@ def crps(cdf: StepCdf, y: float) -> float:
     return term1 - pairwise
 
 
-def crps_rows(thresholds, rows, ys, chunk: int = 512) -> np.ndarray:
+def crps_rows(thresholds, rows, ys) -> np.ndarray:
     """CRPS for many step CDFs sharing one threshold grid.
 
     Parameters
@@ -63,8 +66,6 @@ def crps_rows(thresholds, rows, ys, chunk: int = 512) -> np.ndarray:
         Cumulative probabilities per case; each row ends at 1.
     ys : array_like, shape (cases,)
         Outcomes.
-    chunk : int
-        Number of cases per processing block, to bound memory.
 
     Returns
     -------
@@ -75,8 +76,8 @@ def crps_rows(thresholds, rows, ys, chunk: int = 512) -> np.ndarray:
     ys = np.asarray(ys, dtype=float)
     widths = np.diff(z)
     out = np.empty(ys.size)
-    for lo in range(0, ys.size, chunk):
-        hi = min(ys.size, lo + chunk)
+    for lo in range(0, ys.size, _CRPS_CHUNK):
+        hi = min(ys.size, lo + _CRPS_CHUNK)
         y = ys[lo:hi, None]
         f = rows[lo:hi, :-1]
         below = np.clip(y - z[:-1], 0.0, widths)  # segment length left of y

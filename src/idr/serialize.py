@@ -62,10 +62,21 @@ def _model_from_payload(payload: dict) -> IdrModel:
     stored = [tuple(k) for k in payload["node_keys"]]
     if dag.keys != stored:
         raise ValueError("node_keys are not in canonical order")
+    thresholds = np.asarray(payload["thresholds"], dtype=float)
+    if (thresholds.ndim != 1 or thresholds.size == 0 or not np.isfinite(thresholds).all()
+            or np.any(np.diff(thresholds) <= 0)):
+        raise ValueError("thresholds must be finite and strictly increasing")
+    cdf = np.asarray(payload["cdf_matrix"], dtype=float)
+    if cdf.shape != (dag.n_nodes, thresholds.size):
+        raise ValueError(f"cdf_matrix has shape {cdf.shape}, not nodes x thresholds "
+                         f"({dag.n_nodes}, {thresholds.size})")
+    if not (np.isfinite(cdf).all() and cdf.min() >= 0.0 and cdf.max() <= 1.0
+            and np.all(cdf[:, 1:] >= cdf[:, :-1]) and np.all(cdf[:, -1] == 1.0)):
+        raise ValueError("every cdf_matrix row must be finite, within [0, 1], nondecreasing and end at 1")
     clim = payload["climatology"]
     return IdrModel(
-        np.asarray(payload["thresholds"], dtype=float),
-        np.asarray(payload["cdf_matrix"], dtype=float),
+        thresholds,
+        cdf,
         dag,
         StepCdf(np.asarray(clim["jumps"], dtype=float), np.asarray(clim["cum"], dtype=float)),
     )

@@ -4,7 +4,9 @@ The reference below is the per-query prediction rule as it was coded
 before prediction moved onto one batch path: neighbour sets of one
 query, bounds from their fitted rows, and a per-query average over
 subsample members.  The batch must reproduce it bit for bit, with the
-same provenance and bound gap.
+same provenance and bound gap.  The reference compares one key at a
+time against the comparison matrix, so it shares no code with the
+batched masks under test.
 """
 
 import numpy as np
@@ -13,12 +15,17 @@ import pytest
 from idr import (
     COMPONENTWISE,
     EMPIRICAL_ICX,
+    EMPIRICAL_STOCHASTIC,
     TOTAL,
+    IdrModel,
     OrderGroup,
     OrderSpec,
     Prediction,
     Provenance,
     StepCdf,
+    build_order_dag,
+    direct_predecessors,
+    direct_successors,
     fit_idr,
     fit_subagged,
     interpolate_total_order,
@@ -30,7 +37,7 @@ from idr import (
     predict_subagged_batch,
     predict_subagged_rows,
 )
-from idr.orders import canonical_key
+from idr.orders import _comparison_matrix, canonical_key
 
 TOTAL1 = OrderSpec((OrderGroup((0,), TOTAL),))
 CW2 = OrderSpec((OrderGroup((0, 1), COMPONENTWISE),))
@@ -53,7 +60,9 @@ _RANK = [
 
 def ref_neighbor_sets(model, key):
     dag = model.dag
-    below, above = dag.query_masks(key)
+    q = _comparison_matrix(dag.spec.key_groups(), np.asarray(key, dtype=float)[None, :])[0]
+    below = np.all(dag.cmp_matrix <= q, axis=1)
+    above = np.all(dag.cmp_matrix >= q, axis=1)
     reach = dag.reach
     pred = np.zeros(dag.n_nodes, dtype=bool)
     succ = np.zeros(dag.n_nodes, dtype=bool)
@@ -184,6 +193,46 @@ def subagged_case():
     return fit_subagged(ts, count=4, size=25, seed=9), icx_queries(rng, x)
 
 
+def random_poset_case(kind, seed):
+    """A random poset of up to ~150 nodes with random CDF rows.  The rows
+    are not antitonic, as in a hand-edited model file, so only the exact
+    neighbour rule reproduces the reference."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(100, 160))
+    if kind == "cw_ties":
+        spec, x = CW2, rng.integers(0, 16, size=(n, 2)).astype(float)
+    elif kind == "cw_continuous":
+        spec, x = OrderSpec((OrderGroup((0, 1, 2), COMPONENTWISE),)), rng.normal(size=(n, 3))
+    elif kind == "icx":
+        spec, x = ICX, np.round(icx_rows(rng, n), 1)
+    else:  # a componentwise pair next to an exchangeable pair
+        spec = OrderSpec((OrderGroup((0, 2), COMPONENTWISE), OrderGroup((1, 3), EMPIRICAL_STOCHASTIC)))
+        x = rng.integers(0, 6, size=(n, 4)).astype(float)
+    dag = build_order_dag(spec, x)
+    m = int(rng.integers(2, 40))
+    cdf = np.sort(rng.uniform(size=(dag.n_nodes, m)), axis=1)
+    cdf[:, -1] = 1.0
+    climatology = StepCdf(np.arange(m, dtype=float), cdf.mean(axis=0))
+    model = IdrModel(np.arange(m, dtype=float), cdf, dag, climatology)
+    # exchangeable groups of x reversed give order-equivalent queries
+    permuted = x[:5].copy()
+    for g in spec.groups:
+        if g.relation in (EMPIRICAL_ICX, EMPIRICAL_STOCHASTIC):
+            permuted[:, list(g.columns)] = permuted[:, list(g.columns)[::-1]]
+    lo, hi = x.min() - 1.0, x.max() + 1.0
+    incomparable = np.full(x.shape[1], lo)
+    incomparable[spec.groups[0].columns[0]] = hi
+    queries = np.vstack([x[:5], permuted, x[5:25] + rng.normal(scale=0.5, size=(20, x.shape[1])),
+                         np.full(x.shape[1], lo), np.full(x.shape[1], hi), incomparable])
+    return model, queries
+
+
+RANDOM_CASES = [
+    pytest.param(lambda kind=kind, seed=seed: random_poset_case(kind, seed), id=f"{kind}-{seed}")
+    for kind in ("cw_ties", "cw_continuous", "icx", "cw_and_st") for seed in (1, 2, 3)
+]
+
+
 def same(a, b):
     """Bitwise equality of two optional step CDFs."""
     if a is None or b is None:
@@ -213,7 +262,7 @@ def assert_batch_row(batch, i, want):
     assert np.isnan(gap) if want.bound_gap is None else gap == want.bound_gap
 
 
-@pytest.mark.parametrize("case", [chain_case, cw_case, icx_case])
+@pytest.mark.parametrize("case", [chain_case, cw_case, icx_case, *RANDOM_CASES])
 def test_batch_matches_per_query_reference(case):
     model, queries = case()
     batch = predict_batch(model, queries)
@@ -225,12 +274,26 @@ def test_batch_matches_per_query_reference(case):
         seen.add(want.provenance)
         assert_batch_row(batch, i, want)
         assert_same_prediction(predict_cdf(model, q), want)
+        key = np.array(canonical_key(model.spec, q))
+        node = model.dag.node_of_key(tuple(key))
+        pred, succ = ([node], [node]) if node >= 0 else (a.tolist() for a in ref_neighbor_sets(model, key))
+        assert direct_predecessors(model, q) == pred and direct_successors(model, q) == succ
     # every kind of query the rule distinguishes is exercised
     kinds = {Provenance.AT_TRAINING_POINT, Provenance.BOTH_BOUNDS, Provenance.ONLY_PREDECESSORS,
              Provenance.ONLY_SUCCESSORS}
     if case is not chain_case:
         kinds.add(Provenance.CLIMATOLOGICAL)
     assert kinds <= seen
+    empty = predict_batch(model, queries[:0])
+    assert empty.center.shape == empty.lower.shape == empty.upper.shape == (0, model.thresholds.size)
+    assert empty.provenance == []
+    if case is not chain_case:
+        # more queries than one chunk of the query masks (2**22 broadcast elements)
+        reps = 2**22 // model.dag.cmp_matrix.size // len(queries) + 2
+        big = predict_batch(model, np.tile(queries, (reps, 1)))
+        for name in ("center", "lower", "upper"):
+            assert np.array_equal(getattr(big, name), np.tile(getattr(batch, name), (reps, 1)), equal_nan=True)
+        assert big.provenance == batch.provenance * reps
 
 
 def test_interpolation_matches_per_query_reference():

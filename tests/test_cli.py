@@ -315,6 +315,19 @@ def test_empty_data_is_a_validation_error(tmp_path):
     assert res.exit_code == EXIT_VALIDATION
 
 
+def test_malformed_model_file_is_a_validation_error(tmp_path):
+    golden = Path(__file__).resolve().parent / "golden"
+    doc = json.loads((golden / "cw_model.json").read_text())
+    doc["cdf_matrix"].pop()
+    model = tmp_path / "short.json"
+    model.write_text(json.dumps(doc))
+    res = invoke("predict", "--model", model, "--data", golden / "cw_test.csv",
+                 "--quantiles", "0.5", "--out", tmp_path / "p.csv")
+    assert res.exit_code == EXIT_VALIDATION, all_output(res)
+    assert "cdf_matrix" in all_output(res)
+    assert not (tmp_path / "p.csv").exists()
+
+
 def test_malformed_rows_report_line_numbers(tmp_path):
     data = tmp_path / "bad.csv"
     data.write_text("x,y\n1,2\n,3\n4,oops\n")
@@ -341,6 +354,32 @@ def test_importing_the_cli_leaves_scipy_stats_unloaded(tmp_path):
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip().splitlines()[-1] == "[]", (run, out.stdout)
     assert (tmp_path / "m.json").exists()
+
+
+def test_poset_prediction_computes_no_key_per_row(tmp_path, monkeypatch):
+    """The batch path finds every query's canonical key in one pass: the
+    one-row canonical_key is never called, in process or by idr predict."""
+    import idr
+    from idr import load_model, predict_batch, predict_subagged_batch
+
+    def one_row_key(*args, **kwargs):
+        raise AssertionError("canonical_key called on the batch prediction path")
+
+    for name, module in list(sys.modules.items()):
+        if (name == "idr" or name.startswith("idr.")) and hasattr(module, "canonical_key"):
+            monkeypatch.setattr(module, "canonical_key", one_row_key)
+    with pytest.raises(AssertionError):
+        idr.orders.canonical_key(None, [0.0])
+    golden = Path(__file__).resolve().parent / "golden"
+    model = load_model(golden / "icx_model.json")
+    x = np.loadtxt(golden / "icx_test.csv", delimiter=",", skiprows=1)[:, :5]
+    for member in model.members:
+        assert len(predict_batch(member, x).provenance) == len(x)
+    assert len(predict_subagged_batch(model, x).provenance) == len(x)
+    res = invoke("predict", "--model", golden / "icx_model.json", "--data", golden / "icx_test.csv",
+                 "--quantiles", "0.5", "--out", tmp_path / "p.csv")
+    assert res.exit_code == 0, all_output(res)
+    assert len(read_csv(tmp_path / "p.csv")) == len(x)
 
 
 def test_exit_codes_documented_in_help():

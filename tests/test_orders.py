@@ -321,7 +321,7 @@ def test_query_masks_matches_compare():
     for _ in range(30):
         q = rng.integers(0, 4, size=3).astype(float)
         key = canonical_key(spec, q)
-        lo, hi = dag.query_masks(key)
+        (lo,), (hi,) = dag.query_masks([key])
         for i, k in enumerate(dag.keys):
             assert lo[i] == (compare(spec, k, q) in below)
             assert hi[i] == (compare(spec, q, k) in below)

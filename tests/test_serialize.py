@@ -108,3 +108,39 @@ def test_rejects_garbage():
         model_from_json("{}")
     with pytest.raises(json.JSONDecodeError):
         model_from_json("not json")
+
+
+def _set_cdf_entry(doc, row, col, value):
+    doc["cdf_matrix"][row][col] = value
+
+
+MALFORMED = {
+    "cdf_one_row_short": lambda doc: doc["cdf_matrix"].pop(),
+    "cdf_one_by_one": lambda doc: doc.update(cdf_matrix=[[1.0]]),
+    "cdf_one_column_short": lambda doc: [row.pop(0) for row in doc["cdf_matrix"]],
+    "cdf_ragged": lambda doc: doc["cdf_matrix"][0].pop(0),
+    "cdf_entry_above_one": lambda doc: _set_cdf_entry(doc, 0, 0, 5.0),
+    "cdf_entry_negative": lambda doc: _set_cdf_entry(doc, 0, 0, -0.25),
+    "cdf_entry_nan": lambda doc: _set_cdf_entry(doc, 0, 0, float("nan")),
+    "cdf_row_all_zero": lambda doc: doc["cdf_matrix"].__setitem__(1, [0.0] * len(doc["thresholds"])),
+    "cdf_row_decreasing": lambda doc: doc["cdf_matrix"].__setitem__(
+        1, [0.75, 0.25] + [1.0] * (len(doc["thresholds"]) - 2)),
+    "cdf_row_ends_below_one": lambda doc: _set_cdf_entry(doc, 2, -1, 0.999),
+    "thresholds_reversed": lambda doc: doc["thresholds"].reverse(),
+    "thresholds_tied": lambda doc: doc["thresholds"].__setitem__(1, doc["thresholds"][0]),
+    "thresholds_infinite": lambda doc: doc["thresholds"].__setitem__(-1, float("inf")),
+    "thresholds_empty": lambda doc: doc.update(thresholds=[], cdf_matrix=[[] for _ in doc["cdf_matrix"]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_rejects_malformed_thresholds_and_cdf_matrix(name):
+    model, _ = small_model()
+    doc = json.loads(model_to_json(model))
+    MALFORMED[name](doc)
+    with pytest.raises(ValueError):
+        model_from_json(json.dumps(doc))
+    # the same edit inside a subagged file is rejected too
+    sub = {"type": "subagged", "members": [doc], "subsample_size": 40, "seed": 1, "version": "1.0"}
+    with pytest.raises(ValueError):
+        model_from_json(json.dumps(sub))

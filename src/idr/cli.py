@@ -289,12 +289,19 @@ def simulate(n, seed, out):
 @click.option("--weight", "weight_col", default=None, help="Optional weight column name.")
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), required=True)
 @click.option("--subagg-count", type=int, default=0, help="Number of subsample fits (0 = plain fit).")
-@click.option("--subagg-size", type=int, default=0, help="Rows per subsample.")
-@click.option("--split", type=click.Choice(["random", "even-odd"]), default="random")
+@click.option("--subagg-size", type=int, default=0, help="Rows per subsample (needs --subagg-count).")
+@click.option("--split", type=click.Choice(["random", "even-odd"]), default="random",
+              help="even-odd: two members from the even and odd rows, without the --subagg options.")
 @click.option("--seed", type=int, default=0, help="Seed for subsampling.")
 @_handle_errors
 def fit(data_path, response, order_text, weight_col, out_path, subagg_count, subagg_size, split, seed):
     """Fit a model and write it as versioned JSON."""
+    if subagg_count < 0:
+        raise CliDataError("--subagg-count must not be negative")
+    if split == "even-odd" and (subagg_count or subagg_size):
+        raise CliDataError("--split even-odd takes neither --subagg-count nor --subagg-size")
+    if subagg_size and not subagg_count:
+        raise CliDataError("--subagg-size needs --subagg-count")
     header, rows = _load_table(data_path)
     spec = parse_order_string(order_text, header)
     names = list(spec.column_names) + [response]

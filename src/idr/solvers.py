@@ -1,11 +1,15 @@
 """Weighted least-squares projection onto antitonic cones.
 
 :func:`antitonic_l2_fit` projects every threshold column of a fit with
-the solver for the order's shape: on a chain, pool-adjacent-violators
-over all columns at once; on a general partial order, per column, a
-recursive partitioning that splits on the lower set with the largest
-positive residual mass, found by a min-cut.  Both return the unique
-projection onto the cone of vectors nonincreasing along the order.
+the solver for the order's shape.  On a chain it runs
+pool-adjacent-violators over all columns at once.  On a general partial
+order it splits each column recursively: a block is cut into the lower
+set with the largest positive residual mass and the rest, until no
+lower set gains.  That lower set is a maximum-weight closure, found by
+a Dinic max-flow whose infinite edges are the block's cover edges only:
+every block is order-convex, so its covers close it like the full
+order.  Both return the unique projection onto the cone of vectors
+nonincreasing along the order.
 """
 
 from __future__ import annotations
@@ -98,79 +102,69 @@ def pav_antitonic(values, weights=None) -> np.ndarray:
     return _pav_chain(v[:, None], w, np.arange(v.size))[:, 0]
 
 
-class _Dinic:
-    """Max-flow on a small dense graph, float capacities."""
+def _levels(root, stop, n, adj, start, head, cap, eps, back) -> list[int]:
+    """BFS levels (-1: unreached) from ``root`` along residual arcs, or against them if ``back``."""
+    level, queue = [-1] * n, [root]
+    level[root] = 0
+    for u in queue:
+        if level[stop] >= 0:  # the rest lie on no shortest path to stop
+            break
+        for e in adj[start[u]:start[u + 1]]:
+            v = head[e]
+            if level[v] < 0 and cap[e ^ back] > eps:
+                level[v] = level[u] + 1
+                queue.append(v)
+    return level
 
-    def __init__(self, n: int):
-        self.n = n
-        self.head: list[list[int]] = [[] for _ in range(n)]
-        self.to: list[int] = []
-        self.cap: list[float] = []
 
-    def add_edge(self, u: int, v: int, c: float):
-        self.head[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(c)
-        self.head[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(0.0)
-
-    def _augment(self, u: int, t: int, f: float, level: list[int], it: list[int], eps: float) -> float:
-        if u == t:
-            return f
-        while it[u] < len(self.head[u]):
-            e = self.head[u][it[u]]
-            v = self.to[e]
-            if self.cap[e] > eps and level[v] == level[u] + 1:
-                d = self._augment(v, t, min(f, self.cap[e]), level, it, eps)
-                if d > eps:
-                    self.cap[e] -= d
-                    self.cap[e ^ 1] += d
-                    return d
-            it[u] += 1
-        return 0.0
-
-    def max_flow(self, s: int, t: int, eps: float) -> float:
-        flow = 0.0
+def _max_flow(n, s, t, adj, start, head, cap, eps) -> tuple[float, list[int]]:
+    """Dinic max-flow on a CSR network: the arcs leaving node u are
+    ``adj[start[u]:start[u + 1]]``, arc e runs to ``head[e]``, its reverse
+    is ``e ^ 1``; ``cap`` holds residual capacities, updated in place.
+    Returns the flow and the final levels from ``s``, >= 0 exactly on the
+    source side of the minimal min-cut.  A phase labels nodes by distance
+    to ``t``, so the path search from ``s`` (on a list: a path can be as
+    long as the poset is tall) meets dead ends only past saturated arcs."""
+    flow = 0.0
+    while True:
+        dist = _levels(t, s, n, adj, start, head, cap, eps, 1)
+        if dist[s] < 0:
+            return flow, _levels(s, t, n, adj, start, head, cap, eps, 0)
+        it, path, u = start[:], [], s
         while True:
-            level = [-1] * self.n
-            level[s] = 0
-            queue = [s]
-            for u in queue:
-                for e in self.head[u]:
-                    v = self.to[e]
-                    if self.cap[e] > eps and level[v] < 0:
-                        level[v] = level[u] + 1
-                        queue.append(v)
-            if level[t] < 0:
-                return flow
-            it = [0] * self.n
-            while True:
-                pushed = self._augment(s, t, float("inf"), level, it, eps)
-                if pushed <= eps:
-                    break
-                flow += pushed
-
-    def source_side(self, s: int, eps: float) -> np.ndarray:
-        seen = np.zeros(self.n, dtype=bool)
-        seen[s] = True
-        queue = [s]
-        for u in queue:
-            for e in self.head[u]:
-                v = self.to[e]
-                if self.cap[e] > eps and not seen[v]:
-                    seen[v] = True
-                    queue.append(v)
-        return seen
+            if u == t:
+                f = min(cap[e] for e in path)
+                for e in path:
+                    cap[e] -= f
+                    cap[e ^ 1] += f
+                flow += f
+                # resume at the tail of the first arc the push saturated
+                j = next(j for j, e in enumerate(path) if cap[e] <= eps)
+                u = head[path[j] ^ 1]
+                del path[j:]
+                continue
+            k, end, down = it[u], start[u + 1], dist[u] - 1
+            while k < end and not (dist[head[adj[k]]] == down and cap[adj[k]] > eps):
+                k += 1
+            it[u] = k
+            if k < end:
+                path.append(adj[k])
+                u = head[adj[k]]
+            elif path:  # dead end: retreat along the path
+                u = head[path.pop() ^ 1]
+                it[u] += 1
+            else:
+                break
 
 
-def _best_lower_set(strict: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
-    """Maximize sum(b[D]) over lower sets D of the strict order.
+def _best_lower_set(lower: np.ndarray, upper: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
+    """Maximize sum(b[D]) over the sets D that hold ``lower[j]``
+    whenever they hold ``upper[j]``: the lower sets, given cover edges.
 
     Returns the gain and the maximizing set (as a mask).  Solved as a
     max-weight closure problem: cutting a positive node's source edge
-    excludes it, cutting a negative node's sink edge includes it, and
-    infinite edges from each node to its predecessors force closure.
+    excludes it, cutting a negative node's sink edge includes it, and an
+    infinite edge from each upper end to its lower end forces closure.
     """
     n = b.size
     s, t = n, n + 1
@@ -178,21 +172,22 @@ def _best_lower_set(strict: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarra
     if pos == 0.0:
         return 0.0, np.zeros(n, dtype=bool)
     inf = float(np.abs(b).sum()) + 1.0
-    eps = 1e-14 * inf
-    net = _Dinic(n + 2)
-    for i in range(n):
-        if b[i] > 0:
-            net.add_edge(s, i, float(b[i]))
-        elif b[i] < 0:
-            net.add_edge(i, t, float(-b[i]))
-    below, above = np.nonzero(strict)
-    for u, v in zip(below.tolist(), above.tolist()):
-        # u is below v: including v forces u in
-        net.add_edge(v, u, inf)
-    cut = net.max_flow(s, t, eps)
-    gain = pos - cut
-    mask = net.source_side(s, eps)[:n]
-    return gain, mask
+    term = np.flatnonzero(b)
+    into = b[term] > 0
+    # row j holds the ends of edge j; arc 2j runs along it, arc 2j + 1 back
+    arcs = np.empty((term.size + lower.size, 2), dtype=np.intp)
+    arcs[:term.size, 0] = np.where(into, s, term)
+    arcs[:term.size, 1] = np.where(into, term, t)
+    arcs[term.size:] = np.column_stack([upper, lower])
+    cap = np.zeros(arcs.shape)
+    cap[:term.size, 0] = np.abs(b[term])
+    cap[term.size:, 0] = inf
+    tails = arcs.ravel()
+    adj = np.argsort(tails, kind="stable")
+    start = np.searchsorted(tails[adj], np.arange(n + 3))
+    cut, level = _max_flow(n + 2, s, t, adj.tolist(), start.tolist(), arcs[:, ::-1].ravel().tolist(),
+                           cap.ravel().tolist(), 1e-14 * inf)
+    return pos - cut, np.array(level[:n]) >= 0
 
 
 def antitonic_l2_fit(dag, values, weights=None) -> np.ndarray:
@@ -215,12 +210,13 @@ def antitonic_l2_fit(dag, values, weights=None) -> np.ndarray:
     if dag.is_chain:
         return _pav_chain(cols, w, np.argsort(dag.chain_positions)).reshape(v.shape)
 
-    strict = dag.reach & ~np.eye(n, dtype=bool)
+    lower, upper = np.nonzero(dag.covers)
     out = np.empty_like(cols)
     for k in range(cols.shape[1]):
-        stack = [np.arange(n)]
+        # blocks, each with its cover edges in block-local node numbers
+        stack = [(np.arange(n), lower, upper)]
         while stack:
-            idx = stack.pop()
+            idx, lo, hi = stack.pop()
             ww = w[idx]
             vv = cols[idx, k]
             mu = float((ww * vv).sum() / ww.sum())
@@ -228,11 +224,14 @@ def antitonic_l2_fit(dag, values, weights=None) -> np.ndarray:
                 out[idx, k] = mu
                 continue
             b = ww * (vv - mu)
-            gain, mask = _best_lower_set(strict[np.ix_(idx, idx)], b)
+            gain, mask = _best_lower_set(lo, hi, b)
             tol = 1e-12 * (1.0 + float(np.abs(b).sum()))
             if gain <= tol or not mask.any() or mask.all():
                 out[idx, k] = mu
                 continue
-            stack.append(idx[mask])
-            stack.append(idx[~mask])
+            # mask is a lower set: an edge stays inside iff its upper end
+            # is in it, and outside iff its lower end is not
+            rank = np.cumsum(mask)
+            for side, keep, local in ((mask, mask[hi], rank - 1), (~mask, ~mask[lo], np.arange(idx.size) - rank)):
+                stack.append((idx[side], local[lo[keep]], local[hi[keep]]))
     return out.reshape(v.shape)

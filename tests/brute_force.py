@@ -6,7 +6,10 @@ by direct minimization over all order-consistent level-set partitions;
 isotonic quantile vectors come from exhaustive dynamic programming over
 nested upper sets.  Node counts are capped so enumeration stays exact.
 The chain PAV is the classic one-column stack loop, which the
-vectorised solver must match bit for bit.
+vectorised solver must match bit for bit.  The poset reference is the
+earlier min-cut solver, with a recursive Dinic max-flow and an infinite
+edge on every strict pair; the cover-edge solver must match it bit for
+bit.
 """
 
 from __future__ import annotations
@@ -45,6 +48,134 @@ def pav_antitonic_columns(values: np.ndarray, weights: np.ndarray) -> np.ndarray
                 out[i, k] = mean
             start = last[b] + 1
     return out
+
+
+class _Dinic:
+    """Max-flow on a small dense graph, float capacities."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.head: list[list[int]] = [[] for _ in range(n)]
+        self.to: list[int] = []
+        self.cap: list[float] = []
+
+    def add_edge(self, u: int, v: int, c: float):
+        self.head[u].append(len(self.to))
+        self.to.append(v)
+        self.cap.append(c)
+        self.head[v].append(len(self.to))
+        self.to.append(u)
+        self.cap.append(0.0)
+
+    def _augment(self, u: int, t: int, f: float, level: list[int], it: list[int], eps: float) -> float:
+        if u == t:
+            return f
+        while it[u] < len(self.head[u]):
+            e = self.head[u][it[u]]
+            v = self.to[e]
+            if self.cap[e] > eps and level[v] == level[u] + 1:
+                d = self._augment(v, t, min(f, self.cap[e]), level, it, eps)
+                if d > eps:
+                    self.cap[e] -= d
+                    self.cap[e ^ 1] += d
+                    return d
+            it[u] += 1
+        return 0.0
+
+    def max_flow(self, s: int, t: int, eps: float) -> float:
+        flow = 0.0
+        while True:
+            level = [-1] * self.n
+            level[s] = 0
+            queue = [s]
+            for u in queue:
+                for e in self.head[u]:
+                    v = self.to[e]
+                    if self.cap[e] > eps and level[v] < 0:
+                        level[v] = level[u] + 1
+                        queue.append(v)
+            if level[t] < 0:
+                return flow
+            it = [0] * self.n
+            while True:
+                pushed = self._augment(s, t, float("inf"), level, it, eps)
+                if pushed <= eps:
+                    break
+                flow += pushed
+
+    def source_side(self, s: int, eps: float) -> np.ndarray:
+        seen = np.zeros(self.n, dtype=bool)
+        seen[s] = True
+        queue = [s]
+        for u in queue:
+            for e in self.head[u]:
+                v = self.to[e]
+                if self.cap[e] > eps and not seen[v]:
+                    seen[v] = True
+                    queue.append(v)
+        return seen
+
+
+def _best_lower_set(strict: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
+    """Maximize sum(b[D]) over lower sets D of the strict order.
+
+    Returns the gain and the maximizing set (as a mask).  Solved as a
+    max-weight closure problem: cutting a positive node's source edge
+    excludes it, cutting a negative node's sink edge includes it, and
+    infinite edges from each node to its predecessors force closure.
+    """
+    n = b.size
+    s, t = n, n + 1
+    pos = float(b[b > 0].sum())
+    if pos == 0.0:
+        return 0.0, np.zeros(n, dtype=bool)
+    inf = float(np.abs(b).sum()) + 1.0
+    eps = 1e-14 * inf
+    net = _Dinic(n + 2)
+    for i in range(n):
+        if b[i] > 0:
+            net.add_edge(s, i, float(b[i]))
+        elif b[i] < 0:
+            net.add_edge(i, t, float(-b[i]))
+    below, above = np.nonzero(strict)
+    for u, v in zip(below.tolist(), above.tolist()):
+        # u is below v: including v forces u in
+        net.add_edge(v, u, inf)
+    cut = net.max_flow(s, t, eps)
+    gain = pos - cut
+    mask = net.source_side(s, eps)[:n]
+    return gain, mask
+
+
+def strict_pair_antitonic(dag, values, weights=None) -> np.ndarray:
+    """Antitonic L2 fit of every column of ``values`` on a poset by the
+    recursive min-cut split, closing each block under all its strict
+    pairs."""
+    n = dag.n_nodes
+    v = np.asarray(values, dtype=float)
+    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
+    cols = v.reshape(n, -1)
+    strict = dag.reach & ~np.eye(n, dtype=bool)
+    out = np.empty_like(cols)
+    for k in range(cols.shape[1]):
+        stack = [np.arange(n)]
+        while stack:
+            idx = stack.pop()
+            ww = w[idx]
+            vv = cols[idx, k]
+            mu = float((ww * vv).sum() / ww.sum())
+            if idx.size == 1:
+                out[idx, k] = mu
+                continue
+            b = ww * (vv - mu)
+            gain, mask = _best_lower_set(strict[np.ix_(idx, idx)], b)
+            tol = 1e-12 * (1.0 + float(np.abs(b).sum()))
+            if gain <= tol or not mask.any() or mask.all():
+                out[idx, k] = mu
+                continue
+            stack.append(idx[mask])
+            stack.append(idx[~mask])
+    return out.reshape(v.shape)
 
 
 def _check_size(n: int):

@@ -193,7 +193,7 @@ def test_criterion_06_subagging():
     x_train, y_train = simulate_gamma(4000, seed=30)
     ts = make_training_set(TOTAL1, x_train, y_train)
 
-    # warm up the compiled solver path outside the timed sections
+    # one small fit first keeps first-call costs out of the timed sections
     xw, yw = simulate_gamma(50, seed=99)
     fit_idr(make_training_set(TOTAL1, xw, yw))
 

@@ -99,6 +99,22 @@ def test_subagged_fit_is_byte_identical(tmp_path):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("flags", [
+    ("--subagg-count", -3, "--subagg-size", 60),
+    ("--subagg-size", 60),
+    ("--split", "even-odd", "--subagg-count", 5, "--subagg-size", 60),
+    ("--split", "even-odd", "--subagg-size", 60),
+], ids=["negative-count", "size-without-count", "even-odd-with-count", "even-odd-with-size"])
+def test_fit_rejects_subagging_flags_it_would_ignore(tmp_path, flags):
+    sim = tmp_path / "sim.csv"
+    invoke("simulate", "--n", 200, "--seed", 1, "--out", sim)
+    out = tmp_path / "model.json"
+    res = invoke("fit", "--data", sim, "--response", "y", "--order", "x:total", "--out", out, *flags)
+    assert res.exit_code == EXIT_PARSE, all_output(res)
+    assert "--subagg" in all_output(res)
+    assert not out.exists()
+
+
 def test_ensemble_order_string_runs_end_to_end(tmp_path):
     rng = np.random.default_rng(3)
     n = 60

@@ -16,7 +16,7 @@ from idr import (
 
 from idr.solvers import _PAV_BLOCK
 
-from brute_force import brute_force_antitonic, pav_antitonic_columns
+from brute_force import brute_force_antitonic, pav_antitonic_columns, strict_pair_antitonic
 
 
 def test_pav_pools_violating_pair():
@@ -114,6 +114,82 @@ def test_random_posets_match_oracle():
         fit = antitonic_l2_fit(dag, v, w)
         oracle = brute_force_antitonic(dag, v, w)
         assert np.allclose(fit, oracle, atol=1e-10), (trial, fit, oracle)
+
+
+CW2 = OrderSpec((OrderGroup((0, 1), COMPONENTWISE),))
+
+
+def random_poset(kind, rng):
+    """Covariate rows of a random poset of up to ~200 points, and a
+    response that increases with them."""
+    n = int(rng.integers(120, 201))
+    if kind == "cw_ties":
+        spec, x = CW2, rng.integers(0, 12, size=(n, 2)).astype(float)
+    elif kind == "cw_continuous":
+        spec, x = OrderSpec((OrderGroup((0, 1, 2), COMPONENTWISE),)), rng.normal(size=(n, 3))
+    elif kind == "icx":
+        spec = OrderSpec((OrderGroup((0, 1, 2, 3), EMPIRICAL_ICX),))
+        x = np.round(rng.uniform(0, 5, size=(n, 1)) + rng.normal(scale=0.6, size=(n, 4)), 1)
+    else:  # total + icx
+        spec = OrderSpec((OrderGroup((0,), TOTAL), OrderGroup((1, 2, 3), EMPIRICAL_ICX)))
+        base = rng.uniform(0, 5, size=(n, 1))
+        x = np.round(np.hstack([base + rng.normal(scale=0.3, size=(n, 1)),
+                                base + rng.normal(scale=0.6, size=(n, 3))]), 1)
+    y = x.mean(axis=1) + rng.normal(size=n)
+    return build_order_dag(spec, x), y
+
+
+def indicator_means(dag, y, w, thresholds):
+    """Node x threshold weighted means of 1{y <= threshold}, and the node
+    weights, as ``fit_idr`` builds them."""
+    node_w = np.bincount(dag.membership, weights=w, minlength=dag.n_nodes)
+    hits = (y[:, None] <= thresholds[None, :]) * w[:, None]
+    sums = np.zeros((dag.n_nodes, thresholds.size))
+    np.add.at(sums, dag.membership, hits)
+    return sums / node_w[:, None], node_w
+
+
+@pytest.mark.parametrize("kind", ["cw_ties", "cw_continuous", "icx", "total_icx"])
+def test_poset_fit_matches_strict_pair_reference(kind):
+    """The cover-edge solver equals the earlier strict-pair solver bit
+    for bit on random posets, on indicator-mean columns (row weights
+    unit, integer or float) and on random normal columns (node weights
+    unit, integer or float)."""
+    rng = np.random.default_rng(["cw_ties", "cw_continuous", "icx", "total_icx"].index(kind))
+    for trial in range(3):
+        dag, y = random_poset(kind, rng)
+        assert not dag.is_chain and dag.covers.any()
+        n = dag.n_nodes
+        weights = [np.ones(y.size), rng.integers(1, 5, size=y.size).astype(float),
+                   rng.uniform(0.2, 3.0, size=y.size)][trial]
+        thresholds = np.quantile(y, np.linspace(0.05, 0.95, 8))
+        values, node_w = indicator_means(dag, y, weights, thresholds)
+        assert np.array_equal(antitonic_l2_fit(dag, values, node_w),
+                              strict_pair_antitonic(dag, values, node_w)), (kind, trial)
+        w = [np.ones(n), rng.integers(1, 5, size=n).astype(float), rng.uniform(0.2, 3.0, size=n)][trial]
+        values = rng.normal(size=(n, 3))
+        assert np.array_equal(antitonic_l2_fit(dag, values, w), strict_pair_antitonic(dag, values, w))
+        assert np.array_equal(antitonic_l2_fit(dag, values[:, 0], w), strict_pair_antitonic(dag, values[:, 0], w))
+
+
+def test_poset_taller_than_the_recursion_limit():
+    """A 1500-point componentwise staircase plus one point incomparable
+    to all of it.  A column rising along the staircase pools it into one
+    block, and the max-flow's augmenting paths run down its whole
+    length."""
+    n = 1500
+    staircase = np.repeat(np.arange(n, dtype=float)[:, None], 2, axis=1)
+    dag = build_order_dag(CW2, np.vstack([[-1.0, 2.0 * n], staircase]))
+    assert not dag.is_chain and dag.n_nodes == n + 1
+    chain = np.arange(1, n + 1)  # node 0 is the isolated point
+    assert dag.covers[chain[:-1], chain[1:]].all() and not dag.covers[0].any() and not dag.covers[:, 0].any()
+    values = np.empty(n + 1)
+    values[0] = 0.3
+    values[chain] = np.linspace(0.0, 1.0, n)
+    fit = antitonic_l2_fit(dag, values)
+    assert fit[0] == 0.3
+    want = pav_antitonic_columns(values[chain, None], np.ones(n))[:, 0]
+    assert np.allclose(fit[chain], want, rtol=0, atol=1e-12)
 
 
 def test_fit_respects_all_order_constraints():

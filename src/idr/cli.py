@@ -15,7 +15,7 @@ import sys
 import click
 import numpy as np
 
-from .fitting import empirical_crps_loss, fit_idr, make_training_set
+from .fitting import fit_idr, make_training_set
 from .orders import (
     COMPONENTWISE,
     EMPIRICAL_ICX,
@@ -302,6 +302,8 @@ def fit(data_path, response, order_text, weight_col, out_path, subagg_count, sub
         raise CliDataError("--split even-odd takes neither --subagg-count nor --subagg-size")
     if subagg_size and not subagg_count:
         raise CliDataError("--subagg-size needs --subagg-count")
+    if subagg_count and subagg_size <= 0:
+        raise CliDataError("--subagg-size must be positive when --subagg-count is set")
     header, rows = _load_table(data_path)
     spec = parse_order_string(order_text, header)
     names = list(spec.column_names) + [response]
@@ -317,22 +319,17 @@ def fit(data_path, response, order_text, weight_col, out_path, subagg_count, sub
     if split == "even-odd":
         model = fit_even_odd(training, seed)
     elif subagg_count > 0:
-        if subagg_size <= 0:
-            raise CliDataError("--subagg-size must be positive when --subagg-count is set")
         model = fit_subagged(training, subagg_count, subagg_size, seed)
     else:
         model = fit_idr(training)
 
     save_model(model, out_path)
 
-    if isinstance(model, SubaggedModel):
-        grid, fitted = _model_grid_and_rows(model, training.covariates)
-        scores = crps_rows(grid, fitted, training.responses)
-        mean_crps = float(np.average(scores, weights=training.weights))
-    else:
-        mean_crps = empirical_crps_loss(model, training)
+    # the in-sample rows are freed before the cover count builds its n x n temporaries
+    scores = crps_rows(*_model_grid_and_rows(model, training.covariates), training.responses)
+    mean_crps = float(np.average(scores, weights=training.weights))
     dag = training.dag
-    click.echo(f"n={training.n} nodes={dag.n_nodes} edges={len(dag.edges())} mean_crps={mean_crps!r}")
+    click.echo(f"n={training.n} nodes={dag.n_nodes} edges={np.count_nonzero(dag.covers)} mean_crps={mean_crps!r}")
 
 
 @main.command()

@@ -100,10 +100,6 @@ class OrderSpec:
         """Smallest raw vector length the spec can be applied to."""
         return 1 + max(max(g.columns) for g in self.groups)
 
-    @property
-    def key_length(self) -> int:
-        return sum(len(g.columns) for g in self.groups)
-
     def key_groups(self) -> tuple[OrderGroup, ...]:
         """The same groups re-indexed against the canonical key layout
         (groups concatenated in declaration order)."""
@@ -219,32 +215,24 @@ class OrderDag:
     rows of ``cmp_matrix`` (total keys unchanged) their order is componentwise.
     ``reach[u, v]`` is True iff key_u is below-or-equal key_v (the
     diagonal is True); ``covers`` is the transitive reduction of the
-    strict part.  Immutable after construction.
+    strict part.  On a chain, ``chain_positions`` gives each node's
+    place from the least element up; it is None on any other order.
+    Every array is read-only; ``reach`` and ``covers`` are built on
+    first read and cached, so a chain that only needs its positions
+    never holds an n x n matrix.
     """
 
-    __slots__ = (
-        "spec",
-        "keys",
-        "membership",
-        "cmp_matrix",
-        "_reach",
-        "_covers",
-        "_index",
-        "is_chain",
-        "chain_positions",
-    )
+    __slots__ = ("spec", "keys", "membership", "cmp_matrix", "chain_positions", "_index", "_reach", "_covers")
 
-    def __init__(self, spec, keys, membership, cmp_matrix, reach, covers, is_chain, chain_positions):
+    def __init__(self, spec, keys, membership, cmp_matrix, chain_positions):
         self.spec = spec
         self.keys = keys
         self.membership = membership
         self.cmp_matrix = cmp_matrix
-        self._reach = reach
-        self._covers = covers
-        self._index = {k: i for i, k in enumerate(keys)}
-        self.is_chain = is_chain
         self.chain_positions = chain_positions
-        for a in (membership, cmp_matrix, reach, covers, chain_positions):
+        self._index = {k: i for i, k in enumerate(keys)}
+        self._reach = self._covers = None
+        for a in (membership, cmp_matrix, chain_positions):
             if a is not None:
                 a.setflags(write=False)
 
@@ -253,18 +241,37 @@ class OrderDag:
         return len(self.keys)
 
     @property
+    def is_chain(self) -> bool:
+        """True iff every two nodes are comparable."""
+        return self.chain_positions is not None
+
+    @property
     def reach(self) -> np.ndarray:
         """Boolean matrix: reach[u, v] iff key_u is <= key_v."""
+        if self._reach is None:
+            self._reach = _all_leq(self.cmp_matrix, self.cmp_matrix)
+            self._reach.setflags(write=False)
         return self._reach
 
     @property
     def covers(self) -> np.ndarray:
         """Boolean matrix of covering edges (transitive reduction)."""
+        if self._covers is None:
+            n = self.n_nodes
+            if self.is_chain:
+                # each node is covered by the next one along the chain
+                covers = np.zeros((n, n), dtype=bool)
+                order = np.argsort(self.chain_positions)
+                covers[order[:-1], order[1:]] = True
+            else:
+                covers = _transitive_reduction(self.reach & ~np.eye(n, dtype=bool))
+            covers.setflags(write=False)
+            self._covers = covers
         return self._covers
 
     def edges(self) -> list[tuple[int, int]]:
         """Covering edges as (lower node, upper node) pairs."""
-        us, vs = np.nonzero(self._covers)
+        us, vs = np.nonzero(self.covers)
         return list(zip(us.tolist(), vs.tolist()))
 
     def node_of_key(self, key: tuple[float, ...]) -> int:
@@ -328,26 +335,10 @@ def build_order_dag(spec: OrderSpec, points, *, points_are_keys: bool = False) -
     index = {k: i for i, k in enumerate(uniq)}
     membership = np.array([index[k] for k in keys], dtype=np.intp)
     kmat = np.array(uniq, dtype=float).reshape(len(uniq), -1)
-    groups = spec.key_groups()
-    cmp_matrix = _comparison_matrix(groups, kmat)
-    n = len(uniq)
-
-    total_chain = len(groups) == 1 and groups[0].relation == TOTAL
-    if total_chain:
-        # scalar keys in ascending order: reach is the upper triangle
-        reach = np.triu(np.ones((n, n), dtype=bool))
-        covers = np.zeros((n, n), dtype=bool)
-        if n > 1:
-            covers[np.arange(n - 1), np.arange(1, n)] = True
-        return OrderDag(spec, uniq, membership, cmp_matrix, reach, covers,
-                        True, np.arange(n, dtype=np.intp))
-
-    reach = _all_leq(cmp_matrix, cmp_matrix)
-    strict = reach & ~np.eye(n, dtype=bool)
-    covers = _transitive_reduction(strict)
-    is_chain = bool(np.all(strict | strict.T | np.eye(n, dtype=bool)))
-    chain_positions = None
-    if is_chain:
-        # position = number of strict predecessors
-        chain_positions = strict.sum(axis=0).astype(np.intp)
-    return OrderDag(spec, uniq, membership, cmp_matrix, reach, covers, is_chain, chain_positions)
+    cmp_matrix = _comparison_matrix(spec.key_groups(), kmat)
+    # lexicographic order extends the componentwise one, so the nodes
+    # form a chain iff each row is <= the next once the rows are sorted
+    order = np.lexsort(cmp_matrix.T[::-1])
+    ranked = cmp_matrix[order]
+    chain_positions = np.argsort(order) if np.all(ranked[:-1] <= ranked[1:]) else None
+    return OrderDag(spec, uniq, membership, cmp_matrix, chain_positions)

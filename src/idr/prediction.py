@@ -54,6 +54,17 @@ class Provenance(enum.Enum):
     INTERPOLATED = "interpolated"
 
 
+#: Provenances from the weakest to the strongest support.
+_PROVENANCE_ORDER = (
+    Provenance.CLIMATOLOGICAL,
+    Provenance.ONLY_SUCCESSORS,
+    Provenance.ONLY_PREDECESSORS,
+    Provenance.INTERPOLATED,
+    Provenance.BOTH_BOUNDS,
+    Provenance.AT_TRAINING_POINT,
+)
+
+
 @dataclass(frozen=True)
 class Prediction:
     """Predictive CDF with its consistency bounds.
@@ -148,7 +159,7 @@ def _chain_neighbors(model: IdrModel, x: np.ndarray):
     at-or-above it (n if none), equal at a training key.  None for
     any other model."""
     groups = model.spec.groups
-    if len(groups) != 1 or groups[0].relation != TOTAL or not model.dag.is_chain:
+    if len(groups) != 1 or groups[0].relation != TOTAL:
         return None
     col = x[:, groups[0].columns[0]]
     if not np.isfinite(col).all():
@@ -205,15 +216,6 @@ def _interpolated(model: IdrModel, x: np.ndarray) -> PredictionBatch:
     return PredictionBatch(model.thresholds, center, lower, upper, provenance)
 
 
-_PROVENANCE_ORDER = (
-    Provenance.AT_TRAINING_POINT,
-    Provenance.BOTH_BOUNDS,
-    Provenance.ONLY_PREDECESSORS,
-    Provenance.ONLY_SUCCESSORS,
-    Provenance.CLIMATOLOGICAL,
-)
-
-
 def predict_batch(model: IdrModel, covariates, interpolate: bool = False) -> PredictionBatch:
     """Predict at every row of a covariate matrix.
 
@@ -245,7 +247,8 @@ def predict_batch(model: IdrModel, covariates, interpolate: bool = False) -> Pre
     center[~has_upper] = lower[~has_upper]
     center[~has_lower] = upper[~has_lower]
     center[~has_lower & ~has_upper] = model.climatology.evaluate(model.thresholds)
-    codes = np.select([exact, has_lower & has_upper, has_upper, has_lower], [0, 1, 2, 3], 4)
+    # indices into _PROVENANCE_ORDER
+    codes = np.select([exact, has_lower & has_upper, has_upper, has_lower], [5, 4, 2, 1], 0)
     return PredictionBatch(model.thresholds, center, lower, upper, [_PROVENANCE_ORDER[c] for c in codes])
 
 

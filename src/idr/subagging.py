@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fitting import IdrModel, TrainingSet, fit_idr, make_training_set
-from .prediction import Prediction, PredictionBatch, Provenance, _one_row, predict_batch
+from .prediction import _PROVENANCE_ORDER, Prediction, PredictionBatch, Provenance, _one_row, predict_batch
 
 __all__ = [
     "SubaggedModel",
@@ -24,16 +24,6 @@ __all__ = [
     "predict_subagged_batch",
     "predict_subagged_rows",
 ]
-
-# weakest-first ordering used when members disagree on provenance
-_PROVENANCE_RANK = {
-    Provenance.CLIMATOLOGICAL: 0,
-    Provenance.ONLY_SUCCESSORS: 1,
-    Provenance.ONLY_PREDECESSORS: 2,
-    Provenance.INTERPOLATED: 3,
-    Provenance.BOTH_BOUNDS: 4,
-    Provenance.AT_TRAINING_POINT: 5,
-}
 
 _REPORTS_BOUNDS = (Provenance.AT_TRAINING_POINT, Provenance.BOTH_BOUNDS)
 
@@ -59,6 +49,15 @@ class SubaggedModel:
         return self.members[0].spec
 
 
+def _fit_members(training: TrainingSet, subsets) -> tuple[IdrModel, ...]:
+    """One model per index subset of the training rows."""
+    return tuple(
+        fit_idr(make_training_set(training.spec, training.covariates[idx], training.responses[idx],
+                                  training.weights[idx]))
+        for idx in subsets
+    )
+
+
 def fit_subagged(training: TrainingSet, count: int, size: int, seed: int) -> SubaggedModel:
     """Fit ``count`` models on random subsets of ``size`` rows each.
 
@@ -72,39 +71,22 @@ def fit_subagged(training: TrainingSet, count: int, size: int, seed: int) -> Sub
     if not 1 <= size <= n:
         raise ValueError(f"size must lie in [1, {n}]")
     rng = np.random.default_rng(seed)
-    members = []
-    for _ in range(count):
-        idx = rng.choice(n, size=size, replace=False)
-        sub = make_training_set(
-            training.spec,
-            training.covariates[idx],
-            training.responses[idx],
-            training.weights[idx],
-        )
-        members.append(fit_idr(sub))
-    return SubaggedModel(tuple(members), size, seed)
+    subsets = [rng.choice(n, size=size, replace=False) for _ in range(count)]
+    return SubaggedModel(_fit_members(training, subsets), size, seed)
 
 
 def fit_even_odd(training: TrainingSet, seed: int = 0) -> SubaggedModel:
     """Two members from the even- and odd-indexed rows."""
     if training.n < 2:
         raise ValueError("even/odd split needs at least two rows")
-    members = []
-    for parity in (0, 1):
-        sub = make_training_set(
-            training.spec,
-            training.covariates[parity::2],
-            training.responses[parity::2],
-            training.weights[parity::2],
-        )
-        members.append(fit_idr(sub))
-    return SubaggedModel(tuple(members), (training.n + 1) // 2, seed, split="even-odd")
+    members = _fit_members(training, (slice(0, None, 2), slice(1, None, 2)))
+    return SubaggedModel(members, (training.n + 1) // 2, seed, split="even-odd")
 
 
 def _aggregate_provenance(provs) -> Provenance:
     if all(p in _REPORTS_BOUNDS for p in provs):
         return Provenance.BOTH_BOUNDS
-    return min(provs, key=lambda p: _PROVENANCE_RANK[p])
+    return min(provs, key=_PROVENANCE_ORDER.index)
 
 
 def _member_means(model: SubaggedModel, covariates, grid, sides):

@@ -9,7 +9,9 @@ The chain PAV is the classic one-column stack loop, which the
 vectorised solver must match bit for bit.  The poset reference is the
 earlier min-cut solver, with a recursive Dinic max-flow and an infinite
 edge on every strict pair; the cover-edge solver must match it bit for
-bit.
+bit.  The DAG reference is the earlier eager build, which made the
+reach and cover matrices of every order up front and found chains by
+testing every pair.
 """
 
 from __future__ import annotations
@@ -176,6 +178,30 @@ def strict_pair_antitonic(dag, values, weights=None) -> np.ndarray:
             stack.append(idx[mask])
             stack.append(idx[~mask])
     return out.reshape(v.shape)
+
+
+def eager_dag_structure(dag):
+    """``(is_chain, chain_positions, reach, covers)`` of ``dag`` as the
+    eager build made them: the upper triangle and its first
+    superdiagonal for a single total-order group; otherwise all pairs
+    compared, covers as the strict pairs without a two-step path, a
+    chain when every pair is comparable, and positions counted as
+    strict predecessors."""
+    n = dag.n_nodes
+    groups = dag.spec.groups
+    if len(groups) == 1 and groups[0].relation == "total":
+        reach = np.triu(np.ones((n, n), dtype=bool))
+        covers = np.zeros((n, n), dtype=bool)
+        covers[np.arange(n - 1), np.arange(1, n)] = True
+        return True, np.arange(n, dtype=np.intp), reach, covers
+    c = dag.cmp_matrix
+    reach = np.all(c[:, None, :] <= c[None, :, :], axis=2)
+    strict = reach & ~np.eye(n, dtype=bool)
+    paths = strict.astype(np.int64) @ strict.astype(np.int64)
+    covers = strict & (paths == 0)
+    is_chain = bool(np.all(strict | strict.T | np.eye(n, dtype=bool)))
+    positions = strict.sum(axis=0).astype(np.intp) if is_chain else None
+    return is_chain, positions, reach, covers
 
 
 def _check_size(n: int):

@@ -104,12 +104,15 @@ def test_subagged_fit_is_byte_identical(tmp_path):
     ("--subagg-size", 60),
     ("--split", "even-odd", "--subagg-count", 5, "--subagg-size", 60),
     ("--split", "even-odd", "--subagg-size", 60),
-], ids=["negative-count", "size-without-count", "even-odd-with-count", "even-odd-with-size"])
+    ("--subagg-count", 5),
+    ("--subagg-count", 5, "--subagg-size", -3),
+], ids=["negative-count", "size-without-count", "even-odd-with-count", "even-odd-with-size",
+        "count-without-size", "count-with-negative-size"])
 def test_fit_rejects_subagging_flags_it_would_ignore(tmp_path, flags):
-    sim = tmp_path / "sim.csv"
-    invoke("simulate", "--n", 200, "--seed", 1, "--out", sim)
+    # the flags are checked before the data is read: a missing file is never opened
+    missing = tmp_path / "missing.csv"
     out = tmp_path / "model.json"
-    res = invoke("fit", "--data", sim, "--response", "y", "--order", "x:total", "--out", out, *flags)
+    res = invoke("fit", "--data", missing, "--response", "y", "--order", "x:total", "--out", out, *flags)
     assert res.exit_code == EXIT_PARSE, all_output(res)
     assert "--subagg" in all_output(res)
     assert not out.exists()

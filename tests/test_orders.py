@@ -1,5 +1,7 @@
 """Order relations, canonical keys, and the comparability DAG."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,8 +16,16 @@ from idr import (
     build_order_dag,
     canonical_key,
     compare,
+    fit_idr,
     gini_mean_difference,
+    make_training_set,
+    model_from_json,
+    model_to_json,
+    orders,
+    predict_batch,
 )
+
+from brute_force import eager_dag_structure
 
 
 def cw_spec(d):
@@ -325,3 +335,136 @@ def test_query_masks_matches_compare():
         for i, k in enumerate(dag.keys):
             assert lo[i] == (compare(spec, k, q) in below)
             assert hi[i] == (compare(spec, q, k) in below)
+
+
+# ---------------------------------------------------------------------------
+# one build for every order: chains by one sort, reach and covers on first read
+# ---------------------------------------------------------------------------
+
+TOTAL_ICX = OrderSpec((OrderGroup((0,), TOTAL), OrderGroup((1, 2, 3), EMPIRICAL_ICX)))
+
+
+def _random_poset(kind, rng):
+    """A spec and 1-40 points of one kind; small sets are often chains."""
+    m = int(rng.integers(1, 41))
+    if kind == "cw_ties":
+        return cw_spec(2), rng.integers(0, 4, size=(m, 2)).astype(float)
+    if kind == "st":
+        return group_spec(3, EMPIRICAL_STOCHASTIC), rng.integers(0, 5, size=(m, 3)).astype(float)
+    if kind == "icx":
+        pts = rng.integers(0, 5, size=(m, 3)).astype(float)
+        return group_spec(3, EMPIRICAL_ICX), pts if rng.random() < 0.5 else pts + rng.normal(size=(m, 3))
+    if kind == "total_icx":
+        return TOTAL_ICX, rng.integers(0, 4, size=(m, 4)).astype(float)
+    if kind == "collinear":
+        a = rng.integers(0, 10, size=m).astype(float)
+        return cw_spec(2), np.column_stack([a, 2.0 * a + rng.integers(0, 2, size=m)])
+    if kind == "total":
+        return TOTAL1, rng.normal(size=(m, 1)).round(1)
+    raise AssertionError(kind)
+
+
+_POSET_KINDS = ("cw_ties", "st", "icx", "total_icx", "collinear", "total")
+
+
+@pytest.mark.parametrize("kind", _POSET_KINDS)
+def test_dag_structure_matches_eager_build(kind):
+    """is_chain, chain_positions, reach, covers and edges() equal the
+    eager build's on random posets, chains and non-chains alike."""
+    rng = np.random.default_rng(_POSET_KINDS.index(kind))
+    chains = reordered = 0
+    for _ in range(60):
+        spec, pts = _random_poset(kind, rng)
+        dag = build_order_dag(spec, pts)
+        is_chain, positions, reach, covers = eager_dag_structure(dag)
+        assert dag.is_chain == is_chain
+        if is_chain:
+            assert dag.chain_positions.dtype == positions.dtype
+            assert np.array_equal(dag.chain_positions, positions)
+            chains += 1
+            reordered += not np.array_equal(positions, np.arange(dag.n_nodes))
+        else:
+            assert dag.chain_positions is None
+        assert np.array_equal(dag.covers, covers)
+        assert np.array_equal(dag.reach, reach)
+        us, vs = np.nonzero(covers)
+        assert dag.edges() == list(zip(us.tolist(), vs.tolist()))
+    assert chains > 0
+    if kind == "icx":
+        # the tail sums sort the nodes differently from their keys
+        assert reordered > 0
+
+
+def test_icx_chain_positions_follow_the_tail_sums():
+    # keys in node order (0, 10) < (1, 2) < (2, 5); tail sums (10, 10), (3, 2), (7, 5)
+    dag = build_order_dag(group_spec(2, EMPIRICAL_ICX), [(2.0, 5.0), (10.0, 0.0), (1.0, 2.0)])
+    assert dag.keys == [(0.0, 10.0), (1.0, 2.0), (2.0, 5.0)]
+    assert dag.is_chain and dag.chain_positions.tolist() == [2, 0, 1]
+    assert dag.edges() == [(1, 2), (2, 0)]
+
+
+def test_dag_of_a_single_node():
+    for spec, pts in ((TOTAL1, [(2.0,), (2.0,)]), (group_spec(3, EMPIRICAL_ICX), [(1.0, 3.0, 2.0)]),
+                      (TOTAL_ICX, [(0.0, 1.0, 2.0, 3.0)])):
+        dag = build_order_dag(spec, pts)
+        is_chain, positions, reach, covers = eager_dag_structure(dag)
+        assert dag.n_nodes == 1 and dag.is_chain and is_chain
+        assert dag.chain_positions.tolist() == positions.tolist() == [0]
+        assert np.array_equal(dag.reach, reach) and np.array_equal(dag.covers, covers)
+        assert dag.edges() == []
+
+
+def test_dag_arrays_are_read_only():
+    for spec, pts in ((TOTAL1, [(1.0,), (3.0,), (2.0,)]), (cw_spec(2), [(1.0, 3.0), (2.0, 2.0), (3.0, 3.0)])):
+        dag = build_order_dag(spec, pts)
+        assert dag.reach is dag.reach and dag.covers is dag.covers
+        for a in (dag.membership, dag.cmp_matrix, dag.reach, dag.covers):
+            with pytest.raises(ValueError):
+                a[0] = a[0]
+
+
+def _total_chain_training(n, rng):
+    """n distinct covariates on one total-order column, five responses."""
+    x = rng.permutation(n).astype(float)
+    y = rng.integers(0, 5, size=n).astype(float)
+    return TOTAL1, x[:, None], y
+
+
+def test_total_chain_builds_no_square_matrix():
+    """Building the training DAG and loading a model of a total chain
+    trace far less memory than one n x n boolean matrix."""
+    n = 4000
+    spec, x, y = _total_chain_training(n, np.random.default_rng(59))
+    tracemalloc.start()
+    try:
+        training = make_training_set(spec, x, y)
+        _, build_peak = tracemalloc.get_traced_memory()
+        text = model_to_json(fit_idr(training))
+        tracemalloc.reset_peak()
+        base, _ = tracemalloc.get_traced_memory()
+        model = model_from_json(text)
+        _, load_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert training.dag.is_chain and model.dag.n_nodes == n
+    assert build_peak < n * n
+    assert load_peak - base < n * n
+
+
+def test_total_chain_never_compares_all_pairs(monkeypatch):
+    """A total chain fits, round-trips and predicts without the
+    all-pairs comparison or the transitive reduction."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a total chain needs no all-pairs matrix")
+
+    monkeypatch.setattr(orders, "_all_leq", refuse)
+    monkeypatch.setattr(orders, "_transitive_reduction", refuse)
+    spec, x, y = _total_chain_training(300, np.random.default_rng(61))
+    model = fit_idr(make_training_set(spec, x, y))
+    loaded = model_from_json(model_to_json(model))
+    assert np.array_equal(loaded.cdf, model.cdf)
+    queries = np.linspace(-10.0, 310.0, 57)[:, None]
+    for interpolate in (False, True):
+        a = predict_batch(model, queries, interpolate)
+        b = predict_batch(loaded, queries, interpolate)
+        assert np.array_equal(a.center, b.center) and a.provenance == b.provenance

@@ -384,6 +384,12 @@ def score(model_path, true_gamma, covariate, data_path, response, out_path, thre
     """Score predictions case by case and print summary means."""
     if (model_path is None) == (not true_gamma):
         raise CliDataError("give exactly one of --model or --true-gamma")
+    if true_gamma:
+        try:
+            import scipy  # noqa: F401  (the gamma law needs it; idr.oracles imports it lazily)
+        except ImportError:
+            raise CliDataError("--true-gamma needs scipy, which is not installed; "
+                               "install the package with its 'gamma' extra, e.g. pip install '.[gamma]'")
     header, rows = _load_table(data_path)
     ys = _numeric_columns(data_path, header, rows, [response])[:, 0]
     zs = _float_list(thresholds, "threshold") if thresholds else []

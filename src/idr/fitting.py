@@ -68,6 +68,10 @@ def make_training_set(spec: OrderSpec, covariates, responses, weights=None) -> T
         raise ValueError("training set is empty")
     if not np.isfinite(y).all():
         raise ValueError("responses must be finite")
+    with np.errstate(over="ignore"):
+        span = y.max() - y.min()
+    if not np.isfinite(span):
+        raise ValueError("the span of the responses overflows the float range")
     if weights is None:
         w = np.ones_like(y)
     else:
@@ -76,6 +80,10 @@ def make_training_set(spec: OrderSpec, covariates, responses, weights=None) -> T
             raise ValueError("weights must match responses in length")
         if not np.isfinite(w).all() or np.any(w <= 0):
             raise ValueError("weights must be finite and strictly positive")
+        with np.errstate(over="ignore"):
+            total = w.sum()
+        if not np.isfinite(total):
+            raise ValueError("the sum of the weights overflows the float range")
     dag = build_order_dag(spec, x)
     return TrainingSet(dag, dag.membership, y, w, x)
 

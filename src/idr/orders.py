@@ -213,6 +213,8 @@ class OrderDag:
 
     Nodes are the distinct canonical keys, sorted lexicographically; as
     rows of ``cmp_matrix`` (total keys unchanged) their order is componentwise.
+    ``index`` maps each key to its node id, as :func:`build_order_dag`
+    built it for ``membership``.
     ``reach[u, v]`` is True iff key_u is below-or-equal key_v (the
     diagonal is True); ``covers`` is the transitive reduction of the
     strict part.  On a chain, ``chain_positions`` gives each node's
@@ -224,13 +226,13 @@ class OrderDag:
 
     __slots__ = ("spec", "keys", "membership", "cmp_matrix", "chain_positions", "_index", "_reach", "_covers")
 
-    def __init__(self, spec, keys, membership, cmp_matrix, chain_positions):
+    def __init__(self, spec, keys, index, membership, cmp_matrix, chain_positions):
         self.spec = spec
         self.keys = keys
         self.membership = membership
         self.cmp_matrix = cmp_matrix
         self.chain_positions = chain_positions
-        self._index = {k: i for i, k in enumerate(keys)}
+        self._index = index
         self._reach = self._covers = None
         for a in (membership, cmp_matrix, chain_positions):
             if a is not None:
@@ -341,4 +343,4 @@ def build_order_dag(spec: OrderSpec, points, *, points_are_keys: bool = False) -
     order = np.lexsort(cmp_matrix.T[::-1])
     ranked = cmp_matrix[order]
     chain_positions = np.argsort(order) if np.all(ranked[:-1] <= ranked[1:]) else None
-    return OrderDag(spec, uniq, membership, cmp_matrix, chain_positions)
+    return OrderDag(spec, uniq, index, membership, cmp_matrix, chain_positions)

@@ -70,10 +70,20 @@ def crps_rows(thresholds, rows, ys) -> np.ndarray:
     Returns
     -------
     numpy.ndarray, shape (cases,)
+
+    Raises
+    ------
+    ValueError
+        When the outcomes and thresholds span more than the float range,
+        so that their differences would overflow.
     """
     z = np.asarray(thresholds, dtype=float)
     rows = np.asarray(rows, dtype=float)
     ys = np.asarray(ys, dtype=float)
+    with np.errstate(over="ignore"):
+        span = max(ys.max(), z[-1]) - min(ys.min(), z[0]) if ys.size else 0.0
+    if not np.isfinite(span):
+        raise ValueError("the span of the outcomes and thresholds overflows the float range")
     widths = np.diff(z)
     out = np.empty(ys.size)
     for lo in range(0, ys.size, _CRPS_CHUNK):

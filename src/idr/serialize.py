@@ -1,14 +1,20 @@
 """Versioned JSON persistence for fitted models.
 
 The layout is deliberately plain: order specification, node keys,
-thresholds, the CDF matrix and the pooled fallback distribution, all
+thresholds, the fitted CDFs and the pooled fallback distribution, all
 as JSON arrays.  Serialization is canonical (sorted keys, no spaces),
 so the same model always produces the same bytes.
+
+Format 2.0 stores each distinct CDF row once, as the threshold indices
+where it jumps and its values after those jumps, plus the row of every
+node; format 1.x stored the dense nodes x thresholds ``cdf_matrix``.
+Files are written as 2.0; both majors load.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -19,7 +25,10 @@ from .subagging import SubaggedModel
 
 __all__ = ["model_to_json", "model_from_json", "save_model", "load_model"]
 
-FORMAT_VERSION = "1.0"
+FORMAT_VERSION = "2.0"
+
+#: Format majors this module reads: 1.x carries a dense ``cdf_matrix``.
+_READABLE_MAJORS = ("1", "2")
 
 
 def _spec_payload(spec: OrderSpec) -> dict:
@@ -40,12 +49,30 @@ def _spec_from_payload(payload: dict) -> OrderSpec:
 
 
 def _model_payload(model: IdrModel) -> dict:
+    # distinct rows in lexicographic order, so the bytes are canonical;
+    # np.unique(axis=0) gives the same rows but sorts them ten times slower
+    cdf = model.cdf
+    order = np.lexsort(cdf.T[::-1])
+    ranked = cdf[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    rows = ranked[first]
+    del ranked
+    node_row = np.empty_like(order)
+    node_row[order] = np.cumsum(first) - 1
+    jumps = np.diff(rows, axis=1, prepend=0.0) > 0
+    row_of_jump, at = np.nonzero(jumps)
+    cuts = np.cumsum(np.count_nonzero(jumps, axis=1))[:-1]
     return {
         "type": "idr",
         "order_spec": _spec_payload(model.dag.spec),
         "node_keys": [list(key) for key in model.dag.keys],
         "thresholds": model.thresholds.tolist(),
-        "cdf_matrix": model.cdf.tolist(),
+        "cdf_rows": {
+            "jump_index": [a.tolist() for a in np.split(at, cuts)],
+            "jump_value": [a.tolist() for a in np.split(rows[row_of_jump, at], cuts)],
+        },
+        "node_row": node_row.tolist(),
         "climatology": {
             "jumps": model.climatology.jumps.tolist(),
             "cum": model.climatology.cum.tolist(),
@@ -53,7 +80,58 @@ def _model_payload(model: IdrModel) -> dict:
     }
 
 
-def _model_from_payload(payload: dict) -> IdrModel:
+def _flat_rows(rows, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """A JSON list of nonempty lists as (all entries, length of each)."""
+    if isinstance(rows, list) and rows and all(isinstance(r, list) and r for r in rows):
+        flat = np.array(list(chain.from_iterable(rows)))
+        if flat.ndim == 1:
+            return flat, np.array([len(r) for r in rows])
+    raise ValueError(f"cdf_rows {what} must be a nonempty list of nonempty lists of numbers")
+
+
+def _cdf_from_rows(payload: dict, n_nodes: int, m: int) -> np.ndarray:
+    """Rebuild the dense nodes x thresholds CDF of a 2.x member."""
+    table = payload["cdf_rows"]
+    if not isinstance(table, dict):
+        raise ValueError("cdf_rows must be an object")
+    at, counts = _flat_rows(table["jump_index"], "jump_index")
+    values, value_counts = _flat_rows(table["jump_value"], "jump_value")
+    if not np.array_equal(counts, value_counts):
+        raise ValueError("cdf_rows needs one jump_value per jump_index, row by row")
+    ends = np.cumsum(counts) - 1
+    inner = np.ones(at.size - 1, dtype=bool)  # consecutive entries of one row
+    inner[ends[:-1]] = False
+    if not (at.dtype.kind in "iu" and at.min() >= 0 and at.max() < m
+            and np.all(np.diff(at)[inner] > 0)):
+        raise ValueError(f"cdf_rows jump_index rows must be strictly increasing integers in [0, {m})")
+    values = values.astype(float)
+    if not (np.isfinite(values).all() and values.min() > 0.0 and values.max() <= 1.0
+            and np.all(np.diff(values)[inner] > 0) and np.all(values[ends] == 1.0)):
+        raise ValueError("cdf_rows jump_value rows must be finite, strictly increasing in (0, 1] and end at 1")
+    node_row = np.asarray(payload["node_row"])
+    if not (node_row.shape == (n_nodes,) and node_row.dtype.kind in "iu"
+            and node_row.min() >= 0 and node_row.max() < counts.size):
+        raise ValueError(f"node_row must hold one row index in [0, {counts.size}) for each of the {n_nodes} nodes")
+    # rows are nondecreasing, so carrying each jump value forward rebuilds them exactly
+    rows = np.zeros((counts.size, m))
+    rows[np.repeat(np.arange(counts.size), counts), at] = values
+    np.maximum.accumulate(rows, axis=1, out=rows)
+    return rows[node_row]
+
+
+def _cdf_from_matrix(payload: dict, n_nodes: int, m: int) -> np.ndarray:
+    """The dense CDF of a 1.x member, checked."""
+    cdf = np.asarray(payload["cdf_matrix"], dtype=float)
+    if cdf.shape != (n_nodes, m):
+        raise ValueError(f"cdf_matrix has shape {cdf.shape}, not nodes x thresholds "
+                         f"({n_nodes}, {m})")
+    if not (np.isfinite(cdf).all() and cdf.min() >= 0.0 and cdf.max() <= 1.0
+            and np.all(cdf[:, 1:] >= cdf[:, :-1]) and np.all(cdf[:, -1] == 1.0)):
+        raise ValueError("every cdf_matrix row must be finite, within [0, 1], nondecreasing and end at 1")
+    return cdf
+
+
+def _model_from_payload(payload: dict, major: str) -> IdrModel:
     spec = _spec_from_payload(payload["order_spec"])
     keys = np.array(payload["node_keys"], dtype=float)
     if keys.ndim != 2:
@@ -66,13 +144,8 @@ def _model_from_payload(payload: dict) -> IdrModel:
     if (thresholds.ndim != 1 or thresholds.size == 0 or not np.isfinite(thresholds).all()
             or np.any(np.diff(thresholds) <= 0)):
         raise ValueError("thresholds must be finite and strictly increasing")
-    cdf = np.asarray(payload["cdf_matrix"], dtype=float)
-    if cdf.shape != (dag.n_nodes, thresholds.size):
-        raise ValueError(f"cdf_matrix has shape {cdf.shape}, not nodes x thresholds "
-                         f"({dag.n_nodes}, {thresholds.size})")
-    if not (np.isfinite(cdf).all() and cdf.min() >= 0.0 and cdf.max() <= 1.0
-            and np.all(cdf[:, 1:] >= cdf[:, :-1]) and np.all(cdf[:, -1] == 1.0)):
-        raise ValueError("every cdf_matrix row must be finite, within [0, 1], nondecreasing and end at 1")
+    rebuild = _cdf_from_matrix if major == "1" else _cdf_from_rows
+    cdf = rebuild(payload, dag.n_nodes, thresholds.size)
     clim = payload["climatology"]
     return IdrModel(
         thresholds,
@@ -100,26 +173,28 @@ def model_to_json(model) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def _check_version(payload: dict):
+def _format_major(payload: dict) -> str:
     version = payload.get("version")
     if not isinstance(version, str) or "." not in version:
         raise ValueError("model file lacks a valid version field")
     major = version.split(".", 1)[0]
-    if major != FORMAT_VERSION.split(".", 1)[0]:
+    if major not in _READABLE_MAJORS:
         raise ValueError(f"unsupported model format version {version!r}")
+    return major
 
 
 def model_from_json(text: str):
-    """Rebuild a model from :func:`model_to_json` output."""
+    """Rebuild a model from :func:`model_to_json` output of any readable
+    format version."""
     payload = json.loads(text)
     if not isinstance(payload, dict):
         raise ValueError("model file must contain a JSON object")
-    _check_version(payload)
+    major = _format_major(payload)
     kind = payload.get("type")
     if kind == "idr":
-        return _model_from_payload(payload)
+        return _model_from_payload(payload, major)
     if kind == "subagged":
-        members = tuple(_model_from_payload(m) for m in payload["members"])
+        members = tuple(_model_from_payload(m, major) for m in payload["members"])
         return SubaggedModel(
             members,
             int(payload["subsample_size"]),

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from idr import load_model
 from idr.cli import EXIT_IO, EXIT_PARSE, EXIT_VALIDATION, main
 
 runner = CliRunner()
@@ -57,10 +58,15 @@ def test_fit_worked_chain(chain_files):
     assert "edges=2" in res.output
     assert "mean_crps=" in res.output
     doc = json.loads(model.read_text())
-    assert doc["version"] == "1.0"
+    assert doc["version"] == "2.0"
     assert doc["thresholds"] == [1.0, 2.0, 3.0]
+    # the two distinct rows, lowest first, each as its jumps
+    assert doc["cdf_rows"]["jump_index"] == [[1, 2], [0, 1, 2]]
+    assert np.allclose(doc["cdf_rows"]["jump_value"][0], [2 / 3, 1.0], atol=1e-15)
+    assert np.allclose(doc["cdf_rows"]["jump_value"][1], [0.5, 2 / 3, 1.0], atol=1e-15)
+    assert doc["node_row"] == [1, 1, 0]
     want = [[0.5, 2 / 3, 1.0], [0.5, 2 / 3, 1.0], [0.0, 2 / 3, 1.0]]
-    assert np.allclose(doc["cdf_matrix"], want, atol=1e-15)
+    assert np.allclose(load_model(model).cdf, want, atol=1e-15)
 
 
 def test_simulate_is_deterministic(tmp_path):
@@ -263,6 +269,59 @@ def test_true_gamma_rejects_covariates_outside_its_support(tmp_path):
         assert "nan" not in res.output
 
 
+def test_true_gamma_without_scipy_names_the_extra(tmp_path, monkeypatch):
+    """scipy is optional: without it --true-gamma exits 2, and a fitted
+    model still goes through fit, predict and score."""
+    sim = tmp_path / "sim.csv"
+    assert invoke("simulate", "--n", 50, "--seed", 3, "--out", sim).exit_code == 0
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    res = invoke("score", "--true-gamma", "--data", sim, "--response", "y", "--out", tmp_path / "s.csv")
+    assert res.exit_code == EXIT_PARSE, all_output(res)
+    assert "scipy" in all_output(res) and "'gamma' extra" in all_output(res)
+    assert not (tmp_path / "s.csv").exists()
+    model = tmp_path / "m.json"
+    for args in (("fit", "--data", sim, "--response", "y", "--order", "x:total", "--out", model),
+                 ("predict", "--model", model, "--data", sim, "--out", tmp_path / "p.csv"),
+                 ("score", "--model", model, "--data", sim, "--response", "y", "--out", tmp_path / "s.csv")):
+        res = invoke(*args)
+        assert res.exit_code == 0, all_output(res)
+
+
+def test_fit_and_score_reject_a_response_span_that_overflows(tmp_path):
+    """Finite responses of -1e308 and 1e308 are 2e308 apart; the CRPS
+    of such a table cannot be computed in floats."""
+    wide = tmp_path / "wide.csv"
+    write_csv(wide, ["x", "y"], [[1.0, -1e308], [2.0, 1e308], [3.0, 0.0]])
+    res = invoke("fit", "--data", wide, "--response", "y", "--order", "x:total", "--out", tmp_path / "m.json")
+    assert res.exit_code == EXIT_VALIDATION, all_output(res)
+    assert "span of the responses" in all_output(res)
+    assert not (tmp_path / "m.json").exists()
+
+    # outcomes that overflow on their own, and outcomes that overflow only
+    # against a model grid near the top of the float range
+    for train_ys, test_ys in (((1.0, 2.0, 1.5), (-1e308, 1e308, 0.0)),
+                              ((5e307, 1e308, 9e307), (-1e308, -1e308, -1e308))):
+        train, test, model = tmp_path / "train.csv", tmp_path / "test.csv", tmp_path / "ok.json"
+        write_csv(train, ["x", "y"], [[i + 1.0, y] for i, y in enumerate(train_ys)])
+        write_csv(test, ["x", "y"], [[i + 1.0, y] for i, y in enumerate(test_ys)])
+        res = invoke("fit", "--data", train, "--response", "y", "--order", "x:total", "--out", model)
+        assert res.exit_code == 0, all_output(res)
+        res = invoke("score", "--model", model, "--data", test, "--response", "y", "--out", tmp_path / "s.csv")
+        assert res.exit_code == EXIT_VALIDATION, (test_ys, all_output(res))
+        assert "span of the outcomes" in all_output(res)
+        assert not (tmp_path / "s.csv").exists()
+
+
+def test_fit_rejects_weights_whose_sum_overflows(tmp_path):
+    data = tmp_path / "heavy.csv"
+    write_csv(data, ["x", "y", "w"], [[1.0, 1.0, 1e308], [2.0, 2.0, 1e308], [3.0, 3.0, 1.0]])
+    res = invoke("fit", "--data", data, "--response", "y", "--order", "x:total", "--weight", "w",
+                 "--out", tmp_path / "m.json")
+    assert res.exit_code == EXIT_VALIDATION, all_output(res)
+    assert "sum of the weights" in all_output(res)
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_pit_histogram_of_true_model_is_flat(tmp_path):
     sim = tmp_path / "sim.csv"
     invoke("simulate", "--n", 10_000, "--seed", 21, "--out", sim)
@@ -336,15 +395,18 @@ def test_empty_data_is_a_validation_error(tmp_path):
 
 def test_malformed_model_file_is_a_validation_error(tmp_path):
     golden = Path(__file__).resolve().parent / "golden"
-    doc = json.loads((golden / "cw_model.json").read_text())
-    doc["cdf_matrix"].pop()
-    model = tmp_path / "short.json"
-    model.write_text(json.dumps(doc))
-    res = invoke("predict", "--model", model, "--data", golden / "cw_test.csv",
-                 "--quantiles", "0.5", "--out", tmp_path / "p.csv")
-    assert res.exit_code == EXIT_VALIDATION, all_output(res)
-    assert "cdf_matrix" in all_output(res)
-    assert not (tmp_path / "p.csv").exists()
+    v1 = json.loads((golden / "v1" / "cw_model.json").read_text())
+    v1["cdf_matrix"].pop()
+    v2 = json.loads((golden / "cw_model.json").read_text())
+    v2["node_row"].pop()
+    for doc, field in ((v1, "cdf_matrix"), (v2, "node_row")):
+        model = tmp_path / "short.json"
+        model.write_text(json.dumps(doc))
+        res = invoke("predict", "--model", model, "--data", golden / "cw_test.csv",
+                     "--quantiles", "0.5", "--out", tmp_path / "p.csv")
+        assert res.exit_code == EXIT_VALIDATION, all_output(res)
+        assert field in all_output(res)
+        assert not (tmp_path / "p.csv").exists()
 
 
 def test_malformed_rows_report_line_numbers(tmp_path):

@@ -196,3 +196,8 @@ def test_make_training_set_validation():
         make_training_set(TOTAL1, [1.0], [np.nan])
     with pytest.raises(ValueError):
         make_training_set(TOTAL1, [1.0, 2.0], [1.0, 2.0], weights=[1.0, 0.0])
+    # finite values whose span or sum is not
+    with pytest.raises(ValueError, match="span of the responses"):
+        make_training_set(TOTAL1, [1.0, 2.0, 3.0], [-1e308, 1e308, 0.0])
+    with pytest.raises(ValueError, match="sum of the weights"):
+        make_training_set(TOTAL1, [1.0, 2.0, 3.0], [1.0, 2.0, 3.0], weights=[1e308, 1e308, 1.0])

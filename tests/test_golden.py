@@ -2,11 +2,14 @@
 
 The inputs and outputs under ``tests/golden/`` were written by the
 command line as it stood before prediction and scoring moved onto one
-batch path.  Every command below must reproduce each file it writes,
-and its stdout, exactly.  ``python tests/test_golden.py`` rewrites the
+batch path; the three ``*_model.json`` files were rewritten when the
+model format moved to 2.0, and ``v1/`` keeps them as 1.0 wrote them.
+Every command below must reproduce each file it writes, and its
+stdout, exactly.  ``python tests/test_golden.py`` rewrites the
 golden files; do that only for a change meant to alter the output.
 """
 
+import json
 import os
 import shutil
 from pathlib import Path
@@ -74,6 +77,26 @@ def test_cli_output_matches_golden_files(tmp_path):
     stdout = run_all(tmp_path)
     assert stdout == (GOLDEN / "stdout.txt").read_text(encoding="utf-8")
     for _, outputs in COMMANDS:
+        for name in outputs:
+            assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+def test_format_1_models_reproduce_the_golden_outputs(tmp_path):
+    """``golden/v1/`` keeps the model files as format 1.0 wrote them;
+    predict, score and reliability on those copies still write every
+    golden file and stdout line."""
+    for name in INPUTS:
+        shutil.copy(GOLDEN / name, tmp_path / name)
+    for name in ("chain_model.json", "cw_model.json", "icx_model.json"):
+        doc = json.loads((GOLDEN / "v1" / name).read_text(encoding="utf-8"))
+        assert doc["version"] == "1.0" and ("cdf_matrix" in doc or "cdf_matrix" in doc["members"][0])
+        shutil.copy(GOLDEN / "v1" / name, tmp_path / name)
+    commands = [c for c in COMMANDS if "--model " in c[0]]
+    assert {c[0].split()[0] for c in commands} == {"predict", "score", "reliability"}
+    blocks = (GOLDEN / "stdout.txt").read_text(encoding="utf-8").split("$ idr ")[1:]
+    want = {block.split("\n", 1)[0]: "$ idr " + block for block in blocks}
+    assert run_all(tmp_path, commands) == "".join(want[line] for line, _ in commands)
+    for _, outputs in commands:
         for name in outputs:
             assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 

@@ -62,6 +62,11 @@ def test_crps_rows_matches_scalar_crps():
     batch = crps_rows(thresholds, rows, ys)
     for r, y, s in zip(rows, ys, batch):
         assert s == pytest.approx(crps(StepCdf(thresholds, r), y), abs=1e-12)
+    # outcomes or thresholds further apart than the float range
+    with pytest.raises(ValueError, match="overflows"):
+        crps_rows(thresholds, rows[:2], [-1e308, 1e308])
+    with pytest.raises(ValueError, match="overflows"):
+        crps_rows([0.0, 1e308], [[0.5, 1.0]], [-1e308])
 
 
 def test_crps_propriety_spot_check():

@@ -5,10 +5,12 @@ import pytest
 
 from idr import (
     COMPONENTWISE,
+    EMPIRICAL_ICX,
     TOTAL,
     OrderGroup,
     OrderSpec,
     SubaggedModel,
+    fit_even_odd,
     fit_idr,
     fit_subagged,
     load_model,
@@ -72,6 +74,52 @@ def test_subagged_round_trip():
         assert a.provenance is b.provenance
 
 
+def _random_fit(kind, seed):
+    """A seeded fit of one order shape, with tied responses and weights."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 60))
+    y = np.round(rng.gamma(2.0, 2.0, size=n), int(rng.integers(0, 3)))
+    w = rng.choice([1.0, 0.5, 3.0], size=n) if seed % 2 else None
+    if kind == "chain":
+        x, spec = rng.uniform(0, 10, size=n), TOTAL1
+    elif kind == "componentwise":
+        x = rng.integers(0, 6, size=(n, 2)).astype(float)
+        spec = OrderSpec((OrderGroup((0, 1), COMPONENTWISE),))
+    else:
+        x = rng.normal(size=(n, 4))
+        spec = OrderSpec((OrderGroup((0,), TOTAL), OrderGroup((1, 2, 3), EMPIRICAL_ICX)))
+    training = make_training_set(spec, x, y, w)
+    if kind == "subagged":
+        return fit_subagged(training, 3, max(1, n // 2), seed) if n > 1 else fit_idr(training)
+    if kind == "even_odd" and n > 1:
+        return fit_even_odd(training, seed)
+    return fit_idr(training)
+
+
+@pytest.mark.parametrize("kind", ["chain", "componentwise", "icx", "subagged", "even_odd"])
+def test_round_trip_rebuilds_the_cdf_bit_for_bit(kind):
+    for seed in range(25):
+        model = _random_fit(kind, seed)
+        clone = model_from_json(model_to_json(model))
+        pairs = zip(model.members, clone.members) if isinstance(model, SubaggedModel) else [(model, clone)]
+        for a, b in pairs:
+            assert a.cdf.shape == b.cdf.shape
+            assert np.array_equal(a.cdf.view(np.int64), b.cdf.view(np.int64)), (kind, seed)
+
+
+def test_distinct_rows_are_stored_once_in_lexicographic_order():
+    model, _ = small_model(4)
+    doc = json.loads(model_to_json(model))
+    want, inverse = np.unique(model.cdf, axis=0, return_inverse=True)
+    assert len(want) < model.n_nodes
+    assert doc["node_row"] == inverse.reshape(-1).tolist()
+    table = doc["cdf_rows"]
+    assert len(table["jump_index"]) == len(table["jump_value"]) == len(want)
+    for row, at, values in zip(want, table["jump_index"], table["jump_value"]):
+        assert at == np.flatnonzero(np.diff(row, prepend=0.0)).tolist()
+        assert values == row[at].tolist()
+
+
 def test_save_and_load_files(tmp_path):
     model, _ = small_model(11)
     path = tmp_path / "model.json"
@@ -80,25 +128,37 @@ def test_save_and_load_files(tmp_path):
     assert np.array_equal(clone.cdf, model.cdf)
     text = path.read_text()
     assert text.endswith("\n")
-    assert json.loads(text)["version"] == "1.0"
+    assert json.loads(text)["version"] == "2.0"
+
+
+def v1_document(model) -> dict:
+    """``model`` as a format 1.0 document, which stores the dense CDF."""
+    doc = json.loads(model_to_json(model))
+    del doc["cdf_rows"], doc["node_row"]
+    doc["cdf_matrix"] = model.cdf.tolist()
+    doc["version"] = "1.0"
+    return doc
 
 
 def test_rejects_other_major_versions():
     model, _ = small_model()
-    doc = json.loads(model_to_json(model))
-    doc["version"] = "2.0"
-    with pytest.raises(ValueError, match="version"):
-        model_from_json(json.dumps(doc))
-    # a newer minor of the same major still loads
-    doc["version"] = "1.9"
-    model_from_json(json.dumps(doc))
+    v1, v2 = v1_document(model), json.loads(model_to_json(model))
+    for doc in (v1, v2):
+        doc["version"] = "3.0"
+        with pytest.raises(ValueError, match="version"):
+            model_from_json(json.dumps(doc))
+    # every minor of a readable major loads, each through its own layout
+    for doc, versions in ((v1, ("1.0", "1.9")), (v2, ("2.0", "2.7"))):
+        for version in versions:
+            doc["version"] = version
+            assert np.array_equal(model_from_json(json.dumps(doc)).cdf, model.cdf)
 
 
 def test_rejects_shuffled_node_keys():
     model, _ = small_model()
     doc = json.loads(model_to_json(model))
     doc["node_keys"] = doc["node_keys"][::-1]
-    doc["cdf_matrix"] = doc["cdf_matrix"][::-1]
+    doc["node_row"] = doc["node_row"][::-1]
     with pytest.raises(ValueError, match="canonical"):
         model_from_json(json.dumps(doc))
 
@@ -133,14 +193,67 @@ MALFORMED = {
 }
 
 
+def _assert_rejected(doc):
+    """``doc`` fails to load, plain and as the member of a subagged file."""
+    with pytest.raises(ValueError):
+        model_from_json(json.dumps(doc))
+    sub = {"type": "subagged", "members": [doc], "subsample_size": 40, "seed": 1, "version": doc["version"]}
+    with pytest.raises(ValueError):
+        model_from_json(json.dumps(sub))
+
+
 @pytest.mark.parametrize("name", sorted(MALFORMED))
 def test_rejects_malformed_thresholds_and_cdf_matrix(name):
     model, _ = small_model()
-    doc = json.loads(model_to_json(model))
+    doc = v1_document(model)
+    model_from_json(json.dumps(doc))
     MALFORMED[name](doc)
-    with pytest.raises(ValueError):
-        model_from_json(json.dumps(doc))
-    # the same edit inside a subagged file is rejected too
-    sub = {"type": "subagged", "members": [doc], "subsample_size": 40, "seed": 1, "version": "1.0"}
-    with pytest.raises(ValueError):
-        model_from_json(json.dumps(sub))
+    _assert_rejected(doc)
+
+
+def _longest_row(doc) -> int:
+    """Index of a stored 2.0 row with the most jumps (at least two)."""
+    lengths = [len(r) for r in doc["cdf_rows"]["jump_index"]]
+    assert max(lengths) >= 2
+    return lengths.index(max(lengths))
+
+
+def _edit_jumps(field, edit):
+    def apply(doc):
+        row = doc["cdf_rows"][field][_longest_row(doc)]
+        edit(row, len(doc["thresholds"]))
+    return apply
+
+
+MALFORMED_V2 = {
+    "node_row_short": lambda doc: doc["node_row"].pop(),
+    "node_row_long": lambda doc: doc["node_row"].append(0),
+    "node_row_past_the_rows": lambda doc: doc["node_row"].__setitem__(0, len(doc["cdf_rows"]["jump_index"])),
+    "node_row_negative": lambda doc: doc["node_row"].__setitem__(0, -1),
+    "node_row_not_integer": lambda doc: doc["node_row"].__setitem__(0, 0.5),
+    "node_row_nested": lambda doc: doc.update(node_row=[[r] for r in doc["node_row"]]),
+    "jump_index_unsorted": _edit_jumps("jump_index", lambda row, m: row.reverse()),
+    "jump_index_repeated": _edit_jumps("jump_index", lambda row, m: row.__setitem__(1, row[0])),
+    "jump_index_at_m": _edit_jumps("jump_index", lambda row, m: row.__setitem__(-1, m)),
+    "jump_index_negative": _edit_jumps("jump_index", lambda row, m: row.__setitem__(0, -1)),
+    "jump_index_not_integer": _edit_jumps("jump_index", lambda row, m: row.__setitem__(0, float(row[0]))),
+    "jump_value_not_increasing": _edit_jumps("jump_value", lambda row, m: row.__setitem__(0, row[1])),
+    "jump_value_decreasing": _edit_jumps("jump_value", lambda row, m: row.reverse()),
+    "jump_value_zero": _edit_jumps("jump_value", lambda row, m: row.__setitem__(0, 0.0)),
+    "jump_value_above_one": _edit_jumps("jump_value", lambda row, m: row.__setitem__(-1, 1.5)),
+    "jump_value_last_below_one": _edit_jumps("jump_value", lambda row, m: row.__setitem__(-1, 0.999)),
+    "jump_value_nan": _edit_jumps("jump_value", lambda row, m: row.__setitem__(0, float("nan"))),
+    "jump_value_infinite": _edit_jumps("jump_value", lambda row, m: row.__setitem__(0, float("inf"))),
+    "jump_value_one_short": _edit_jumps("jump_value", lambda row, m: row.pop(0)),
+    "row_without_jumps": lambda doc: [doc["cdf_rows"][f].__setitem__(0, []) for f in ("jump_index", "jump_value")],
+    "no_rows": lambda doc: doc.update(cdf_rows={"jump_index": [], "jump_value": []}),
+    "rows_not_lists": lambda doc: doc["cdf_rows"].update(jump_index=[0], jump_value=[1.0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_V2))
+def test_rejects_malformed_cdf_rows(name):
+    model, _ = small_model()
+    doc = json.loads(model_to_json(model))
+    MALFORMED_V2[name](doc)
+    _assert_rejected(doc)

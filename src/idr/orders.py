@@ -5,7 +5,8 @@ carries one relation (componentwise, empirical stochastic, empirical
 increasing convex, or total on a single column), and two vectors are
 ordered only if every group agrees.  Order-equivalent vectors share a
 canonical key, which replaces exchangeable groups by their order
-statistics; distinct keys become the nodes of an OrderDag.
+statistics; keys with equal comparison vectors become one node of an
+OrderDag.
 """
 
 from __future__ import annotations
@@ -211,10 +212,13 @@ def gini_mean_difference(x) -> float:
 class OrderDag:
     """Materialized comparability structure of a point set.
 
-    Nodes are the distinct canonical keys, sorted lexicographically; as
-    rows of ``cmp_matrix`` (total keys unchanged) their order is componentwise.
-    ``index`` maps each key to its node id, as :func:`build_order_dag`
-    built it for ``membership``.
+    Nodes are the order-equivalence classes of the canonical keys:
+    distinct keys with equal rows of ``cmp_matrix`` (icx keys whose tail
+    sums round alike) share one node, whose key in ``keys`` is the least
+    of them.  Nodes are sorted lexicographically by that key; as rows of
+    ``cmp_matrix`` (total keys unchanged) their order is componentwise.
+    ``index`` maps each key of the class to its node id, as
+    :func:`build_order_dag` built it for ``membership``.
     ``reach[u, v]`` is True iff key_u is below-or-equal key_v (the
     diagonal is True); ``covers`` is the transitive reduction of the
     strict part.  On a chain, ``chain_positions`` gives each node's
@@ -313,9 +317,10 @@ def _transitive_reduction(strict: np.ndarray) -> np.ndarray:
 def build_order_dag(spec: OrderSpec, points, *, points_are_keys: bool = False) -> OrderDag:
     """Build the comparability DAG of a point set.
 
-    Order-equivalent points collapse into a single node; ``membership``
-    maps each input row to its node.  Node order is lexicographic on
-    the canonical keys, which for a single total-order column is simply
+    Order-equivalent points collapse into a single node, also distinct
+    keys whose comparison vectors are equal; ``membership`` maps each
+    input row to its node.  Node order is lexicographic on the nodes'
+    canonical keys, which for a single total-order column is simply
     ascending covariate order.
 
     Parameters
@@ -333,14 +338,28 @@ def build_order_dag(spec: OrderSpec, points, *, points_are_keys: bool = False) -
     kspec = OrderSpec(spec.key_groups()) if points_are_keys else spec
     keys = list(map(tuple, _canonical_keys(kspec, rows).tolist()))
 
-    uniq = sorted(set(keys))
-    index = {k: i for i, k in enumerate(uniq)}
-    membership = np.array([index[k] for k in keys], dtype=np.intp)
-    kmat = np.array(uniq, dtype=float).reshape(len(uniq), -1)
+    distinct = sorted(set(keys))
+    kmat = np.array(distinct, dtype=float).reshape(len(distinct), -1)
     cmp_matrix = _comparison_matrix(spec.key_groups(), kmat)
-    # lexicographic order extends the componentwise one, so the nodes
-    # form a chain iff each row is <= the next once the rows are sorted
     order = np.lexsort(cmp_matrix.T[::-1])
     ranked = cmp_matrix[order]
+    starts = np.concatenate([[True], np.any(ranked[1:] != ranked[:-1], axis=1)])
+    node, uniq = np.arange(len(distinct)), distinct
+    if not starts.all():
+        # distinct icx keys whose tail sums round alike are order-equivalent:
+        # one node, named by the least key of the class, which the stable
+        # lexsort puts first
+        cls = np.empty_like(node)
+        cls[order] = np.cumsum(starts) - 1
+        reps = np.sort(order[starts])
+        node = np.searchsorted(reps, order[starts][cls])
+        uniq = [distinct[i] for i in reps]
+        cmp_matrix = cmp_matrix[reps]
+        order = np.lexsort(cmp_matrix.T[::-1])
+        ranked = cmp_matrix[order]
+    index = dict(zip(distinct, node.tolist()))
+    membership = np.array([index[k] for k in keys], dtype=np.intp)
+    # lexicographic order extends the componentwise one, so the nodes
+    # form a chain iff each row is <= the next once the rows are sorted
     chain_positions = np.argsort(order) if np.all(ranked[:-1] <= ranked[1:]) else None
     return OrderDag(spec, uniq, index, membership, cmp_matrix, chain_positions)

@@ -3,13 +3,27 @@
 :func:`antitonic_l2_fit` projects every threshold column of a fit with
 the solver for the order's shape.  On a chain it runs
 pool-adjacent-violators over all columns at once.  On a general partial
-order it splits each column recursively: a block is cut into the lower
+order it splits a block recursively: the block is cut into the lower
 set with the largest positive residual mass and the rest, until no
 lower set gains.  That lower set is a maximum-weight closure, found by
 a Dinic max-flow whose infinite edges are the block's cover edges only:
 every block is order-convex, so its covers close it like the full
-order.  Both return the unique projection onto the cone of vectors
-nonincreasing along the order.
+order.  The final blocks are the level sets of the fit.
+
+Neighbouring threshold columns differ in few nodes (one observation's
+indicator), so each poset column starts from the blocks of the one
+before.  Only the region of blocks that hold a changed node is solved
+again, on the cover edges inside it; the other blocks keep their data,
+their mean and the proof that no lower subset gains, so their values
+carry over bit for bit.  A block outside whose cover edge the new
+values break joins the region, which is solved again; once no edge is
+broken, the column is feasible and every block optimal, so it is the
+exact projection.  A level set can end cut between a new block and a
+kept one at (nearly) the same value; solving it as one block merges it
+and takes its mean afresh over its nodes in ascending order, as the
+recursion from scratch does.  The first column is the same loop with
+every node changed.  Both solvers return the unique projection onto the
+cone of vectors nonincreasing along the order.
 """
 
 from __future__ import annotations
@@ -190,6 +204,77 @@ def _best_lower_set(lower: np.ndarray, upper: np.ndarray, b: np.ndarray) -> tupl
     return pos - cut, np.array(level[:n]) >= 0
 
 
+def _split(idx, lower, upper, w, col, level, block):
+    """Fit ``col`` on the nodes ``idx`` (ascending) under the cover edges
+    ``lower[j]`` -> ``upper[j]``, numbered within ``idx``: cut a block
+    into its best lower set and the rest until no lower set gains more
+    than the tolerance.  Writes each final block's mean into ``level``
+    and its least node into ``block``."""
+    stack = [(idx, lower, upper)]
+    while stack:
+        idx, lo, hi = stack.pop()
+        ww = w[idx]
+        vv = col[idx]
+        mu = float((ww * vv).sum() / ww.sum())
+        if idx.size > 1:
+            b = ww * (vv - mu)
+            gain, mask = _best_lower_set(lo, hi, b)
+            if gain > 1e-12 * (1.0 + float(np.abs(b).sum())) and mask.any() and not mask.all():
+                # mask is a lower set: an edge stays inside iff its upper
+                # end is in it, and outside iff its lower end is not
+                rank = np.cumsum(mask)
+                for side, keep, local in ((mask, mask[hi], rank - 1), (~mask, ~mask[lo], np.arange(idx.size) - rank)):
+                    stack.append((idx[side], local[lo[keep]], local[hi[keep]]))
+                continue
+        level[idx] = mu
+        block[idx] = idx[0]
+
+
+def _within(nodes: np.ndarray, lower: np.ndarray, upper: np.ndarray):
+    """The nodes of a mask, and the cover edges with both ends among
+    them, numbered within them."""
+    rank = np.cumsum(nodes) - 1
+    inner = nodes[lower] & nodes[upper]
+    return np.flatnonzero(nodes), rank[lower[inner]], rank[upper[inner]]
+
+
+def _blocks_of(nodes, block: np.ndarray) -> np.ndarray:
+    """Mask of the blocks that hold any of ``nodes``."""
+    hit = np.zeros(block.size, dtype=bool)
+    hit[block[nodes]] = True
+    return hit[block]
+
+
+def _refit(region, col, w, lower, upper, level, block):
+    """Re-solve one column on the blocks in ``region``; the blocks outside
+    keep their values.
+
+    The region is solved on its own cover edges.  Where its new values
+    break a cover edge to a block outside, that block joins the region,
+    which is solved again.  Then each run of nearly equal values that
+    holds blocks from both sides, one level set cut apart, is solved as
+    one block: it stays one unless a cut gains.  The run is order-convex,
+    as any value between two of its values would be in it, and no value
+    outside it comes near, so this breaks no edge.
+    """
+    while True:
+        _split(*_within(region, lower, upper), w, col, level, block)
+        broken = (level[lower] < level[upper]) & (region[lower] != region[upper])
+        if not broken.any():
+            break
+        region |= _blocks_of(np.concatenate([lower[broken], upper[broken]]), block)
+    # far above the rounding of a block mean; whether a run is one level
+    # is then the recursion's call
+    near = 2.0 ** -30 * float(np.abs(col).max())
+    order = np.argsort(level, kind="stable")
+    run = np.concatenate([[0], np.cumsum(np.diff(level[order]) > near)])
+    inside = region[order]
+    for r in np.flatnonzero((np.bincount(run, inside) > 0) & (np.bincount(run, ~inside) > 0)):
+        group = np.zeros(level.size, dtype=bool)
+        group[order[run == r]] = True
+        _split(*_within(group, lower, upper), w, col, level, block)
+
+
 def antitonic_l2_fit(dag, values, weights=None) -> np.ndarray:
     """Exact weighted L2 projection onto the antitonic cone of a DAG.
 
@@ -197,12 +282,27 @@ def antitonic_l2_fit(dag, values, weights=None) -> np.ndarray:
     subject to eta_u >= eta_v whenever node u is below node v in ``dag``;
     the result is shaped like ``values``.
 
+    On a chain every column runs through one vectorised PAV.  On any
+    other order the columns are solved in turn, each starting from the
+    blocks (level sets) of the one before: only the blocks that hold a
+    node whose value changed are re-solved, by the recursive min-cut on
+    their own cover edges.  A block outside that the new values break a
+    cover edge to joins them and they are solved again, and a level set
+    left split between new and kept blocks is merged and its mean taken
+    afresh.  Kept blocks keep their data, mean and optimality, so every
+    column is the exact projection; the tests check it bit for bit
+    against solving each column from scratch.  The first column is
+    solved with every node changed.
+
     Parameters
     ----------
     dag : OrderDag
     values : array_like, shape (n_nodes,) or (n_nodes, n_columns)
     weights : array_like, shape (n_nodes,), optional
-        Strictly positive; unit weights when omitted.
+        Strictly positive; unit weights when omitted.  Only their ratios
+        matter: on a poset they are scaled by the power of two that puts
+        the largest in [1, 2), which is exact and frees the tolerances of
+        their scale.
     """
     n = dag.n_nodes
     v, w = _checked(values, weights, n)
@@ -210,28 +310,18 @@ def antitonic_l2_fit(dag, values, weights=None) -> np.ndarray:
     if dag.is_chain:
         return _pav_chain(cols, w, np.argsort(dag.chain_positions)).reshape(v.shape)
 
+    # the tolerances have an absolute floor: put the largest weight in [1, 2),
+    # by a power of two, which is exact
+    w = np.ldexp(w, 1 - np.frexp(w.max())[1])
     lower, upper = np.nonzero(dag.covers)
     out = np.empty_like(cols)
+    level = np.empty(n)  # the fit of the column before
+    block = np.zeros(n, dtype=np.intp)  # each node's block, named by its least node
+    changed = np.ones(n, dtype=bool)  # before the first column, every node
     for k in range(cols.shape[1]):
-        # blocks, each with its cover edges in block-local node numbers
-        stack = [(np.arange(n), lower, upper)]
-        while stack:
-            idx, lo, hi = stack.pop()
-            ww = w[idx]
-            vv = cols[idx, k]
-            mu = float((ww * vv).sum() / ww.sum())
-            if idx.size == 1:
-                out[idx, k] = mu
-                continue
-            b = ww * (vv - mu)
-            gain, mask = _best_lower_set(lo, hi, b)
-            tol = 1e-12 * (1.0 + float(np.abs(b).sum()))
-            if gain <= tol or not mask.any() or mask.all():
-                out[idx, k] = mu
-                continue
-            # mask is a lower set: an edge stays inside iff its upper end
-            # is in it, and outside iff its lower end is not
-            rank = np.cumsum(mask)
-            for side, keep, local in ((mask, mask[hi], rank - 1), (~mask, ~mask[lo], np.arange(idx.size) - rank)):
-                stack.append((idx[side], local[lo[keep]], local[hi[keep]]))
+        if k:
+            changed = cols[:, k] != cols[:, k - 1]
+        if changed.any():
+            _refit(_blocks_of(changed, block), cols[:, k], w, lower, upper, level, block)
+        out[:, k] = level
     return out.reshape(v.shape)

@@ -156,6 +156,8 @@ def strict_pair_antitonic(dag, values, weights=None) -> np.ndarray:
     n = dag.n_nodes
     v = np.asarray(values, dtype=float)
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
+    # the solver's exact power-of-two rescaling: the largest weight in [1, 2)
+    w = np.ldexp(w, 1 - np.frexp(w.max())[1])
     cols = v.reshape(n, -1)
     strict = dag.reach & ~np.eye(n, dtype=bool)
     out = np.empty_like(cols)

@@ -12,6 +12,7 @@ from idr import (
     TOTAL,
     OrderGroup,
     OrderSpec,
+    Provenance,
     Relation,
     build_order_dag,
     canonical_key,
@@ -401,6 +402,44 @@ def test_icx_chain_positions_follow_the_tail_sums():
     assert dag.keys == [(0.0, 10.0), (1.0, 2.0), (2.0, 5.0)]
     assert dag.is_chain and dag.chain_positions.tolist() == [2, 0, 1]
     assert dag.edges() == [(1, 2), (2, 0)]
+
+
+def test_icx_keys_with_equal_tail_sums_share_a_node():
+    """Distinct icx keys whose tail sums round alike are order-equivalent
+    (``compare`` calls them EQUAL): one node, one CDF row, and each key
+    predicts as a training point."""
+    spec = group_spec(2, EMPIRICAL_ICX)
+    pts = [(0.0, 1e16), (1.0, 1e16)]
+    assert compare(spec, *pts) is Relation.EQUAL
+    dag = build_order_dag(spec, pts)
+    assert dag.n_nodes == 1 and dag.keys == [(0.0, 1e16)] and dag.is_chain
+    assert dag.membership.tolist() == [0, 0]
+    assert dag.node_of_key((0.0, 1e16)) == dag.node_of_key((1.0, 1e16)) == 0
+    model = fit_idr(make_training_set(spec, pts, [0.0, 1.0]))
+    assert model.cdf.tolist() == [[0.5, 1.0]]
+    batch = predict_batch(model, np.array(pts))
+    assert batch.provenance == [Provenance.AT_TRAINING_POINT] * 2
+    assert batch.center.tolist() == [[0.5, 1.0]] * 2
+    # the class keeps its least key; a third, ordered key stays its own node
+    dag = build_order_dag(spec, [(1.0, 1e16), (5.0, 3e16), (0.0, 1e16)])
+    assert dag.keys == [(0.0, 1e16), (5.0, 3e16)] and dag.membership.tolist() == [0, 1, 0]
+    assert dag.edges() == [(0, 1)]
+    assert model_from_json(model_to_json(model)).dag.keys == [(0.0, 1e16)]
+    # many classes: two points share a node iff compare calls them EQUAL,
+    # and a node's key is the least key of its points
+    rng = np.random.default_rng(9)
+    spec = group_spec(3, EMPIRICAL_ICX)
+    for _ in range(20):
+        pts = rng.integers(0, 3, size=(12, 3)).astype(float)
+        pts[:, 0] += 1e16 * rng.integers(1, 3, size=12)
+        dag = build_order_dag(spec, pts)
+        node = dag.membership
+        for i in range(12):
+            same = [compare(spec, pts[i], pts[j]) is Relation.EQUAL for j in range(12)]
+            assert (node == node[i]).tolist() == same
+        keys = [canonical_key(spec, p) for p in pts]
+        assert dag.keys == [min(k for k, m in zip(keys, node) if m == i) for i in range(dag.n_nodes)]
+        assert all(dag.node_of_key(k) == m for k, m in zip(keys, node))
 
 
 def test_dag_of_a_single_node():

@@ -11,7 +11,10 @@ from idr import (
     OrderSpec,
     antitonic_l2_fit,
     build_order_dag,
+    fit_idr,
+    make_training_set,
     pav_antitonic,
+    solvers,
 )
 
 from idr.solvers import _PAV_BLOCK
@@ -151,25 +154,85 @@ def indicator_means(dag, y, w, thresholds):
 
 @pytest.mark.parametrize("kind", ["cw_ties", "cw_continuous", "icx", "total_icx"])
 def test_poset_fit_matches_strict_pair_reference(kind):
-    """The cover-edge solver equals the earlier strict-pair solver bit
-    for bit on random posets, on indicator-mean columns (row weights
-    unit, integer or float) and on random normal columns (node weights
-    unit, integer or float)."""
-    rng = np.random.default_rng(["cw_ties", "cw_continuous", "icx", "total_icx"].index(kind))
+    """The warm-started cover-edge solver equals the earlier strict-pair
+    solver, which solves every column from scratch, bit for bit on
+    random posets: on indicator-mean columns (row weights unit, integer
+    or float) at 8 quantiles, and, in one trial per kind, at every
+    distinct response, where neighbouring columns differ by one
+    observation; and on random normal columns (node weights unit,
+    integer or float)."""
+    index = ["cw_ties", "cw_continuous", "icx", "total_icx"].index(kind)
+    rng = np.random.default_rng(index)
     for trial in range(3):
         dag, y = random_poset(kind, rng)
         assert not dag.is_chain and dag.covers.any()
         n = dag.n_nodes
         weights = [np.ones(y.size), rng.integers(1, 5, size=y.size).astype(float),
                    rng.uniform(0.2, 3.0, size=y.size)][trial]
-        thresholds = np.quantile(y, np.linspace(0.05, 0.95, 8))
-        values, node_w = indicator_means(dag, y, weights, thresholds)
-        assert np.array_equal(antitonic_l2_fit(dag, values, node_w),
-                              strict_pair_antitonic(dag, values, node_w)), (kind, trial)
+        grids = [np.quantile(y, np.linspace(0.05, 0.95, 8))] + [np.unique(y)] * (trial == index % 3)
+        for thresholds in grids:
+            values, node_w = indicator_means(dag, y, weights, thresholds)
+            assert np.array_equal(antitonic_l2_fit(dag, values, node_w),
+                                  strict_pair_antitonic(dag, values, node_w)), (kind, trial, thresholds.size)
         w = [np.ones(n), rng.integers(1, 5, size=n).astype(float), rng.uniform(0.2, 3.0, size=n)][trial]
         values = rng.normal(size=(n, 3))
         assert np.array_equal(antitonic_l2_fit(dag, values, w), strict_pair_antitonic(dag, values, w))
         assert np.array_equal(antitonic_l2_fit(dag, values[:, 0], w), strict_pair_antitonic(dag, values[:, 0], w))
+
+
+def test_ties_across_carried_blocks_match_the_reference():
+    """Two incomparable nodes meet at one value c: the second column moves
+    one of them onto the other's value.  The warm start re-solves only
+    the moved node's block; under float weights each node's own mean can
+    differ from c by an ulp, while solving from scratch pools the two.
+    Moved to within 1e-12 of c they pool too; 1e-10 away they do not.
+    The fit must be the reference's, bit for bit, in every case."""
+    dag = build_order_dag(CW2, [(0, 0), (0, 1), (1, 0), (2, 2)])
+    assert dag.edges() == [(0, 1), (0, 2), (1, 3), (2, 3)]
+    rng = np.random.default_rng(5)
+    for draw in range(2000):
+        w = rng.uniform(0.2, 3.0, size=4)
+        c = rng.uniform(0.2, 0.8)
+        moved = c + [0.0, 0.0, 1e-12, -1e-12, 1e-10, -1e-10][draw % 6]
+        values = np.array([[1.0, 1.0], [rng.uniform(0.0, 0.2), moved], [c, c], [0.0, 0.0]])
+        assert np.array_equal(antitonic_l2_fit(dag, values, w), strict_pair_antitonic(dag, values, w)), draw
+
+
+def test_warm_start_cuts_fewer_blocks_than_solving_each_column_alone(monkeypatch):
+    """A 2-d componentwise ``fit_idr`` at n = 200, where every threshold
+    column differs from the one before by one observation, needs under
+    60% of the min-cuts that solving each column on its own needs, and
+    gives the same bits."""
+    rng = np.random.default_rng(4)
+    x = rng.uniform(0, 10, size=(200, 2))
+    y = x.mean(axis=1) + rng.normal(size=200)
+    training = make_training_set(CW2, x, y)
+    cuts = []
+    real = solvers._best_lower_set
+    monkeypatch.setattr(solvers, "_best_lower_set", lambda *args: cuts.append(1) or real(*args))
+    warm = fit_idr(training).cdf
+    n_warm = len(cuts)
+    values, node_w = indicator_means(training.dag, y, training.weights, np.unique(y))
+    cold = np.column_stack([antitonic_l2_fit(training.dag, col, node_w) for col in values.T])
+    n_cold = len(cuts) - n_warm
+    assert np.array_equal(warm, np.maximum.accumulate(np.clip(cold, 0.0, 1.0), axis=1))
+    assert 0 < n_warm < 0.6 * n_cold, (n_warm, n_cold)
+
+
+def test_poset_fit_is_free_of_the_weight_scale():
+    """A 40-row 2-d componentwise fit with integer weights 1-4 gives the
+    same CDFs when every weight is multiplied by a tiny or a huge
+    factor: bit for bit when the factor is a power of two."""
+    rng = np.random.default_rng(3)
+    x = rng.integers(0, 5, size=(40, 2)).astype(float)
+    y = x.sum(axis=1) + rng.integers(0, 4, size=40)
+    w = rng.integers(1, 5, size=40).astype(float)
+    base = fit_idr(make_training_set(CW2, x, y, w)).cdf
+    for scale in (1e-13, 1e-20, 1e-300, 1e-10, 1e300):
+        cdf = fit_idr(make_training_set(CW2, x, y, w * scale)).cdf
+        assert np.allclose(cdf, base, rtol=0, atol=1e-12), scale
+    for scale in (2.0**-60, 2.0**-990, 2.0**40, 2.0**990):
+        assert np.array_equal(fit_idr(make_training_set(CW2, x, y, w * scale)).cdf, base), scale
 
 
 def test_poset_taller_than_the_recursion_limit():

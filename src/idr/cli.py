@@ -329,7 +329,7 @@ def fit(data_path, response, order_text, weight_col, out_path, subagg_count, sub
     scores = crps_rows(*_model_grid_and_rows(model, training.covariates), training.responses)
     mean_crps = float(np.average(scores, weights=training.weights))
     dag = training.dag
-    click.echo(f"n={training.n} nodes={dag.n_nodes} edges={np.count_nonzero(dag.covers)} mean_crps={mean_crps!r}")
+    click.echo(f"n={training.n} nodes={dag.n_nodes} edges={len(dag.edges())} mean_crps={mean_crps!r}")
 
 
 @main.command()

@@ -32,10 +32,13 @@ class TrainingSet:
     """
 
     dag: OrderDag
-    node_ids: np.ndarray
     responses: np.ndarray
     weights: np.ndarray
     covariates: np.ndarray
+
+    @property
+    def node_ids(self) -> np.ndarray:
+        return self.dag.membership
 
     @property
     def n(self) -> int:
@@ -84,8 +87,7 @@ def make_training_set(spec: OrderSpec, covariates, responses, weights=None) -> T
             total = w.sum()
         if not np.isfinite(total):
             raise ValueError("the sum of the weights overflows the float range")
-    dag = build_order_dag(spec, x)
-    return TrainingSet(dag, dag.membership, y, w, x)
+    return TrainingSet(build_order_dag(spec, x), y, w, x)
 
 
 class IdrModel:

@@ -161,31 +161,22 @@ def _comparison_matrix(groups: tuple[OrderGroup, ...], rows: np.ndarray) -> np.n
 def compare(spec: OrderSpec, u, v) -> Relation:
     """Compare two covariate vectors under the spec.
 
-    Returns ``Relation.EQUAL`` when the canonical keys coincide,
+    Returns ``Relation.EQUAL`` when each is below-or-equal the other,
     ``LESS``/``GREATER`` for strict order, ``INCOMPARABLE`` otherwise.
     """
     au = np.asarray(u, dtype=float)
     av = np.asarray(v, dtype=float)
     if au.shape != av.shape:
         raise ValueError(f"cannot compare vectors of shapes {au.shape} and {av.shape}")
-    ku = np.array(canonical_key(spec, au))
-    kv = np.array(canonical_key(spec, av))
-    if np.array_equal(ku, kv):
-        return Relation.EQUAL
-    groups = spec.key_groups()
-    cu = _comparison_matrix(groups, ku[None, :])[0]
-    cv = _comparison_matrix(groups, kv[None, :])[0]
-    le = bool(np.all(cu <= cv))
-    ge = bool(np.all(cu >= cv))
-    if le and not ge:
-        return Relation.LESS
-    if ge and not le:
-        return Relation.GREATER
+    keys = np.array([canonical_key(spec, au), canonical_key(spec, av)])
+    cu, cv = _comparison_matrix(spec.key_groups(), keys)
+    le, ge = bool(np.all(cu <= cv)), bool(np.all(cu >= cv))
     if le and ge:
-        # identical comparison vectors but distinct keys can only happen
-        # for componentwise/total groups, where key equality would have
-        # caught it; kept as a guard.
         return Relation.EQUAL
+    if le:
+        return Relation.LESS
+    if ge:
+        return Relation.GREATER
     return Relation.INCOMPARABLE
 
 
@@ -217,8 +208,6 @@ class OrderDag:
     sums round alike) share one node, whose key in ``keys`` is the least
     of them.  Nodes are sorted lexicographically by that key; as rows of
     ``cmp_matrix`` (total keys unchanged) their order is componentwise.
-    ``index`` maps each key of the class to its node id, as
-    :func:`build_order_dag` built it for ``membership``.
     ``reach[u, v]`` is True iff key_u is below-or-equal key_v (the
     diagonal is True); ``covers`` is the transitive reduction of the
     strict part.  On a chain, ``chain_positions`` gives each node's
@@ -228,15 +217,14 @@ class OrderDag:
     never holds an n x n matrix.
     """
 
-    __slots__ = ("spec", "keys", "membership", "cmp_matrix", "chain_positions", "_index", "_reach", "_covers")
+    __slots__ = ("spec", "keys", "membership", "cmp_matrix", "chain_positions", "_reach", "_covers")
 
-    def __init__(self, spec, keys, index, membership, cmp_matrix, chain_positions):
+    def __init__(self, spec, keys, membership, cmp_matrix, chain_positions):
         self.spec = spec
         self.keys = keys
         self.membership = membership
         self.cmp_matrix = cmp_matrix
         self.chain_positions = chain_positions
-        self._index = index
         self._reach = self._covers = None
         for a in (membership, cmp_matrix, chain_positions):
             if a is not None:
@@ -265,24 +253,24 @@ class OrderDag:
         if self._covers is None:
             n = self.n_nodes
             if self.is_chain:
-                # each node is covered by the next one along the chain
                 covers = np.zeros((n, n), dtype=bool)
-                order = np.argsort(self.chain_positions)
-                covers[order[:-1], order[1:]] = True
+                covers[self._chain_covers()] = True
             else:
                 covers = _transitive_reduction(self.reach & ~np.eye(n, dtype=bool))
             covers.setflags(write=False)
             self._covers = covers
         return self._covers
 
-    def edges(self) -> list[tuple[int, int]]:
-        """Covering edges as (lower node, upper node) pairs."""
-        us, vs = np.nonzero(self.covers)
-        return list(zip(us.tolist(), vs.tolist()))
+    def _chain_covers(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lower, upper) arrays of a chain's covering edges, by lower node."""
+        pos = self.chain_positions
+        lower = np.flatnonzero(pos < pos.size - 1)
+        return lower, np.argsort(pos)[pos[lower] + 1]
 
-    def node_of_key(self, key: tuple[float, ...]) -> int:
-        """Node id of an exact canonical key, or -1."""
-        return self._index.get(tuple(key), -1)
+    def edges(self) -> list[tuple[int, int]]:
+        """Covering edges as sorted (lower node, upper node) pairs."""
+        us, vs = self._chain_covers() if self.is_chain else np.nonzero(self.covers)
+        return list(zip(us.tolist(), vs.tolist()))
 
     def query_masks(self, keys) -> tuple[np.ndarray, np.ndarray]:
         """(cases, nodes) masks of the nodes below-or-equal and
@@ -293,6 +281,15 @@ class OrderDag:
         q = _comparison_matrix(self.spec.key_groups(), np.asarray(keys, dtype=float))
         # node <= query is -query <= -node; negation is exact
         return _all_leq(-q, -self.cmp_matrix), _all_leq(q, self.cmp_matrix)
+
+    def query_neighbors(self, keys) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per row of canonical ``keys``: whether it is order-equivalent
+        to a node, and (cases, nodes) masks of the maximal nodes below it
+        and the minimal nodes above it; at a node both hold it alone."""
+        below, above = self.query_masks(keys)
+        strict = (self.reach & ~np.eye(self.n_nodes, dtype=bool)).astype(np.float32)
+        pred = _unreached(below.astype(np.float32), strict.T)
+        return (below & above).any(axis=1), pred, _unreached(above.astype(np.float32), strict)
 
 
 def _all_leq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -305,13 +302,20 @@ def _all_leq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _unreached(mask: np.ndarray, strict: np.ndarray) -> np.ndarray:
+    """out[i, v] iff mask[i, v] and no u with mask[i, u] has strict[u, v],
+    for 0/1 float32 matrices.  The product sums 0/1 terms, so in float32
+    (BLAS) it is positive exactly when such a u exists; an 8-bit integer
+    product would wrap at 256."""
+    reached = (mask @ strict) > 0
+    return (mask > 0) & ~reached
+
+
 def _transitive_reduction(strict: np.ndarray) -> np.ndarray:
     # strict is transitively closed, so u covers v iff there is no
-    # two-step path u -> w -> v.  The path counts are sums of 0/1 terms,
-    # so a float32 product (BLAS) is positive exactly when a path
-    # exists; an 8-bit integer product would wrap at 256.
+    # two-step path u -> w -> v
     as_float = strict.astype(np.float32)
-    return strict & ~((as_float @ as_float) > 0)
+    return _unreached(as_float, as_float)
 
 
 def build_order_dag(spec: OrderSpec, points, *, points_are_keys: bool = False) -> OrderDag:
@@ -362,4 +366,4 @@ def build_order_dag(spec: OrderSpec, points, *, points_are_keys: bool = False) -
     # lexicographic order extends the componentwise one, so the nodes
     # form a chain iff each row is <= the next once the rows are sorted
     chain_positions = np.argsort(order) if np.all(ranked[:-1] <= ranked[1:]) else None
-    return OrderDag(spec, uniq, index, membership, cmp_matrix, chain_positions)
+    return OrderDag(spec, uniq, membership, cmp_matrix, chain_positions)

@@ -1,6 +1,6 @@
 """Prediction at arbitrary covariate values from a fitted model.
 
-A query that matches a training key reproduces that node's fitted CDF.
+A query order-equivalent to a training point reproduces its fitted CDF.
 Otherwise the fitted CDFs of the direct predecessors give an upper
 bound and those of the direct successors a lower bound; the prediction
 averages the two, falls back to the available bound when only one side
@@ -124,33 +124,23 @@ class PredictionBatch:
 
 
 def _neighbors(model: IdrModel, x: np.ndarray):
-    """Per query row: its node when it is at a training key (-1
-    otherwise), and (cases, nodes) masks of the maximal nodes below it
-    and the minimal nodes above it."""
-    dag = model.dag
-    keys = _canonical_keys(model.spec, x)
-    node = np.array([dag.node_of_key(k) for k in keys.tolist()], dtype=np.intp)
-    below, above = dag.query_masks(keys)
-    # counts of 0/1 terms, exact in float32
-    strict = (dag.reach & ~np.eye(dag.n_nodes, dtype=bool)).astype(np.float32)
-    pred = below & ~((below.astype(np.float32) @ strict.T) > 0)
-    succ = above & ~((above.astype(np.float32) @ strict) > 0)
-    return node, pred, succ
+    """See :meth:`OrderDag.query_neighbors`."""
+    return model.dag.query_neighbors(_canonical_keys(model.spec, x))
 
 
 def direct_predecessors(model: IdrModel, x) -> list[int]:
     """Nodes whose keys lie at-or-below ``x`` with nothing between.
 
-    A query equal to a training key returns exactly that node.
+    A query at a training point returns exactly that node.
     """
-    node, pred, _ = _neighbors(model, _one_row(x))
-    return [int(node[0])] if node[0] >= 0 else np.nonzero(pred[0])[0].tolist()
+    _, pred, _ = _neighbors(model, _one_row(x))
+    return np.nonzero(pred[0])[0].tolist()
 
 
 def direct_successors(model: IdrModel, x) -> list[int]:
     """Nodes whose keys lie at-or-above ``x`` with nothing between."""
-    node, _, succ = _neighbors(model, _one_row(x))
-    return [int(node[0])] if node[0] >= 0 else np.nonzero(succ[0])[0].tolist()
+    _, _, succ = _neighbors(model, _one_row(x))
+    return np.nonzero(succ[0])[0].tolist()
 
 
 def _chain_neighbors(model: IdrModel, x: np.ndarray):
@@ -172,7 +162,7 @@ def _chain_neighbors(model: IdrModel, x: np.ndarray):
 
 def _bound_rows(model: IdrModel, x: np.ndarray):
     """Lower and upper bound rows (NaN where a side is empty) and the
-    mask of queries at a training key."""
+    mask of queries at a training point."""
     cdf = model.cdf
     chain = _chain_neighbors(model, x)
     if chain is not None:
@@ -182,11 +172,9 @@ def _bound_rows(model: IdrModel, x: np.ndarray):
         upper[below < 0] = np.nan
         lower[above == cdf.shape[0]] = np.nan
         return lower, upper, below == above
-    node, pred, succ = _neighbors(model, x)
-    exact = node >= 0
-    lower, upper = _reduce_rows(np.maximum, cdf, succ), _reduce_rows(np.minimum, cdf, pred)
-    lower[exact] = upper[exact] = cdf[node[exact]]
-    return lower, upper, exact
+    # at a training point both masks hold its node alone, so both bounds are its row
+    exact, pred, succ = _neighbors(model, x)
+    return _reduce_rows(np.maximum, cdf, succ), _reduce_rows(np.minimum, cdf, pred), exact
 
 
 def _reduce_rows(ufunc, cdf: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -242,7 +230,7 @@ def predict_batch(model: IdrModel, covariates, interpolate: bool = False) -> Pre
         return _interpolated(model, x)
     lower, upper, exact = _bound_rows(model, x)
     has_lower, has_upper = ~np.isnan(lower[:, 0]), ~np.isnan(upper[:, 0])
-    # at a training key both bounds are the node's row, and x + x halves to x exactly
+    # at a training point both bounds are the node's row, and x + x halves to x exactly
     center = 0.5 * (lower + upper)
     center[~has_upper] = lower[~has_upper]
     center[~has_lower] = upper[~has_lower]

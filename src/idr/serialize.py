@@ -137,8 +137,9 @@ def _model_from_payload(payload: dict, major: str) -> IdrModel:
     if keys.ndim != 2:
         raise ValueError("node_keys must be a rectangular array")
     dag = build_order_dag(spec, keys, points_are_keys=True)
-    stored = [tuple(k) for k in payload["node_keys"]]
-    if dag.keys != stored:
+    if dag.n_nodes < keys.shape[0]:
+        raise ValueError("node_keys hold order-equivalent keys; each node must have one")
+    if dag.keys != [tuple(k) for k in payload["node_keys"]]:
         raise ValueError("node_keys are not in canonical order")
     thresholds = np.asarray(payload["thresholds"], dtype=float)
     if (thresholds.ndim != 1 or thresholds.size == 0 or not np.isfinite(thresholds).all()

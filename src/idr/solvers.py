@@ -310,9 +310,12 @@ def antitonic_l2_fit(dag, values, weights=None) -> np.ndarray:
     if dag.is_chain:
         return _pav_chain(cols, w, np.argsort(dag.chain_positions)).reshape(v.shape)
 
-    # the tolerances have an absolute floor: put the largest weight in [1, 2),
-    # by a power of two, which is exact
+    # the tolerances have an absolute floor: put the largest weight and the
+    # largest |value| in [1, 2), by powers of two, which is exact
     w = np.ldexp(w, 1 - np.frexp(w.max())[1])
+    shift = 1 - int(np.frexp(max(cols.max(initial=0.0), -cols.min(initial=0.0)))[1])
+    if shift:
+        cols = np.ldexp(cols, shift)
     lower, upper = np.nonzero(dag.covers)
     out = np.empty_like(cols)
     level = np.empty(n)  # the fit of the column before
@@ -324,4 +327,4 @@ def antitonic_l2_fit(dag, values, weights=None) -> np.ndarray:
         if changed.any():
             _refit(_blocks_of(changed, block), cols[:, k], w, lower, upper, level, block)
         out[:, k] = level
-    return out.reshape(v.shape)
+    return np.ldexp(out, -shift, out=out).reshape(v.shape)

@@ -409,6 +409,23 @@ def test_malformed_model_file_is_a_validation_error(tmp_path):
         assert not (tmp_path / "p.csv").exists()
 
 
+def test_model_file_with_order_equivalent_node_keys_is_a_validation_error(tmp_path):
+    """Two stored icx keys whose tail sums round alike would be one node:
+    the load names that fault, not the order of the keys."""
+    data = tmp_path / "train.csv"
+    write_csv(data, ["a", "b", "y"], [[0, 1e16, 0], [5, 3e16, 1]])
+    model = tmp_path / "model.json"
+    assert invoke("fit", "--data", data, "--response", "y", "--order", "a,b:icx",
+                  "--out", model).exit_code == 0
+    doc = json.loads(model.read_text())
+    assert doc["node_keys"] == [[0.0, 1e16], [5.0, 3e16]]
+    doc["node_keys"] = [[0.0, 1e16], [1.0, 1e16]]
+    model.write_text(json.dumps(doc))
+    res = invoke("predict", "--model", model, "--data", data, "--quantiles", "0.5", "--out", tmp_path / "p.csv")
+    assert res.exit_code == EXIT_VALIDATION, all_output(res)
+    assert "order-equivalent" in all_output(res)
+
+
 def test_malformed_rows_report_line_numbers(tmp_path):
     data = tmp_path / "bad.csv"
     data.write_text("x,y\n1,2\n,3\n4,oops\n")

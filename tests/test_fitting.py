@@ -9,6 +9,7 @@ from idr import (
     TOTAL,
     OrderGroup,
     OrderSpec,
+    TrainingSet,
     crps,
     empirical_crps_loss,
     fit_idr,
@@ -185,6 +186,16 @@ def test_extra_comparable_column_does_not_hurt_in_sample():
         ts2 = make_training_set(CW2, np.column_stack([x1, x2]), y)
         loss2 = empirical_crps_loss(fit_idr(ts2), ts2)
         assert loss2 <= loss1 + 1e-10
+
+
+def test_node_ids_are_the_dag_membership():
+    ts = make_training_set(CW2, [[0.0, 0.0], [1.0, 1.0], [0.0, 0.0]], [1.0, 2.0, 3.0])
+    assert ts.node_ids is ts.dag.membership and ts.node_ids.tolist() == [0, 1, 0]
+    # a training set takes no node_ids of its own, and they cannot be set
+    with pytest.raises(TypeError):
+        TrainingSet(ts.dag, np.array([1, 0, 1]), ts.responses, ts.weights, ts.covariates)
+    with pytest.raises(AttributeError):
+        ts.node_ids = np.array([1, 0, 1])
 
 
 def test_make_training_set_validation():

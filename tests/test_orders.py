@@ -23,6 +23,8 @@ from idr import (
     model_from_json,
     model_to_json,
     orders,
+    direct_predecessors,
+    direct_successors,
     predict_batch,
 )
 
@@ -414,12 +416,12 @@ def test_icx_keys_with_equal_tail_sums_share_a_node():
     dag = build_order_dag(spec, pts)
     assert dag.n_nodes == 1 and dag.keys == [(0.0, 1e16)] and dag.is_chain
     assert dag.membership.tolist() == [0, 0]
-    assert dag.node_of_key((0.0, 1e16)) == dag.node_of_key((1.0, 1e16)) == 0
     model = fit_idr(make_training_set(spec, pts, [0.0, 1.0]))
     assert model.cdf.tolist() == [[0.5, 1.0]]
     batch = predict_batch(model, np.array(pts))
     assert batch.provenance == [Provenance.AT_TRAINING_POINT] * 2
     assert batch.center.tolist() == [[0.5, 1.0]] * 2
+    assert direct_predecessors(model, pts[1]) == direct_successors(model, pts[1]) == [0]
     # the class keeps its least key; a third, ordered key stays its own node
     dag = build_order_dag(spec, [(1.0, 1e16), (5.0, 3e16), (0.0, 1e16)])
     assert dag.keys == [(0.0, 1e16), (5.0, 3e16)] and dag.membership.tolist() == [0, 1, 0]
@@ -439,7 +441,11 @@ def test_icx_keys_with_equal_tail_sums_share_a_node():
             assert (node == node[i]).tolist() == same
         keys = [canonical_key(spec, p) for p in pts]
         assert dag.keys == [min(k for k, m in zip(keys, node) if m == i) for i in range(dag.n_nodes)]
-        assert all(dag.node_of_key(k) == m for k, m in zip(keys, node))
+        # every point, the node's own key or not, predicts as that node
+        model = fit_idr(make_training_set(spec, pts, np.arange(12.0) % 3))
+        batch = predict_batch(model, pts)
+        assert batch.provenance == [Provenance.AT_TRAINING_POINT] * 12
+        assert np.array_equal(batch.center, model.cdf[node])
 
 
 def test_dag_of_a_single_node():
@@ -470,13 +476,15 @@ def _total_chain_training(n, rng):
 
 
 def test_total_chain_builds_no_square_matrix():
-    """Building the training DAG and loading a model of a total chain
-    trace far less memory than one n x n boolean matrix."""
+    """Building the training DAG, counting its cover edges and loading a
+    model of a total chain trace far less memory than one n x n boolean
+    matrix."""
     n = 4000
     spec, x, y = _total_chain_training(n, np.random.default_rng(59))
     tracemalloc.start()
     try:
         training = make_training_set(spec, x, y)
+        edges = len(training.dag.edges())
         _, build_peak = tracemalloc.get_traced_memory()
         text = model_to_json(fit_idr(training))
         tracemalloc.reset_peak()
@@ -485,7 +493,7 @@ def test_total_chain_builds_no_square_matrix():
         _, load_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert training.dag.is_chain and model.dag.n_nodes == n
+    assert training.dag.is_chain and model.dag.n_nodes == n and edges == n - 1
     assert build_peak < n * n
     assert load_peak - base < n * n
 

@@ -9,6 +9,7 @@ from idr import (
     TOTAL,
     OrderGroup,
     OrderSpec,
+    Provenance,
     SubaggedModel,
     fit_even_odd,
     fit_idr,
@@ -17,6 +18,7 @@ from idr import (
     make_training_set,
     model_from_json,
     model_to_json,
+    predict_batch,
     predict_cdf,
     predict_subagged,
     save_model,
@@ -161,6 +163,18 @@ def test_rejects_shuffled_node_keys():
     doc["node_row"] = doc["node_row"][::-1]
     with pytest.raises(ValueError, match="canonical"):
         model_from_json(json.dumps(doc))
+
+
+def test_every_key_of_an_order_equivalence_class_predicts_at_its_node_after_a_round_trip():
+    """A model file keeps one key per node; an icx key whose tail sums
+    round like the stored one's is still at that training point."""
+    spec = OrderSpec((OrderGroup((0, 1), EMPIRICAL_ICX),))
+    pts = np.array([(0.0, 1e16), (1.0, 1e16)])
+    loaded = model_from_json(model_to_json(fit_idr(make_training_set(spec, pts, [0.0, 1.0]))))
+    assert loaded.dag.keys == [(0.0, 1e16)]
+    batch = predict_batch(loaded, pts)
+    assert batch.provenance == [Provenance.AT_TRAINING_POINT] * 2
+    assert batch.center.tolist() == [[0.5, 1.0]] * 2
 
 
 def test_rejects_garbage():

@@ -222,7 +222,8 @@ def test_warm_start_cuts_fewer_blocks_than_solving_each_column_alone(monkeypatch
 def test_poset_fit_is_free_of_the_weight_scale():
     """A 40-row 2-d componentwise fit with integer weights 1-4 gives the
     same CDFs when every weight is multiplied by a tiny or a huge
-    factor: bit for bit when the factor is a power of two."""
+    factor: bit for bit when the factor is a power of two.  So does the
+    solver on a 30-point poset when the values are scaled instead."""
     rng = np.random.default_rng(3)
     x = rng.integers(0, 5, size=(40, 2)).astype(float)
     y = x.sum(axis=1) + rng.integers(0, 4, size=40)
@@ -233,6 +234,14 @@ def test_poset_fit_is_free_of_the_weight_scale():
         assert np.allclose(cdf, base, rtol=0, atol=1e-12), scale
     for scale in (2.0**-60, 2.0**-990, 2.0**40, 2.0**990):
         assert np.array_equal(fit_idr(make_training_set(CW2, x, y, w * scale)).cdf, base), scale
+    rng = np.random.default_rng(0)
+    dag = build_order_dag(CW2, rng.integers(0, 5, size=(30, 2)).astype(float))
+    v = rng.uniform(size=dag.n_nodes)
+    base = antitonic_l2_fit(dag, v)
+    for scale in (1e-13, 1e-20, 1e-300, 1e-10, 1e300):
+        assert np.allclose(antitonic_l2_fit(dag, v * scale) / scale, base, rtol=0, atol=1e-12), scale
+    for scale in (2.0**-70, 2.0**-990, 2.0**40, 2.0**990):
+        assert np.array_equal(antitonic_l2_fit(dag, v * scale) / scale, base), scale
 
 
 def test_poset_taller_than_the_recursion_limit():

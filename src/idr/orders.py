@@ -287,9 +287,7 @@ class OrderDag:
         to a node, and (cases, nodes) masks of the maximal nodes below it
         and the minimal nodes above it; at a node both hold it alone."""
         below, above = self.query_masks(keys)
-        strict = (self.reach & ~np.eye(self.n_nodes, dtype=bool)).astype(np.float32)
-        pred = _unreached(below.astype(np.float32), strict.T)
-        return (below & above).any(axis=1), pred, _unreached(above.astype(np.float32), strict)
+        return (below & above).any(axis=1), _maximal(below, self.reach), _maximal(above, self.reach.T)
 
 
 def _all_leq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -309,6 +307,19 @@ def _unreached(mask: np.ndarray, strict: np.ndarray) -> np.ndarray:
     product would wrap at 256."""
     reached = (mask @ strict) > 0
     return (mask > 0) & ~reached
+
+
+def _maximal(mask: np.ndarray, reach: np.ndarray) -> np.ndarray:
+    """out[i, v] iff mask[i, v] and no u != v with mask[i, u] has
+    reach[v, u].  Only the nodes that some row of ``mask`` holds can
+    matter, so the product runs on them alone: a scalar query costs the
+    square of its down- (or up-) set, not of the whole DAG."""
+    held = np.flatnonzero(mask.any(axis=0))
+    strict = reach[held][:, held]
+    np.fill_diagonal(strict, False)
+    out = np.zeros_like(mask)
+    out[:, held] = _unreached(mask[:, held].astype(np.float32), strict.T.astype(np.float32))
+    return out
 
 
 def _transitive_reduction(strict: np.ndarray) -> np.ndarray:

@@ -6,27 +6,33 @@ pool-adjacent-violators over all columns at once.  On a general partial
 order it splits a block recursively: the block is cut into the lower
 set with the largest positive residual mass and the rest, until no
 lower set gains.  That lower set is a maximum-weight closure, found by
-a Dinic max-flow whose infinite edges are the block's cover edges only:
-every block is order-convex, so its covers close it like the full
-order.  The final blocks are the level sets of the fit.
+a Dinic max-flow on a network built as plain lists, whose infinite arcs
+are the block's cover edges only: a final block is a level set, so it is
+order-convex and its covers close it like the full order.  The final
+blocks are the level sets of the fit.
 
 Neighbouring threshold columns differ in few nodes (one observation's
 indicator), so each poset column starts from the blocks of the one
-before.  Only the region of blocks that hold a changed node is solved
-again, on the cover edges inside it; the other blocks keep their data,
-their mean and the proof that no lower subset gains, so their values
-carry over bit for bit.  A block outside whose cover edge the new
-values break joins the region, which is solved again; once no edge is
-broken, the column is feasible and every block optimal, so it is the
-exact projection.  A level set can end cut between a new block and a
-kept one at (nearly) the same value; solving it as one block merges it
-and takes its mean afresh over its nodes in ascending order, as the
-recursion from scratch does.  The first column is the same loop with
-every node changed.  Both solvers return the unique projection onto the
-cone of vectors nonincreasing along the order.
+before.  The blocks that hold a changed node are solved again, on the
+cover edges among them.  Where the new values break a cover edge (its
+lower end now below its upper end), the next round solves again only
+the blocks at the two ends of the broken edges.  Every other block
+keeps its data, its mean and the proof that no lower subset gains, so
+its value carries over bit for bit.  Once no edge is broken, the column
+is feasible and every block optimal, so it is the exact projection;
+:func:`_refit` says why the loop stops.  A level set can end cut between
+blocks of different solves at (nearly) the same value; solving it as
+one block merges it and takes its mean afresh over its nodes in
+ascending order, as the recursion from scratch does.  The first column
+is the same loop with every node changed.  Both solvers return the
+unique projection onto the cone of vectors nonincreasing along the
+order.
 """
 
 from __future__ import annotations
+
+from bisect import bisect
+from itertools import accumulate
 
 import numpy as np
 
@@ -116,163 +122,249 @@ def pav_antitonic(values, weights=None) -> np.ndarray:
     return _pav_chain(v[:, None], w, np.arange(v.size))[:, 0]
 
 
-def _levels(root, stop, n, adj, start, head, cap, eps, back) -> list[int]:
-    """BFS levels (-1: unreached) from ``root`` along residual arcs, or against them if ``back``."""
-    level, queue = [-1] * n, [root]
-    level[root] = 0
+def _distances(s, t, adj, head, cap, eps) -> list[int]:
+    """BFS distances to ``t`` (-1: unreached) against the residual arcs,
+    up to the first that reaches ``s``: nodes no nearer than ``s`` lie on
+    no shortest path from it."""
+    dist, queue = [-1] * len(adj), [t]
+    dist[t] = 0
     for u in queue:
-        if level[stop] >= 0:  # the rest lie on no shortest path to stop
-            break
-        for e in adj[start[u]:start[u + 1]]:
+        d = dist[u] + 1
+        for e in adj[u]:
             v = head[e]
-            if level[v] < 0 and cap[e ^ back] > eps:
-                level[v] = level[u] + 1
+            if dist[v] < 0 and cap[e ^ 1] > eps:
+                dist[v] = d
+                if v == s:
+                    return dist
                 queue.append(v)
-    return level
+    return dist
 
 
-def _max_flow(n, s, t, adj, start, head, cap, eps) -> tuple[float, list[int]]:
-    """Dinic max-flow on a CSR network: the arcs leaving node u are
-    ``adj[start[u]:start[u + 1]]``, arc e runs to ``head[e]``, its reverse
-    is ``e ^ 1``; ``cap`` holds residual capacities, updated in place.
-    Returns the flow and the final levels from ``s``, >= 0 exactly on the
-    source side of the minimal min-cut.  A phase labels nodes by distance
-    to ``t``, so the path search from ``s`` (on a list: a path can be as
+def _reached(s, adj, head, cap, eps) -> list[bool]:
+    """The nodes that ``s`` reaches along residual arcs."""
+    seen, queue = [False] * len(adj), [s]
+    seen[s] = True
+    for u in queue:
+        for e in adj[u]:
+            v = head[e]
+            if not seen[v] and cap[e] > eps:
+                seen[v] = True
+                queue.append(v)
+    return seen
+
+
+def _max_flow(s, t, adj, head, cap, eps) -> float:
+    """Dinic max-flow: ``adj[u]`` lists the arcs leaving node u, arc e
+    runs to ``head[e]``, its reverse is ``e ^ 1``; ``cap`` holds residual
+    capacities, updated in place.  A phase labels nodes by distance to
+    ``t``, so the path search from ``s`` (on a list: a path can be as
     long as the poset is tall) meets dead ends only past saturated arcs."""
     flow = 0.0
     while True:
-        dist = _levels(t, s, n, adj, start, head, cap, eps, 1)
+        dist = _distances(s, t, adj, head, cap, eps)
         if dist[s] < 0:
-            return flow, _levels(s, t, n, adj, start, head, cap, eps, 0)
-        it, path, u = start[:], [], s
+            return flow
+        it, path, u = [0] * len(adj), [], s
         while True:
             if u == t:
-                f = min(cap[e] for e in path)
+                f = min([cap[e] for e in path])
                 for e in path:
                     cap[e] -= f
                     cap[e ^ 1] += f
                 flow += f
                 # resume at the tail of the first arc the push saturated
-                j = next(j for j, e in enumerate(path) if cap[e] <= eps)
+                j = 0
+                while cap[path[j]] > eps:
+                    j += 1
                 u = head[path[j] ^ 1]
                 del path[j:]
                 continue
-            k, end, down = it[u], start[u + 1], dist[u] - 1
-            while k < end and not (dist[head[adj[k]]] == down and cap[adj[k]] > eps):
+            arcs, k, down = adj[u], it[u], dist[u] - 1
+            end = len(arcs)
+            while k < end:
+                e = arcs[k]
+                if dist[head[e]] == down and cap[e] > eps:
+                    break
                 k += 1
             it[u] = k
             if k < end:
-                path.append(adj[k])
-                u = head[adj[k]]
+                path.append(e)
+                u = head[e]
             elif path:  # dead end: retreat along the path
                 u = head[path.pop() ^ 1]
                 it[u] += 1
             else:
                 break
+        # with every source or every sink arc saturated, no path is left
+        if all(cap[e] <= eps for e in adj[s]) or all(cap[e ^ 1] <= eps for e in adj[t]):
+            return flow
 
 
-def _best_lower_set(lower: np.ndarray, upper: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
-    """Maximize sum(b[D]) over the sets D that hold ``lower[j]``
-    whenever they hold ``upper[j]``: the lower sets, given cover edges.
+def _best_lower_set(edges, b: np.ndarray):
+    """The lower set D that maximizes sum(b[D]), given cover edges as
+    (lower, upper) pairs (D holds the lower end whenever it holds the
+    upper), as a list of booleans, if it gains more than the tolerance
+    and is neither empty nor everything; else None.
 
-    Returns the gain and the maximizing set (as a mask).  Solved as a
-    max-weight closure problem: cutting a positive node's source edge
-    excludes it, cutting a negative node's sink edge includes it, and an
-    infinite edge from each upper end to its lower end forces closure.
+    Solved as a max-weight closure problem: cutting a positive node's
+    source arc excludes it, cutting a negative node's sink arc includes
+    it, and an infinite arc from each upper end to its lower end forces
+    closure.  The network is built as lists: arc 2j runs from the upper
+    to the lower end of edge j and arc 2j + 1 back, then come the
+    terminal arcs by node; each node lists its terminal arc first and
+    then its edge arcs in edge order.  That order fixes the augmenting
+    paths, and with them the bits of the flow.
     """
-    n = b.size
-    s, t = n, n + 1
     pos = float(b[b > 0].sum())
     if pos == 0.0:
-        return 0.0, np.zeros(n, dtype=bool)
+        return None
     inf = float(np.abs(b).sum()) + 1.0
-    term = np.flatnonzero(b)
-    into = b[term] > 0
-    # row j holds the ends of edge j; arc 2j runs along it, arc 2j + 1 back
-    arcs = np.empty((term.size + lower.size, 2), dtype=np.intp)
-    arcs[:term.size, 0] = np.where(into, s, term)
-    arcs[:term.size, 1] = np.where(into, term, t)
-    arcs[term.size:] = np.column_stack([upper, lower])
-    cap = np.zeros(arcs.shape)
-    cap[:term.size, 0] = np.abs(b[term])
-    cap[term.size:, 0] = inf
-    tails = arcs.ravel()
-    adj = np.argsort(tails, kind="stable")
-    start = np.searchsorted(tails[adj], np.arange(n + 3))
-    cut, level = _max_flow(n + 2, s, t, adj.tolist(), start.tolist(), arcs[:, ::-1].ravel().tolist(),
-                           cap.ravel().tolist(), 1e-14 * inf)
-    return pos - cut, np.array(level[:n]) >= 0
+    n, m = b.size, 2 * len(edges)
+    s, t = n, n + 1
+    head = [v for edge in edges for v in edge]
+    cap = [inf, 0.0] * len(edges)
+    adj, out_s, in_t = [], [], []
+    for u, x in enumerate(b.tolist()):
+        if x > 0:
+            adj.append([m + 1])
+            out_s.append(m)
+            head += (u, s)
+            cap += (x, 0.0)
+        elif x < 0:
+            adj.append([m])
+            in_t.append(m + 1)
+            head += (t, u)
+            cap += (-x, 0.0)
+        else:
+            adj.append([])
+            continue
+        m += 2
+    adj += (out_s, in_t)
+    for e, (lo, hi) in zip(range(0, m, 2), edges):
+        adj[hi].append(e)
+        adj[lo].append(e + 1)
+    eps = 1e-14 * inf
+    if not pos - _max_flow(s, t, adj, head, cap, eps) > 1e-12 * inf:
+        return None
+    # the source side of the minimal min-cut
+    side = _reached(s, adj, head, cap, eps)[:n]
+    return side if any(side) and not all(side) else None
 
 
-def _split(idx, lower, upper, w, col, level, block):
-    """Fit ``col`` on the nodes ``idx`` (ascending) under the cover edges
-    ``lower[j]`` -> ``upper[j]``, numbered within ``idx``: cut a block
+def _split(idx, edges, w, col, level, block, members):
+    """Fit ``col`` on the nodes ``idx`` (ascending) under the cover
+    ``edges``, (lower, upper) pairs numbered within ``idx``: cut a block
     into its best lower set and the rest until no lower set gains more
-    than the tolerance.  Writes each final block's mean into ``level``
-    and its least node into ``block``."""
-    stack = [(idx, lower, upper)]
+    than the tolerance.  Writes each final block's mean into ``level``,
+    its least node into ``block`` and its nodes into ``members``."""
+    stack = [(idx, edges)]
     while stack:
-        idx, lo, hi = stack.pop()
-        ww = w[idx]
-        vv = col[idx]
+        idx, edges = stack.pop()
+        at = np.array(idx)
+        ww = w[at]
+        vv = col[at]
         mu = float((ww * vv).sum() / ww.sum())
-        if idx.size > 1:
-            b = ww * (vv - mu)
-            gain, mask = _best_lower_set(lo, hi, b)
-            if gain > 1e-12 * (1.0 + float(np.abs(b).sum())) and mask.any() and not mask.all():
-                # mask is a lower set: an edge stays inside iff its upper
-                # end is in it, and outside iff its lower end is not
-                rank = np.cumsum(mask)
-                for side, keep, local in ((mask, mask[hi], rank - 1), (~mask, ~mask[lo], np.arange(idx.size) - rank)):
-                    stack.append((idx[side], local[lo[keep]], local[hi[keep]]))
-                continue
-        level[idx] = mu
-        block[idx] = idx[0]
+        side = _best_lower_set(edges, ww * (vv - mu)) if len(idx) > 1 else None
+        if side is not None:
+            # side is a lower set: an edge stays inside iff its upper end
+            # is in it, and outside iff its lower end is not
+            rank = list(accumulate(side))
+            stack.append(([g for g, d in zip(idx, side) if d],
+                          [(rank[a] - 1, rank[c] - 1) for a, c in edges if side[c]]))
+            stack.append(([g for g, d in zip(idx, side) if not d],
+                          [(a - rank[a], c - rank[c]) for a, c in edges if not side[a]]))
+            continue
+        for i in idx:
+            level[i] = mu
+            block[i] = idx[0]
+        members[idx[0]] = idx
 
 
-def _within(nodes: np.ndarray, lower: np.ndarray, upper: np.ndarray):
-    """The nodes of a mask, and the cover edges with both ends among
-    them, numbered within them."""
-    rank = np.cumsum(nodes) - 1
-    inner = nodes[lower] & nodes[upper]
-    return np.flatnonzero(nodes), rank[lower[inner]], rank[upper[inner]]
+def _within(nodes, ups):
+    """The cover edges with both ends among ``nodes`` (ascending), in the
+    order of ``np.nonzero(covers)``, as (lower, upper) pairs numbered
+    within them."""
+    local = [-1] * len(ups)
+    for i, g in enumerate(nodes):
+        local[g] = i
+    return [(i, local[v]) for i, u in enumerate(nodes) for v in ups[u] if local[v] >= 0]
 
 
-def _blocks_of(nodes, block: np.ndarray) -> np.ndarray:
-    """Mask of the blocks that hold any of ``nodes``."""
-    hit = np.zeros(block.size, dtype=bool)
-    hit[block[nodes]] = True
-    return hit[block]
+#: Local rounds of :func:`_refit`, per node, before it falls back to
+#: solving a growing region.
+_ROUNDS_PER_NODE = 1
 
 
-def _refit(region, col, w, lower, upper, level, block):
-    """Re-solve one column on the blocks in ``region``; the blocks outside
-    keep their values.
+def _refit(region, col, near, w, ups, downs, level, block, members):
+    """Re-solve one column, starting from the blocks whose nodes are
+    ``region`` (ascending); returns the new fit as an array.
 
-    The region is solved on its own cover edges.  Where its new values
-    break a cover edge to a block outside, that block joins the region,
-    which is solved again.  Then each run of nearly equal values that
-    holds blocks from both sides, one level set cut apart, is solved as
-    one block: it stays one unless a cut gains.  The run is order-convex,
-    as any value between two of its values would be in it, and no value
-    outside it comes near, so this breaks no edge.
+    The region is solved on the cover edges among its nodes.  Each round
+    then checks the cover edges from the nodes it solved to the rest:
+    where the new values break one, the next round solves again only the
+    blocks at the two ends of the broken edges, together.  Every other
+    block keeps its mean and its proof that no lower subset gains.  The
+    loop stops only when no edge is broken: the column is then feasible
+    and every block has zero residual sum and no gaining lower subset,
+    which is the optimality test of the exact projection.
+
+    The loop stops.  Every block is the projection of its values onto
+    its own cone (antitonic along its cover edges).  A round replaces
+    the fit on the blocks it joins, their projection onto the product
+    of those cones, by the projection onto a smaller cone, one that also
+    holds the broken edge, which the old fit violates; so the squared
+    error on them rises strictly, the error of the whole column rises
+    with it, and no partition repeats.  Rounding weakens that argument,
+    so after ``_ROUNDS_PER_NODE`` rounds per node the loop falls back to
+    solving the whole region solved so far in this column, joined by the
+    blocks at each broken edge.  A solved region satisfies its own edges,
+    so every edge it breaks leads out of it: the region grows each round
+    and the fallback stops after at most one round per node.
+
+    Then each run of nearly equal values that holds blocks from more than
+    one solve (or kept from the column before), one level set cut apart,
+    is solved as one block: it stays one unless a cut gains.  The run is
+    order-convex, as any value between two of its values would be in it,
+    and no value outside it comes near, so this breaks no edge.
     """
+    n = len(level)
+    src = np.full(n, -1)  # the round that last solved each node
+    rnd = 0
     while True:
-        _split(*_within(region, lower, upper), w, col, level, block)
-        broken = (level[lower] < level[upper]) & (region[lower] != region[upper])
-        if not broken.any():
+        if rnd >= n * _ROUNDS_PER_NODE:
+            region = sorted(set(np.flatnonzero(src >= 0).tolist()).union(region))
+        _split(region, _within(region, ups), w, col, level, block, members)
+        inside = set(region)
+        src[region] = rnd
+        ends = set()
+        for u in region:
+            for v in ups[u]:
+                if level[u] < level[v] and v not in inside:
+                    ends.add(block[v])
+                    ends.add(block[u])
+            for v in downs[u]:
+                if level[v] < level[u] and v not in inside:
+                    ends.add(block[v])
+                    ends.add(block[u])
+        if not ends:
             break
-        region |= _blocks_of(np.concatenate([lower[broken], upper[broken]]), block)
-    # far above the rounding of a block mean; whether a run is one level
-    # is then the recursion's call
-    near = 2.0 ** -30 * float(np.abs(col).max())
-    order = np.argsort(level, kind="stable")
-    run = np.concatenate([[0], np.cumsum(np.diff(level[order]) > near)])
-    inside = region[order]
-    for r in np.flatnonzero((np.bincount(run, inside) > 0) & (np.bincount(run, ~inside) > 0)):
-        group = np.zeros(level.size, dtype=bool)
-        group[order[run == r]] = True
-        _split(*_within(group, lower, upper), w, col, level, block)
+        region = sorted(i for b in ends for i in members[b])
+        rnd += 1
+    lv = np.array(level)
+    order = lv.argsort()
+    sorted_lv, source = lv[order], src[order]
+    gap = sorted_lv[1:] - sorted_lv[:-1] > near
+    # neighbours in sorted order from different solves, with no gap between
+    joined = (source[1:] != source[:-1]) > gap
+    if joined.any():
+        # runs are stretches of the sorted order between gaps
+        stops = (np.flatnonzero(gap) + 1).tolist() + [n]
+        order = order.tolist()
+        for r in sorted({bisect(stops, p) for p in np.flatnonzero(joined).tolist()}):
+            group = sorted(order[stops[r - 1] if r else 0:stops[r]])
+            _split(group, _within(group, ups), w, col, level, block, members)
+        lv = np.array(level)
+    return lv
 
 
 def antitonic_l2_fit(dag, values, weights=None) -> np.ndarray:
@@ -286,13 +378,14 @@ def antitonic_l2_fit(dag, values, weights=None) -> np.ndarray:
     other order the columns are solved in turn, each starting from the
     blocks (level sets) of the one before: only the blocks that hold a
     node whose value changed are re-solved, by the recursive min-cut on
-    their own cover edges.  A block outside that the new values break a
-    cover edge to joins them and they are solved again, and a level set
-    left split between new and kept blocks is merged and its mean taken
-    afresh.  Kept blocks keep their data, mean and optimality, so every
-    column is the exact projection; the tests check it bit for bit
-    against solving each column from scratch.  The first column is
-    solved with every node changed.
+    their own cover edges.  Where the new values break a cover edge, the
+    blocks at its two ends are solved again together, until no edge is
+    broken, and a level set left split between blocks of different
+    solves is merged and its mean taken afresh.  Every other block keeps
+    its data, mean and optimality, so every column is the exact
+    projection; the tests check it bit for bit against solving each
+    column from scratch.  The first column is solved with every node
+    changed.
 
     Parameters
     ----------
@@ -317,14 +410,25 @@ def antitonic_l2_fit(dag, values, weights=None) -> np.ndarray:
     if shift:
         cols = np.ldexp(cols, shift)
     lower, upper = np.nonzero(dag.covers)
+    ups, downs = [[] for _ in range(n)], [[] for _ in range(n)]
+    for a, c in zip(lower.tolist(), upper.tolist()):
+        ups[a].append(c)
+        downs[c].append(a)
+    # far above the rounding of a block mean; whether a run of nearly
+    # equal values is one level is then the recursion's call
+    near = (2.0 ** -30 * np.maximum(cols.max(axis=0), -cols.min(axis=0))).tolist()
     out = np.empty_like(cols)
-    level = np.empty(n)  # the fit of the column before
-    block = np.zeros(n, dtype=np.intp)  # each node's block, named by its least node
-    changed = np.ones(n, dtype=bool)  # before the first column, every node
-    for k in range(cols.shape[1]):
-        if k:
-            changed = cols[:, k] != cols[:, k - 1]
-        if changed.any():
-            _refit(_blocks_of(changed, block), cols[:, k], w, lower, upper, level, block)
-        out[:, k] = level
+    level = [0.0] * n  # the fit of the column before
+    block = [0] * n  # each node's block, named by its least node
+    members = {0: list(range(n))}  # the nodes of each block, by its name
+    changed = [[] for _ in range(cols.shape[1])]
+    changed[0] = range(n)  # before the first column, every node
+    for k, i in zip(*(a.tolist() for a in np.nonzero((cols[:, 1:] != cols[:, :-1]).T))):
+        changed[k + 1].append(i)
+    for k, nodes in enumerate(changed):
+        if nodes:
+            region = sorted(i for b in {block[i] for i in nodes} for i in members[b])
+            out[:, k] = _refit(region, cols[:, k], near[k], w, ups, downs, level, block, members)
+        else:
+            out[:, k] = out[:, k - 1]
     return np.ldexp(out, -shift, out=out).reshape(v.shape)

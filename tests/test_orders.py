@@ -498,6 +498,30 @@ def test_total_chain_builds_no_square_matrix():
     assert load_peak - base < n * n
 
 
+def test_scalar_poset_query_allocates_far_less_than_a_square_matrix():
+    """One query at the centre of a 2000-node 2-d componentwise poset,
+    whose down- and up-sets hold about a quarter of the nodes each,
+    traces far less memory than one n x n float32 matrix once the DAG's
+    ``reach`` is built.  Its neighbour masks are the ones the cover edges
+    give: a node of a down-set is maximal in it iff none of its upper
+    covers is in it, and the mirror holds for an up-set."""
+    n = 2000
+    dag = build_order_dag(cw_spec(2), np.random.default_rng(67).uniform(0, 10, size=(n, 2)))
+    dag.reach
+    key = np.array([[5.0, 5.0]])
+    tracemalloc.start()
+    try:
+        exact, pred, succ = dag.query_neighbors(key)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n  # a quarter of one n x n float32 matrix
+    below, above = dag.query_masks(key)
+    assert not exact[0] and pred[0].any() and succ[0].any()
+    assert np.array_equal(pred[0], below[0] & ~(dag.covers & below[0]).any(axis=1))
+    assert np.array_equal(succ[0], above[0] & ~(dag.covers.T & above[0]).any(axis=1))
+
+
 def test_total_chain_never_compares_all_pairs(monkeypatch):
     """A total chain fits, round-trips and predicts without the
     all-pairs comparison or the transitive reduction."""

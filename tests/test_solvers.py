@@ -198,11 +198,39 @@ def test_ties_across_carried_blocks_match_the_reference():
         assert np.array_equal(antitonic_l2_fit(dag, values, w), strict_pair_antitonic(dag, values, w)), draw
 
 
+def test_ties_between_blocks_of_two_rounds_match_the_reference(monkeypatch):
+    """Node 0 lies below node 1; node 2 is incomparable to both.  Nodes
+    0 and 2 form one block in the first column, and the second moves
+    both: the first round splits them, node 0 breaks its edge to node 1,
+    and the second round pools nodes 0 and 1 at (nearly) node 2's value.
+    The two rounds' blocks are one level set, which solving from scratch
+    pools, and the merge solves them as one block again: the fit must be
+    the reference's, bit for bit, under float weights."""
+    dag = build_order_dag(CW2, [(0.0, 0.0), (0.0, 1.0), (1.0, -1.0)])
+    assert dag.edges() == [(0, 1)]
+    solved = []
+    real = solvers._split
+    monkeypatch.setattr(solvers, "_split", lambda idx, *args: solved.append(list(idx)) or real(idx, *args))
+    rng = np.random.default_rng(11)
+    for draw in range(500):
+        w = rng.uniform(0.2, 3.0, size=3)
+        c = rng.uniform(0.1, 0.45)
+        # node 0's new value pools with node 1's 0.5 to c
+        values = np.array([[0.9, (c * (w[0] + w[1]) - w[1] * 0.5) / w[0]], [0.5, 0.5], [0.9, c]])
+        del solved[:]
+        fit = antitonic_l2_fit(dag, values, w)
+        assert solved == [[0, 1, 2], [0, 2], [0, 1], [0, 1, 2]], draw
+        assert np.array_equal(fit, strict_pair_antitonic(dag, values, w)), draw
+
+
 def test_warm_start_cuts_fewer_blocks_than_solving_each_column_alone(monkeypatch):
     """A 2-d componentwise ``fit_idr`` at n = 200, where every threshold
     column differs from the one before by one observation, needs under
     60% of the min-cuts that solving each column on its own needs, and
-    gives the same bits."""
+    gives the same bits.  Solving again only the blocks at broken edges
+    needs fewer min-cuts than solving the whole region each round, as
+    the fallback does when the local rounds are capped at none, and the
+    bits are the same."""
     rng = np.random.default_rng(4)
     x = rng.uniform(0, 10, size=(200, 2))
     y = x.mean(axis=1) + rng.normal(size=200)
@@ -217,6 +245,42 @@ def test_warm_start_cuts_fewer_blocks_than_solving_each_column_alone(monkeypatch
     n_cold = len(cuts) - n_warm
     assert np.array_equal(warm, np.maximum.accumulate(np.clip(cold, 0.0, 1.0), axis=1))
     assert 0 < n_warm < 0.6 * n_cold, (n_warm, n_cold)
+    monkeypatch.setattr(solvers, "_ROUNDS_PER_NODE", 0)
+    del cuts[:]
+    assert np.array_equal(fit_idr(training).cdf, warm)
+    assert n_warm < 0.9 * len(cuts), (n_warm, len(cuts))
+
+
+@pytest.mark.parametrize("rounds_per_node, regions", [
+    (1, [[0], [0, 1, 5], [0, 5, 6], [0, 5, 6, 7], [0, 5, 6, 7, 8]]),
+    (0, [[0], [0, 1, 5], [0, 1, 5, 6], [0, 1, 5, 6, 7], [0, 1, 5, 6, 7, 8]]),
+], ids=["local", "growing"])
+def test_rounds_re_solve_the_blocks_at_broken_edges(monkeypatch, rounds_per_node, regions):
+    """Node 0 lies below two incomparable arms, nodes 1-4 straight up
+    from it and nodes 5-8 straight right.  The second column drops it
+    from the top of the fit to the bottom.  Solved alone, it breaks its
+    cover edges into both arms, and the next round solves it with the
+    two far-apart blocks at those edges.  From then on only the right
+    arm's edges break: each round solves the blocks at the broken edge,
+    and the left arm's block is not solved again.  With the local rounds
+    capped at none, the fallback's growing region solves every block
+    solved so far, each round.  Both fits are the reference's, bit for
+    bit, under unit and float weights."""
+    arm = np.arange(1.0, 5.0)
+    dag = build_order_dag(CW2, [(0.0, 0.0)] + [(0.0, y) for y in arm] + [(x, 0.0) for x in arm])
+    assert dag.edges() == [(0, 1), (0, 5), (1, 2), (2, 3), (3, 4), (5, 6), (6, 7), (7, 8)]
+    col = np.array([0.9, 0.3, 0.25, 0.2, 0.1, 0.85, 0.8, 0.7, 0.6])
+    values = np.column_stack([col, np.r_[0.0, col[1:]]])
+    monkeypatch.setattr(solvers, "_ROUNDS_PER_NODE", rounds_per_node)
+    solved = []
+    real = solvers._split
+    monkeypatch.setattr(solvers, "_split", lambda idx, *args: solved.append(list(idx)) or real(idx, *args))
+    fit = antitonic_l2_fit(dag, values)
+    assert solved == [list(range(9))] + regions
+    assert np.array_equal(fit, strict_pair_antitonic(dag, values))
+    assert np.allclose(fit[:, 1], [0.59, 0.3, 0.25, 0.2, 0.1, 0.59, 0.59, 0.59, 0.59], rtol=0, atol=1e-12)
+    w = np.random.default_rng(8).uniform(0.2, 3.0, size=9)
+    assert np.array_equal(antitonic_l2_fit(dag, values, w), strict_pair_antitonic(dag, values, w))
 
 
 def test_poset_fit_is_free_of_the_weight_scale():
@@ -248,7 +312,7 @@ def test_poset_taller_than_the_recursion_limit():
     """A 1500-point componentwise staircase plus one point incomparable
     to all of it.  A column rising along the staircase pools it into one
     block, and the max-flow's augmenting paths run down its whole
-    length."""
+    length.  The fit is the reference's, bit for bit."""
     n = 1500
     staircase = np.repeat(np.arange(n, dtype=float)[:, None], 2, axis=1)
     dag = build_order_dag(CW2, np.vstack([[-1.0, 2.0 * n], staircase]))
@@ -262,6 +326,7 @@ def test_poset_taller_than_the_recursion_limit():
     assert fit[0] == 0.3
     want = pav_antitonic_columns(values[chain, None], np.ones(n))[:, 0]
     assert np.allclose(fit[chain], want, rtol=0, atol=1e-12)
+    assert np.array_equal(fit, strict_pair_antitonic(dag, values))
 
 
 def test_fit_respects_all_order_constraints():

@@ -29,7 +29,7 @@ from .prediction import predict_batch, predict_rows
 from .scoring import brier, brier_rows, crps_rows, pinball, pit_rows, quantile_score_rows, reliability_bins
 from .serialize import load_model, save_model
 from .stepfun import evaluate_rows, quantile_rows
-from .subagging import SubaggedModel, fit_even_odd, fit_subagged, predict_subagged_batch, predict_subagged_rows
+from .subagging import fit_even_odd, fit_subagged
 
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
@@ -68,8 +68,15 @@ def _handle_errors(fn):
     return wrapper
 
 
+def _lines(numbers) -> str:
+    """The first ten of a list of line numbers, and how many more."""
+    more = "" if len(numbers) <= 10 else f" (and {len(numbers) - 10} more)"
+    return ", ".join(str(n) for n in numbers[:10]) + more
+
+
 def _load_table(path):
-    """Read a CSV file into (header, raw string rows)."""
+    """Read a CSV file into (header, raw string rows), each row as wide
+    as the header; errors name file lines (the header is line 1)."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -80,6 +87,9 @@ def _load_table(path):
             rows = list(reader)
     except UnicodeDecodeError:
         raise CliDataError(f"{path}: not valid UTF-8")
+    ragged = [r + 2 for r, row in enumerate(rows) if len(row) != len(header)]
+    if ragged:
+        raise CliDataError(f"{path}: the header has {len(header)} fields, but not the rows at lines {_lines(ragged)}")
     return header, rows
 
 
@@ -96,22 +106,17 @@ def _column_indices(path, header, names):
 
 
 def _numeric_columns(path, header, rows, names) -> np.ndarray:
-    """Extract named columns as a float matrix, rejecting bad rows.
-
-    Row numbers in error messages are file line numbers (the header is
-    line 1).
-    """
+    """Extract named columns of :func:`_load_table` rows as a float
+    matrix, rejecting bad rows by their file line numbers."""
     if not rows:
         raise ValueError(f"{path}: no data rows")
     idx = _column_indices(path, header, names)
-    width = len(header)
-    if all(len(r) == width for r in rows):
-        try:
-            block = np.array(rows, dtype=object)[:, idx].astype(float)
-            if np.isfinite(block).all():
-                return block
-        except (ValueError, TypeError):
-            pass
+    try:
+        block = np.array(rows, dtype=object)[:, idx].astype(float)
+        if np.isfinite(block).all():
+            return block
+    except (ValueError, TypeError):
+        pass
     bad = []
     bad_cols = set()
     out = np.empty((len(rows), len(idx)))
@@ -119,7 +124,7 @@ def _numeric_columns(path, header, rows, names) -> np.ndarray:
         ok = True
         for c, i in enumerate(idx):
             try:
-                val = float(row[i]) if i < len(row) and row[i].strip() != "" else math.nan
+                val = float(row[i]) if row[i].strip() != "" else math.nan
             except ValueError:
                 val = math.nan
             if math.isfinite(val):
@@ -130,11 +135,7 @@ def _numeric_columns(path, header, rows, names) -> np.ndarray:
         if not ok:
             bad.append(r + 2)
     if bad:
-        shown = ", ".join(str(b) for b in bad[:10])
-        more = "" if len(bad) <= 10 else f" (and {len(bad) - 10} more)"
-        raise CliDataError(
-            f"{path}: missing or non-numeric values in columns {sorted(bad_cols)} at lines {shown}{more}"
-        )
+        raise CliDataError(f"{path}: missing or non-numeric values in columns {sorted(bad_cols)} at lines {_lines(bad)}")
     return out
 
 
@@ -245,15 +246,6 @@ def _covariate_names(model) -> list[str]:
     return list(spec.column_names)
 
 
-def _model_grid_and_rows(model, covariates):
-    """CDF values for a covariate batch on a single threshold grid."""
-    if isinstance(model, SubaggedModel):
-        grid = np.unique(np.concatenate([m.thresholds for m in model.members]))
-        return grid, predict_subagged_rows(model, covariates, grid)
-    rows, _ = predict_rows(model, covariates)
-    return model.thresholds, rows
-
-
 _EPILOG = (
     "Exit codes: 0 success; 2 unparseable input (CSV, order string, "
     "flags); 3 validation failure (inconsistent data, bad model file); "
@@ -316,20 +308,21 @@ def fit(data_path, response, order_text, weight_col, out_path, subagg_count, sub
     weights = table[:, d + 1] if weight_col is not None else None
     training = make_training_set(spec, covariates, responses, weights)
 
+    # a plain fit's solver has built the covers (a chain's cost O(n)); subagged members never read them
+    edges = ""
     if split == "even-odd":
         model = fit_even_odd(training, seed)
     elif subagg_count > 0:
         model = fit_subagged(training, subagg_count, subagg_size, seed)
     else:
         model = fit_idr(training)
+        edges = f" edges={len(training.dag.edges())}"
 
     save_model(model, out_path)
 
-    # the in-sample rows are freed before the cover count builds its n x n temporaries
-    scores = crps_rows(*_model_grid_and_rows(model, training.covariates), training.responses)
-    mean_crps = float(np.average(scores, weights=training.weights))
-    dag = training.dag
-    click.echo(f"n={training.n} nodes={dag.n_nodes} edges={len(dag.edges())} mean_crps={mean_crps!r}")
+    rows, _ = predict_rows(model, training.covariates)
+    mean_crps = float(np.average(crps_rows(model.thresholds, rows, training.responses), weights=training.weights))
+    click.echo(f"n={training.n} nodes={training.dag.n_nodes}{edges} mean_crps={mean_crps!r}")
 
 
 @main.command()
@@ -349,12 +342,7 @@ def predict(model_path, data_path, out_path, quantiles, thresholds, interpolate)
     alphas = _float_list(quantiles, "quantile", low=0.0, high=1.0)
     zs = _float_list(thresholds, "threshold") if thresholds else []
 
-    if isinstance(model, SubaggedModel):
-        if interpolate:
-            raise ValueError("interpolation needs a plain model with one total-order covariate")
-        batch = predict_subagged_batch(model, covariates)
-    else:
-        batch = predict_batch(model, covariates, interpolate)
+    batch = predict_batch(model, covariates, interpolate)
 
     out_header = (
         [f"q{a:g}" for a in alphas] + [f"p_le_{z:g}" for z in zs] + ["provenance", "bound_gap"]
@@ -407,7 +395,7 @@ def score(model_path, true_gamma, covariate, data_path, response, out_path, thre
         model = load_model(model_path)
         names = _covariate_names(model)
         covariates = _numeric_columns(data_path, header, rows, names)
-        grid, cdf_rows = _model_grid_and_rows(model, covariates)
+        grid, (cdf_rows, _) = model.thresholds, predict_rows(model, covariates)
         crps_vals = crps_rows(grid, cdf_rows, ys)
         pit_vals = pit_rows(grid, cdf_rows, ys, v)
         briers = {z: brier_rows(grid, cdf_rows, ys, z) for z in zs}
@@ -465,8 +453,8 @@ def reliability(model_path, data_path, response, threshold, bins, out_path):
     header, rows = _load_table(data_path)
     covariates = _numeric_columns(data_path, header, rows, names)
     ys = _numeric_columns(data_path, header, rows, [response])[:, 0]
-    grid, cdf_rows = _model_grid_and_rows(model, covariates)
-    probs = evaluate_rows(grid, cdf_rows, threshold)
+    cdf_rows, _ = predict_rows(model, covariates)
+    probs = evaluate_rows(model.thresholds, cdf_rows, threshold)
     outcomes = (ys <= threshold).astype(float)
     table = reliability_bins(probs, outcomes, bins)
     _write_csv(

@@ -153,9 +153,14 @@ def _group_transform(sub: np.ndarray, relation: str) -> np.ndarray:
 
 
 def _comparison_matrix(groups: tuple[OrderGroup, ...], rows: np.ndarray) -> np.ndarray:
-    """Stack per-group transforms of ``rows`` (2-d, key layout)."""
-    parts = [_group_transform(rows[:, list(g.columns)], g.relation) for g in groups]
-    return np.concatenate(parts, axis=1)
+    """Stack per-group transforms of ``rows`` (2-d, key layout, finite);
+    a ValueError where icx tail sums overflow."""
+    with np.errstate(over="ignore"):
+        parts = [_group_transform(rows[:, list(g.columns)], g.relation) for g in groups]
+    out = np.concatenate(parts, axis=1)
+    if not np.isfinite(out).all():
+        raise ValueError("the tail sums of an icx group overflow the float range")
+    return out
 
 
 def compare(spec: OrderSpec, u, v) -> Relation:

@@ -9,14 +9,14 @@ incomparable to every node.  Models over a single totally ordered
 covariate additionally support linear interpolation between the
 neighboring fitted CDFs.
 
-:func:`predict_batch` is the one implementation of this rule: it takes
-a covariate matrix and returns the centre and bound rows on the model
-grid with a provenance per case.  It finds the neighbours of the whole
-batch at once, by binary search on a chain and from (cases, nodes)
-comparison masks on any other order.  :func:`predict_cdf`,
-:func:`interpolate_total_order`, :func:`predict_rows` and the neighbour
-lists :func:`direct_predecessors` and :func:`direct_successors` are
-views of it.
+:func:`predict_batch` is the one implementation of this rule, for plain
+and subagged models: it takes a covariate matrix and returns the centre
+and bound rows on the model grid with a provenance per case.  It finds
+the neighbours of a block of cases at once, by binary search on a
+chain and from (cases, nodes) comparison masks on any other order.
+:func:`predict_cdf`, :func:`interpolate_total_order`,
+:func:`predict_rows` and the neighbour lists :func:`direct_predecessors`
+and :func:`direct_successors` are views of it.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ import numpy as np
 
 from .fitting import IdrModel
 from .orders import TOTAL, _canonical_keys
-from .stepfun import StepCdf
+from .stepfun import CASE_BLOCK, StepCdf
+from .subagging import SubaggedModel
 
 __all__ = [
     "Provenance",
@@ -63,6 +64,8 @@ _PROVENANCE_ORDER = (
     Provenance.BOTH_BOUNDS,
     Provenance.AT_TRAINING_POINT,
 )
+
+_SIDES = ("center", "lower", "upper")
 
 
 @dataclass(frozen=True)
@@ -160,32 +163,34 @@ def _chain_neighbors(model: IdrModel, x: np.ndarray):
     return col, keys, np.where(exact, above, above - 1), above
 
 
-def _bound_rows(model: IdrModel, x: np.ndarray):
-    """Lower and upper bound rows (NaN where a side is empty) and the
-    mask of queries at a training point."""
+def _bound_rows(model: IdrModel, x: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Write the lower and upper bound rows (NaN where a side is empty)
+    into ``lower`` and ``upper``; returns the mask of queries at a
+    training point."""
     cdf = model.cdf
     chain = _chain_neighbors(model, x)
     if chain is not None:
         _, _, below, above = chain
-        upper = np.take(cdf, below, axis=0, mode="clip")
-        lower = np.take(cdf, above, axis=0, mode="clip")
+        np.take(cdf, below, axis=0, mode="clip", out=upper)
+        np.take(cdf, above, axis=0, mode="clip", out=lower)
         upper[below < 0] = np.nan
         lower[above == cdf.shape[0]] = np.nan
-        return lower, upper, below == above
+        return below == above
     # at a training point both masks hold its node alone, so both bounds are its row
     exact, pred, succ = _neighbors(model, x)
-    return _reduce_rows(np.maximum, cdf, succ), _reduce_rows(np.minimum, cdf, pred), exact
+    _reduce_rows(np.maximum, cdf, succ, lower)
+    _reduce_rows(np.minimum, cdf, pred, upper)
+    return exact
 
 
-def _reduce_rows(ufunc, cdf: np.ndarray, mask: np.ndarray) -> np.ndarray:
+def _reduce_rows(ufunc, cdf: np.ndarray, mask: np.ndarray, out: np.ndarray):
     """Per case, ``ufunc`` over the CDF rows of the nodes in its mask
-    row; NaN where the row is empty."""
-    out = np.full((mask.shape[0], cdf.shape[1]), np.nan)
+    row, written into ``out``; NaN where the row is empty."""
+    out[...] = np.nan
     cases, nodes = np.nonzero(mask)
     if nodes.size:
         has, starts = np.unique(cases, return_index=True)
         out[has] = ufunc.reduceat(cdf[nodes], starts, axis=0)
-    return out
 
 
 def _interpolated(model: IdrModel, x: np.ndarray) -> PredictionBatch:
@@ -204,7 +209,69 @@ def _interpolated(model: IdrModel, x: np.ndarray) -> PredictionBatch:
     return PredictionBatch(model.thresholds, center, lower, upper, provenance)
 
 
-def predict_batch(model: IdrModel, covariates, interpolate: bool = False) -> PredictionBatch:
+def _plain_block(model: IdrModel, x: np.ndarray, out: dict) -> np.ndarray:
+    """Write a plain model's rows at the rows of ``x`` into ``out``
+    (rows by side; a side it lacks is added); returns the provenance
+    codes, indices into ``_PROVENANCE_ORDER``."""
+    for side in _SIDES:
+        out.setdefault(side, np.empty((x.shape[0], model.thresholds.size)))
+    center, lower, upper = (out[side] for side in _SIDES)
+    exact = _bound_rows(model, x, lower, upper)
+    has_lower, has_upper = ~np.isnan(lower[:, 0]), ~np.isnan(upper[:, 0])
+    # at a training point both bounds are the node's row, and x + x halves to x exactly
+    np.multiply(0.5, np.add(lower, upper, out=center), out=center)
+    center[~has_upper] = lower[~has_upper]
+    center[~has_lower] = upper[~has_lower]
+    center[~has_lower & ~has_upper] = model.climatology.evaluate(model.thresholds)
+    return np.select([exact, has_lower & has_upper, has_upper, has_lower], [5, 4, 2, 1], 0)
+
+
+def _pooled_block(model: SubaggedModel, x: np.ndarray, out: dict) -> np.ndarray:
+    """Write into ``out`` (rows by side) the means over the members of
+    their rows, read off on the union grid, NaN where any member's row
+    is; returns the pooled provenance codes."""
+    for total in out.values():
+        total[...] = 0.0
+    codes = []
+    for member in model.members:
+        rows = {}
+        codes.append(_plain_block(member, x, rows))
+        idx = np.searchsorted(member.thresholds, model.thresholds, side="right")
+        first = np.count_nonzero(idx == 0)  # union grid points where the member's CDF is 0
+        for side, total in out.items():
+            total[:, first:] += np.take(rows[side], idx[first:] - 1, axis=1)
+            total[np.isnan(rows[side][:, 0])] = np.nan
+    for total in out.values():
+        total /= len(model.members)
+    codes = np.array(codes)  # both-bounds (4) where every member reports both bounds, else the weakest
+    return np.where((codes >= 4).all(axis=0), 4, codes.min(axis=0))
+
+
+def _predict(model, covariates, sides, interpolate: bool = False) -> PredictionBatch:
+    """:func:`predict_batch` with only the rows named in ``sides`` built
+    (the others are None), CASE_BLOCK cases at a time so that no
+    temporary spans the batch."""
+    x = np.asarray(covariates, dtype=float)
+    if x.ndim == 1:
+        x = x[:, None]
+    if x.ndim != 2 or x.shape[1] < model.spec.dimension:
+        raise ValueError(f"covariates of shape {x.shape} do not fit the order spec")
+    pooled = isinstance(model, SubaggedModel)
+    if interpolate:
+        if pooled:
+            raise ValueError("interpolation needs a plain model with one total-order covariate")
+        return _interpolated(model, x)
+    rows = {side: np.empty((x.shape[0], model.thresholds.size)) for side in sides}
+    codes = np.empty(x.shape[0], dtype=np.intp)
+    for lo in range(0, x.shape[0], CASE_BLOCK):
+        cut = slice(lo, lo + CASE_BLOCK)
+        codes[cut] = (_pooled_block if pooled else _plain_block)(model, x[cut], {s: rows[s][cut] for s in sides})
+    provenance = [_PROVENANCE_ORDER[c] for c in codes]
+    return PredictionBatch(model.thresholds, rows["center"], rows.get("lower"), rows.get("upper"), provenance,
+                           bounds_heuristic=pooled)
+
+
+def predict_batch(model: IdrModel | SubaggedModel, covariates, interpolate: bool = False) -> PredictionBatch:
     """Predict at every row of a covariate matrix.
 
     The lower bound is the pointwise maximum over direct successors,
@@ -212,32 +279,23 @@ def predict_batch(model: IdrModel, covariates, interpolate: bool = False) -> Pre
     prediction is their average, one of them when only one side exists,
     or the climatology when neither does.  Models over a single total
     order find the neighbours by binary search; other orders take them
-    for all cases at once from the comparison masks of the DAG.
+    from the comparison masks of the DAG.
 
-    With ``interpolate`` the prediction instead interpolates linearly
-    between the neighbouring fitted CDFs of a single total-order
-    covariate, bracketed by those two CDFs.  Queries below the smallest
-    key take the first fitted CDF, queries above the largest the last.
+    A :class:`~idr.subagging.SubaggedModel` averages its members'
+    rows on the union of their grids, a bound only where every member
+    has it; the bounds are heuristic, as no single monotone fit stands
+    behind them.  The provenance is the weakest member's, or
+    both-bounds when every member reports both bounds.
+
+    With ``interpolate`` the prediction of a plain model instead
+    interpolates linearly between the neighbouring fitted CDFs of a
+    single total-order covariate, bracketed by those two CDFs.  Queries
+    below the smallest key take the first fitted CDF, queries above the
+    largest the last.
 
     A 1-d ``covariates`` is read as one column.
     """
-    x = np.asarray(covariates, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    if x.ndim != 2 or x.shape[1] < model.spec.dimension:
-        raise ValueError(f"covariates of shape {x.shape} do not fit the order spec")
-    if interpolate:
-        return _interpolated(model, x)
-    lower, upper, exact = _bound_rows(model, x)
-    has_lower, has_upper = ~np.isnan(lower[:, 0]), ~np.isnan(upper[:, 0])
-    # at a training point both bounds are the node's row, and x + x halves to x exactly
-    center = 0.5 * (lower + upper)
-    center[~has_upper] = lower[~has_upper]
-    center[~has_lower] = upper[~has_lower]
-    center[~has_lower & ~has_upper] = model.climatology.evaluate(model.thresholds)
-    # indices into _PROVENANCE_ORDER
-    codes = np.select([exact, has_lower & has_upper, has_upper, has_lower], [5, 4, 2, 1], 0)
-    return PredictionBatch(model.thresholds, center, lower, upper, [_PROVENANCE_ORDER[c] for c in codes])
+    return _predict(model, covariates, _SIDES, interpolate)
 
 
 def _one_row(x) -> np.ndarray:
@@ -248,15 +306,15 @@ def _one_row(x) -> np.ndarray:
     return v[None, :]
 
 
-def predict_cdf(model: IdrModel, x) -> Prediction:
+def predict_cdf(model: IdrModel | SubaggedModel, x) -> Prediction:
     """Predict at one covariate vector: a batch of one."""
     return predict_batch(model, _one_row(x)).prediction(0)
 
 
-def predict_rows(model: IdrModel, covariates) -> tuple[np.ndarray, list[Provenance]]:
+def predict_rows(model: IdrModel | SubaggedModel, covariates) -> tuple[np.ndarray, list[Provenance]]:
     """The (cases, thresholds) centre matrix of :func:`predict_batch`
-    and the per-case provenance."""
-    batch = predict_batch(model, covariates)
+    and the per-case provenance, without the bound matrices."""
+    batch = _predict(model, covariates, ("center",))
     return batch.center, batch.provenance
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .stepfun import StepCdf, evaluate_rows, quantile_rows
+from .stepfun import CASE_BLOCK, StepCdf, evaluate_rows, quantile_rows
 
 __all__ = [
     "crps",
@@ -34,10 +34,6 @@ __all__ = [
     "crps_mixture_check",
     "reliability_bins",
 ]
-
-#: Cases per block in :func:`crps_rows`, to bound memory.
-_CRPS_CHUNK = 512
-
 
 def crps(cdf: StepCdf, y: float) -> float:
     """Continuous ranked probability score, exact closed form.
@@ -86,8 +82,8 @@ def crps_rows(thresholds, rows, ys) -> np.ndarray:
         raise ValueError("the span of the outcomes and thresholds overflows the float range")
     widths = np.diff(z)
     out = np.empty(ys.size)
-    for lo in range(0, ys.size, _CRPS_CHUNK):
-        hi = min(ys.size, lo + _CRPS_CHUNK)
+    for lo in range(0, ys.size, CASE_BLOCK):
+        hi = lo + CASE_BLOCK
         y = ys[lo:hi, None]
         f = rows[lo:hi, :-1]
         below = np.clip(y - z[:-1], 0.0, widths)  # segment length left of y

@@ -11,6 +11,10 @@ import numpy as np
 
 __all__ = ["StepCdf", "evaluate_rows", "quantile_rows"]
 
+#: Cases per block where a batch path works through (cases, grid)
+#: matrices a block at a time, to bound its memory.
+CASE_BLOCK = 256
+
 
 class StepCdf:
     """A finite step CDF: jump points with cumulative probabilities.

@@ -1,41 +1,40 @@
 """Subsample aggregation: fit on subsets, pool the predicted CDFs.
 
 Members are fitted on index subsets drawn without replacement
-(independently per member) and aggregated by an equal-weight pointwise
-mean of their predictive CDFs, which preserves the monotonicity of the
-members.  A deterministic even/odd split is available as an
-alternative to random subsampling.
+(independently per member).  :func:`~idr.prediction.predict_batch`
+aggregates them by an equal-weight pointwise mean of their predictive
+CDFs, which preserves the monotonicity of the members.  A
+deterministic even/odd split is available as an alternative to random
+subsampling.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .fitting import IdrModel, TrainingSet, fit_idr, make_training_set
-from .prediction import _PROVENANCE_ORDER, Prediction, PredictionBatch, Provenance, _one_row, predict_batch
 
 __all__ = [
     "SubaggedModel",
     "fit_subagged",
     "fit_even_odd",
-    "predict_subagged",
-    "predict_subagged_batch",
-    "predict_subagged_rows",
 ]
-
-_REPORTS_BOUNDS = (Provenance.AT_TRAINING_POINT, Provenance.BOTH_BOUNDS)
 
 
 @dataclass(frozen=True)
 class SubaggedModel:
-    """Equal-weight ensemble of models fitted on subsamples."""
+    """Equal-weight ensemble of models fitted on subsamples.
+
+    ``thresholds`` is the union of the members' grids, the grid its
+    predictions live on; it is computed once, read-only."""
 
     members: tuple[IdrModel, ...]
     subsample_size: int
     seed: int
     split: str = "random"
+    thresholds: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.members) == 0:
@@ -43,6 +42,9 @@ class SubaggedModel:
         first = self.members[0].spec
         if any(m.spec != first for m in self.members[1:]):
             raise ValueError("members must share the order spec")
+        grid = np.unique(np.concatenate([m.thresholds for m in self.members]))
+        grid.setflags(write=False)
+        object.__setattr__(self, "thresholds", grid)
 
     @property
     def spec(self):
@@ -81,59 +83,3 @@ def fit_even_odd(training: TrainingSet, seed: int = 0) -> SubaggedModel:
         raise ValueError("even/odd split needs at least two rows")
     members = _fit_members(training, (slice(0, None, 2), slice(1, None, 2)))
     return SubaggedModel(members, (training.n + 1) // 2, seed, split="even-odd")
-
-
-def _aggregate_provenance(provs) -> Provenance:
-    if all(p in _REPORTS_BOUNDS for p in provs):
-        return Provenance.BOTH_BOUNDS
-    return min(provs, key=_PROVENANCE_ORDER.index)
-
-
-def _member_means(model: SubaggedModel, covariates, grid, sides):
-    """Equal-weight means over members of the batch rows named in
-    ``sides``, each read off on ``grid``, plus every member's
-    provenance.  A case is NaN where any member's row is (a missing
-    bound).  Members are predicted one at a time, so only the sums
-    span the whole grid."""
-    sums = [np.zeros((len(np.asarray(covariates)), grid.size)) for _ in sides]
-    provenances = []
-    for member in model.members:
-        batch = predict_batch(member, covariates)
-        idx = np.searchsorted(member.thresholds, grid, side="right")
-        for total, side in zip(sums, sides):
-            rows = getattr(batch, side)
-            total += np.concatenate((np.zeros((rows.shape[0], 1)), rows), axis=1)[:, idx]
-            total[np.isnan(rows[:, 0])] = np.nan
-        provenances.append(batch.provenance)
-    for total in sums:
-        total /= len(model.members)
-    return sums, provenances
-
-
-def predict_subagged_batch(model: SubaggedModel, covariates) -> PredictionBatch:
-    """Aggregate member predictions at every row of a covariate matrix.
-
-    The CDF is the pointwise mean of the member CDFs on the union of
-    their grids.  A bound is averaged the same way for the cases where
-    every member provides it, and is marked heuristic, since no single
-    monotone fit stands behind the averaged bracket.  The provenance is
-    the weakest among the members, or both-bounds when every member
-    reports both bounds.
-    """
-    grid = np.unique(np.concatenate([m.thresholds for m in model.members]))
-    (center, lower, upper), provenances = _member_means(model, covariates, grid, ("center", "lower", "upper"))
-    provenance = [_aggregate_provenance(ps) for ps in zip(*provenances)]
-    return PredictionBatch(grid, center, lower, upper, provenance, bounds_heuristic=True)
-
-
-def predict_subagged(model: SubaggedModel, x) -> Prediction:
-    """Aggregate member predictions at one covariate vector: a batch of
-    one of :func:`predict_subagged_batch`."""
-    return predict_subagged_batch(model, _one_row(x)).prediction(0)
-
-
-def predict_subagged_rows(model: SubaggedModel, covariates, grid) -> np.ndarray:
-    """Aggregated CDF values of a query batch on a common grid: the
-    centre of :func:`predict_subagged_batch`, read off on ``grid``."""
-    (center,), _ = _member_means(model, covariates, np.asarray(grid, dtype=float), ("center",))
-    return center

@@ -33,7 +33,6 @@ from idr import (
     model_to_json,
     predict_cdf,
     predict_rows,
-    predict_subagged_rows,
 )
 from idr.oracles import simulate_gamma, true_gamma_crps
 
@@ -208,9 +207,8 @@ def test_criterion_06_subagging():
     x_test, y_test = simulate_gamma(10_000, seed=31)
     rows, _ = predict_rows(full, x_test[:, None])
     full_crps = float(np.mean(crps_rows(full.thresholds, rows, y_test)))
-    grid = np.unique(np.concatenate([m.thresholds for m in bagged.members]))
-    bag_rows = predict_subagged_rows(bagged, x_test[:, None], grid)
-    bag_crps = float(np.mean(crps_rows(grid, bag_rows, y_test)))
+    bag_rows, _ = predict_rows(bagged, x_test[:, None])
+    bag_crps = float(np.mean(crps_rows(bagged.thresholds, bag_rows, y_test)))
 
     elapsed = time.monotonic() - start
     ratio = bag_crps / full_crps

@@ -33,11 +33,9 @@ from idr import (
     predict_batch,
     predict_cdf,
     predict_rows,
-    predict_subagged,
-    predict_subagged_batch,
-    predict_subagged_rows,
 )
 from idr.orders import _comparison_matrix, canonical_key
+from idr.stepfun import CASE_BLOCK
 
 TOTAL1 = OrderSpec((OrderGroup((0,), TOTAL),))
 CW2 = OrderSpec((OrderGroup((0, 1), COMPONENTWISE),))
@@ -129,7 +127,7 @@ def ref_interpolate(model, xv):
     return make(model.cdf[pos], model.cdf[pos - 1], center)
 
 
-def ref_predict_subagged(model, x):
+def ref_predict_pooled(model, x):
     parts = [ref_predict_cdf(m, x) for m in model.members]
     grid = np.unique(np.concatenate([p.cdf.jumps for p in parts]))
     k = len(parts)
@@ -254,6 +252,18 @@ def assert_same_prediction(got, want):
     assert got.bounds_heuristic == want.bounds_heuristic
 
 
+def assert_blocks_agree(model, queries, batch):
+    """Two blocks of cases plus one, each a query of ``batch``, give
+    that query's rows and provenance, in predict_batch and predict_rows."""
+    idx = np.resize(np.arange(len(queries)), 2 * CASE_BLOCK + 1)
+    big = predict_batch(model, queries[idx])
+    for name in ("center", "lower", "upper"):
+        assert np.array_equal(getattr(big, name), getattr(batch, name)[idx], equal_nan=True)
+    assert big.provenance == [batch.provenance[i] for i in idx]
+    rows, provs = predict_rows(model, queries[idx])
+    assert np.array_equal(rows, batch.center[idx]) and provs == big.provenance
+
+
 def assert_batch_row(batch, i, want):
     """Row ``i`` of a batch agrees with a reference Prediction."""
     assert batch.provenance[i] is want.provenance
@@ -289,6 +299,7 @@ def test_batch_matches_per_query_reference(case):
     if case is not chain_case:
         kinds.add(Provenance.CLIMATOLOGICAL)
     assert kinds <= seen
+    assert_blocks_agree(model, queries, batch)
     empty = predict_batch(model, queries[:0])
     assert empty.center.shape == empty.lower.shape == empty.upper.shape == (0, model.thresholds.size)
     assert empty.provenance == []
@@ -312,13 +323,16 @@ def test_interpolation_matches_per_query_reference():
 
 def test_subagged_batch_matches_per_query_reference():
     model, queries = subagged_case()
-    batch = predict_subagged_batch(model, queries)
-    assert np.array_equal(predict_subagged_rows(model, queries, batch.grid), batch.center)
+    batch = predict_batch(model, queries)
+    assert np.array_equal(batch.grid, model.thresholds)
+    rows, provs = predict_rows(model, queries)
+    assert np.array_equal(rows, batch.center) and provs == batch.provenance
     seen = set()
     for i, q in enumerate(queries):
-        want = ref_predict_subagged(model, q)
+        want = ref_predict_pooled(model, q)
         seen.add(want.provenance)
         assert_batch_row(batch, i, want)
-        assert_same_prediction(predict_subagged(model, q), want)
+        assert_same_prediction(predict_cdf(model, q), want)
+    assert_blocks_agree(model, queries, batch)
     assert {Provenance.BOTH_BOUNDS, Provenance.ONLY_PREDECESSORS, Provenance.ONLY_SUCCESSORS,
             Provenance.CLIMATOLOGICAL} <= seen

@@ -437,6 +437,45 @@ def test_malformed_rows_report_line_numbers(tmp_path):
     assert "'x'" in err and "'y'" in err
 
 
+def test_icx_tail_sums_that_overflow_exit_3_without_a_numpy_warning(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    sane, wide = tmp_path / "sane.csv", tmp_path / "wide.csv"
+    write_csv(sane, ["a", "b", "y"], [[1.0, 2.0, 0.5], [2.0, 3.0, 1.5], [0.0, 4.0, 1.0]])
+    write_csv(wide, ["a", "b", "y"], [[1.5e308, 1.5e308, 0.5], [1.6e308, 1.0e308, 1.5], [0.0, 4.0, 1.0]])
+    model = tmp_path / "m.json"
+
+    def run(*args):
+        cmd = [sys.executable, "-m", "idr.cli", *map(str, args)]
+        return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+
+    fit = ("fit", "--response", "y", "--order", "a,b:icx", "--out", model)
+    out = run(*fit, "--data", wide)
+    assert out.returncode == EXIT_VALIDATION, out.stderr
+    assert "overflow the float range" in out.stderr and "Warning" not in out.stderr, out.stderr
+    assert not model.exists()
+    out = run(*fit, "--data", sane)
+    assert out.returncode == 0, out.stderr
+    out = run("predict", "--model", model, "--data", wide, "--out", tmp_path / "p.csv")
+    assert out.returncode == EXIT_VALIDATION, out.stderr
+    assert "overflow the float range" in out.stderr and "Warning" not in out.stderr, out.stderr
+
+
+def test_rows_with_more_or_fewer_fields_than_the_header_are_a_parse_error(tmp_path):
+    """An extra field, a missing unused column and a blank line are all
+    rejected by line number, also where the named columns parse."""
+    data = tmp_path / "ragged.csv"
+    data.write_text("x,y,note\n1,2,a\n1,2,3,4\n3,1\n\n4,5,b\n")
+    res = invoke("fit", "--data", data, "--response", "y", "--order", "x:total", "--out", tmp_path / "m.json")
+    assert res.exit_code == EXIT_PARSE, all_output(res)
+    assert "lines 3, 4, 5" in all_output(res) and "3 fields" in all_output(res)
+    assert not (tmp_path / "m.json").exists()
+    data.write_text("x,y\n1,2,3\n2,1\n")
+    res = invoke("fit", "--data", data, "--response", "y", "--order", "x:total", "--out", tmp_path / "m.json")
+    assert res.exit_code == EXIT_PARSE, all_output(res)
+    assert "lines 2" in all_output(res)
+
+
 def test_importing_the_cli_leaves_scipy_stats_unloaded(tmp_path):
     """Only the gamma benchmark needs scipy.stats, and loads it itself.
     A chain fit loads neither scipy.optimize nor numba either."""
@@ -458,7 +497,7 @@ def test_poset_prediction_computes_no_key_per_row(tmp_path, monkeypatch):
     """The batch path finds every query's canonical key in one pass: the
     one-row canonical_key is never called, in process or by idr predict."""
     import idr
-    from idr import load_model, predict_batch, predict_subagged_batch
+    from idr import load_model, predict_batch
 
     def one_row_key(*args, **kwargs):
         raise AssertionError("canonical_key called on the batch prediction path")
@@ -473,7 +512,7 @@ def test_poset_prediction_computes_no_key_per_row(tmp_path, monkeypatch):
     x = np.loadtxt(golden / "icx_test.csv", delimiter=",", skiprows=1)[:, :5]
     for member in model.members:
         assert len(predict_batch(member, x).provenance) == len(x)
-    assert len(predict_subagged_batch(model, x).provenance) == len(x)
+    assert len(predict_batch(model, x).provenance) == len(x)
     res = invoke("predict", "--model", golden / "icx_model.json", "--data", golden / "icx_test.csv",
                  "--quantiles", "0.5", "--out", tmp_path / "p.csv")
     assert res.exit_code == 0, all_output(res)

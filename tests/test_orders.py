@@ -1,6 +1,7 @@
 """Order relations, canonical keys, and the comparability DAG."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -94,6 +95,26 @@ def test_compare_rejects_dimension_mismatch():
 def test_compare_rejects_nan():
     with pytest.raises(ValueError):
         compare(cw_spec(2), (1, np.nan), (2, 3))
+
+
+def test_icx_tail_sums_that_overflow_are_rejected():
+    """1.5e308 + 1.5e308 overflows, so the tail sums cannot decide the
+    relation, which for (1.5, 1.5) against (1.6, 1.0) is incomparable.
+    The order layer says so with a ValueError, not a numpy warning."""
+    s = group_spec(2, EMPIRICAL_ICX)
+    assert compare(s, (1.5, 1.5), (1.6, 1.0)) is Relation.INCOMPARABLE
+    dag = build_order_dag(s, [(1.0, 1.0), (2.0, 0.0)])
+    calls = [
+        lambda: compare(s, (1.5e308, 1.5e308), (1.6e308, 1.0e308)),
+        lambda: compare(s, (-1.5e308, -1.5e308), (0.0, 0.0)),
+        lambda: build_order_dag(s, [(1.0, 1.0), (1.5e308, 1.5e308)]),
+        lambda: dag.query_masks(np.array([[1.5e308, 1.5e308]])),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(ValueError, match="overflow"):
+                call()
 
 
 def test_spec_validation():

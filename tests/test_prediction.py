@@ -1,5 +1,7 @@
 """Prediction at new covariates: neighbors, bound averaging, fallbacks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,11 +15,13 @@ from idr import (
     direct_predecessors,
     direct_successors,
     fit_idr,
+    fit_subagged,
     interpolate_total_order,
     make_training_set,
     predict_cdf,
     predict_rows,
 )
+from idr.stepfun import CASE_BLOCK
 
 TOTAL1 = OrderSpec((OrderGroup((0,), TOTAL),))
 CW2 = OrderSpec((OrderGroup((0, 1), COMPONENTWISE),))
@@ -161,3 +165,23 @@ def test_dimension_mismatch_rejected():
     model = fit_idr(make_training_set(CW2, [(0, 0), (1, 1)], [0.0, 1.0]))
     with pytest.raises(ValueError):
         predict_cdf(model, [1.0])
+
+
+def test_predict_rows_holds_the_output_and_a_few_blocks():
+    """predict_rows works through the batch a block of cases at a time,
+    so beside its output it holds a few (block, grid) arrays, however
+    many blocks there are; here 8, on a plain and a subagged model."""
+    rng = np.random.default_rng(5)
+    x = rng.uniform(0, 10, 800)
+    training = make_training_set(TOTAL1, x, x + rng.normal(size=800))
+    queries = rng.uniform(-1, 11, size=(8 * CASE_BLOCK, 1))
+    for model in (fit_idr(training), fit_subagged(training, count=4, size=400, seed=1)):
+        block = CASE_BLOCK * model.thresholds.size * 8
+        tracemalloc.start()
+        try:
+            rows, _ = predict_rows(model, queries)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rows.shape == (queries.shape[0], model.thresholds.size)
+        assert peak < rows.nbytes + 6 * block, (peak - rows.nbytes) / block

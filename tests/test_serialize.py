@@ -20,7 +20,6 @@ from idr import (
     model_to_json,
     predict_batch,
     predict_cdf,
-    predict_subagged,
     save_model,
 )
 
@@ -70,7 +69,7 @@ def test_subagged_round_trip():
     assert isinstance(clone, SubaggedModel)
     assert clone.subsample_size == 40 and clone.seed == 9 and clone.split == "random"
     for q in ([0.5], [5.0], [11.0]):
-        a, b = predict_subagged(model, q), predict_subagged(clone, q)
+        a, b = predict_cdf(model, q), predict_cdf(clone, q)
         assert np.array_equal(a.cdf.jumps, b.cdf.jumps)
         assert np.array_equal(a.cdf.cum, b.cdf.cum)
         assert a.provenance is b.provenance

@@ -13,8 +13,7 @@ from idr import (
     fit_subagged,
     make_training_set,
     predict_cdf,
-    predict_subagged,
-    predict_subagged_rows,
+    predict_rows,
 )
 
 TOTAL1 = OrderSpec((OrderGroup((0,), TOTAL),))
@@ -36,14 +35,14 @@ def test_degenerate_subagging_equals_plain_fit():
     assert np.array_equal(member.thresholds, full.thresholds)
     assert np.array_equal(member.cdf, full.cdf)
     q = [3.3]
-    assert np.array_equal(predict_subagged(single, q).cdf.cum, predict_cdf(full, q).cdf.cum)
+    assert np.array_equal(predict_cdf(single, q).cdf.cum, predict_cdf(full, q).cdf.cum)
 
 
 def test_identical_members_aggregate_to_themselves():
     ts = training()
     member = fit_idr(ts)
     twins = SubaggedModel((member, member), subsample_size=ts.n, seed=0)
-    p = predict_subagged(twins, [4.2])
+    p = predict_cdf(twins, [4.2])
     base = predict_cdf(member, [4.2])
     assert np.allclose(p.cdf.evaluate(base.cdf.jumps), base.cdf.cum)
 
@@ -52,7 +51,7 @@ def test_two_member_average_is_the_mean():
     a = fit_idr(make_training_set(TOTAL1, [1.0, 2.0], [0.0, 1.0]))
     b = fit_idr(make_training_set(TOTAL1, [1.0, 2.0], [0.5, 1.5]))
     model = SubaggedModel((a, b), subsample_size=2, seed=0)
-    p = predict_subagged(model, [1.0])
+    p = predict_cdf(model, [1.0])
     for z in p.cdf.jumps:
         va = predict_cdf(a, [1.0]).cdf.evaluate(float(z))
         vb = predict_cdf(b, [1.0]).cdf.evaluate(float(z))
@@ -98,7 +97,8 @@ def test_aggregate_is_valid_cdf_and_antitonic():
     rng = np.random.default_rng(4)
     qs = np.sort(rng.uniform(0, 10, size=12))
     grid = np.unique(np.concatenate([m.thresholds for m in model.members]))
-    rows = predict_subagged_rows(model, qs[:, None], grid)
+    assert np.array_equal(model.thresholds, grid)
+    rows, _ = predict_rows(model, qs[:, None])
     assert np.all(np.diff(rows, axis=1) >= -1e-12)
     assert np.allclose(rows[:, -1], 1.0)
     # larger covariates get pointwise smaller CDFs
@@ -110,9 +110,10 @@ def test_subagged_rows_match_pointwise_aggregation():
     model = fit_subagged(ts, count=4, size=40, seed=7)
     grid = np.unique(np.concatenate([m.thresholds for m in model.members]))
     qs = np.array([[0.5], [5.0], [9.5]])
-    rows = predict_subagged_rows(model, qs, grid)
+    assert np.array_equal(model.thresholds, grid)
+    rows, _ = predict_rows(model, qs)
     for q, row in zip(qs, rows):
-        p = predict_subagged(model, q)
+        p = predict_cdf(model, q)
         assert np.allclose(row, p.cdf.evaluate(grid), atol=1e-12)
 
 
@@ -125,7 +126,7 @@ def test_aggregated_jumps_refine_the_single_fit():
     full = fit_idr(ts)
     model = fit_subagged(ts, count=10, size=200, seed=3)
     q = [5.0]
-    agg = predict_subagged(model, q)
+    agg = predict_cdf(model, q)
     single = predict_cdf(full, q)
     agg_jumps = np.count_nonzero(np.diff(agg.cdf.evaluate(agg.cdf.jumps)) > 0) + 1
     single_jumps = np.count_nonzero(np.diff(single.cdf.evaluate(single.cdf.jumps)) > 0) + 1
@@ -135,12 +136,12 @@ def test_aggregated_jumps_refine_the_single_fit():
 def test_provenance_aggregation_and_heuristic_bounds():
     ts = training(41)
     model = fit_subagged(ts, count=4, size=30, seed=19)
-    inside = predict_subagged(model, [5.0])
+    inside = predict_cdf(model, [5.0])
     assert inside.provenance in (Provenance.BOTH_BOUNDS, Provenance.AT_TRAINING_POINT)
     assert inside.bounds_heuristic
     assert inside.lower is not None and inside.upper is not None
     assert inside.bound_gap >= 0
-    low = predict_subagged(model, [-50.0])
+    low = predict_cdf(model, [-50.0])
     assert low.provenance is Provenance.ONLY_SUCCESSORS
     assert low.upper is None
 

@@ -11,6 +11,7 @@ import csv
 import functools
 import math
 import sys
+from collections import Counter
 
 import click
 import numpy as np
@@ -34,6 +35,9 @@ from .subagging import fit_even_odd, fit_subagged
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_IO = 4
+
+#: Upper limit of --bins: the rows of a table, and passes of reliability_bins over the cases.
+MAX_BINS = 1000
 
 _RELATION_ALIASES = {
     "cw": COMPONENTWISE,
@@ -223,6 +227,11 @@ def _float_list(text: str, what: str, low=None, high=None) -> list[float]:
         out.append(val)
     if not out:
         raise CliDataError(f"no {what} values given")
+    # output columns are named by the values in :g form
+    shown = Counter(f"{v:g}" for v in out)
+    clash = [repr(v) for v in out if shown[f"{v:g}"] > 1]
+    if clash:
+        raise CliDataError(f"{what} values {', '.join(clash)} would share an output column")
     return out
 
 
@@ -412,13 +421,11 @@ def score(model_path, true_gamma, covariate, data_path, response, out_path, thre
 @main.command("pit-hist")
 @click.option("--scores", "scores_path", type=click.Path(dir_okay=False), required=True,
               help="CSV with a 'pit' column (as written by score).")
-@click.option("--bins", type=int, default=10, show_default=True)
+@click.option("--bins", type=click.IntRange(1, MAX_BINS), default=10, show_default=True, help="Number of bins.")
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), required=True)
 @_handle_errors
 def pit_hist(scores_path, bins, out_path):
     """Histogram of PIT values, as plot-ready CSV."""
-    if bins < 1:
-        raise CliDataError("--bins must be at least 1")
     header, rows = _load_table(scores_path)
     pit_vals = _numeric_columns(scores_path, header, rows, ["pit"])[:, 0]
     if np.any((pit_vals < 0) | (pit_vals > 1)):
@@ -443,7 +450,7 @@ def pit_hist(scores_path, bins, out_path):
 @click.option("--data", "data_path", type=click.Path(dir_okay=False), required=True)
 @click.option("--response", required=True)
 @click.option("--threshold", type=float, required=True, help="Event threshold z for P(Y <= z).")
-@click.option("--bins", type=int, default=10, show_default=True)
+@click.option("--bins", type=click.IntRange(2, MAX_BINS), default=10, show_default=True, help="Number of bins.")
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), required=True)
 @_handle_errors
 def reliability(model_path, data_path, response, threshold, bins, out_path):

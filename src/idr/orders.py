@@ -6,7 +6,8 @@ increasing convex, or total on a single column), and two vectors are
 ordered only if every group agrees.  Order-equivalent vectors share a
 canonical key, which replaces exchangeable groups by their order
 statistics; keys with equal comparison vectors become one node of an
-OrderDag.
+OrderDag.  :meth:`OrderDag.query_neighbors` places new covariate
+vectors: at a node or not, and between which nodes.
 """
 
 from __future__ import annotations
@@ -101,6 +102,12 @@ class OrderSpec:
         """Smallest raw vector length the spec can be applied to."""
         return 1 + max(max(g.columns) for g in self.groups)
 
+    @property
+    def total_column(self) -> int | None:
+        """The raw column of a spec that is one total-order group, else None."""
+        g = self.groups[0]
+        return g.columns[0] if len(self.groups) == 1 and g.relation == TOTAL else None
+
     def key_groups(self) -> tuple[OrderGroup, ...]:
         """The same groups re-indexed against the canonical key layout
         (groups concatenated in declaration order)."""
@@ -115,8 +122,8 @@ class OrderSpec:
 def _canonical_keys(spec: OrderSpec, x: np.ndarray) -> np.ndarray:
     """Canonical keys of the rows of a 2-d covariate matrix, one per row
     (key layout); see :func:`canonical_key`."""
-    if x.shape[1] < spec.dimension:
-        raise ValueError(f"vector of length {x.shape[1]} is shorter than the order spec needs ({spec.dimension})")
+    if x.ndim != 2 or x.shape[1] < spec.dimension:
+        raise ValueError(f"covariates of shape {x.shape} do not fit the order spec ({spec.dimension} columns)")
     parts = []
     for g in spec.groups:
         sub = x[:, list(g.columns)]
@@ -287,12 +294,30 @@ class OrderDag:
         # node <= query is -query <= -node; negation is exact
         return _all_leq(-q, -self.cmp_matrix), _all_leq(q, self.cmp_matrix)
 
-    def query_neighbors(self, keys) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per row of canonical ``keys``: whether it is order-equivalent
-        to a node, and (cases, nodes) masks of the maximal nodes below it
-        and the minimal nodes above it; at a node both hold it alone."""
-        below, above = self.query_masks(keys)
-        return (below & above).any(axis=1), _maximal(below, self.reach), _maximal(above, self.reach.T)
+    def query_neighbors(self, x):
+        """``(exact, pred, succ)`` for queries ``x``, one covariate vector
+        per row in the raw layout (as given to :func:`build_order_dag`).
+
+        ``exact[i]`` is True iff query ``i`` is order-equivalent to a
+        node.  ``pred`` and ``succ`` are ``(cases, nodes)`` index pairs,
+        sorted by case and then node, of the direct predecessors (maximal
+        nodes below-or-equal a query) and direct successors (minimal nodes
+        above-or-equal it); at a node both hold that node alone.  One
+        total-order group is searched by bisection over the node keys;
+        any other order compares each query with every node.
+        """
+        keys = _canonical_keys(self.spec, np.asarray(x, dtype=float))
+        if self.spec.total_column is None:
+            below, above = self.query_masks(keys)
+            exact = (below & above).any(axis=1)
+            return exact, np.nonzero(_maximal(below, self.reach)), np.nonzero(_maximal(above, self.reach.T))
+        # a total key is its own comparison row, and the nodes ascend
+        q, nodes = keys[:, 0], self.cmp_matrix[:, 0]
+        above = np.searchsorted(nodes, q, side="left")
+        exact = nodes[np.minimum(above, nodes.size - 1)] == q
+        below = np.where(exact, above, above - 1)
+        has_below, has_above = np.flatnonzero(below >= 0), np.flatnonzero(above < nodes.size)
+        return exact, (has_below, below[has_below]), (has_above, above[has_above])
 
 
 def _all_leq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -337,11 +362,11 @@ def _transitive_reduction(strict: np.ndarray) -> np.ndarray:
 def build_order_dag(spec: OrderSpec, points, *, points_are_keys: bool = False) -> OrderDag:
     """Build the comparability DAG of a point set.
 
-    Order-equivalent points collapse into a single node, also distinct
-    keys whose comparison vectors are equal; ``membership`` maps each
-    input row to its node.  Node order is lexicographic on the nodes'
-    canonical keys, which for a single total-order column is simply
-    ascending covariate order.
+    Points with equal comparison rows are order-equivalent and collapse
+    into a single node, named by the least of their canonical keys;
+    ``membership`` maps each input row to its node.  Node order is
+    lexicographic on the nodes' keys, which for a single total-order
+    column is simply ascending covariate order.
 
     Parameters
     ----------
@@ -355,31 +380,21 @@ def build_order_dag(spec: OrderSpec, points, *, points_are_keys: bool = False) -
     rows = np.atleast_2d(np.asarray(points, dtype=float))
     if rows.shape[0] == 0:
         raise ValueError("build_order_dag needs at least one point")
-    kspec = OrderSpec(spec.key_groups()) if points_are_keys else spec
-    keys = list(map(tuple, _canonical_keys(kspec, rows).tolist()))
-
-    distinct = sorted(set(keys))
-    kmat = np.array(distinct, dtype=float).reshape(len(distinct), -1)
-    cmp_matrix = _comparison_matrix(spec.key_groups(), kmat)
-    order = np.lexsort(cmp_matrix.T[::-1])
-    ranked = cmp_matrix[order]
+    keys = _canonical_keys(OrderSpec(spec.key_groups()) if points_are_keys else spec, rows)
+    cmp_rows = _comparison_matrix(spec.key_groups(), keys)
+    # sorted by comparison row, then by key: each run of equal comparison
+    # rows is one node, and the stable sort puts its least key first
+    order = np.lexsort(np.concatenate([cmp_rows, keys], axis=1).T[::-1])
+    ranked = cmp_rows[order]
     starts = np.concatenate([[True], np.any(ranked[1:] != ranked[:-1], axis=1)])
-    node, uniq = np.arange(len(distinct)), distinct
-    if not starts.all():
-        # distinct icx keys whose tail sums round alike are order-equivalent:
-        # one node, named by the least key of the class, which the stable
-        # lexsort puts first
-        cls = np.empty_like(node)
-        cls[order] = np.cumsum(starts) - 1
-        reps = np.sort(order[starts])
-        node = np.searchsorted(reps, order[starts][cls])
-        uniq = [distinct[i] for i in reps]
-        cmp_matrix = cmp_matrix[reps]
-        order = np.lexsort(cmp_matrix.T[::-1])
-        ranked = cmp_matrix[order]
-    index = dict(zip(distinct, node.tolist()))
-    membership = np.array([index[k] for k in keys], dtype=np.intp)
+    first = order[starts]
+    # node i is the by_key[i]-th class in comparison order
+    by_key = np.lexsort(keys[first].T[::-1])
+    membership = np.empty(rows.shape[0], dtype=np.intp)
+    membership[order] = np.argsort(by_key)[np.cumsum(starts) - 1]
+    ranked = ranked[starts]
     # lexicographic order extends the componentwise one, so the nodes
     # form a chain iff each row is <= the next once the rows are sorted
-    chain_positions = np.argsort(order) if np.all(ranked[:-1] <= ranked[1:]) else None
-    return OrderDag(spec, uniq, membership, cmp_matrix, chain_positions)
+    chain_positions = by_key if np.all(ranked[:-1] <= ranked[1:]) else None
+    nodes = first[by_key]
+    return OrderDag(spec, list(map(tuple, keys[nodes].tolist())), membership, cmp_rows[nodes], chain_positions)

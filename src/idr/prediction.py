@@ -11,12 +11,13 @@ neighboring fitted CDFs.
 
 :func:`predict_batch` is the one implementation of this rule, for plain
 and subagged models: it takes a covariate matrix and returns the centre
-and bound rows on the model grid with a provenance per case.  It finds
-the neighbours of a block of cases at once, by binary search on a
-chain and from (cases, nodes) comparison masks on any other order.
-:func:`predict_cdf`, :func:`interpolate_total_order`,
+and bound rows on the model grid with a provenance per case, a block
+of cases at a time.  The order layer's
+:meth:`~idr.orders.OrderDag.query_neighbors` finds which cases sit at
+a node and the neighbours of the others; this module only reduces
+their fitted rows.  :func:`predict_cdf`, :func:`interpolate_total_order`,
 :func:`predict_rows` and the neighbour lists :func:`direct_predecessors`
-and :func:`direct_successors` are views of it.
+and :func:`direct_successors` are views of these two.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fitting import IdrModel
-from .orders import TOTAL, _canonical_keys
 from .stepfun import CASE_BLOCK, StepCdf
 from .subagging import SubaggedModel
 
@@ -126,104 +126,82 @@ class PredictionBatch:
         return Prediction(cdf, lower, upper, self.provenance[i], None if np.isnan(gap) else gap, heuristic)
 
 
-def _neighbors(model: IdrModel, x: np.ndarray):
-    """See :meth:`OrderDag.query_neighbors`."""
-    return model.dag.query_neighbors(_canonical_keys(model.spec, x))
-
-
 def direct_predecessors(model: IdrModel, x) -> list[int]:
     """Nodes whose keys lie at-or-below ``x`` with nothing between.
 
     A query at a training point returns exactly that node.
     """
-    _, pred, _ = _neighbors(model, _one_row(x))
-    return np.nonzero(pred[0])[0].tolist()
+    _, (_, nodes), _ = model.dag.query_neighbors(_one_row(x))
+    return nodes.tolist()
 
 
 def direct_successors(model: IdrModel, x) -> list[int]:
     """Nodes whose keys lie at-or-above ``x`` with nothing between."""
-    _, _, succ = _neighbors(model, _one_row(x))
-    return np.nonzero(succ[0])[0].tolist()
+    _, _, (_, nodes) = model.dag.query_neighbors(_one_row(x))
+    return nodes.tolist()
 
 
-def _chain_neighbors(model: IdrModel, x: np.ndarray):
-    """For a model over one total-order covariate: per query, the
-    largest node at-or-below it (-1 if none) and the smallest node
-    at-or-above it (n if none), equal at a training key.  None for
-    any other model."""
-    groups = model.spec.groups
-    if len(groups) != 1 or groups[0].relation != TOTAL:
-        return None
-    col = x[:, groups[0].columns[0]]
-    if not np.isfinite(col).all():
-        raise ValueError("covariate entries must be finite (no NaN/inf)")
-    keys = model.dag.cmp_matrix[:, 0]
-    above = np.searchsorted(keys, col, side="left")
-    exact = (above < keys.size) & (keys[np.minimum(above, keys.size - 1)] == col)
-    return col, keys, np.where(exact, above, above - 1), above
-
-
-def _bound_rows(model: IdrModel, x: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """Write the lower and upper bound rows (NaN where a side is empty)
-    into ``lower`` and ``upper``; returns the mask of queries at a
-    training point."""
-    cdf = model.cdf
-    chain = _chain_neighbors(model, x)
-    if chain is not None:
-        _, _, below, above = chain
-        np.take(cdf, below, axis=0, mode="clip", out=upper)
-        np.take(cdf, above, axis=0, mode="clip", out=lower)
-        upper[below < 0] = np.nan
-        lower[above == cdf.shape[0]] = np.nan
-        return below == above
-    # at a training point both masks hold its node alone, so both bounds are its row
-    exact, pred, succ = _neighbors(model, x)
-    _reduce_rows(np.maximum, cdf, succ, lower)
-    _reduce_rows(np.minimum, cdf, pred, upper)
-    return exact
-
-
-def _reduce_rows(ufunc, cdf: np.ndarray, mask: np.ndarray, out: np.ndarray):
-    """Per case, ``ufunc`` over the CDF rows of the nodes in its mask
-    row, written into ``out``; NaN where the row is empty."""
-    out[...] = np.nan
-    cases, nodes = np.nonzero(mask)
-    if nodes.size:
+def _reduce_rows(ufunc, cdf: np.ndarray, pairs, out: np.ndarray):
+    """Per case, ``ufunc`` over the CDF rows of its nodes in the
+    (cases, nodes) ``pairs``, written into ``out``; NaN where a case has
+    no node."""
+    cases, nodes = pairs
+    if np.all(cases[1:] > cases[:-1]):
+        # at most one node per case, as on a chain: copy its row, with no temporary rows
+        node = np.full(out.shape[0], -1)
+        node[cases] = nodes
+        np.take(cdf, node, axis=0, mode="clip", out=out)
+        out[node < 0] = np.nan
+    else:
+        out[...] = np.nan
         has, starts = np.unique(cases, return_index=True)
         out[has] = ufunc.reduceat(cdf[nodes], starts, axis=0)
 
 
-def _interpolated(model: IdrModel, x: np.ndarray) -> PredictionBatch:
-    chain = _chain_neighbors(model, x)
-    if chain is None:
-        raise ValueError("interpolation needs a model over a single total-order covariate")
-    col, keys, below, above = chain
-    # outside the keys both neighbours are the nearest end node
-    lo, hi = np.maximum(below, 0), np.minimum(above, keys.size - 1)
-    upper, lower = model.cdf[lo], model.cdf[hi]
-    center = upper.copy()
-    inside = lo != hi
-    t = ((col[inside] - keys[lo[inside]]) / (keys[hi[inside]] - keys[lo[inside]]))[:, None]
-    center[inside] = (1.0 - t) * upper[inside] + t * lower[inside]
-    provenance = [Provenance.INTERPOLATED] * x.shape[0]
-    return PredictionBatch(model.thresholds, center, lower, upper, provenance)
+def _block_rows(model: IdrModel, x: np.ndarray, out: dict) -> tuple[np.ndarray, ...]:
+    """``out``'s centre, lower and upper rows for ``x``; a side it lacks is added."""
+    for side in _SIDES:
+        out.setdefault(side, np.empty((x.shape[0], model.thresholds.size)))
+    return tuple(out[side] for side in _SIDES)
 
 
 def _plain_block(model: IdrModel, x: np.ndarray, out: dict) -> np.ndarray:
     """Write a plain model's rows at the rows of ``x`` into ``out``
     (rows by side; a side it lacks is added); returns the provenance
     codes, indices into ``_PROVENANCE_ORDER``."""
-    for side in _SIDES:
-        out.setdefault(side, np.empty((x.shape[0], model.thresholds.size)))
-    center, lower, upper = (out[side] for side in _SIDES)
-    exact = _bound_rows(model, x, lower, upper)
+    center, lower, upper = _block_rows(model, x, out)
+    exact, pred, succ = model.dag.query_neighbors(x)
+    # at a training point both pair lists hold its node alone, so both bounds are its row
+    _reduce_rows(np.maximum, model.cdf, succ, lower)
+    _reduce_rows(np.minimum, model.cdf, pred, upper)
     has_lower, has_upper = ~np.isnan(lower[:, 0]), ~np.isnan(upper[:, 0])
-    # at a training point both bounds are the node's row, and x + x halves to x exactly
+    # x + x halves to x exactly
     np.multiply(0.5, np.add(lower, upper, out=center), out=center)
     center[~has_upper] = lower[~has_upper]
     center[~has_lower] = upper[~has_lower]
     center[~has_lower & ~has_upper] = model.climatology.evaluate(model.thresholds)
     return np.select([exact, has_lower & has_upper, has_upper, has_lower], [5, 4, 2, 1], 0)
+
+
+def _interpolated_block(model: IdrModel, x: np.ndarray, out: dict) -> np.ndarray:
+    """Write into ``out`` the rows interpolated between the fitted CDFs
+    of the nodes next to each row of ``x``, for a model over one
+    total-order covariate; returns the provenance codes."""
+    center, lower, upper = _block_rows(model, x, out)
+    _, pred, succ = model.dag.query_neighbors(x)
+    # outside the keys both neighbours are the nearest end node
+    lo = np.zeros(x.shape[0], dtype=np.intp)
+    hi = np.full(x.shape[0], model.n_nodes - 1)
+    lo[pred[0]], hi[succ[0]] = pred[1], succ[1]
+    np.take(model.cdf, lo, axis=0, out=upper)
+    np.take(model.cdf, hi, axis=0, out=lower)
+    center[...] = upper
+    # a total key is its own comparison row
+    keys, col = model.dag.cmp_matrix[:, 0], x[:, model.spec.total_column]
+    inside = lo != hi
+    t = ((col[inside] - keys[lo[inside]]) / (keys[hi[inside]] - keys[lo[inside]]))[:, None]
+    center[inside] = (1.0 - t) * upper[inside] + t * lower[inside]
+    return np.full(x.shape[0], 3)
 
 
 def _pooled_block(model: SubaggedModel, x: np.ndarray, out: dict) -> np.ndarray:
@@ -254,18 +232,16 @@ def _predict(model, covariates, sides, interpolate: bool = False) -> PredictionB
     x = np.asarray(covariates, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
-    if x.ndim != 2 or x.shape[1] < model.spec.dimension:
-        raise ValueError(f"covariates of shape {x.shape} do not fit the order spec")
     pooled = isinstance(model, SubaggedModel)
-    if interpolate:
-        if pooled:
-            raise ValueError("interpolation needs a plain model with one total-order covariate")
-        return _interpolated(model, x)
+    if interpolate and (pooled or model.spec.total_column is None):
+        raise ValueError("interpolation needs a plain model with one total-order covariate")
+    block = _interpolated_block if interpolate else _pooled_block if pooled else _plain_block
     rows = {side: np.empty((x.shape[0], model.thresholds.size)) for side in sides}
     codes = np.empty(x.shape[0], dtype=np.intp)
-    for lo in range(0, x.shape[0], CASE_BLOCK):
+    # at least one block, so that the order layer checks the shape of an empty batch too
+    for lo in range(0, max(x.shape[0], 1), CASE_BLOCK):
         cut = slice(lo, lo + CASE_BLOCK)
-        codes[cut] = (_pooled_block if pooled else _plain_block)(model, x[cut], {s: rows[s][cut] for s in sides})
+        codes[cut] = block(model, x[cut], {s: rows[s][cut] for s in sides})
     provenance = [_PROVENANCE_ORDER[c] for c in codes]
     return PredictionBatch(model.thresholds, rows["center"], rows.get("lower"), rows.get("upper"), provenance,
                            bounds_heuristic=pooled)
@@ -277,9 +253,10 @@ def predict_batch(model: IdrModel | SubaggedModel, covariates, interpolate: bool
     The lower bound is the pointwise maximum over direct successors,
     the upper bound the pointwise minimum over direct predecessors; the
     prediction is their average, one of them when only one side exists,
-    or the climatology when neither does.  Models over a single total
-    order find the neighbours by binary search; other orders take them
-    from the comparison masks of the DAG.
+    or the climatology when neither does.  The neighbours come from
+    :meth:`~idr.orders.OrderDag.query_neighbors`, which finds them by
+    binary search under a single total order and by comparing each
+    query with every node under any other order.
 
     A :class:`~idr.subagging.SubaggedModel` averages its members'
     rows on the union of their grids, a bound only where every member

@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 from idr import load_model
-from idr.cli import EXIT_IO, EXIT_PARSE, EXIT_VALIDATION, main
+from idr.cli import EXIT_IO, EXIT_PARSE, EXIT_VALIDATION, MAX_BINS, main
 
 runner = CliRunner()
 
@@ -537,3 +537,42 @@ def test_order_range_and_duplicate_detection(tmp_path):
     res = invoke("fit", "--data", data, "--response", "y", "--order", "a:total;a-c:st",
                  "--out", tmp_path / "m2.json")
     assert res.exit_code == EXIT_PARSE  # 'a' appears twice
+
+
+def test_values_that_would_share_an_output_column_are_a_parse_error(chain_files, tmp_path):
+    """Output columns are named by the values in ':g' form, so values
+    that print alike would give two columns one name: exit 2, naming
+    the values, and no output file."""
+    data, model, _ = chain_files
+    out = tmp_path / "out.csv"
+    cases = [
+        (("predict", "--quantiles", "0.5,0.5"), ["0.5"]),
+        (("predict", "--quantiles", "0.1,0.1234567,0.1234568"), ["0.1234567", "0.1234568"]),
+        (("predict", "--thresholds", "1.0000001,1.0000002"), ["1.0000001", "1.0000002"]),
+        (("score", "--response", "y", "--thresholds", "2,2"), ["2.0"]),
+        (("score", "--response", "y", "--alphas", "0.5,0.5"), ["0.5"]),
+    ]
+    for (command, *flags), values in cases:
+        res = invoke(command, "--model", model, "--data", data, *flags, "--out", out)
+        assert res.exit_code == EXIT_PARSE, (flags, all_output(res))
+        for value in values:
+            assert value in all_output(res)
+        assert not out.exists()
+
+
+def test_bins_outside_their_range_are_a_parse_error(chain_files, tmp_path):
+    """--bins takes 1 to MAX_BINS for pit-hist and 2 to MAX_BINS for
+    reliability, as --help says; any other value exits 2 before a file
+    is read, also one too large for a C integer."""
+    data, model, _ = chain_files
+    out = tmp_path / "out.csv"
+    for command, low in (("pit-hist", 1), ("reliability", 2)):
+        help_text = invoke(command, "--help").output
+        assert f"{low}<=x<={MAX_BINS}" in help_text
+        for bins in (low - 1, MAX_BINS + 1, 10**30):
+            args = ["--scores", tmp_path / "missing.csv"] if command == "pit-hist" else [
+                "--model", model, "--data", data, "--response", "y", "--threshold", 2.0]
+            res = invoke(command, *args, "--bins", bins, "--out", out)
+            assert res.exit_code == EXIT_PARSE, (command, bins, all_output(res))
+            assert "--bins" in all_output(res) and "Traceback" not in all_output(res)
+            assert not out.exists()

@@ -159,12 +159,18 @@ def test_interpolation_requires_total_order():
     model = fit_idr(make_training_set(CW2, [(0, 0), (1, 1)], [0.0, 1.0]))
     with pytest.raises(ValueError):
         interpolate_total_order(model, 0.5)
+    # and a plain model
+    pooled = fit_subagged(make_training_set(TOTAL1, [1.0, 2.0, 3.0], [3.0, 1.0, 2.0]), count=2, size=2, seed=0)
+    with pytest.raises(ValueError):
+        interpolate_total_order(pooled, 0.5)
 
 
 def test_dimension_mismatch_rejected():
     model = fit_idr(make_training_set(CW2, [(0, 0), (1, 1)], [0.0, 1.0]))
     with pytest.raises(ValueError):
         predict_cdf(model, [1.0])
+    with pytest.raises(ValueError):
+        predict_rows(model, np.empty((0, 1)))  # also when the batch is empty
 
 
 def test_predict_rows_holds_the_output_and_a_few_blocks():

@@ -27,7 +27,7 @@ from .orders import (
 )
 from .oracles import simulate_gamma, true_gamma_cdf, true_gamma_crps, true_gamma_quantile
 from .prediction import predict_batch, predict_rows
-from .scoring import brier, brier_rows, crps_rows, pinball, pit_rows, quantile_score_rows, reliability_bins
+from .scoring import brier, brier_rows, crps_rows, pinball, pit_histogram, pit_rows, quantile_score_rows, reliability_bins
 from .serialize import load_model, save_model
 from .stepfun import evaluate_rows, quantile_rows
 from .subagging import fit_even_odd, fit_subagged
@@ -36,7 +36,7 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_IO = 4
 
-#: Upper limit of --bins: the rows of a table, and passes of reliability_bins over the cases.
+#: Upper limit of --bins, the rows of a table.
 MAX_BINS = 1000
 
 _RELATION_ALIASES = {
@@ -121,26 +121,17 @@ def _numeric_columns(path, header, rows, names) -> np.ndarray:
             return block
     except (ValueError, TypeError):
         pass
-    bad = []
-    bad_cols = set()
-    out = np.empty((len(rows), len(idx)))
-    for r, row in enumerate(rows):
-        ok = True
-        for c, i in enumerate(idx):
-            try:
-                val = float(row[i]) if row[i].strip() != "" else math.nan
-            except ValueError:
-                val = math.nan
-            if math.isfinite(val):
-                out[r, c] = val
-            else:
-                ok = False
-                bad_cols.add(names[c])
-        if not ok:
-            bad.append(r + 2)
-    if bad:
-        raise CliDataError(f"{path}: missing or non-numeric values in columns {sorted(bad_cols)} at lines {_lines(bad)}")
-    return out
+    # float() takes the strings the cast takes, so some cell is bad: find them all
+    bad = [(r + 2, name) for r, row in enumerate(rows) for name, i in zip(names, idx) if not _finite_cell(row[i])]
+    lines, cols = list(dict.fromkeys(r for r, _ in bad)), sorted({name for _, name in bad})
+    raise CliDataError(f"{path}: missing or non-numeric values in columns {cols} at lines {_lines(lines)}")
+
+
+def _finite_cell(text: str) -> bool:
+    try:
+        return math.isfinite(float(text))
+    except ValueError:
+        return False
 
 
 def parse_order_string(text: str, header: list[str]) -> OrderSpec:
@@ -272,8 +263,8 @@ def main():
 
 
 @main.command()
-@click.option("--n", type=int, required=True, help="Number of rows to draw.")
-@click.option("--seed", type=int, required=True, help="Random seed.")
+@click.option("--n", type=click.IntRange(min=1), required=True, help="Number of rows to draw.")
+@click.option("--seed", type=click.IntRange(min=0), required=True, help="Random seed.")
 @click.option("--out", type=click.Path(dir_okay=False), required=True, help="Output CSV path.")
 @_handle_errors
 def simulate(n, seed, out):
@@ -293,7 +284,7 @@ def simulate(n, seed, out):
 @click.option("--subagg-size", type=int, default=0, help="Rows per subsample (needs --subagg-count).")
 @click.option("--split", type=click.Choice(["random", "even-odd"]), default="random",
               help="even-odd: two members from the even and odd rows, without the --subagg options.")
-@click.option("--seed", type=int, default=0, help="Seed for subsampling.")
+@click.option("--seed", type=click.IntRange(min=0), default=0, help="Seed for subsampling.")
 @_handle_errors
 def fit(data_path, response, order_text, weight_col, out_path, subagg_count, subagg_size, split, seed):
     """Fit a model and write it as versioned JSON."""
@@ -317,7 +308,7 @@ def fit(data_path, response, order_text, weight_col, out_path, subagg_count, sub
     weights = table[:, d + 1] if weight_col is not None else None
     training = make_training_set(spec, covariates, responses, weights)
 
-    # a plain fit's solver has built the covers (a chain's cost O(n)); subagged members never read them
+    # a plain fit's solver has built the cover edges (a chain's cost O(n)); subagged members never read them
     edges = ""
     if split == "even-odd":
         model = fit_even_odd(training, seed)
@@ -375,7 +366,7 @@ def predict(model_path, data_path, out_path, quantiles, thresholds, interpolate)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), required=True)
 @click.option("--thresholds", default=None, help="Comma list of Brier-score thresholds.")
 @click.option("--alphas", default=None, help="Comma list of quantile-score levels in (0,1).")
-@click.option("--seed", type=int, default=0, help="Seed for PIT randomization.")
+@click.option("--seed", type=click.IntRange(min=0), default=0, help="Seed for PIT randomization.")
 @_handle_errors
 def score(model_path, true_gamma, covariate, data_path, response, out_path, thresholds, alphas, seed):
     """Score predictions case by case and print summary means."""
@@ -428,19 +419,10 @@ def pit_hist(scores_path, bins, out_path):
     """Histogram of PIT values, as plot-ready CSV."""
     header, rows = _load_table(scores_path)
     pit_vals = _numeric_columns(scores_path, header, rows, ["pit"])[:, 0]
-    if np.any((pit_vals < 0) | (pit_vals > 1)):
-        raise ValueError("pit values must lie in [0, 1]")
-    idx = np.minimum((pit_vals * bins).astype(int), bins - 1)
-    counts = np.bincount(idx, minlength=bins)
-    freqs = counts / pit_vals.size
-    edges = np.linspace(0.0, 1.0, bins + 1)
     _write_csv(
         out_path,
         ["bin_low", "bin_high", "count", "frequency"],
-        (
-            [_fmt(edges[i]), _fmt(edges[i + 1]), str(int(counts[i])), _fmt(freqs[i])]
-            for i in range(bins)
-        ),
+        ([_fmt(lo), _fmt(hi), str(k), _fmt(f)] for lo, hi, k, f in pit_histogram(pit_vals, bins)),
     )
     click.echo(f"wrote {bins} bins to {out_path}")
 

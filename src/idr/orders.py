@@ -6,8 +6,9 @@ increasing convex, or total on a single column), and two vectors are
 ordered only if every group agrees.  Order-equivalent vectors share a
 canonical key, which replaces exchangeable groups by their order
 statistics; keys with equal comparison vectors become one node of an
-OrderDag.  :meth:`OrderDag.query_neighbors` places new covariate
-vectors: at a node or not, and between which nodes.
+OrderDag, which keeps its cover edges as index pairs.
+:meth:`OrderDag.query_neighbors` places new covariate vectors: at a
+node or not, and between which nodes.
 """
 
 from __future__ import annotations
@@ -148,20 +149,18 @@ def canonical_key(spec: OrderSpec, x) -> tuple[float, ...]:
 
 
 def _group_transform(sub: np.ndarray, relation: str) -> np.ndarray:
-    """Map a group's entries to a vector whose componentwise order
-    reproduces the group relation."""
-    if relation in (COMPONENTWISE, TOTAL):
-        return sub
-    s = np.sort(sub, axis=-1)
-    if relation == EMPIRICAL_STOCHASTIC:
-        return s
-    # increasing convex: all upper tail sums of the order statistics
-    return np.cumsum(s[..., ::-1], axis=-1)[..., ::-1]
+    """Map a group's entries, sorted if exchangeable, to a vector whose
+    componentwise order reproduces the group relation."""
+    if relation == EMPIRICAL_ICX:
+        # all upper tail sums of the order statistics
+        return np.cumsum(sub[..., ::-1], axis=-1)[..., ::-1]
+    return sub
 
 
 def _comparison_matrix(groups: tuple[OrderGroup, ...], rows: np.ndarray) -> np.ndarray:
-    """Stack per-group transforms of ``rows`` (2-d, key layout, finite);
-    a ValueError where icx tail sums overflow."""
+    """Stack per-group transforms of ``rows``, which must be canonical
+    keys (2-d, key layout, finite, each exchangeable group already
+    sorted); a ValueError where icx tail sums overflow."""
     with np.errstate(over="ignore"):
         parts = [_group_transform(rows[:, list(g.columns)], g.relation) for g in groups]
     out = np.concatenate(parts, axis=1)
@@ -221,15 +220,16 @@ class OrderDag:
     of them.  Nodes are sorted lexicographically by that key; as rows of
     ``cmp_matrix`` (total keys unchanged) their order is componentwise.
     ``reach[u, v]`` is True iff key_u is below-or-equal key_v (the
-    diagonal is True); ``covers`` is the transitive reduction of the
-    strict part.  On a chain, ``chain_positions`` gives each node's
-    place from the least element up; it is None on any other order.
-    Every array is read-only; ``reach`` and ``covers`` are built on
-    first read and cached, so a chain that only needs its positions
+    diagonal is True).  On a chain, ``chain_positions`` gives each
+    node's place from the least element up; it is None on any other
+    order.  The cover edges (the transitive reduction of the strict
+    part) are kept only as :meth:`edges` gives them, never as a matrix.
+    Every array is read-only; ``reach`` and the edges are built on
+    first use and cached, so a chain that only needs its positions
     never holds an n x n matrix.
     """
 
-    __slots__ = ("spec", "keys", "membership", "cmp_matrix", "chain_positions", "_reach", "_covers")
+    __slots__ = ("spec", "keys", "membership", "cmp_matrix", "chain_positions", "_reach", "_edges")
 
     def __init__(self, spec, keys, membership, cmp_matrix, chain_positions):
         self.spec = spec
@@ -237,7 +237,7 @@ class OrderDag:
         self.membership = membership
         self.cmp_matrix = cmp_matrix
         self.chain_positions = chain_positions
-        self._reach = self._covers = None
+        self._reach = self._edges = None
         for a in (membership, cmp_matrix, chain_positions):
             if a is not None:
                 a.setflags(write=False)
@@ -259,40 +259,23 @@ class OrderDag:
             self._reach.setflags(write=False)
         return self._reach
 
-    @property
-    def covers(self) -> np.ndarray:
-        """Boolean matrix of covering edges (transitive reduction)."""
-        if self._covers is None:
-            n = self.n_nodes
-            if self.is_chain:
-                covers = np.zeros((n, n), dtype=bool)
-                covers[self._chain_covers()] = True
-            else:
-                covers = _transitive_reduction(self.reach & ~np.eye(n, dtype=bool))
-            covers.setflags(write=False)
-            self._covers = covers
-        return self._covers
-
-    def _chain_covers(self) -> tuple[np.ndarray, np.ndarray]:
-        """(lower, upper) arrays of a chain's covering edges, by lower node."""
-        pos = self.chain_positions
-        lower = np.flatnonzero(pos < pos.size - 1)
-        return lower, np.argsort(pos)[pos[lower] + 1]
-
     def edges(self) -> list[tuple[int, int]]:
-        """Covering edges as sorted (lower node, upper node) pairs."""
-        us, vs = self._chain_covers() if self.is_chain else np.nonzero(self.covers)
-        return list(zip(us.tolist(), vs.tolist()))
-
-    def query_masks(self, keys) -> tuple[np.ndarray, np.ndarray]:
-        """(cases, nodes) masks of the nodes below-or-equal and
-        above-or-equal each row of ``keys``.
-
-        ``keys`` must already be canonical keys (key layout), one per row.
-        """
-        q = _comparison_matrix(self.spec.key_groups(), np.asarray(keys, dtype=float))
-        # node <= query is -query <= -node; negation is exact
-        return _all_leq(-q, -self.cmp_matrix), _all_leq(q, self.cmp_matrix)
+        """Cover edges as sorted (lower node, upper node) pairs, built on
+        first call and cached as two index arrays: on a chain from
+        ``chain_positions``, on any other order as the strict pairs of
+        ``reach`` (transitively closed) without a two-step path."""
+        if self._edges is None:
+            if self.is_chain:
+                pos = self.chain_positions
+                lower = np.flatnonzero(pos < pos.size - 1)
+                upper = np.argsort(pos)[pos[lower] + 1]
+            else:
+                strict = (self.reach & ~np.eye(self.n_nodes, dtype=bool)).astype(np.float32)
+                lower, upper = np.nonzero(_unreached(strict, strict))
+            lower.setflags(write=False)
+            upper.setflags(write=False)
+            self._edges = lower, upper
+        return list(zip(*(a.tolist() for a in self._edges)))
 
     def query_neighbors(self, x):
         """``(exact, pred, succ)`` for queries ``x``, one covariate vector
@@ -304,11 +287,13 @@ class OrderDag:
         nodes below-or-equal a query) and direct successors (minimal nodes
         above-or-equal it); at a node both hold that node alone.  One
         total-order group is searched by bisection over the node keys;
-        any other order compares each query with every node.
+        any other order compares each query with every node, on ``reach``.
         """
         keys = _canonical_keys(self.spec, np.asarray(x, dtype=float))
         if self.spec.total_column is None:
-            below, above = self.query_masks(keys)
+            q = _comparison_matrix(self.spec.key_groups(), keys)
+            # node <= query is -query <= -node; negation is exact
+            below, above = _all_leq(-q, -self.cmp_matrix), _all_leq(q, self.cmp_matrix)
             exact = (below & above).any(axis=1)
             return exact, np.nonzero(_maximal(below, self.reach)), np.nonzero(_maximal(above, self.reach.T))
         # a total key is its own comparison row, and the nodes ascend
@@ -352,13 +337,6 @@ def _maximal(mask: np.ndarray, reach: np.ndarray) -> np.ndarray:
     return out
 
 
-def _transitive_reduction(strict: np.ndarray) -> np.ndarray:
-    # strict is transitively closed, so u covers v iff there is no
-    # two-step path u -> w -> v
-    as_float = strict.astype(np.float32)
-    return _unreached(as_float, as_float)
-
-
 def build_order_dag(spec: OrderSpec, points, *, points_are_keys: bool = False) -> OrderDag:
     """Build the comparability DAG of a point set.
 
@@ -372,12 +350,15 @@ def build_order_dag(spec: OrderSpec, points, *, points_are_keys: bool = False) -
     ----------
     spec : OrderSpec
     points : array_like
-        Sequence of covariate vectors (rows).
+        Sequence of covariate vectors (rows); a 1-d sequence is one
+        column, one point per entry.
     points_are_keys : bool
         When True the rows are already canonical keys (key layout), as
         stored in a serialized model.
     """
-    rows = np.atleast_2d(np.asarray(points, dtype=float))
+    rows = np.asarray(points, dtype=float)
+    if rows.ndim == 1:
+        rows = rows[:, None]
     if rows.shape[0] == 0:
         raise ValueError("build_order_dag needs at least one point")
     keys = _canonical_keys(OrderSpec(spec.key_groups()) if points_are_keys else spec, rows)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .stepfun import CASE_BLOCK, StepCdf, evaluate_rows, quantile_rows
+from .stepfun import CASE_BLOCK, StepCdf, evaluate_rows, grid_rows, quantile_rows
 
 __all__ = [
     "crps",
@@ -32,6 +32,7 @@ __all__ = [
     "elementary_quantile_score",
     "elementary_probability_score",
     "crps_mixture_check",
+    "pit_histogram",
     "reliability_bins",
 ]
 
@@ -70,11 +71,10 @@ def crps_rows(thresholds, rows, ys) -> np.ndarray:
     Raises
     ------
     ValueError
-        When the outcomes and thresholds span more than the float range,
-        so that their differences would overflow.
+        When ``rows`` do not fit the grid, or the outcomes and thresholds
+        span more than the float range, so their differences overflow.
     """
-    z = np.asarray(thresholds, dtype=float)
-    rows = np.asarray(rows, dtype=float)
+    z, rows = grid_rows(thresholds, rows)
     ys = np.asarray(ys, dtype=float)
     with np.errstate(over="ignore"):
         span = max(ys.max(), z[-1]) - min(ys.min(), z[0]) if ys.size else 0.0
@@ -142,7 +142,9 @@ def brier(p, y, z):
 
 
 def brier_rows(thresholds, rows, ys, z: float) -> np.ndarray:
-    """Brier score of each row's probability of {Y <= z}."""
+    """Brier score of each row's probability of {Y <= z}, z not NaN."""
+    if np.isnan(z):
+        raise ValueError("z must not be NaN")
     return brier(evaluate_rows(thresholds, rows, z), ys, z)
 
 
@@ -159,7 +161,7 @@ def pit_rows(thresholds, rows, ys, v) -> np.ndarray:
     from their own seeded generator.
     """
     v = np.asarray(v, dtype=float)
-    if np.any((v < 0.0) | (v > 1.0)):
+    if not np.all((v >= 0.0) & (v <= 1.0)):  # NaN fails too
         raise ValueError("v must lie in [0, 1]")
     ys = np.asarray(ys, dtype=float)
     lo = evaluate_rows(thresholds, rows, ys, side="left")
@@ -233,6 +235,29 @@ def crps_mixture_check(cdf: StepCdf, y: float, grid_sizes) -> dict[str, list[flo
     return res
 
 
+def _bin_index(values: np.ndarray, bins: int, what: str) -> np.ndarray:
+    """The equal-width bin on [0, 1] of each value, 1 in the last bin;
+    a ValueError for values outside [0, 1] or NaN."""
+    if not np.all((values >= 0.0) & (values <= 1.0)):  # NaN fails too
+        raise ValueError(f"{what} must lie in [0, 1]")
+    return np.minimum((values * bins).astype(int), bins - 1)
+
+
+def pit_histogram(values, bins: int):
+    """Equal-width histogram of PIT values on [0, 1].
+
+    Returns
+    -------
+    list of (bin_low, bin_high, count, frequency), one per bin
+    """
+    v = np.asarray(values, dtype=float)
+    if v.ndim != 1 or v.size == 0 or bins < 1:
+        raise ValueError("need a non-empty 1-d array of pit values and at least 1 bin")
+    counts = np.bincount(_bin_index(v, bins, "pit values"), minlength=bins)
+    edges = np.linspace(0.0, 1.0, bins + 1)
+    return [(float(edges[b]), float(edges[b + 1]), int(counts[b]), float(counts[b] / v.size)) for b in range(bins)]
+
+
 def reliability_bins(probabilities, outcomes, bins: int):
     """Equal-width reliability table on [0, 1].
 
@@ -254,18 +279,16 @@ def reliability_bins(probabilities, outcomes, bins: int):
     o = np.asarray(outcomes, dtype=float)
     if p.shape != o.shape or p.ndim != 1:
         raise ValueError("probabilities and outcomes must be 1-d of equal length")
-    if np.any(p < 0) or np.any(p > 1):
-        raise ValueError("probabilities must lie in [0, 1]")
     if bins < 2:
         raise ValueError("need at least 2 bins")
-    idx = np.minimum((p * bins).astype(int), bins - 1)
+    idx = _bin_index(p, bins, "probabilities")
+    # a stable sort keeps each bin's cases in input order, as its mask would
+    ends = np.cumsum(np.bincount(idx, minlength=bins))
     rows = []
-    for b in range(bins):
-        sel = idx == b
-        count = int(sel.sum())
+    for b, sel in enumerate(np.split(np.argsort(idx, kind="stable"), ends[:-1])):
         center = (b + 0.5) / bins
-        if count == 0:
+        if sel.size == 0:
             rows.append((center, float("nan"), float("nan"), 0))
         else:
-            rows.append((center, float(p[sel].mean()), float(o[sel].mean()), count))
+            rows.append((center, float(p[sel].mean()), float(o[sel].mean()), sel.size))
     return rows

@@ -282,7 +282,7 @@ def _split(idx, edges, w, col, level, block, members):
 
 def _within(nodes, ups):
     """The cover edges with both ends among ``nodes`` (ascending), in the
-    order of ``np.nonzero(covers)``, as (lower, upper) pairs numbered
+    order of ``dag.edges()``, as (lower, upper) pairs numbered
     within them."""
     local = [-1] * len(ups)
     for i, g in enumerate(nodes):
@@ -409,9 +409,8 @@ def antitonic_l2_fit(dag, values, weights=None) -> np.ndarray:
     shift = 1 - int(np.frexp(max(cols.max(initial=0.0), -cols.min(initial=0.0)))[1])
     if shift:
         cols = np.ldexp(cols, shift)
-    lower, upper = np.nonzero(dag.covers)
     ups, downs = [[] for _ in range(n)], [[] for _ in range(n)]
-    for a, c in zip(lower.tolist(), upper.tolist()):
+    for a, c in dag.edges():
         ups[a].append(c)
         downs[c].append(a)
     # far above the rounding of a block mean; whether a run of nearly

@@ -56,8 +56,8 @@ class StepCdf:
             w = np.ones_like(v)
         else:
             w = np.asarray(weights, dtype=float)
-            if np.any(w <= 0):
-                raise ValueError("weights must be strictly positive")
+            if not np.isfinite(w).all() or np.any(w <= 0):
+                raise ValueError("weights must be finite and strictly positive")
         jumps, inverse = np.unique(v, return_inverse=True)
         mass = np.bincount(inverse, weights=w, minlength=jumps.size)
         cum = np.cumsum(mass)
@@ -103,10 +103,20 @@ class StepCdf:
         return f"StepCdf({self.jumps.tolist()}, {self.cum.tolist()})"
 
 
+def grid_rows(grid, rows) -> tuple[np.ndarray, np.ndarray]:
+    """``grid`` and ``rows`` as float arrays; a ValueError unless ``rows``
+    is a (cases, grid) matrix, with one column per grid point."""
+    grid = np.asarray(grid, dtype=float)
+    rows = np.asarray(rows, dtype=float)
+    if grid.ndim != 1 or rows.ndim != 2 or rows.shape[1] != grid.size:
+        raise ValueError(f"rows of shape {rows.shape} do not fit a grid of shape {grid.shape}")
+    return grid, rows
+
+
 def evaluate_rows(grid, rows, z, side: str = "right") -> np.ndarray:
     """F(z) of every row, or with ``side="left"`` the left limit F(z-);
     ``z`` is one threshold or one per row."""
-    rows = np.asarray(rows, dtype=float)
+    grid, rows = grid_rows(grid, rows)
     idx = np.broadcast_to(np.searchsorted(grid, z, side=side), rows.shape[:1])
     return np.where(idx > 0, rows[np.arange(rows.shape[0]), np.maximum(idx - 1, 0)], 0.0)
 
@@ -116,6 +126,6 @@ def quantile_rows(grid, rows, alpha: float) -> np.ndarray:
     must lie strictly between 0 and 1."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
-    grid = np.asarray(grid, dtype=float)
-    below = (np.asarray(rows) < alpha).sum(axis=1)  # rows are nondecreasing
+    grid, rows = grid_rows(grid, rows)
+    below = (rows < alpha).sum(axis=1)  # rows are nondecreasing
     return grid[np.minimum(below, grid.size - 1)]

@@ -182,6 +182,15 @@ def strict_pair_antitonic(dag, values, weights=None) -> np.ndarray:
     return out.reshape(v.shape)
 
 
+def cover_matrix(dag) -> np.ndarray:
+    """The n x n boolean matrix of ``dag.edges()``: [u, v] iff node u is
+    covered by node v."""
+    out = np.zeros((dag.n_nodes, dag.n_nodes), dtype=bool)
+    lower, upper = np.array(dag.edges(), dtype=np.intp).reshape(-1, 2).T
+    out[lower, upper] = True
+    return out
+
+
 def eager_dag_structure(dag):
     """``(is_chain, chain_positions, reach, covers)`` of ``dag`` as the
     eager build made them: the upper triangle and its first

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from idr import load_model
+from idr import TOTAL, OrderGroup, OrderSpec, fit_even_odd, load_model, make_training_set, save_model
 from idr.cli import EXIT_IO, EXIT_PARSE, EXIT_VALIDATION, MAX_BINS, main
 
 runner = CliRunner()
@@ -122,6 +122,33 @@ def test_fit_rejects_subagging_flags_it_would_ignore(tmp_path, flags):
     assert res.exit_code == EXIT_PARSE, all_output(res)
     assert "--subagg" in all_output(res)
     assert not out.exists()
+
+
+def test_even_odd_fit_predicts_like_the_library_model(tmp_path):
+    """idr fit --split even-odd writes a two-member model marked even-odd,
+    and idr predict gives what a fit_even_odd model saved from the
+    library gives."""
+    train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+    invoke("simulate", "--n", 200, "--seed", 4, "--out", train)
+    invoke("simulate", "--n", 50, "--seed", 5, "--out", test)
+    cli_model, lib_model = tmp_path / "cli.json", tmp_path / "lib.json"
+    res = invoke("fit", "--data", train, "--response", "y", "--order", "x:total", "--split", "even-odd",
+                 "--out", cli_model)
+    assert res.exit_code == 0, all_output(res)
+    doc = json.loads(cli_model.read_text())
+    assert doc["split"] == "even-odd" and len(doc["members"]) == 2
+    table = np.loadtxt(train, delimiter=",", skiprows=1)
+    spec = OrderSpec((OrderGroup((0,), TOTAL),), column_names=("x",))
+    save_model(fit_even_odd(make_training_set(spec, table[:, :1], table[:, 1])), lib_model)
+    preds = []
+    for model in (cli_model, lib_model):
+        out = tmp_path / f"{model.stem}.csv"
+        res = invoke("predict", "--model", model, "--data", test, "--quantiles", "0.1,0.5,0.9",
+                     "--thresholds", "2.0", "--out", out)
+        assert res.exit_code == 0, all_output(res)
+        preds.append(out.read_bytes())
+    assert preds[0] == preds[1]
+    assert len(read_csv(tmp_path / "cli.csv")) == 50
 
 
 def test_ensemble_order_string_runs_end_to_end(tmp_path):
@@ -558,6 +585,28 @@ def test_values_that_would_share_an_output_column_are_a_parse_error(chain_files,
         for value in values:
             assert value in all_output(res)
         assert not out.exists()
+
+
+def test_negative_seeds_and_an_empty_simulation_are_a_parse_error(chain_files, tmp_path):
+    """--seed takes 0 and up and simulate's --n 1 and up, as --help says;
+    any other value exits 2 before a file is read or written."""
+    data, model, _ = chain_files
+    out = tmp_path / "out.csv"
+    cases = [
+        (("simulate", "--n", 10, "--seed", -1, "--out", out), "--seed"),
+        (("simulate", "--n", 0, "--seed", 1, "--out", out), "--n"),
+        (("score", "--model", model, "--data", data, "--response", "y", "--seed", -1, "--out", out), "--seed"),
+        (("fit", "--data", data, "--response", "y", "--order", "x:total", "--seed", -5,
+          "--subagg-count", 2, "--subagg-size", 2, "--out", out), "--seed"),
+    ]
+    for args, flag in cases:
+        res = invoke(*args)
+        assert res.exit_code == EXIT_PARSE, (args, all_output(res))
+        assert flag in all_output(res) and "Traceback" not in all_output(res)
+        assert not out.exists()
+    assert "x>=1" in invoke("simulate", "--help").output
+    for command in ("simulate", "fit", "score"):
+        assert "x>=0" in invoke(command, "--help").output
 
 
 def test_bins_outside_their_range_are_a_parse_error(chain_files, tmp_path):

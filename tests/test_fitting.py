@@ -16,6 +16,8 @@ from idr import (
     make_training_set,
 )
 
+from brute_force import cover_matrix
+
 TOTAL1 = OrderSpec((OrderGroup((0,), TOTAL),))
 CW2 = OrderSpec((OrderGroup((0, 1), COMPONENTWISE),))
 
@@ -135,7 +137,7 @@ def test_rows_are_valid_cdfs_and_antitonic():
         model = fit_idr(make_training_set(icx, x, y))
         assert np.all(np.diff(model.cdf, axis=1) >= -1e-12)
         assert np.allclose(model.cdf[:, -1], 1.0, atol=1e-12)
-        us, vs = np.nonzero(model.dag.covers)
+        us, vs = np.nonzero(cover_matrix(model.dag))
         assert np.all(model.cdf[us] >= model.cdf[vs] - 1e-12)
 
 

@@ -29,7 +29,7 @@ from idr import (
     predict_batch,
 )
 
-from brute_force import eager_dag_structure
+from brute_force import cover_matrix, eager_dag_structure
 
 
 def cw_spec(d):
@@ -108,7 +108,7 @@ def test_icx_tail_sums_that_overflow_are_rejected():
         lambda: compare(s, (1.5e308, 1.5e308), (1.6e308, 1.0e308)),
         lambda: compare(s, (-1.5e308, -1.5e308), (0.0, 0.0)),
         lambda: build_order_dag(s, [(1.0, 1.0), (1.5e308, 1.5e308)]),
-        lambda: dag.query_masks(np.array([[1.5e308, 1.5e308]])),
+        lambda: dag.query_neighbors(np.array([[1.5e308, 1.5e308]])),
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -305,14 +305,15 @@ def test_dag_reach_is_transitive_closure_of_covers():
         pts = rng.integers(0, 4, size=(12, 3)).astype(float)
         dag = build_order_dag(cw_spec(3), pts)
         n = dag.n_nodes
-        closure = dag.covers | np.eye(n, dtype=bool)
+        covers = cover_matrix(dag)
+        closure = covers | np.eye(n, dtype=bool)
         for _ in range(n):
             closure = closure | (closure.astype(np.uint8) @ closure.astype(np.uint8) > 0)
         assert np.array_equal(closure, dag.reach)
         # covers has no shortcuts
         strict = dag.reach & ~np.eye(n, dtype=bool)
         two_step = strict.astype(np.uint8) @ strict.astype(np.uint8) > 0
-        assert not np.any(dag.covers & two_step)
+        assert not np.any(covers & two_step)
 
 
 def test_cover_edges_counted_exactly_past_256_paths():
@@ -341,28 +342,43 @@ def test_dag_reach_agrees_with_compare(relation):
             assert dag.reach[u, v] == expect
 
 
+def test_dag_reads_1d_points_as_one_column():
+    """A 1-d sequence is one point per entry, as make_training_set reads it."""
+    for spec in (TOTAL1, cw_spec(1)):
+        flat = build_order_dag(spec, [3.0, 1.0, 2.0, 1.0])
+        column = build_order_dag(spec, [(3.0,), (1.0,), (2.0,), (1.0,)])
+        assert flat.n_nodes == column.n_nodes == 3 and flat.keys == column.keys
+        assert flat.membership.tolist() == column.membership.tolist() == [2, 0, 1, 0]
+
+
 def test_dag_rejects_empty_input():
     with pytest.raises(ValueError):
         build_order_dag(TOTAL1, np.empty((0, 1)))
 
 
-def test_query_masks_matches_compare():
+def test_query_neighbors_matches_compare():
+    """Raw, unsorted icx queries: exact iff some node is EQUAL, and the
+    neighbours are the maximal nodes below-or-equal and the minimal nodes
+    above-or-equal, all decided by ``compare``."""
     rng = np.random.default_rng(47)
     spec = group_spec(3, EMPIRICAL_ICX)
     pts = rng.integers(0, 4, size=(25, 3)).astype(float)
     dag = build_order_dag(spec, pts)
-    below = (Relation.LESS, Relation.EQUAL)
-    for _ in range(30):
-        q = rng.integers(0, 4, size=3).astype(float)
-        key = canonical_key(spec, q)
-        (lo,), (hi,) = dag.query_masks([key])
-        for i, k in enumerate(dag.keys):
-            assert lo[i] == (compare(spec, k, q) in below)
-            assert hi[i] == (compare(spec, q, k) in below)
+    nodes = range(dag.n_nodes)
+    less = [[compare(spec, a, b) is Relation.LESS for b in dag.keys] for a in dag.keys]
+    queries = rng.integers(0, 4, size=(30, 3)).astype(float)
+    exact, pred, succ = dag.query_neighbors(queries)
+    for i, q in enumerate(queries):
+        rel = [compare(spec, k, q) for k in dag.keys]
+        lo = [u for u in nodes if rel[u] in (Relation.LESS, Relation.EQUAL)]
+        hi = [u for u in nodes if rel[u] in (Relation.GREATER, Relation.EQUAL)]
+        assert exact[i] == (Relation.EQUAL in rel)
+        assert pred[1][pred[0] == i].tolist() == [u for u in lo if not any(less[u][v] for v in lo)]
+        assert succ[1][succ[0] == i].tolist() == [u for u in hi if not any(less[v][u] for v in hi)]
 
 
 # ---------------------------------------------------------------------------
-# one build for every order: chains by one sort, reach and covers on first read
+# one build for every order: chains by one sort, reach and edges on first use
 # ---------------------------------------------------------------------------
 
 TOTAL_ICX = OrderSpec((OrderGroup((0,), TOTAL), OrderGroup((1, 2, 3), EMPIRICAL_ICX)))
@@ -393,7 +409,7 @@ _POSET_KINDS = ("cw_ties", "st", "icx", "total_icx", "collinear", "total")
 
 @pytest.mark.parametrize("kind", _POSET_KINDS)
 def test_dag_structure_matches_eager_build(kind):
-    """is_chain, chain_positions, reach, covers and edges() equal the
+    """is_chain, chain_positions, reach and edges() equal the
     eager build's on random posets, chains and non-chains alike."""
     rng = np.random.default_rng(_POSET_KINDS.index(kind))
     chains = reordered = 0
@@ -409,7 +425,7 @@ def test_dag_structure_matches_eager_build(kind):
             reordered += not np.array_equal(positions, np.arange(dag.n_nodes))
         else:
             assert dag.chain_positions is None
-        assert np.array_equal(dag.covers, covers)
+        assert np.array_equal(cover_matrix(dag), covers)
         assert np.array_equal(dag.reach, reach)
         us, vs = np.nonzero(covers)
         assert dag.edges() == list(zip(us.tolist(), vs.tolist()))
@@ -476,17 +492,27 @@ def test_dag_of_a_single_node():
         is_chain, positions, reach, covers = eager_dag_structure(dag)
         assert dag.n_nodes == 1 and dag.is_chain and is_chain
         assert dag.chain_positions.tolist() == positions.tolist() == [0]
-        assert np.array_equal(dag.reach, reach) and np.array_equal(dag.covers, covers)
+        assert np.array_equal(dag.reach, reach) and np.array_equal(cover_matrix(dag), covers)
         assert dag.edges() == []
 
 
-def test_dag_arrays_are_read_only():
+def test_dag_arrays_are_read_only(monkeypatch):
+    """The arrays are read-only and built once: the non-chain runs the
+    transitive reduction on its first edges() call only, the chain never."""
+    unreached, calls = orders._unreached, []
+
+    def counted(*args):
+        calls.append(args)
+        return unreached(*args)
+
+    monkeypatch.setattr(orders, "_unreached", counted)
     for spec, pts in ((TOTAL1, [(1.0,), (3.0,), (2.0,)]), (cw_spec(2), [(1.0, 3.0), (2.0, 2.0), (3.0, 3.0)])):
         dag = build_order_dag(spec, pts)
-        assert dag.reach is dag.reach and dag.covers is dag.covers
-        for a in (dag.membership, dag.cmp_matrix, dag.reach, dag.covers):
+        assert dag.reach is dag.reach and dag.edges() == dag.edges()
+        for a in (dag.membership, dag.cmp_matrix, dag.reach):
             with pytest.raises(ValueError):
                 a[0] = a[0]
+    assert len(calls) == 1
 
 
 def _total_chain_training(n, rng):
@@ -537,12 +563,31 @@ def test_scalar_poset_query_allocates_far_less_than_a_square_matrix():
     finally:
         tracemalloc.stop()
     assert peak < n * n  # a quarter of one n x n float32 matrix
-    below, above = dag.query_masks(key)
+    # a componentwise key is its own comparison row
+    below, above = np.all(dag.cmp_matrix <= key, axis=1), np.all(dag.cmp_matrix >= key, axis=1)
+    covers = cover_matrix(dag)
     pred_mask, succ_mask = np.zeros((2, n), dtype=bool)
     pred_mask[pred[1]] = succ_mask[succ[1]] = True
     assert not exact[0] and set(pred[0]) == set(succ[0]) == {0}
-    assert np.array_equal(pred_mask, below[0] & ~(dag.covers & below[0]).any(axis=1))
-    assert np.array_equal(succ_mask, above[0] & ~(dag.covers.T & above[0]).any(axis=1))
+    assert np.array_equal(pred_mask, below & ~(covers & below).any(axis=1))
+    assert np.array_equal(succ_mask, above & ~(covers.T & above).any(axis=1))
+
+
+def test_cover_edges_hold_far_less_than_a_square_matrix():
+    """Once built, the cover edges of a 2000-node 2-d componentwise DAG
+    hold far less memory than one n x n boolean matrix: they are kept as
+    index pairs only."""
+    n = 2000
+    dag = build_order_dag(cw_spec(2), np.random.default_rng(67).uniform(0, 10, size=(n, 2)))
+    dag.reach
+    tracemalloc.start()
+    try:
+        edges = len(dag.edges())
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert edges > n
+    assert held < n * n // 4
 
 
 def test_total_chain_never_compares_all_pairs(monkeypatch):
@@ -552,7 +597,7 @@ def test_total_chain_never_compares_all_pairs(monkeypatch):
         raise AssertionError("a total chain needs no all-pairs matrix")
 
     monkeypatch.setattr(orders, "_all_leq", refuse)
-    monkeypatch.setattr(orders, "_transitive_reduction", refuse)
+    monkeypatch.setattr(orders, "_unreached", refuse)
     spec, x, y = _total_chain_training(300, np.random.default_rng(61))
     model = fit_idr(make_training_set(spec, x, y))
     loaded = model_from_json(model_to_json(model))

@@ -6,14 +6,20 @@ import pytest
 
 from idr import (
     StepCdf,
+    brier_rows,
     brier_score,
     crps,
     crps_mixture_check,
     crps_rows,
     elementary_probability_score,
     elementary_quantile_score,
+    evaluate_rows,
     pit,
+    pit_histogram,
+    pit_rows,
+    quantile_rows,
     quantile_score,
+    quantile_score_rows,
     reliability_bins,
 )
 
@@ -152,6 +158,31 @@ def test_pit_rejects_v_outside_unit_interval():
         pit(StepCdf.point_mass(0.0), 0.0, 1.5)
 
 
+def test_row_forms_reject_rows_that_do_not_fit_their_grid():
+    """Rows must be a (cases, grid) matrix, one column per grid point."""
+    grid = [0.0, 1.0, 2.0]
+    for rows in ([[0.5, 1.0]], [[0.2, 0.5, 0.7, 1.0]], [0.5, 1.0, 1.0], [[[0.5, 1.0, 1.0]]]):
+        calls = [
+            lambda: evaluate_rows(grid, rows, 0.5),
+            lambda: quantile_rows(grid, rows, 0.5),
+            lambda: crps_rows(grid, rows, [0.0]),
+            lambda: brier_rows(grid, rows, [0.0], 0.5),
+            lambda: quantile_score_rows(grid, rows, [0.0], 0.5),
+            lambda: pit_rows(grid, rows, [0.0], [0.5]),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="do not fit a grid"):
+                call()
+
+
+def test_pit_and_brier_rows_reject_nan():
+    grid, rows = [0.0, 1.0], [[0.5, 1.0]]
+    with pytest.raises(ValueError, match="v must lie in"):
+        pit_rows(grid, rows, [0.5], [np.nan])
+    with pytest.raises(ValueError, match="z must not be NaN"):
+        brier_rows(grid, rows, [0.5], np.nan)
+
+
 def test_pit_of_true_model_is_uniform():
     """Kolmogorov-Smirnov check at the 1% level for draws scored with
     their own distribution."""
@@ -226,6 +257,54 @@ def test_reliability_calibrated_forecasts():
     for center, forecast, freq, count in reliability_bins(p, o, 10):
         assert count > 0
         assert abs(forecast - freq) < 0.05
+
+
+def _reliability_by_masks(p, o, bins):
+    """The table by one boolean mask per bin: the reference."""
+    idx = np.minimum((p * bins).astype(int), bins - 1)
+    rows = []
+    for b in range(bins):
+        sel = idx == b
+        count = int(sel.sum())
+        center = (b + 0.5) / bins
+        if count == 0:
+            rows.append((center, float("nan"), float("nan"), 0))
+        else:
+            rows.append((center, float(p[sel].mean()), float(o[sel].mean()), count))
+    return rows
+
+
+def test_reliability_equals_the_per_bin_loop():
+    """Bit for bit, with empty bins and forecasts of exactly 0 and 1."""
+    rng = np.random.default_rng(73)
+    empty = 0
+    for bins in (2, 3, 10, 64, 1000, 5000):
+        n = int(rng.integers(1, 600))
+        p = rng.uniform(size=n) ** 3
+        p[rng.random(n) < 0.1] = 0.0
+        p[rng.random(n) < 0.1] = 1.0
+        o = rng.integers(0, 2, size=n).astype(float)
+        got, want = reliability_bins(p, o, bins), _reliability_by_masks(p, o, bins)
+        assert np.array_equal(np.array(got), np.array(want), equal_nan=True), bins
+        empty += sum(r[3] == 0 for r in got)
+    assert empty > 0
+
+
+def test_reliability_and_pit_histogram_reject_nan():
+    with pytest.raises(ValueError, match="probabilities must lie in"):
+        reliability_bins([0.1, np.nan, 0.9], [0.0, 1.0, 1.0], 2)
+    with pytest.raises(ValueError, match="pit values must lie in"):
+        pit_histogram([0.1, np.nan, 0.9], 2)
+
+
+def test_pit_histogram_counts_each_value_once():
+    v = np.array([0.0, 0.05, 0.1, 0.5, 0.99, 1.0, 1.0])
+    table = pit_histogram(v, 10)
+    assert [k for _, _, k, _ in table] == [2, 1, 0, 0, 0, 1, 0, 0, 0, 3]
+    assert [f for *_, f in table] == [k / 7 for _, _, k, _ in table]
+    assert [lo for lo, *_ in table] == np.linspace(0.0, 1.0, 11)[:-1].tolist()
+    assert [hi for _, hi, *_ in table] == np.linspace(0.0, 1.0, 11)[1:].tolist()
+    assert pit_histogram([0.3], 1) == [(0.0, 1.0, 1, 1.0)]
 
 
 def test_reliability_validation():

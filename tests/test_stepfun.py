@@ -91,6 +91,12 @@ def test_from_sample_weighted():
         StepCdf.from_sample([1, 2], weights=[1.0, 0.0])
 
 
+def test_from_sample_rejects_weights_that_are_not_finite():
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="weights must be finite and strictly positive"):
+            StepCdf.from_sample([1, 2], weights=[1.0, bad])
+
+
 def test_masses_sum_to_one():
     f = StepCdf([0, 1, 4], [0.2, 0.7, 1.0])
     m = f.masses()

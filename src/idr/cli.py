@@ -16,7 +16,7 @@ from collections import Counter
 import click
 import numpy as np
 
-from .fitting import fit_idr, make_training_set
+from .fitting import empirical_crps_loss, fit_idr, make_training_set
 from .orders import (
     COMPONENTWISE,
     EMPIRICAL_ICX,
@@ -30,7 +30,7 @@ from .prediction import predict_batch, predict_rows
 from .scoring import brier, brier_rows, crps_rows, pinball, pit_histogram, pit_rows, quantile_score_rows, reliability_bins
 from .serialize import load_model, save_model
 from .stepfun import evaluate_rows, quantile_rows
-from .subagging import fit_even_odd, fit_subagged
+from .subagging import SubaggedModel, fit_even_odd, fit_subagged
 
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
@@ -201,18 +201,23 @@ def parse_order_string(text: str, header: list[str]) -> OrderSpec:
     return OrderSpec(tuple(groups), tuple(names))
 
 
+def _finite_float(text: str, what: str) -> float:
+    try:
+        val = float(text)
+    except ValueError:
+        raise CliDataError(f"bad {what} value {text!r}")
+    if not math.isfinite(val):
+        raise CliDataError(f"{what} values must be finite")
+    return val
+
+
 def _float_list(text: str, what: str, low=None, high=None) -> list[float]:
     out = []
     for part in text.split(","):
         part = part.strip()
         if not part:
             continue
-        try:
-            val = float(part)
-        except ValueError:
-            raise CliDataError(f"bad {what} value {part!r}")
-        if not math.isfinite(val):
-            raise CliDataError(f"{what} values must be finite")
+        val = _finite_float(part, what)
         if (low is not None and val <= low) or (high is not None and val >= high):
             raise CliDataError(f"{what} value {val} out of range")
         out.append(val)
@@ -320,8 +325,12 @@ def fit(data_path, response, order_text, weight_col, out_path, subagg_count, sub
 
     save_model(model, out_path)
 
-    rows, _ = predict_rows(model, training.covariates)
-    mean_crps = float(np.average(crps_rows(model.thresholds, rows, training.responses), weights=training.weights))
+    if isinstance(model, SubaggedModel):
+        rows, _ = predict_rows(model, training.covariates)
+        mean_crps = float(np.average(crps_rows(model.thresholds, rows, training.responses), weights=training.weights))
+    else:
+        # each training row sits at its own node, so its fitted row is its prediction
+        mean_crps = empirical_crps_loss(model, training)
     click.echo(f"n={training.n} nodes={training.dag.n_nodes}{edges} mean_crps={mean_crps!r}")
 
 
@@ -431,12 +440,13 @@ def pit_hist(scores_path, bins, out_path):
 @click.option("--model", "model_path", type=click.Path(dir_okay=False), required=True)
 @click.option("--data", "data_path", type=click.Path(dir_okay=False), required=True)
 @click.option("--response", required=True)
-@click.option("--threshold", type=float, required=True, help="Event threshold z for P(Y <= z).")
+@click.option("--threshold", metavar="FLOAT", required=True, help="Event threshold z for P(Y <= z).")
 @click.option("--bins", type=click.IntRange(2, MAX_BINS), default=10, show_default=True, help="Number of bins.")
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), required=True)
 @_handle_errors
 def reliability(model_path, data_path, response, threshold, bins, out_path):
     """Reliability-diagram data for the event Y <= z."""
+    threshold = _finite_float(threshold, "threshold")
     model = load_model(model_path)
     names = _covariate_names(model)
     header, rows = _load_table(data_path)

@@ -16,7 +16,7 @@ import numpy as np
 from .orders import OrderDag, OrderSpec, build_order_dag
 from .scoring import crps_rows
 from .solvers import antitonic_l2_fit
-from .stepfun import StepCdf
+from .stepfun import StepCdf, distinct_sorted
 
 __all__ = ["TrainingSet", "make_training_set", "IdrModel", "fit_idr", "empirical_crps_loss"]
 
@@ -132,7 +132,7 @@ def fit_idr(training: TrainingSet) -> IdrModel:
     dag = training.dag
     y = training.responses
     w = training.weights
-    thresholds = np.unique(y)
+    thresholds = distinct_sorted(y)
 
     pos = np.searchsorted(thresholds, y)
     mass = np.zeros((dag.n_nodes, thresholds.size))

@@ -103,6 +103,18 @@ class StepCdf:
         return f"StepCdf({self.jumps.tolist()}, {self.cum.tolist()})"
 
 
+def distinct_sorted(values) -> np.ndarray:
+    """The sorted distinct entries of a 1-d array, bit for bit as
+    ``np.unique(values)`` gives them (of ``0.0`` and ``-0.0`` the one its
+    sort puts first).  ``np.unique`` without ``return_inverse`` first asks
+    ``np.ma.is_masked``, which imports ``numpy.ma`` (tens of ms a process)."""
+    ranked = np.sort(np.asarray(values, dtype=float).ravel())
+    first = np.empty(ranked.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+    return ranked[first]
+
+
 def grid_rows(grid, rows) -> tuple[np.ndarray, np.ndarray]:
     """``grid`` and ``rows`` as float arrays; a ValueError unless ``rows``
     is a (cases, grid) matrix, with one column per grid point."""

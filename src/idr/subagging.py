@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fitting import IdrModel, TrainingSet, fit_idr, make_training_set
+from .stepfun import distinct_sorted
 
 __all__ = [
     "SubaggedModel",
@@ -42,7 +43,7 @@ class SubaggedModel:
         first = self.members[0].spec
         if any(m.spec != first for m in self.members[1:]):
             raise ValueError("members must share the order spec")
-        grid = np.unique(np.concatenate([m.thresholds for m in self.members]))
+        grid = distinct_sorted(np.concatenate([m.thresholds for m in self.members]))
         grid.setflags(write=False)
         object.__setattr__(self, "thresholds", grid)
 

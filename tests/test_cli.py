@@ -58,13 +58,15 @@ def test_fit_worked_chain(chain_files):
     assert "edges=2" in res.output
     assert "mean_crps=" in res.output
     doc = json.loads(model.read_text())
-    assert doc["version"] == "2.0"
+    assert doc["version"] == "3.0"
     assert doc["thresholds"] == [1.0, 2.0, 3.0]
-    # the two distinct rows, lowest first, each as its jumps
+    # the two distinct rows, lowest first, each as its jumps; their
+    # values are indices into the table of distinct values
+    assert np.allclose(doc["cdf_rows"]["values"], [0.5, 2 / 3, 1.0], atol=1e-15)
     assert doc["cdf_rows"]["jump_index"] == [[1, 2], [0, 1, 2]]
-    assert np.allclose(doc["cdf_rows"]["jump_value"][0], [2 / 3, 1.0], atol=1e-15)
-    assert np.allclose(doc["cdf_rows"]["jump_value"][1], [0.5, 2 / 3, 1.0], atol=1e-15)
+    assert doc["cdf_rows"]["jump_value"] == [[1, 2], [0, 1, 2]]
     assert doc["node_row"] == [1, 1, 0]
+    assert np.allclose(doc["climatology"]["cum"], [1 / 3, 2 / 3, 1.0], atol=1e-15)
     want = [[0.5, 2 / 3, 1.0], [0.5, 2 / 3, 1.0], [0.0, 2 / 3, 1.0]]
     assert np.allclose(load_model(model).cdf, want, atol=1e-15)
 
@@ -520,6 +522,27 @@ def test_importing_the_cli_leaves_scipy_stats_unloaded(tmp_path):
     assert (tmp_path / "m.json").exists()
 
 
+def test_fits_and_a_subagged_model_load_leave_numpy_ma_unloaded(tmp_path):
+    """A plain np.unique imports numpy.ma (tens of ms a process); a plain
+    fit, a subagged fit and a subagged model's load and predict never do."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    data = tmp_path / "train.csv"
+    write_csv(data, ["x", "y"], [[x, (7 * x) % 5] for x in range(40)])
+    plain, sub, out = (str(tmp_path / name) for name in ("plain.json", "sub.json", "pred.csv"))
+    fit = ["fit", "--data", str(data), "--response", "y", "--order", "x:total"]
+    commands = [fit + ["--out", plain], fit + ["--subagg-count", "3", "--subagg-size", "20", "--out", sub],
+                ["predict", "--model", sub, "--data", str(data), "--out", out]]
+    code = ("import sys, idr.cli\n"
+            f"for args in {commands!r}:\n"
+            "    idr.cli.main(args, standalone_mode=False)\n"
+            "print('numpy.ma' in sys.modules)")
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip().splitlines()[-1] == "False", res.stdout
+    assert os.path.exists(out)
+
+
 def test_poset_prediction_computes_no_key_per_row(tmp_path, monkeypatch):
     """The batch path finds every query's canonical key in one pass: the
     one-row canonical_key is never called, in process or by idr predict."""
@@ -585,6 +608,19 @@ def test_values_that_would_share_an_output_column_are_a_parse_error(chain_files,
         for value in values:
             assert value in all_output(res)
         assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_a_reliability_threshold_that_is_not_finite_is_a_parse_error(chain_files, tmp_path, value):
+    """The event threshold is checked like the --thresholds of predict
+    and score: exit 2 and no table, before the model is read."""
+    data, model, _ = chain_files
+    out = tmp_path / "rel.csv"
+    res = invoke("reliability", "--model", model, "--data", data, "--response", "y",
+                 "--threshold", value, "--out", out)
+    assert res.exit_code == EXIT_PARSE, all_output(res)
+    assert "threshold values must be finite" in all_output(res)
+    assert not out.exists()
 
 
 def test_negative_seeds_and_an_empty_simulation_are_a_parse_error(chain_files, tmp_path):

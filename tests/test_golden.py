@@ -3,10 +3,15 @@
 The inputs and outputs under ``tests/golden/`` were written by the
 command line as it stood before prediction and scoring moved onto one
 batch path; the three ``*_model.json`` files were rewritten when the
-model format moved to 2.0, and ``v1/`` keeps them as 1.0 wrote them.
+model format moved to 2.0 and again at 3.0.  Each ``v<major>/``
+directory keeps them as that older format wrote them, and predict,
+score and reliability on those copies must give the same outputs.
 Every command below must reproduce each file it writes, and its
 stdout, exactly.  ``python tests/test_golden.py`` rewrites the
-golden files; do that only for a change meant to alter the output.
+golden files at the top level and leaves the ``v<major>/`` directories
+as they are; do that only for a change meant to alter the output.  At
+a format bump, first copy the three model files into a new
+``v<old major>/``.
 """
 
 import json
@@ -15,11 +20,16 @@ import shutil
 from pathlib import Path
 
 import numpy as np
+import pytest
 from click.testing import CliRunner
 
 from idr.cli import main
+from idr.serialize import FORMAT_VERSION
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+MODELS = ("chain_model.json", "cw_model.json", "icx_model.json")
+#: one directory per older format, named v<major>
+OLD_FORMATS = sorted(p for p in GOLDEN.glob("v*") if p.is_dir())
 INPUTS = ("chain_test.csv", "cw_train.csv", "cw_test.csv", "icx_train.csv", "icx_test.csv")
 ICX = "hres:total;p1-p4:icx"
 
@@ -81,16 +91,22 @@ def test_cli_output_matches_golden_files(tmp_path):
             assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
-def test_format_1_models_reproduce_the_golden_outputs(tmp_path):
-    """``golden/v1/`` keeps the model files as format 1.0 wrote them;
-    predict, score and reliability on those copies still write every
-    golden file and stdout line."""
+def test_every_older_format_is_kept():
+    majors = [p.name[1:] for p in OLD_FORMATS]
+    current = FORMAT_VERSION.split(".")[0]
+    assert majors == [str(k) for k in range(1, int(current))]
+
+
+@pytest.mark.parametrize("folder", OLD_FORMATS, ids=lambda p: p.name)
+def test_older_format_models_reproduce_the_golden_outputs(folder, tmp_path):
+    """Predict, score and reliability on the model files of an older
+    format still write every golden file and stdout line."""
     for name in INPUTS:
         shutil.copy(GOLDEN / name, tmp_path / name)
-    for name in ("chain_model.json", "cw_model.json", "icx_model.json"):
-        doc = json.loads((GOLDEN / "v1" / name).read_text(encoding="utf-8"))
-        assert doc["version"] == "1.0" and ("cdf_matrix" in doc or "cdf_matrix" in doc["members"][0])
-        shutil.copy(GOLDEN / "v1" / name, tmp_path / name)
+    for name in MODELS:
+        doc = json.loads((folder / name).read_text(encoding="utf-8"))
+        assert doc["version"] == f"{folder.name[1:]}.0"
+        shutil.copy(folder / name, tmp_path / name)
     commands = [c for c in COMMANDS if "--model " in c[0]]
     assert {c[0].split()[0] for c in commands} == {"predict", "score", "reliability"}
     blocks = (GOLDEN / "stdout.txt").read_text(encoding="utf-8").split("$ idr ")[1:]
@@ -136,8 +152,13 @@ def _write_inputs(rng):
 
 if __name__ == "__main__":
     # the chain training table comes from the first command, the other
-    # inputs from a fixed seed; then every output is rewritten in place
+    # inputs from a fixed seed; then every output is rewritten in place.
+    # Every command writes at the top level only, so the older formats
+    # under v<major>/ stay as they were written; this checks that.
+    kept = {p: p.read_bytes() for folder in OLD_FORMATS for p in folder.iterdir()}
     GOLDEN.mkdir(exist_ok=True)
     run_all(GOLDEN, COMMANDS[:1])
     _write_inputs(np.random.default_rng(20240))
     (GOLDEN / "stdout.txt").write_text(run_all(GOLDEN), encoding="utf-8")
+    if kept != {p: p.read_bytes() for folder in OLD_FORMATS for p in folder.iterdir()}:
+        raise SystemExit("the rewrite changed a file under golden/v<major>/")

@@ -6,7 +6,9 @@ import pytest
 from idr import (
     COMPONENTWISE,
     EMPIRICAL_ICX,
+    EMPIRICAL_STOCHASTIC,
     TOTAL,
+    IdrModel,
     OrderGroup,
     OrderSpec,
     Provenance,
@@ -20,6 +22,7 @@ from idr import (
     model_to_json,
     predict_batch,
     predict_cdf,
+    StepCdf,
     save_model,
 )
 
@@ -75,17 +78,25 @@ def test_subagged_round_trip():
         assert a.provenance is b.provenance
 
 
+RELATIONS = ("chain", "componentwise", "stochastic", "icx")
+
+
 def _random_fit(kind, seed):
-    """A seeded fit of one order shape, with tied responses and weights."""
+    """A seeded fit of one order shape, with tied responses and weights;
+    subagged and even/odd fits take each order shape in turn."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 60))
     y = np.round(rng.gamma(2.0, 2.0, size=n), int(rng.integers(0, 3)))
     w = rng.choice([1.0, 0.5, 3.0], size=n) if seed % 2 else None
-    if kind == "chain":
+    shape = RELATIONS[seed % len(RELATIONS)] if kind in ("subagged", "even_odd") else kind
+    if shape == "chain":
         x, spec = rng.uniform(0, 10, size=n), TOTAL1
-    elif kind == "componentwise":
+    elif shape == "componentwise":
         x = rng.integers(0, 6, size=(n, 2)).astype(float)
         spec = OrderSpec((OrderGroup((0, 1), COMPONENTWISE),))
+    elif shape == "stochastic":
+        x = rng.integers(0, 4, size=(n, 3)).astype(float)
+        spec = OrderSpec((OrderGroup((0, 1, 2), EMPIRICAL_STOCHASTIC),))
     else:
         x = rng.normal(size=(n, 4))
         spec = OrderSpec((OrderGroup((0,), TOTAL), OrderGroup((1, 2, 3), EMPIRICAL_ICX)))
@@ -97,15 +108,38 @@ def _random_fit(kind, seed):
     return fit_idr(training)
 
 
-@pytest.mark.parametrize("kind", ["chain", "componentwise", "icx", "subagged", "even_odd"])
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("kind", RELATIONS + ("subagged", "even_odd"))
 def test_round_trip_rebuilds_the_cdf_bit_for_bit(kind):
+    """The thresholds, the CDF and the climatology come back bit for bit,
+    and the clone writes the same bytes as the model."""
     for seed in range(25):
         model = _random_fit(kind, seed)
-        clone = model_from_json(model_to_json(model))
+        blob = model_to_json(model)
+        clone = model_from_json(blob)
+        assert model_to_json(clone) == blob, (kind, seed)
         pairs = zip(model.members, clone.members) if isinstance(model, SubaggedModel) else [(model, clone)]
         for a, b in pairs:
             assert a.cdf.shape == b.cdf.shape
-            assert np.array_equal(a.cdf.view(np.int64), b.cdf.view(np.int64)), (kind, seed)
+            assert np.array_equal(_bits(a.cdf), _bits(b.cdf)), (kind, seed)
+            assert np.array_equal(_bits(a.thresholds), _bits(b.thresholds)), (kind, seed)
+            assert np.array_equal(_bits(a.climatology.jumps), _bits(b.climatology.jumps)), (kind, seed)
+            assert np.array_equal(_bits(a.climatology.cum), _bits(b.climatology.cum)), (kind, seed)
+
+
+def test_signed_zero_responses_round_trip_bit_for_bit():
+    """Responses holding both 0.0 and -0.0 give the threshold np.unique
+    gives, and the file keeps its sign."""
+    rng = np.random.default_rng(1)
+    y = rng.choice([0.0, -0.0, 1.0, 2.5], size=300)
+    training = make_training_set(TOTAL1, rng.uniform(0, 10, size=y.size), y)
+    for model in (fit_idr(training), fit_subagged(training, 3, 100, 2)):
+        clone = model_from_json(model_to_json(model))
+        assert np.array_equal(_bits(model.thresholds), _bits(np.unique(y)))
+        assert np.array_equal(_bits(clone.thresholds), _bits(model.thresholds))
 
 
 def test_distinct_rows_are_stored_once_in_lexicographic_order():
@@ -118,7 +152,27 @@ def test_distinct_rows_are_stored_once_in_lexicographic_order():
     assert len(table["jump_index"]) == len(table["jump_value"]) == len(want)
     for row, at, values in zip(want, table["jump_index"], table["jump_value"]):
         assert at == np.flatnonzero(np.diff(row, prepend=0.0)).tolist()
-        assert values == row[at].tolist()
+        assert [table["values"][i] for i in values] == row[at].tolist()
+
+
+def test_each_jump_value_and_the_threshold_grid_are_stored_once():
+    model, _ = small_model(4)
+    doc = json.loads(model_to_json(model))
+    table = doc["cdf_rows"]
+    used = sorted({i for row in table["jump_value"] for i in row})
+    assert used == list(range(len(table["values"])))
+    jumps = np.diff(model.cdf, axis=1, prepend=0.0) > 0
+    assert table["values"] == np.unique(model.cdf[jumps]).tolist()
+    assert sum(map(len, table["jump_value"])) > len(table["values"])
+    assert doc["climatology"] == {"cum": model.climatology.cum.tolist()}
+
+
+def test_writer_rejects_a_climatology_off_the_threshold_grid():
+    model, _ = small_model(4)
+    shifted = IdrModel(model.thresholds, model.cdf, model.dag,
+                       StepCdf(model.thresholds + 0.5, model.climatology.cum))
+    with pytest.raises(ValueError, match="climatology"):
+        model_to_json(shifted)
 
 
 def test_save_and_load_files(tmp_path):
@@ -129,30 +183,48 @@ def test_save_and_load_files(tmp_path):
     assert np.array_equal(clone.cdf, model.cdf)
     text = path.read_text()
     assert text.endswith("\n")
-    assert json.loads(text)["version"] == "2.0"
+    assert json.loads(text)["version"] == "3.0"
 
 
 def v1_document(model) -> dict:
-    """``model`` as a format 1.0 document, which stores the dense CDF."""
+    """``model`` as a format 1.0 document, which stores the dense CDF
+    and the climatology's jumps."""
     doc = json.loads(model_to_json(model))
     del doc["cdf_rows"], doc["node_row"]
     doc["cdf_matrix"] = model.cdf.tolist()
+    doc["climatology"]["jumps"] = doc["thresholds"]
     doc["version"] = "1.0"
+    return doc
+
+
+def v2_document(model) -> dict:
+    """``model`` as a format 2.0 document, which stores the jump values
+    themselves and the climatology's jumps."""
+    doc = json.loads(model_to_json(model))
+    rows = doc["cdf_rows"]
+    table = rows.pop("values")
+    rows["jump_value"] = [[table[i] for i in row] for row in rows["jump_value"]]
+    doc["climatology"]["jumps"] = doc["thresholds"]
+    doc["version"] = "2.0"
     return doc
 
 
 def test_rejects_other_major_versions():
     model, _ = small_model()
-    v1, v2 = v1_document(model), json.loads(model_to_json(model))
-    for doc in (v1, v2):
-        doc["version"] = "3.0"
-        with pytest.raises(ValueError, match="version"):
-            model_from_json(json.dumps(doc))
+    v1, v2, v3 = v1_document(model), v2_document(model), json.loads(model_to_json(model))
+    for doc in (v1, v2, v3):
+        for version in ("0.9", "4.0"):
+            doc["version"] = version
+            with pytest.raises(ValueError, match="version"):
+                model_from_json(json.dumps(doc))
     # every minor of a readable major loads, each through its own layout
-    for doc, versions in ((v1, ("1.0", "1.9")), (v2, ("2.0", "2.7"))):
+    for doc, versions in ((v1, ("1.0", "1.9")), (v2, ("2.0", "2.7")), (v3, ("3.0", "3.1"))):
         for version in versions:
             doc["version"] = version
-            assert np.array_equal(model_from_json(json.dumps(doc)).cdf, model.cdf)
+            loaded = model_from_json(json.dumps(doc))
+            assert np.array_equal(loaded.cdf, model.cdf)
+            assert np.array_equal(loaded.climatology.jumps, model.climatology.jumps)
+            assert np.array_equal(loaded.climatology.cum, model.climatology.cum)
 
 
 def test_rejects_shuffled_node_keys():
@@ -225,7 +297,7 @@ def test_rejects_malformed_thresholds_and_cdf_matrix(name):
 
 
 def _longest_row(doc) -> int:
-    """Index of a stored 2.0 row with the most jumps (at least two)."""
+    """Index of a stored row with the most jumps (at least two)."""
     lengths = [len(r) for r in doc["cdf_rows"]["jump_index"]]
     assert max(lengths) >= 2
     return lengths.index(max(lengths))
@@ -267,6 +339,54 @@ MALFORMED_V2 = {
 @pytest.mark.parametrize("name", sorted(MALFORMED_V2))
 def test_rejects_malformed_cdf_rows(name):
     model, _ = small_model()
-    doc = json.loads(model_to_json(model))
+    doc = v2_document(model)
+    model_from_json(json.dumps(doc))
     MALFORMED_V2[name](doc)
+    _assert_rejected(doc)
+
+
+def _edit_values(edit):
+    def apply(doc):
+        values = doc["cdf_rows"]["values"]
+        assert len(values) >= 3
+        edit(values)
+    return apply
+
+
+def _drop_last_jump(doc):
+    row = _longest_row(doc)
+    for field in ("jump_index", "jump_value"):
+        doc["cdf_rows"][field][row].pop()
+
+
+MALFORMED_V3 = {
+    "index_negative": _edit_jumps("jump_value", lambda row, m: row.__setitem__(0, -1)),
+    "index_past_the_table": lambda doc: doc["cdf_rows"]["jump_value"][_longest_row(doc)].__setitem__(
+        -1, len(doc["cdf_rows"]["values"])),
+    "index_not_integer": _edit_jumps("jump_value", lambda row, m: row.__setitem__(0, float(row[0]))),
+    "index_a_value": _edit_jumps("jump_value", lambda row, m: row.__setitem__(-1, 1.0)),
+    "index_repeated": _edit_jumps("jump_value", lambda row, m: row.__setitem__(1, row[0])),
+    "index_decreasing": _edit_jumps("jump_value", lambda row, m: row.reverse()),
+    "row_ends_before_one": _drop_last_jump,
+    "values_unsorted": _edit_values(lambda v: v.__setitem__(slice(0, 2), v[1::-1])),
+    "values_repeated": _edit_values(lambda v: v.__setitem__(1, v[0])),
+    "values_zero": _edit_values(lambda v: v.__setitem__(0, 0.0)),
+    "values_negative": _edit_values(lambda v: v.__setitem__(0, -0.25)),
+    "values_above_one": _edit_values(lambda v: v.__setitem__(-1, 1.5)),
+    "values_end_below_one": _edit_values(lambda v: v.__setitem__(-1, 0.999)),
+    "values_nan": _edit_values(lambda v: v.__setitem__(0, float("nan"))),
+    "values_infinite": _edit_values(lambda v: v.__setitem__(-1, float("inf"))),
+    "values_empty": lambda doc: doc["cdf_rows"].update(values=[]),
+    "values_not_numbers": lambda doc: doc["cdf_rows"].update(values=["1.0"]),
+    "values_nested": lambda doc: doc["cdf_rows"].update(values=[[v] for v in doc["cdf_rows"]["values"]]),
+    "climatology_cum_short": lambda doc: doc["climatology"]["cum"].pop(0),
+    "climatology_cum_long": lambda doc: doc["climatology"]["cum"].insert(0, 0.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_V3))
+def test_rejects_malformed_value_table(name):
+    model, _ = small_model()
+    doc = json.loads(model_to_json(model))
+    MALFORMED_V3[name](doc)
     _assert_rejected(doc)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from idr import StepCdf
+from idr.stepfun import distinct_sorted
 
 
 def test_validation_rejects_bad_inputs():
@@ -108,3 +109,13 @@ def test_arrays_are_frozen():
     f = StepCdf.point_mass(1.0)
     with pytest.raises(ValueError):
         f.jumps[0] = 2.0
+
+
+def test_distinct_sorted_is_np_unique_bit_for_bit():
+    """Also where the sort meets 0.0 and -0.0 in either order, at sizes
+    from one to 20000."""
+    rng = np.random.default_rng(3)
+    for size in (1, 2, 5, 17, 100, 1000, 20000):
+        for pool in ([0.0, -0.0], [0.0, -0.0, 1.0, -2.5], [0.1, 0.2, 0.30000000000000004, 0.3]):
+            v = rng.choice(pool, size=size) * rng.choice([1.0, 1.0, 3.0], size=size)
+            assert np.array_equal(distinct_sorted(v).view(np.int64), np.unique(v).view(np.int64)), (size, pool)

@@ -92,12 +92,15 @@ def make_training_set(spec: OrderSpec, covariates, responses, weights=None) -> T
 
 class IdrModel:
     """Fitted conditional CDFs: one row per node, one column per
-    distinct training response.  Immutable."""
+    distinct training response, and the climatology, a step CDF that
+    jumps at those responses.  Immutable."""
 
     __slots__ = ("thresholds", "cdf", "dag", "climatology")
 
     def __init__(self, thresholds, cdf, dag, climatology):
         self.thresholds = np.asarray(thresholds, dtype=float)
+        if not np.array_equal(climatology.jumps, self.thresholds):
+            raise ValueError("the climatology must jump at the model's thresholds")
         self.cdf = np.asarray(cdf, dtype=float)
         self.dag = dag
         self.climatology = climatology

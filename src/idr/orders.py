@@ -63,6 +63,9 @@ class OrderGroup:
     def __post_init__(self):
         if len(self.columns) == 0:
             raise ValueError("order group has no columns")
+        if not all(isinstance(c, (int, np.integer)) and not isinstance(c, bool) for c in self.columns):
+            raise TypeError(f"column indices must be integers, not {self.columns!r}")
+        object.__setattr__(self, "columns", tuple(map(int, self.columns)))
         if any(c < 0 for c in self.columns):
             raise ValueError("column indices must be nonnegative")
         if len(set(self.columns)) != len(self.columns):
@@ -95,6 +98,8 @@ class OrderSpec:
             if overlap:
                 raise ValueError(f"columns {sorted(overlap)} appear in more than one group")
             seen.update(g.columns)
+        if self.column_names is not None and not all(isinstance(n, str) for n in self.column_names):
+            raise TypeError(f"column_names must be strings, not {self.column_names!r}")
         if self.column_names is not None and max(seen) >= len(self.column_names):
             raise ValueError("column_names does not cover all referenced columns")
 

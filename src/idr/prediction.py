@@ -179,7 +179,7 @@ def _plain_block(model: IdrModel, x: np.ndarray, out: dict) -> np.ndarray:
     np.multiply(0.5, np.add(lower, upper, out=center), out=center)
     center[~has_upper] = lower[~has_upper]
     center[~has_lower] = upper[~has_lower]
-    center[~has_lower & ~has_upper] = model.climatology.evaluate(model.thresholds)
+    center[~has_lower & ~has_upper] = model.climatology.cum
     return np.select([exact, has_lower & has_upper, has_upper, has_lower], [5, 4, 2, 1], 0)
 
 

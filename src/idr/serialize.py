@@ -60,8 +60,6 @@ def _spec_from_payload(payload: dict) -> OrderSpec:
 
 
 def _model_payload(model: IdrModel) -> dict:
-    if not np.array_equal(model.climatology.jumps, model.thresholds):
-        raise ValueError("the climatology must jump at the model's thresholds")
     # distinct rows in lexicographic order, so the bytes are canonical;
     # np.unique(axis=0) gives the same rows but sorts them ten times slower
     cdf = model.cdf
@@ -93,28 +91,39 @@ def _model_payload(model: IdrModel) -> dict:
     }
 
 
-def _flat_rows(rows, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """A JSON list of nonempty lists as (all entries, length of each)."""
-    if isinstance(rows, list) and rows and all(isinstance(r, list) and r for r in rows):
-        flat = np.array(list(chain.from_iterable(rows)))
-        if flat.ndim == 1:
-            return flat, np.array([len(r) for r in rows])
-    raise ValueError(f"cdf_rows {what} must be a nonempty list of nonempty lists of numbers")
+def _numbers(value, what: str, depth: int = 1, integers: bool = False) -> tuple[np.ndarray, list[int]]:
+    """The entries of ``value``, JSON lists nested ``depth`` deep (0 for
+    one number) and none empty, as one flat float64 (int64 if
+    ``integers``) array, with the length of each innermost list; a
+    ValueError naming ``what`` for a boolean, string, null or overflow."""
+    flat, counts = [value], [1]
+    for _ in range(depth):
+        if not (set(map(type, flat)) <= {list} and all(flat)):
+            break
+        counts = list(map(len, flat))
+        flat = list(chain.from_iterable(flat))
+    else:  # every level was a nonempty list; one type test at C speed, as one per entry is slow
+        if set(map(type, flat)) <= ({int} if integers else {int, float}):
+            try:
+                return np.fromiter(flat, np.int64 if integers else np.float64, len(flat)), counts
+            except OverflowError:
+                pass
+    noun, dtype = ("integer", "int64") if integers else ("number", "float64")
+    shape = ("a single {}", "a nonempty list of {}s", "a nonempty list of nonempty lists of {}s")[depth]
+    raise ValueError(f"{what} must be {shape.format(noun)} within the {dtype} range")
 
 
 def _table_values(table: dict, index: np.ndarray, inner: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """The jump values of a 3.x member: its value table read at ``index``."""
-    values = np.asarray(table["values"])
-    if not (values.ndim == 1 and values.size and values.dtype.kind in "iuf" and np.isfinite(values).all()
-            and values[0] > 0 and values[-1] == 1.0 and np.all(np.diff(values) > 0)):
+    values, _ = _numbers(table["values"], "cdf_rows values")
+    if not (np.isfinite(values).all() and values[0] > 0 and values[-1] == 1.0 and np.all(np.diff(values) > 0)):
         raise ValueError("cdf_rows values must be a nonempty, finite, strictly increasing list in (0, 1] "
                          "that ends at 1")
     last = values.size - 1
-    if not (index.dtype.kind in "iu" and index.min() >= 0 and np.all(np.diff(index)[inner] > 0)
-            and np.all(index[ends] == last)):
+    if not (index.min() >= 0 and np.all(np.diff(index)[inner] > 0) and np.all(index[ends] == last)):
         raise ValueError(f"cdf_rows jump_value rows must be strictly increasing integer indices into "
                          f"cdf_rows values, each ending at {last}, the index of its 1")
-    return values[index].astype(float)
+    return values[index]
 
 
 def _cdf_from_rows(payload: dict, n_nodes: int, m: int, major: str) -> np.ndarray:
@@ -122,40 +131,37 @@ def _cdf_from_rows(payload: dict, n_nodes: int, m: int, major: str) -> np.ndarra
     table = payload["cdf_rows"]
     if not isinstance(table, dict):
         raise ValueError("cdf_rows must be an object")
-    at, counts = _flat_rows(table["jump_index"], "jump_index")
-    values, value_counts = _flat_rows(table["jump_value"], "jump_value")
-    if not np.array_equal(counts, value_counts):
+    at, counts = _numbers(table["jump_index"], "cdf_rows jump_index", 2, integers=True)
+    values, value_counts = _numbers(table["jump_value"], "cdf_rows jump_value", 2, integers=major != "2")
+    if counts != value_counts:
         raise ValueError("cdf_rows needs one jump_value per jump_index, row by row")
     ends = np.cumsum(counts) - 1
     inner = np.ones(at.size - 1, dtype=bool)  # consecutive entries of one row
     inner[ends[:-1]] = False
-    if not (at.dtype.kind in "iu" and at.min() >= 0 and at.max() < m
-            and np.all(np.diff(at)[inner] > 0)):
+    if not (at.min() >= 0 and at.max() < m and np.all(np.diff(at)[inner] > 0)):
         raise ValueError(f"cdf_rows jump_index rows must be strictly increasing integers in [0, {m})")
     if major == "2":
-        values = values.astype(float)
         if not (np.isfinite(values).all() and values.min() > 0.0 and values.max() <= 1.0
                 and np.all(np.diff(values)[inner] > 0) and np.all(values[ends] == 1.0)):
             raise ValueError("cdf_rows jump_value rows must be finite, strictly increasing in (0, 1] and end at 1")
     else:
         values = _table_values(table, values, inner, ends)
-    node_row = np.asarray(payload["node_row"])
-    if not (node_row.shape == (n_nodes,) and node_row.dtype.kind in "iu"
-            and node_row.min() >= 0 and node_row.max() < counts.size):
-        raise ValueError(f"node_row must hold one row index in [0, {counts.size}) for each of the {n_nodes} nodes")
+    node_row, _ = _numbers(payload["node_row"], "node_row", integers=True)
+    if not (node_row.size == n_nodes and node_row.min() >= 0 and node_row.max() < len(counts)):
+        raise ValueError(f"node_row must hold one row index in [0, {len(counts)}) for each of the {n_nodes} nodes")
     # rows are nondecreasing, so carrying each jump value forward rebuilds them exactly
-    rows = np.zeros((counts.size, m))
-    rows[np.repeat(np.arange(counts.size), counts), at] = values
+    rows = np.zeros((len(counts), m))
+    rows[np.repeat(np.arange(len(counts)), counts), at] = values
     np.maximum.accumulate(rows, axis=1, out=rows)
     return rows[node_row]
 
 
 def _cdf_from_matrix(payload: dict, n_nodes: int, m: int) -> np.ndarray:
     """The dense CDF of a 1.x member, checked."""
-    cdf = np.asarray(payload["cdf_matrix"], dtype=float)
-    if cdf.shape != (n_nodes, m):
-        raise ValueError(f"cdf_matrix has shape {cdf.shape}, not nodes x thresholds "
-                         f"({n_nodes}, {m})")
+    cdf, widths = _numbers(payload["cdf_matrix"], "cdf_matrix", 2)
+    if len(widths) != n_nodes or set(widths) != {m}:
+        raise ValueError(f"cdf_matrix must be nodes x thresholds, {n_nodes} rows of {m} values")
+    cdf = cdf.reshape(n_nodes, m)
     if not (np.isfinite(cdf).all() and cdf.min() >= 0.0 and cdf.max() <= 1.0
             and np.all(cdf[:, 1:] >= cdf[:, :-1]) and np.all(cdf[:, -1] == 1.0)):
         raise ValueError("every cdf_matrix row must be finite, within [0, 1], nondecreasing and end at 1")
@@ -164,29 +170,27 @@ def _cdf_from_matrix(payload: dict, n_nodes: int, m: int) -> np.ndarray:
 
 def _model_from_payload(payload: dict, major: str) -> IdrModel:
     spec = _spec_from_payload(payload["order_spec"])
-    keys = np.array(payload["node_keys"], dtype=float)
-    if keys.ndim != 2:
+    keys, widths = _numbers(payload["node_keys"], "node_keys", 2)
+    if len(set(widths)) != 1:
         raise ValueError("node_keys must be a rectangular array")
-    dag = build_order_dag(spec, keys, points_are_keys=True)
-    if dag.n_nodes < keys.shape[0]:
+    dag = build_order_dag(spec, keys.reshape(len(widths), -1), points_are_keys=True)
+    if dag.n_nodes < len(widths):
         raise ValueError("node_keys hold order-equivalent keys; each node must have one")
     if dag.keys != [tuple(k) for k in payload["node_keys"]]:
         raise ValueError("node_keys are not in canonical order")
-    thresholds = np.asarray(payload["thresholds"], dtype=float)
-    if (thresholds.ndim != 1 or thresholds.size == 0 or not np.isfinite(thresholds).all()
-            or np.any(np.diff(thresholds) <= 0)):
+    thresholds, _ = _numbers(payload["thresholds"], "thresholds")
+    if not np.isfinite(thresholds).all() or np.any(np.diff(thresholds) <= 0):
         raise ValueError("thresholds must be finite and strictly increasing")
     if major == "1":
         cdf = _cdf_from_matrix(payload, dag.n_nodes, thresholds.size)
     else:
         cdf = _cdf_from_rows(payload, dag.n_nodes, thresholds.size, major)
     clim = payload["climatology"]
-    cum = np.asarray(clim["cum"], dtype=float)
-    if major != "3":
-        return IdrModel(thresholds, cdf, dag, StepCdf(np.asarray(clim["jumps"], dtype=float), cum))
-    if cum.shape != thresholds.shape:
-        raise ValueError(f"climatology cum must hold one value for each of the {thresholds.size} thresholds")
-    return IdrModel(thresholds, cdf, dag, StepCdf(thresholds, cum))
+    jumps = thresholds if major == "3" else _numbers(clim["jumps"], "climatology jumps")[0]
+    cum, _ = _numbers(clim["cum"], "climatology cum")
+    if cum.size != jumps.size:
+        raise ValueError(f"climatology cum must hold one value for each of its {jumps.size} jumps")
+    return IdrModel(thresholds, cdf, dag, StepCdf(jumps, cum))
 
 
 def model_to_json(model) -> str:
@@ -229,12 +233,8 @@ def model_from_json(text: str):
         return _model_from_payload(payload, major)
     if kind == "subagged":
         members = tuple(_model_from_payload(m, major) for m in payload["members"])
-        return SubaggedModel(
-            members,
-            int(payload["subsample_size"]),
-            int(payload["seed"]),
-            payload.get("split", "random"),
-        )
+        size, seed = (_numbers(payload[f], f, 0, integers=True)[0].item() for f in ("subsample_size", "seed"))
+        return SubaggedModel(members, size, seed, payload.get("split", "random"))
     raise ValueError(f"unknown model type {kind!r}")
 
 

@@ -23,6 +23,10 @@ __all__ = [
     "fit_even_odd",
 ]
 
+#: How the members' training rows were drawn: random subsets, or the
+#: even- and odd-indexed rows.
+_SPLITS = ("random", "even-odd")
+
 
 @dataclass(frozen=True)
 class SubaggedModel:
@@ -40,6 +44,10 @@ class SubaggedModel:
     def __post_init__(self):
         if len(self.members) == 0:
             raise ValueError("a subagged model needs at least one member")
+        if self.subsample_size < 1 or self.seed < 0:
+            raise ValueError("a subagged model needs a subsample_size of at least 1 and a nonnegative seed")
+        if self.split not in _SPLITS:
+            raise ValueError(f"split must be one of {', '.join(_SPLITS)}, not {self.split!r}")
         first = self.members[0].spec
         if any(m.spec != first for m in self.members[1:]):
             raise ValueError("members must share the order spec")

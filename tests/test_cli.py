@@ -438,6 +438,44 @@ def test_malformed_model_file_is_a_validation_error(tmp_path):
         assert not (tmp_path / "p.csv").exists()
 
 
+#: a JSON integer literal past the float range
+HUGE = 10**400
+
+
+def _quote(entries, i):
+    """Entry ``i`` as a numeric string of the same value."""
+    entries[i] = repr(entries[i])
+
+
+@pytest.mark.parametrize("name, field, edit", [
+    ("chain", "node_row", lambda doc: doc["node_row"].__setitem__(doc["node_row"].index(1), True)),
+    ("chain", "thresholds", lambda doc: _quote(doc["thresholds"], 1)),
+    ("chain", "climatology cum", lambda doc: _quote(doc["climatology"]["cum"], 1)),
+    ("chain", "thresholds", lambda doc: doc["thresholds"].__setitem__(-1, HUGE)),
+    ("chain", "climatology cum", lambda doc: doc["climatology"]["cum"].__setitem__(1, HUGE)),
+    ("chain", "column_names", lambda doc: doc["order_spec"].update(column_names=[5])),
+    ("icx", "subsample_size", lambda doc: doc.update(subsample_size="5")),
+    ("icx", "seed", lambda doc: doc.update(seed=2.7)),
+    ("icx", "split", lambda doc: doc.update(split="banana")),
+], ids=["node_row_true", "thresholds_string", "cum_string", "thresholds_huge", "cum_huge",
+        "column_names_number", "subsample_size_string", "seed_float", "split_unknown"])
+def test_model_file_entries_of_the_wrong_kind_are_a_validation_error(tmp_path, name, field, edit):
+    """A boolean, a numeric string, a literal past the float range, a
+    float seed or an unknown split: exit 3, with no traceback, naming
+    the field."""
+    golden = Path(__file__).resolve().parent / "golden"
+    doc = json.loads((golden / f"{name}_model.json").read_text())
+    edit(doc)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    res = invoke("predict", "--model", model, "--data", golden / f"{name}_test.csv",
+                 "--quantiles", "0.5", "--out", tmp_path / "p.csv")
+    assert res.exit_code == EXIT_VALIDATION, all_output(res)
+    assert isinstance(res.exception, SystemExit)
+    assert f"error: {field} must be" in all_output(res)
+    assert not (tmp_path / "p.csv").exists()
+
+
 def test_model_file_with_order_equivalent_node_keys_is_a_validation_error(tmp_path):
     """Two stored icx keys whose tail sums round alike would be one node:
     the load names that fault, not the order of the keys."""

@@ -9,7 +9,9 @@ posets of every relation:
 - a strictly increasing map of the responses maps the thresholds and
   leaves every CDF row unchanged;
 - a componentwise order on collinear points is the total order along
-  the line, for the fit and for predictions on that line.
+  the line, for the fit and for predictions on that line;
+- on at most 12 nodes, every threshold column of the fit is the
+  brute-force projection, to 1e-10, whatever the scale of the weights.
 
 The weights are integers, so every sum the fit takes is exact in any
 order of its terms.
@@ -30,6 +32,8 @@ from idr import (
     predict_batch,
 )
 
+from brute_force import brute_force_antitonic
+
 SPECS = {
     "total": OrderSpec((OrderGroup((0,), TOTAL),)),
     "componentwise": OrderSpec((OrderGroup((0, 1), COMPONENTWISE),)),
@@ -41,12 +45,11 @@ SPECS = {
 CASES = [(name, seed) for name in SPECS for seed in range(3)]
 
 
-def draw(name: str, seed: int):
-    """A small training set on an integer grid, so that covariates and
-    responses tie and several rows share a node."""
+def draw(name: str, seed: int, n: int = 30):
+    """A small training set of ``n`` rows on an integer grid, so that
+    covariates and responses tie and several rows share a node."""
     rng = np.random.default_rng([seed, list(SPECS).index(name)])
     spec = SPECS[name]
-    n = 30
     x = rng.integers(0, 10 if spec.dimension == 1 else 4, size=(n, spec.dimension)).astype(float)
     y = np.round(x.mean(axis=1) + rng.normal(size=n), 1)
     w = rng.integers(1, 4, size=n).astype(float)
@@ -119,3 +122,21 @@ def test_componentwise_order_on_collinear_points_is_the_total_order(seed):
     assert a.provenance == b.provenance and len(set(a.provenance)) == 4
     for side in ("center", "lower", "upper"):
         assert np.array_equal(getattr(a, side), getattr(b, side), equal_nan=True)
+
+
+@pytest.mark.parametrize("name, seed", CASES)
+def test_fit_is_the_brute_force_projection_at_every_weight_scale(name, seed):
+    """Twelve rows make at most 12 nodes.  At each threshold the fit
+    projects the nodes' indicator means, weighted by the nodes' integer
+    weights; scaling every weight by one factor leaves the projection
+    as it is."""
+    spec, x, y, w = draw(name, seed, n=12)
+    fits = [fit(spec, x, y, w * scale) for scale in (2.0**-60, 1e-300, 1.0, 1e300)]
+    dag, thresholds = fits[0].dag, fits[0].thresholds
+    node_weight = np.bincount(dag.membership, weights=w, minlength=dag.n_nodes)
+    for k, t in enumerate(thresholds):
+        means = np.bincount(dag.membership, weights=w * (y <= t), minlength=dag.n_nodes) / node_weight
+        oracle = brute_force_antitonic(dag, means, node_weight)
+        for model in fits:
+            assert model.dag.keys == dag.keys and np.array_equal(model.thresholds, thresholds)
+            assert np.allclose(model.cdf[:, k], oracle, rtol=0, atol=1e-10), (t, model.cdf[:, k], oracle)

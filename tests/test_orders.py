@@ -1,5 +1,6 @@
 """Order relations, canonical keys, and the comparability DAG."""
 
+import json
 import tracemalloc
 import warnings
 
@@ -126,6 +127,25 @@ def test_spec_validation():
         OrderSpec((OrderGroup((), COMPONENTWISE),))
     with pytest.raises(ValueError):
         OrderSpec((OrderGroup((0,), "lexicographic"),))
+
+
+def test_column_indices_are_integers_and_never_booleans():
+    """numpy integers are read as Python ints, so the spec still
+    serializes; a boolean or a float is not a column index."""
+    group = OrderGroup((np.int64(1), np.intp(0)), COMPONENTWISE)
+    assert group.columns == (1, 0) and all(type(c) is int for c in group.columns)
+    doc = json.loads(model_to_json(fit_idr(make_training_set(OrderSpec((group,)), [[0, 1], [1, 2]], [0, 1]))))
+    assert doc["order_spec"]["groups"] == [{"columns": [1, 0], "relation": COMPONENTWISE}]
+    for columns in ((True,), (np.bool_(False),), (0.0,), ("0",), (0, None)):
+        with pytest.raises(TypeError, match="integers"):
+            OrderGroup(columns, TOTAL if len(columns) == 1 else COMPONENTWISE)
+
+
+def test_column_names_are_strings():
+    OrderSpec((OrderGroup((0,), TOTAL),), column_names=("x",))
+    for names in ((5,), ("x", None), (b"x",)):
+        with pytest.raises(TypeError, match="column_names"):
+            OrderSpec((OrderGroup((0,), TOTAL),), column_names=names)
 
 
 def test_canonical_key_sorts_exchangeable_groups_only():

@@ -167,12 +167,11 @@ def test_each_jump_value_and_the_threshold_grid_are_stored_once():
     assert doc["climatology"] == {"cum": model.climatology.cum.tolist()}
 
 
-def test_writer_rejects_a_climatology_off_the_threshold_grid():
+def test_model_rejects_a_climatology_off_the_threshold_grid():
+    """So every model the writer meets stores its climatology as ``cum``."""
     model, _ = small_model(4)
-    shifted = IdrModel(model.thresholds, model.cdf, model.dag,
-                       StepCdf(model.thresholds + 0.5, model.climatology.cum))
     with pytest.raises(ValueError, match="climatology"):
-        model_to_json(shifted)
+        IdrModel(model.thresholds, model.cdf, model.dag, StepCdf(model.thresholds + 0.5, model.climatology.cum))
 
 
 def test_save_and_load_files(tmp_path):
@@ -275,6 +274,13 @@ MALFORMED = {
     "thresholds_tied": lambda doc: doc["thresholds"].__setitem__(1, doc["thresholds"][0]),
     "thresholds_infinite": lambda doc: doc["thresholds"].__setitem__(-1, float("inf")),
     "thresholds_empty": lambda doc: doc.update(thresholds=[], cdf_matrix=[[] for _ in doc["cdf_matrix"]]),
+    "thresholds_a_string": lambda doc: doc["thresholds"].__setitem__(0, repr(doc["thresholds"][0])),
+    "thresholds_past_the_float_range": lambda doc: doc["thresholds"].__setitem__(-1, 10**400),
+    "cdf_entry_boolean": lambda doc: _set_cdf_entry(doc, 0, -1, True),
+    "cdf_entry_null": lambda doc: _set_cdf_entry(doc, 0, 0, None),
+    "climatology_jumps_off_the_thresholds": lambda doc: doc["climatology"].update(
+        jumps=[t + 0.5 for t in doc["thresholds"]]),
+    "climatology_cum_a_string": lambda doc: doc["climatology"]["cum"].__setitem__(-1, "1"),
 }
 
 
@@ -317,6 +323,12 @@ MALFORMED_V2 = {
     "node_row_negative": lambda doc: doc["node_row"].__setitem__(0, -1),
     "node_row_not_integer": lambda doc: doc["node_row"].__setitem__(0, 0.5),
     "node_row_nested": lambda doc: doc.update(node_row=[[r] for r in doc["node_row"]]),
+    "node_row_boolean": lambda doc: doc["node_row"].__setitem__(doc["node_row"].index(1), True),
+    "node_row_past_the_int64_range": lambda doc: doc["node_row"].__setitem__(0, 10**400),
+    "jump_index_boolean": _edit_jumps("jump_index", lambda row, m: row.__setitem__(-1, True)),
+    "jump_value_a_string": _edit_jumps("jump_value", lambda row, m: row.__setitem__(-1, "1")),
+    "climatology_jumps_off_the_thresholds": lambda doc: doc["climatology"].update(
+        jumps=[t + 0.5 for t in doc["thresholds"]]),
     "jump_index_unsorted": _edit_jumps("jump_index", lambda row, m: row.reverse()),
     "jump_index_repeated": _edit_jumps("jump_index", lambda row, m: row.__setitem__(1, row[0])),
     "jump_index_at_m": _edit_jumps("jump_index", lambda row, m: row.__setitem__(-1, m)),
@@ -364,6 +376,7 @@ MALFORMED_V3 = {
     "index_past_the_table": lambda doc: doc["cdf_rows"]["jump_value"][_longest_row(doc)].__setitem__(
         -1, len(doc["cdf_rows"]["values"])),
     "index_not_integer": _edit_jumps("jump_value", lambda row, m: row.__setitem__(0, float(row[0]))),
+    "index_boolean": _edit_jumps("jump_value", lambda row, m: row.__setitem__(0, True)),
     "index_a_value": _edit_jumps("jump_value", lambda row, m: row.__setitem__(-1, 1.0)),
     "index_repeated": _edit_jumps("jump_value", lambda row, m: row.__setitem__(1, row[0])),
     "index_decreasing": _edit_jumps("jump_value", lambda row, m: row.reverse()),
@@ -381,6 +394,7 @@ MALFORMED_V3 = {
     "values_nested": lambda doc: doc["cdf_rows"].update(values=[[v] for v in doc["cdf_rows"]["values"]]),
     "climatology_cum_short": lambda doc: doc["climatology"]["cum"].pop(0),
     "climatology_cum_long": lambda doc: doc["climatology"]["cum"].insert(0, 0.0),
+    "climatology_cum_past_the_float_range": lambda doc: doc["climatology"]["cum"].__setitem__(0, 10**400),
 }
 
 

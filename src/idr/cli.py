@@ -238,10 +238,10 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    return repr(float(x))
+def _cells(values) -> list[str]:
+    """One CSV cell per value: the shortest repr that reads back as the
+    same float."""
+    return list(map(repr, np.asarray(values, dtype=float).tolist()))
 
 
 def _covariate_names(model) -> list[str]:
@@ -275,7 +275,7 @@ def main():
 def simulate(n, seed, out):
     """Draw (x, y) rows from the built-in gamma benchmark."""
     x, y = simulate_gamma(n, seed)
-    _write_csv(out, ["x", "y"], ([_fmt(a), _fmt(b)] for a, b in zip(x, y)))
+    _write_csv(out, ["x", "y"], zip(_cells(x), _cells(y)))
     click.echo(f"wrote {n} rows to {out}")
 
 
@@ -356,14 +356,12 @@ def predict(model_path, data_path, out_path, quantiles, thresholds, interpolate)
     out_header = (
         [f"q{a:g}" for a in alphas] + [f"p_le_{z:g}" for z in zs] + ["provenance", "bound_gap"]
     )
-    cols = [quantile_rows(batch.grid, batch.center, a) for a in alphas]
-    cols += [evaluate_rows(batch.grid, batch.center, z) for z in zs]
-    out_rows = [
-        [_fmt(col[i]) for col in cols] + [prov.value, "" if np.isnan(gap) else _fmt(gap)]
-        for i, (prov, gap) in enumerate(zip(batch.provenance, batch.bound_gap))
-    ]
-    _write_csv(out_path, out_header, out_rows)
-    click.echo(f"wrote {len(out_rows)} predictions to {out_path}")
+    cols = [_cells(quantile_rows(batch.grid, batch.center, a)) for a in alphas]
+    cols += [_cells(evaluate_rows(batch.grid, batch.center, z)) for z in zs]
+    cols.append([prov.value for prov in batch.provenance])
+    cols.append(["" if math.isnan(gap) else repr(gap) for gap in batch.bound_gap.tolist()])
+    _write_csv(out_path, out_header, zip(*cols))
+    click.echo(f"wrote {len(batch.provenance)} predictions to {out_path}")
 
 
 @main.command()
@@ -412,8 +410,7 @@ def score(model_path, true_gamma, covariate, data_path, response, out_path, thre
 
     out_header = ["crps", "pit"] + [f"brier_{z:g}" for z in zs] + [f"qs_{a:g}" for a in qas]
     cols = [crps_vals, pit_vals] + [briers[z] for z in zs] + [qscores[a] for a in qas]
-    out_rows = [[_fmt(col[i]) for col in cols] for i in range(len(ys))]
-    _write_csv(out_path, out_header, out_rows)
+    _write_csv(out_path, out_header, zip(*map(_cells, cols)))
     for name, col in zip(out_header, cols):
         click.echo(f"mean_{name}={float(np.mean(col))!r}")
 
@@ -428,11 +425,9 @@ def pit_hist(scores_path, bins, out_path):
     """Histogram of PIT values, as plot-ready CSV."""
     header, rows = _load_table(scores_path)
     pit_vals = _numeric_columns(scores_path, header, rows, ["pit"])[:, 0]
-    _write_csv(
-        out_path,
-        ["bin_low", "bin_high", "count", "frequency"],
-        ([_fmt(lo), _fmt(hi), str(k), _fmt(f)] for lo, hi, k, f in pit_histogram(pit_vals, bins)),
-    )
+    lo, hi, k, f = zip(*pit_histogram(pit_vals, bins))
+    _write_csv(out_path, ["bin_low", "bin_high", "count", "frequency"],
+               zip(_cells(lo), _cells(hi), map(str, k), _cells(f)))
     click.echo(f"wrote {bins} bins to {out_path}")
 
 
@@ -455,12 +450,9 @@ def reliability(model_path, data_path, response, threshold, bins, out_path):
     cdf_rows, _ = predict_rows(model, covariates)
     probs = evaluate_rows(model.thresholds, cdf_rows, threshold)
     outcomes = (ys <= threshold).astype(float)
-    table = reliability_bins(probs, outcomes, bins)
-    _write_csv(
-        out_path,
-        ["bin_center", "mean_forecast", "observed_frequency", "count"],
-        ([_fmt(c), _fmt(m), _fmt(f), str(int(k))] for c, m, f, k in table),
-    )
+    c, m, f, k = zip(*reliability_bins(probs, outcomes, bins))
+    _write_csv(out_path, ["bin_center", "mean_forecast", "observed_frequency", "count"],
+               zip(_cells(c), _cells(m), _cells(f), map(str, k)))
     click.echo(f"wrote {bins} bins to {out_path}")
 
 

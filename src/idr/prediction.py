@@ -141,21 +141,22 @@ def direct_successors(model: IdrModel, x) -> list[int]:
     return nodes.tolist()
 
 
-def _reduce_rows(ufunc, cdf: np.ndarray, pairs, out: np.ndarray):
-    """Per case, ``ufunc`` over the CDF rows of its nodes in the
+def _reduce_rows(ufunc, model: IdrModel, pairs, out: np.ndarray):
+    """Per case, ``ufunc`` over the fitted CDF rows of its nodes in the
     (cases, nodes) ``pairs``, written into ``out``; NaN where a case has
     no node."""
     cases, nodes = pairs
+    rows = model.node_row[nodes]
     if np.all(cases[1:] > cases[:-1]):
         # at most one node per case, as on a chain: copy its row, with no temporary rows
-        node = np.full(out.shape[0], -1)
-        node[cases] = nodes
-        np.take(cdf, node, axis=0, mode="clip", out=out)
-        out[node < 0] = np.nan
+        row = np.full(out.shape[0], -1)
+        row[cases] = rows
+        np.take(model.rows, row, axis=0, mode="clip", out=out)
+        out[row < 0] = np.nan
     else:
         out[...] = np.nan
         has, starts = np.unique(cases, return_index=True)
-        out[has] = ufunc.reduceat(cdf[nodes], starts, axis=0)
+        out[has] = ufunc.reduceat(model.rows[rows], starts, axis=0)
 
 
 def _block_rows(model: IdrModel, x: np.ndarray, out: dict) -> tuple[np.ndarray, ...]:
@@ -172,8 +173,8 @@ def _plain_block(model: IdrModel, x: np.ndarray, out: dict) -> np.ndarray:
     center, lower, upper = _block_rows(model, x, out)
     exact, pred, succ = model.dag.query_neighbors(x)
     # at a training point both pair lists hold its node alone, so both bounds are its row
-    _reduce_rows(np.maximum, model.cdf, succ, lower)
-    _reduce_rows(np.minimum, model.cdf, pred, upper)
+    _reduce_rows(np.maximum, model, succ, lower)
+    _reduce_rows(np.minimum, model, pred, upper)
     has_lower, has_upper = ~np.isnan(lower[:, 0]), ~np.isnan(upper[:, 0])
     # x + x halves to x exactly
     np.multiply(0.5, np.add(lower, upper, out=center), out=center)
@@ -193,8 +194,8 @@ def _interpolated_block(model: IdrModel, x: np.ndarray, out: dict) -> np.ndarray
     lo = np.zeros(x.shape[0], dtype=np.intp)
     hi = np.full(x.shape[0], model.n_nodes - 1)
     lo[pred[0]], hi[succ[0]] = pred[1], succ[1]
-    np.take(model.cdf, lo, axis=0, out=upper)
-    np.take(model.cdf, hi, axis=0, out=lower)
+    np.take(model.rows, model.node_row[lo], axis=0, out=upper)
+    np.take(model.rows, model.node_row[hi], axis=0, out=lower)
     center[...] = upper
     # a total key is its own comparison row
     keys, col = model.dag.cmp_matrix[:, 0], x[:, model.spec.total_column]

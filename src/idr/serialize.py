@@ -8,17 +8,22 @@ so the same model always produces the same bytes.
 Format 3.0 stores every number once.  A fitted CDF value is a weighted
 mean of threshold indicators over one level set, so a model holds few
 distinct values: each member keeps them as one sorted table,
-``cdf_rows.values``.  Each distinct CDF row is stored once, as the
-threshold indices where it jumps (``cdf_rows.jump_index``) and the
+``cdf_rows.values``.  The model's distinct CDF rows,
+:attr:`~idr.fitting.IdrModel.rows`, are written as they are, each as
+the threshold indices where it jumps (``cdf_rows.jump_index``) and the
 table indices of its values after those jumps (``cdf_rows.jump_value``);
-``node_row`` gives the row of every node.  The climatology jumps at the
-thresholds, so only its ``cum`` is stored.  The seed-1 model of the
+``node_row`` gives the row of every node (``IdrModel.node_row``).  A
+loaded model holds the same rows; its dense ``cdf`` is a view built
+from them on access.  The climatology jumps at the thresholds, so only
+its ``cum`` is stored.  The seed-1 model of the
 benchmark's ``gamma-chain-cli`` workload takes 86,626 bytes as 3.0
 against 187,934 as 2.0; a 4000-point gamma chain, 1.4 MB against 3.0.
 
 Files are written as 3.0.  Format 2.0 stored the jump values
 themselves and the climatology's jumps; 1.x stored the dense nodes x
-thresholds ``cdf_matrix``.  All three majors load.
+thresholds ``cdf_matrix``.  All three majors load.  The rows of a 2.x
+or 3.x file must be in the order every writer used: distinct, in
+lexicographic order and each the row of some node.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from itertools import chain
 
 import numpy as np
 
-from .fitting import IdrModel
+from .fitting import IdrModel, distinct_rows
 from .orders import OrderGroup, OrderSpec, build_order_dag
 from .stepfun import StepCdf, distinct_sorted
 from .subagging import SubaggedModel
@@ -56,21 +61,14 @@ def _spec_from_payload(payload: dict) -> OrderSpec:
         OrderGroup(tuple(g["columns"]), g["relation"]) for g in payload["groups"]
     )
     names = payload.get("column_names")
-    return OrderSpec(groups, tuple(names) if names else None)
+    if names is not None and not (isinstance(names, list) and names and all(isinstance(n, str) for n in names)):
+        raise ValueError("column_names must be null or a nonempty list of strings")
+    return OrderSpec(groups, None if names is None else tuple(names))
 
 
 def _model_payload(model: IdrModel) -> dict:
-    # distinct rows in lexicographic order, so the bytes are canonical;
-    # np.unique(axis=0) gives the same rows but sorts them ten times slower
-    cdf = model.cdf
-    order = np.lexsort(cdf.T[::-1])
-    ranked = cdf[order]
-    first = np.ones(order.size, dtype=bool)
-    first[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
-    rows = ranked[first]
-    del ranked
-    node_row = np.empty_like(order)
-    node_row[order] = np.cumsum(first) - 1
+    # the rows are distinct and in lexicographic order, so the bytes are canonical
+    rows = model.rows
     jumps = np.diff(rows, axis=1, prepend=0.0) > 0
     row_of_jump, at = np.nonzero(jumps)
     cuts = np.cumsum(np.count_nonzero(jumps, axis=1))[:-1]
@@ -86,7 +84,7 @@ def _model_payload(model: IdrModel) -> dict:
             "jump_value": [a.tolist() for a in np.split(np.searchsorted(table, values), cuts)],
             "values": table.tolist(),
         },
-        "node_row": node_row.tolist(),
+        "node_row": model.node_row.tolist(),
         "climatology": {"cum": model.climatology.cum.tolist()},
     }
 
@@ -126,8 +124,8 @@ def _table_values(table: dict, index: np.ndarray, inner: np.ndarray, ends: np.nd
     return values[index]
 
 
-def _cdf_from_rows(payload: dict, n_nodes: int, m: int, major: str) -> np.ndarray:
-    """Rebuild the dense nodes x thresholds CDF of a 2.x or 3.x member."""
+def _rows_from_table(payload: dict, n_nodes: int, m: int, major: str) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows and the row of each node of a 2.x or 3.x member."""
     table = payload["cdf_rows"]
     if not isinstance(table, dict):
         raise ValueError("cdf_rows must be an object")
@@ -153,11 +151,17 @@ def _cdf_from_rows(payload: dict, n_nodes: int, m: int, major: str) -> np.ndarra
     rows = np.zeros((len(counts), m))
     rows[np.repeat(np.arange(len(counts)), counts), at] = values
     np.maximum.accumulate(rows, axis=1, out=rows)
-    return rows[node_row]
+    differ = rows[1:] != rows[:-1]
+    first, k = differ.argmax(axis=1), np.arange(len(rows) - 1)
+    if not (differ.any(axis=1).all() and np.all(rows[k + 1, first] > rows[k, first])
+            and np.bincount(node_row, minlength=len(rows)).all()):
+        raise ValueError("cdf_rows must be distinct rows in lexicographic order, each the row of some node")
+    return rows, node_row
 
 
-def _cdf_from_matrix(payload: dict, n_nodes: int, m: int) -> np.ndarray:
-    """The dense CDF of a 1.x member, checked."""
+def _rows_from_matrix(payload: dict, n_nodes: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows and the row of each node of a 1.x member's
+    dense CDF, checked."""
     cdf, widths = _numbers(payload["cdf_matrix"], "cdf_matrix", 2)
     if len(widths) != n_nodes or set(widths) != {m}:
         raise ValueError(f"cdf_matrix must be nodes x thresholds, {n_nodes} rows of {m} values")
@@ -165,7 +169,7 @@ def _cdf_from_matrix(payload: dict, n_nodes: int, m: int) -> np.ndarray:
     if not (np.isfinite(cdf).all() and cdf.min() >= 0.0 and cdf.max() <= 1.0
             and np.all(cdf[:, 1:] >= cdf[:, :-1]) and np.all(cdf[:, -1] == 1.0)):
         raise ValueError("every cdf_matrix row must be finite, within [0, 1], nondecreasing and end at 1")
-    return cdf
+    return distinct_rows(cdf)
 
 
 def _model_from_payload(payload: dict, major: str) -> IdrModel:
@@ -182,15 +186,15 @@ def _model_from_payload(payload: dict, major: str) -> IdrModel:
     if not np.isfinite(thresholds).all() or np.any(np.diff(thresholds) <= 0):
         raise ValueError("thresholds must be finite and strictly increasing")
     if major == "1":
-        cdf = _cdf_from_matrix(payload, dag.n_nodes, thresholds.size)
+        rows, node_row = _rows_from_matrix(payload, dag.n_nodes, thresholds.size)
     else:
-        cdf = _cdf_from_rows(payload, dag.n_nodes, thresholds.size, major)
+        rows, node_row = _rows_from_table(payload, dag.n_nodes, thresholds.size, major)
     clim = payload["climatology"]
     jumps = thresholds if major == "3" else _numbers(clim["jumps"], "climatology jumps")[0]
     cum, _ = _numbers(clim["cum"], "climatology cum")
     if cum.size != jumps.size:
         raise ValueError(f"climatology cum must hold one value for each of its {jumps.size} jumps")
-    return IdrModel(thresholds, cdf, dag, StepCdf(jumps, cum))
+    return IdrModel(thresholds, rows, node_row, dag, StepCdf(jumps, cum))
 
 
 def model_to_json(model) -> str:

@@ -26,6 +26,7 @@ from idr import (
     build_order_dag,
     direct_predecessors,
     direct_successors,
+    distinct_rows,
     fit_idr,
     fit_subagged,
     interpolate_total_order,
@@ -216,7 +217,7 @@ def random_poset_case(kind, seed):
     cdf = np.sort(rng.uniform(size=(dag.n_nodes, m)), axis=1)
     cdf[:, -1] = 1.0
     climatology = StepCdf(np.arange(m, dtype=float), cdf.mean(axis=0))
-    model = IdrModel(np.arange(m, dtype=float), cdf, dag, climatology)
+    model = IdrModel(np.arange(m, dtype=float), *distinct_rows(cdf), dag, climatology)
     # exchangeable groups of x reversed give order-equivalent queries
     permuted = x[:5].copy()
     for g in spec.groups:

@@ -454,11 +454,13 @@ def _quote(entries, i):
     ("chain", "thresholds", lambda doc: doc["thresholds"].__setitem__(-1, HUGE)),
     ("chain", "climatology cum", lambda doc: doc["climatology"]["cum"].__setitem__(1, HUGE)),
     ("chain", "column_names", lambda doc: doc["order_spec"].update(column_names=[5])),
+    ("chain", "column_names", lambda doc: doc["order_spec"].update(column_names="x")),
+    ("chain", "cdf_rows", lambda doc: [doc["cdf_rows"][f].reverse() for f in ("jump_index", "jump_value")]),
     ("icx", "subsample_size", lambda doc: doc.update(subsample_size="5")),
     ("icx", "seed", lambda doc: doc.update(seed=2.7)),
     ("icx", "split", lambda doc: doc.update(split="banana")),
 ], ids=["node_row_true", "thresholds_string", "cum_string", "thresholds_huge", "cum_huge",
-        "column_names_number", "subsample_size_string", "seed_float", "split_unknown"])
+        "column_names_number", "column_names_string", "rows_reversed", "subsample_size_string", "seed_float", "split_unknown"])
 def test_model_file_entries_of_the_wrong_kind_are_a_validation_error(tmp_path, name, field, edit):
     """A boolean, a numeric string, a literal past the float range, a
     float seed or an unknown split: exit 3, with no traceback, naming

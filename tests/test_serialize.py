@@ -1,4 +1,7 @@
+import gc
 import json
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,8 +28,10 @@ from idr import (
     StepCdf,
     save_model,
 )
+from idr.oracles import simulate_gamma
 
 TOTAL1 = OrderSpec((OrderGroup((0,), TOTAL),))
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def small_model(seed=0):
@@ -112,22 +117,101 @@ def _bits(a):
     return np.ascontiguousarray(a, dtype=float).view(np.int64)
 
 
+def _members(model):
+    return model.members if isinstance(model, SubaggedModel) else (model,)
+
+
+def _assert_canonical_rows(model):
+    """Each member holds distinct rows in strictly increasing
+    lexicographic order, each the row of some node."""
+    for m in _members(model):
+        rows, node_row = m.rows, m.node_row
+        assert rows.shape[1] == m.thresholds.size and node_row.shape == (m.n_nodes,)
+        differ = rows[1:] != rows[:-1]
+        assert differ.any(axis=1).all()
+        k, first = np.arange(len(rows) - 1), differ.argmax(axis=1)
+        assert np.all(rows[k + 1, first] > rows[k, first])
+        assert np.array_equal(np.unique(node_row), np.arange(len(rows)))
+
+
+def _assert_round_trip(model) -> str:
+    """The clone of ``model`` holds its rows bit for bit and writes the
+    same bytes; returns them."""
+    blob = model_to_json(model)
+    clone = model_from_json(blob)
+    assert model_to_json(clone) == blob
+    for a, b in zip(_members(model), _members(clone), strict=True):
+        assert np.array_equal(_bits(a.rows), _bits(b.rows))
+        assert np.array_equal(a.node_row, b.node_row)
+        assert np.array_equal(_bits(a.thresholds), _bits(b.thresholds))
+        assert np.array_equal(_bits(a.climatology.jumps), _bits(b.climatology.jumps))
+        assert np.array_equal(_bits(a.climatology.cum), _bits(b.climatology.cum))
+    _assert_canonical_rows(clone)
+    return blob
+
+
+def _file_cdf(doc) -> np.ndarray:
+    """The dense nodes x thresholds CDF of one member of a model file of
+    any format, each row held at its jump value up to its next jump."""
+    m = len(doc["thresholds"])
+    if "cdf_matrix" in doc:
+        return np.array(doc["cdf_matrix"], dtype=float)
+    table = doc["cdf_rows"]
+    rows = np.zeros((len(table["jump_index"]), m))
+    for row, at, values in zip(rows, table["jump_index"], table["jump_value"]):
+        if "values" in table:  # 3.x: indices into the value table
+            values = [table["values"][i] for i in values]
+        for start, stop, value in zip(at, at[1:] + [m], values):
+            row[start:stop] = value
+    return rows[doc["node_row"]]
+
+
 @pytest.mark.parametrize("kind", RELATIONS + ("subagged", "even_odd"))
 def test_round_trip_rebuilds_the_cdf_bit_for_bit(kind):
-    """The thresholds, the CDF and the climatology come back bit for bit,
-    and the clone writes the same bytes as the model."""
+    """The rows, the thresholds and the climatology come back bit for
+    bit, the clone writes the same bytes as the model, and the dense
+    ``cdf`` is the one the file describes."""
     for seed in range(25):
         model = _random_fit(kind, seed)
-        blob = model_to_json(model)
-        clone = model_from_json(blob)
-        assert model_to_json(clone) == blob, (kind, seed)
-        pairs = zip(model.members, clone.members) if isinstance(model, SubaggedModel) else [(model, clone)]
-        for a, b in pairs:
-            assert a.cdf.shape == b.cdf.shape
-            assert np.array_equal(_bits(a.cdf), _bits(b.cdf)), (kind, seed)
-            assert np.array_equal(_bits(a.thresholds), _bits(b.thresholds)), (kind, seed)
-            assert np.array_equal(_bits(a.climatology.jumps), _bits(b.climatology.jumps)), (kind, seed)
-            assert np.array_equal(_bits(a.climatology.cum), _bits(b.climatology.cum)), (kind, seed)
+        _assert_canonical_rows(model)
+        doc = json.loads(_assert_round_trip(model))
+        for m, member in zip(_members(model), doc["members"] if "members" in doc else [doc], strict=True):
+            assert np.array_equal(_bits(m.cdf), _bits(_file_cdf(member))), (kind, seed)
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.rglob("*_model.json")), ids=lambda p: str(p.relative_to(GOLDEN)))
+def test_golden_model_files_load_their_rows_and_round_trip(path):
+    """Every golden model file, of every format, loads with the dense
+    ``cdf`` the file describes; a 3.0 file writes its own bytes."""
+    text = path.read_text()
+    doc = json.loads(text)
+    model = model_from_json(text)
+    for m, member in zip(_members(model), doc["members"] if "members" in doc else [doc], strict=True):
+        assert np.array_equal(m.cdf, _file_cdf(member))
+        assert not m.cdf.flags.writeable
+    blob = _assert_round_trip(model)
+    if doc["version"] == "3.0":
+        assert blob + "\n" == text
+
+
+def test_a_loaded_model_holds_its_distinct_rows_not_the_dense_matrix(tmp_path):
+    """A 2000-point gamma chain has 2000 nodes and thresholds but a few
+    hundred distinct CDF rows; neither the loaded model nor the load
+    comes near the dense 2000 x 2000 float64 matrix (32 MB)."""
+    x, y = simulate_gamma(2000, 1)
+    path = tmp_path / "model.json"
+    save_model(fit_idr(make_training_set(TOTAL1, x, y)), path)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        model = load_model(path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    dense = model.n_nodes * model.thresholds.size * 8
+    assert dense == 32e6
+    assert held < dense / 3, held
+    assert peak < dense / 2, peak
 
 
 def test_signed_zero_responses_round_trip_bit_for_bit():
@@ -171,7 +255,8 @@ def test_model_rejects_a_climatology_off_the_threshold_grid():
     """So every model the writer meets stores its climatology as ``cum``."""
     model, _ = small_model(4)
     with pytest.raises(ValueError, match="climatology"):
-        IdrModel(model.thresholds, model.cdf, model.dag, StepCdf(model.thresholds + 0.5, model.climatology.cum))
+        IdrModel(model.thresholds, model.rows, model.node_row, model.dag,
+                 StepCdf(model.thresholds + 0.5, model.climatology.cum))
 
 
 def test_save_and_load_files(tmp_path):
@@ -247,6 +332,19 @@ def test_every_key_of_an_order_equivalence_class_predicts_at_its_node_after_a_ro
     assert batch.center.tolist() == [[0.5, 1.0]] * 2
 
 
+@pytest.mark.parametrize("names", ["ab", "", []], ids=["string", "empty_string", "empty_list"])
+def test_column_names_are_null_or_a_nonempty_list_of_strings(names):
+    """A string is not read as one name per character, nor an empty one
+    or an empty list as no names."""
+    model, _ = small_model()
+    doc = json.loads(model_to_json(model))
+    doc["order_spec"]["column_names"] = None
+    assert model_from_json(json.dumps(doc)).spec.column_names is None
+    doc["order_spec"]["column_names"] = names
+    with pytest.raises(ValueError, match="column_names"):
+        model_from_json(json.dumps(doc))
+
+
 def test_rejects_garbage():
     with pytest.raises((ValueError, KeyError)):
         model_from_json("{}")
@@ -316,7 +414,32 @@ def _edit_jumps(field, edit):
     return apply
 
 
+def _reverse_rows(doc):
+    count = len(doc["cdf_rows"]["jump_index"])
+    for field in ("jump_index", "jump_value"):
+        doc["cdf_rows"][field].reverse()
+    doc["node_row"] = [count - 1 - r for r in doc["node_row"]]
+
+
+def _repeat_first_row(doc):
+    """A copy of the first row is added last, as the row of one node."""
+    for field in ("jump_index", "jump_value"):
+        doc["cdf_rows"][field].append(list(doc["cdf_rows"][field][0]))
+    doc["node_row"][doc["node_row"].index(0)] = len(doc["cdf_rows"]["jump_index"]) - 1
+
+
+#: rows that every writer has listed distinct, in lexicographic order
+#: and each the row of some node, listed otherwise
+ROWS_NOT_CANONICAL = {
+    "rows_reversed": _reverse_rows,
+    "row_repeated": _repeat_first_row,
+    "row_unused": lambda doc: doc.update(node_row=[min(r, len(doc["cdf_rows"]["jump_index"]) - 2)
+                                                   for r in doc["node_row"]]),
+}
+
+
 MALFORMED_V2 = {
+    **ROWS_NOT_CANONICAL,
     "node_row_short": lambda doc: doc["node_row"].pop(),
     "node_row_long": lambda doc: doc["node_row"].append(0),
     "node_row_past_the_rows": lambda doc: doc["node_row"].__setitem__(0, len(doc["cdf_rows"]["jump_index"])),
@@ -372,6 +495,7 @@ def _drop_last_jump(doc):
 
 
 MALFORMED_V3 = {
+    **ROWS_NOT_CANONICAL,
     "index_negative": _edit_jumps("jump_value", lambda row, m: row.__setitem__(0, -1)),
     "index_past_the_table": lambda doc: doc["cdf_rows"]["jump_value"][_longest_row(doc)].__setitem__(
         -1, len(doc["cdf_rows"]["values"])),

@@ -29,7 +29,7 @@ from .oracles import simulate_gamma, true_gamma_cdf, true_gamma_crps, true_gamma
 from .prediction import predict_batch, predict_rows
 from .scoring import brier, brier_rows, crps_rows, pinball, pit_histogram, pit_rows, quantile_score_rows, reliability_bins
 from .serialize import load_model, save_model
-from .stepfun import evaluate_rows, quantile_rows
+from .stepfun import CASE_BLOCK, evaluate_rows, quantile_rows
 from .subagging import SubaggedModel, fit_even_odd, fit_subagged
 
 EXIT_PARSE = 2
@@ -326,8 +326,13 @@ def fit(data_path, response, order_text, weight_col, out_path, subagg_count, sub
     save_model(model, out_path)
 
     if isinstance(model, SubaggedModel):
-        rows, _ = predict_rows(model, training.covariates)
-        mean_crps = float(np.average(crps_rows(model.thresholds, rows, training.responses), weights=training.weights))
+        # a block of training rows at a time, so that no (cases, union grid) matrix is held
+        scores = np.empty(training.n)
+        for lo in range(0, training.n, CASE_BLOCK):
+            cut = slice(lo, lo + CASE_BLOCK)
+            rows, _ = predict_rows(model, training.covariates[cut])
+            scores[cut] = crps_rows(model.thresholds, rows, training.responses[cut])
+        mean_crps = float(np.average(scores, weights=training.weights))
     else:
         # each training row sits at its own node, so its fitted row is its prediction
         mean_crps = empirical_crps_loss(model, training)

@@ -18,7 +18,7 @@ import numpy as np
 from .orders import OrderDag, OrderSpec, build_order_dag
 from .scoring import crps_rows
 from .solvers import antitonic_l2_fit
-from .stepfun import StepCdf, distinct_sorted
+from .stepfun import CASE_BLOCK, StepCdf, distinct_sorted
 
 __all__ = ["TrainingSet", "make_training_set", "IdrModel", "distinct_rows", "fit_idr", "empirical_crps_loss"]
 
@@ -187,7 +187,12 @@ def fit_idr(training: TrainingSet) -> IdrModel:
 
 
 def empirical_crps_loss(model: IdrModel, training: TrainingSet) -> float:
-    """Weighted mean CRPS of the fitted CDFs at their own responses."""
-    rows = model.rows[model.node_row[training.node_ids]]
-    scores = crps_rows(model.thresholds, rows, training.responses)
+    """Weighted mean CRPS of the fitted CDFs at their own responses,
+    scored CASE_BLOCK cases at a time, so that no (cases, thresholds)
+    matrix is gathered."""
+    node_row = model.node_row[training.node_ids]
+    scores = np.empty(training.n)
+    for lo in range(0, training.n, CASE_BLOCK):
+        cut = slice(lo, lo + CASE_BLOCK)
+        scores[cut] = crps_rows(model.thresholds, model.rows[node_row[cut]], training.responses[cut])
     return float((training.weights * scores).sum() / training.weights.sum())

@@ -222,8 +222,10 @@ class OrderDag:
     Nodes are the order-equivalence classes of the canonical keys:
     distinct keys with equal rows of ``cmp_matrix`` (icx keys whose tail
     sums round alike) share one node, whose key in ``keys`` is the least
-    of them.  Nodes are sorted lexicographically by that key; as rows of
-    ``cmp_matrix`` (total keys unchanged) their order is componentwise.
+    of them; ``keys`` is the (nodes, key width) array that a model file
+    stores as ``node_keys``.  Nodes are sorted lexicographically by that
+    key; as rows of ``cmp_matrix`` (total keys unchanged) their order is
+    componentwise.
     ``reach[u, v]`` is True iff key_u is below-or-equal key_v (the
     diagonal is True).  On a chain, ``chain_positions`` gives each
     node's place from the least element up; it is None on any other
@@ -243,7 +245,7 @@ class OrderDag:
         self.cmp_matrix = cmp_matrix
         self.chain_positions = chain_positions
         self._reach = self._edges = None
-        for a in (membership, cmp_matrix, chain_positions):
+        for a in (keys, membership, cmp_matrix, chain_positions):
             if a is not None:
                 a.setflags(write=False)
 
@@ -383,4 +385,4 @@ def build_order_dag(spec: OrderSpec, points, *, points_are_keys: bool = False) -
     # form a chain iff each row is <= the next once the rows are sorted
     chain_positions = by_key if np.all(ranked[:-1] <= ranked[1:]) else None
     nodes = first[by_key]
-    return OrderDag(spec, list(map(tuple, keys[nodes].tolist())), membership, cmp_rows[nodes], chain_positions)
+    return OrderDag(spec, keys[nodes], membership, cmp_rows[nodes], chain_positions)

@@ -17,7 +17,10 @@ of cases at a time.  The order layer's
 a node and the neighbours of the others; this module only reduces
 their fitted rows.  :func:`predict_cdf`, :func:`interpolate_total_order`,
 :func:`predict_rows` and the neighbour lists :func:`direct_predecessors`
-and :func:`direct_successors` are views of these two.
+and :func:`direct_successors` are views of these two.  A subagged
+model's member rows are read off on the union grid by
+:func:`~idr.stepfun.evaluate_grid`, the one place that reads step rows
+at shared points.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fitting import IdrModel
-from .stepfun import CASE_BLOCK, StepCdf
+from .stepfun import CASE_BLOCK, StepCdf, evaluate_grid
 from .subagging import SubaggedModel
 
 __all__ = [
@@ -215,10 +218,8 @@ def _pooled_block(model: SubaggedModel, x: np.ndarray, out: dict) -> np.ndarray:
     for member in model.members:
         rows = {}
         codes.append(_plain_block(member, x, rows))
-        idx = np.searchsorted(member.thresholds, model.thresholds, side="right")
-        first = np.count_nonzero(idx == 0)  # union grid points where the member's CDF is 0
         for side, total in out.items():
-            total[:, first:] += np.take(rows[side], idx[first:] - 1, axis=1)
+            total += evaluate_grid(member.thresholds, rows[side], model.thresholds)
             total[np.isnan(rows[side][:, 0])] = np.nan
     for total in out.values():
         total /= len(model.members)

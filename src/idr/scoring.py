@@ -114,8 +114,6 @@ def elementary_quantile_score(cdf: StepCdf, alpha: float, theta: float, y: float
     forecast quantile lies above it, alpha in the mirrored case, and 0
     otherwise.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly between 0 and 1")
     q = cdf.quantile(alpha)
     if y <= theta < q:
         return 1.0 - alpha

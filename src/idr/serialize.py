@@ -77,7 +77,7 @@ def _model_payload(model: IdrModel) -> dict:
     return {
         "type": "idr",
         "order_spec": _spec_payload(model.dag.spec),
-        "node_keys": [list(key) for key in model.dag.keys],
+        "node_keys": model.dag.keys.tolist(),
         "thresholds": model.thresholds.tolist(),
         "cdf_rows": {
             "jump_index": [a.tolist() for a in np.split(at, cuts)],
@@ -177,10 +177,11 @@ def _model_from_payload(payload: dict, major: str) -> IdrModel:
     keys, widths = _numbers(payload["node_keys"], "node_keys", 2)
     if len(set(widths)) != 1:
         raise ValueError("node_keys must be a rectangular array")
-    dag = build_order_dag(spec, keys.reshape(len(widths), -1), points_are_keys=True)
+    keys = keys.reshape(len(widths), -1)
+    dag = build_order_dag(spec, keys, points_are_keys=True)
     if dag.n_nodes < len(widths):
         raise ValueError("node_keys hold order-equivalent keys; each node must have one")
-    if dag.keys != [tuple(k) for k in payload["node_keys"]]:
+    if not np.array_equal(dag.keys, keys):
         raise ValueError("node_keys are not in canonical order")
     thresholds, _ = _numbers(payload["thresholds"], "thresholds")
     if not np.isfinite(thresholds).all() or np.any(np.diff(thresholds) <= 0):

@@ -1,15 +1,20 @@
 """Right-continuous step distribution functions.
 
-:class:`StepCdf` is one CDF.  The ``*_rows`` functions act on many CDFs
-that share one jump grid, stored as a (cases, grid) matrix of
-cumulative probabilities.
+The row functions act on many CDFs that share one jump grid, stored as
+a (cases, grid) matrix of cumulative probabilities, and hold each rule
+once: :func:`evaluate_grid` reads every row at shared points,
+:func:`evaluate_rows` each row at its own point, and
+:func:`quantile_rows` takes each row's quantile.  :class:`StepCdf` is
+one CDF; its ``evaluate`` and ``left_limit`` are one-row calls of
+:func:`evaluate_grid`, and its ``quantile`` checks the levels as
+:func:`quantile_rows` does.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["StepCdf", "evaluate_rows", "quantile_rows"]
+__all__ = ["StepCdf", "evaluate_grid", "evaluate_rows", "quantile_rows"]
 
 #: Cases per block where a batch path works through (cases, grid)
 #: matrices a block at a time, to bound its memory.
@@ -70,17 +75,13 @@ class StepCdf:
         return cls([value], [1.0])
 
     def evaluate(self, z):
-        """F(z), vectorized over ``z``."""
-        idx = np.searchsorted(self.jumps, z, side="right")
-        padded = np.concatenate(([0.0], self.cum))
-        out = padded[idx]
+        """F(z), vectorized over ``z``: the one row of :func:`evaluate_grid`."""
+        out = evaluate_grid(self.jumps, self.cum[None, :], z)[0]
         return float(out) if np.isscalar(z) else out
 
     def left_limit(self, z):
         """F(z-), the limit from below, vectorized over ``z``."""
-        idx = np.searchsorted(self.jumps, z, side="left")
-        padded = np.concatenate(([0.0], self.cum))
-        out = padded[idx]
+        out = evaluate_grid(self.jumps, self.cum[None, :], z, side="left")[0]
         return float(out) if np.isscalar(z) else out
 
     def quantile(self, alpha):
@@ -88,10 +89,7 @@ class StepCdf:
 
         ``alpha`` must lie strictly between 0 and 1 (scalar or array).
         """
-        a = np.asarray(alpha, dtype=float)
-        if np.any(a <= 0) or np.any(a >= 1):
-            raise ValueError("alpha must lie strictly between 0 and 1")
-        idx = np.searchsorted(self.cum, a, side="left")
+        idx = np.searchsorted(self.cum, _levels(alpha), side="left")
         out = self.jumps[np.minimum(idx, self.jumps.size - 1)]
         return float(out) if np.isscalar(alpha) else out
 
@@ -133,11 +131,30 @@ def evaluate_rows(grid, rows, z, side: str = "right") -> np.ndarray:
     return np.where(idx > 0, rows[np.arange(rows.shape[0]), np.maximum(idx - 1, 0)], 0.0)
 
 
+def evaluate_grid(grid, rows, points, side: str = "right") -> np.ndarray:
+    """F(z) of every row at every point z of ``points``, or with
+    ``side="left"`` the left limit F(z-), 0 below the grid; an array of
+    shape (cases, *points.shape)."""
+    grid, rows = grid_rows(grid, rows)
+    idx = np.searchsorted(grid, points, side=side)
+    out = np.take(rows, np.maximum(idx - 1, 0), axis=1)
+    out[:, idx == 0] = 0.0
+    return out
+
+
+def _levels(alpha) -> np.ndarray:
+    """``alpha`` as a float array; a ValueError unless each level lies
+    strictly between 0 and 1 (NaN does not)."""
+    alpha = np.asarray(alpha, dtype=float)
+    if not np.all((alpha > 0.0) & (alpha < 1.0)):
+        raise ValueError("alpha must lie strictly between 0 and 1")
+    return alpha
+
+
 def quantile_rows(grid, rows, alpha: float) -> np.ndarray:
     """Smallest grid point at which each row reaches ``alpha``, which
     must lie strictly between 0 and 1."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly between 0 and 1")
+    alpha = _levels(alpha)
     grid, rows = grid_rows(grid, rows)
     below = (rows < alpha).sum(axis=1)  # rows are nondecreasing
     return grid[np.minimum(below, grid.size - 1)]

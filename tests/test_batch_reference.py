@@ -96,7 +96,7 @@ def ref_prediction_from_rows(model, pred, succ):
 
 def ref_node(model, key):
     """The node whose key is exactly ``key``, or -1: a scan of the keys."""
-    return next((i for i, k in enumerate(model.dag.keys) if k == tuple(key)), -1)
+    return next((i for i, k in enumerate(model.dag.keys) if np.array_equal(k, key)), -1)
 
 
 def ref_predict_cdf(model, x):

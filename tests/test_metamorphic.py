@@ -67,7 +67,7 @@ def assert_same_rows(a, b):
 
 
 def assert_same_fit(a, b):
-    assert a.dag.keys == b.dag.keys
+    assert np.array_equal(a.dag.keys, b.dag.keys)
     assert np.array_equal(a.thresholds, b.thresholds)
     assert_same_rows(a, b)
 
@@ -98,7 +98,7 @@ def test_increasing_map_of_responses_maps_only_the_thresholds(name, seed):
     for g in (np.exp, lambda v: 1e-9 * v, lambda v: v**3 - 1e4):
         assert np.all(np.diff(g(model.thresholds)) > 0)  # strictly increasing on these responses
         mapped = fit(spec, x, g(y), w)
-        assert mapped.dag.keys == model.dag.keys
+        assert np.array_equal(mapped.dag.keys, model.dag.keys)
         assert np.array_equal(mapped.thresholds, g(model.thresholds))
         assert np.array_equal(mapped.climatology.jumps, g(model.thresholds))
         assert_same_rows(mapped, model)
@@ -138,5 +138,5 @@ def test_fit_is_the_brute_force_projection_at_every_weight_scale(name, seed):
         means = np.bincount(dag.membership, weights=w * (y <= t), minlength=dag.n_nodes) / node_weight
         oracle = brute_force_antitonic(dag, means, node_weight)
         for model in fits:
-            assert model.dag.keys == dag.keys and np.array_equal(model.thresholds, thresholds)
+            assert np.array_equal(model.dag.keys, dag.keys) and np.array_equal(model.thresholds, thresholds)
             assert np.allclose(model.cdf[:, k], oracle, rtol=0, atol=1e-10), (t, model.cdf[:, k], oracle)

@@ -316,7 +316,7 @@ def test_dag_merges_order_equivalent_points():
 
 def test_dag_node_order_is_lexicographic():
     dag = build_order_dag(cw_spec(2), [(2, 0), (1, 5), (1, 2)])
-    assert dag.keys == [(1.0, 2.0), (1.0, 5.0), (2.0, 0.0)]
+    assert np.array_equal(dag.keys, [(1.0, 2.0), (1.0, 5.0), (2.0, 0.0)])
 
 
 def test_dag_reach_is_transitive_closure_of_covers():
@@ -367,7 +367,7 @@ def test_dag_reads_1d_points_as_one_column():
     for spec in (TOTAL1, cw_spec(1)):
         flat = build_order_dag(spec, [3.0, 1.0, 2.0, 1.0])
         column = build_order_dag(spec, [(3.0,), (1.0,), (2.0,), (1.0,)])
-        assert flat.n_nodes == column.n_nodes == 3 and flat.keys == column.keys
+        assert flat.n_nodes == column.n_nodes == 3 and np.array_equal(flat.keys, column.keys)
         assert flat.membership.tolist() == column.membership.tolist() == [2, 0, 1, 0]
 
 
@@ -458,7 +458,7 @@ def test_dag_structure_matches_eager_build(kind):
 def test_icx_chain_positions_follow_the_tail_sums():
     # keys in node order (0, 10) < (1, 2) < (2, 5); tail sums (10, 10), (3, 2), (7, 5)
     dag = build_order_dag(group_spec(2, EMPIRICAL_ICX), [(2.0, 5.0), (10.0, 0.0), (1.0, 2.0)])
-    assert dag.keys == [(0.0, 10.0), (1.0, 2.0), (2.0, 5.0)]
+    assert np.array_equal(dag.keys, [(0.0, 10.0), (1.0, 2.0), (2.0, 5.0)])
     assert dag.is_chain and dag.chain_positions.tolist() == [2, 0, 1]
     assert dag.edges() == [(1, 2), (2, 0)]
 
@@ -471,7 +471,7 @@ def test_icx_keys_with_equal_tail_sums_share_a_node():
     pts = [(0.0, 1e16), (1.0, 1e16)]
     assert compare(spec, *pts) is Relation.EQUAL
     dag = build_order_dag(spec, pts)
-    assert dag.n_nodes == 1 and dag.keys == [(0.0, 1e16)] and dag.is_chain
+    assert dag.n_nodes == 1 and np.array_equal(dag.keys, [(0.0, 1e16)]) and dag.is_chain
     assert dag.membership.tolist() == [0, 0]
     model = fit_idr(make_training_set(spec, pts, [0.0, 1.0]))
     assert model.cdf.tolist() == [[0.5, 1.0]]
@@ -481,9 +481,9 @@ def test_icx_keys_with_equal_tail_sums_share_a_node():
     assert direct_predecessors(model, pts[1]) == direct_successors(model, pts[1]) == [0]
     # the class keeps its least key; a third, ordered key stays its own node
     dag = build_order_dag(spec, [(1.0, 1e16), (5.0, 3e16), (0.0, 1e16)])
-    assert dag.keys == [(0.0, 1e16), (5.0, 3e16)] and dag.membership.tolist() == [0, 1, 0]
+    assert np.array_equal(dag.keys, [(0.0, 1e16), (5.0, 3e16)]) and dag.membership.tolist() == [0, 1, 0]
     assert dag.edges() == [(0, 1)]
-    assert model_from_json(model_to_json(model)).dag.keys == [(0.0, 1e16)]
+    assert np.array_equal(model_from_json(model_to_json(model)).dag.keys, [(0.0, 1e16)])
     # many classes: two points share a node iff compare calls them EQUAL,
     # and a node's key is the least key of its points
     rng = np.random.default_rng(9)
@@ -497,7 +497,7 @@ def test_icx_keys_with_equal_tail_sums_share_a_node():
             same = [compare(spec, pts[i], pts[j]) is Relation.EQUAL for j in range(12)]
             assert (node == node[i]).tolist() == same
         keys = [canonical_key(spec, p) for p in pts]
-        assert dag.keys == [min(k for k, m in zip(keys, node) if m == i) for i in range(dag.n_nodes)]
+        assert np.array_equal(dag.keys, [min(k for k, m in zip(keys, node) if m == i) for i in range(dag.n_nodes)])
         # every point, the node's own key or not, predicts as that node
         model = fit_idr(make_training_set(spec, pts, np.arange(12.0) % 3))
         batch = predict_batch(model, pts)

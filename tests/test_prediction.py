@@ -80,6 +80,18 @@ def test_prediction_between_nodes_averages_bounds(chain_model):
     assert p.bound_gap == pytest.approx(np.max(chain_model.cdf[1] - chain_model.cdf[2]))
 
 
+def test_prediction_quantile_rejects_levels_outside_the_open_unit_interval(chain_model):
+    """The README model's prediction takes its levels as quantile_rows
+    does: NaN raises as 0 and 1 do."""
+    x = np.array([1.0, 2.0, 3.0, 4.0])
+    model = fit_idr(make_training_set(TOTAL1, x, [0.8, 1.1, 2.4, 2.0]))
+    for pred in (predict_cdf(model, [2.5]), predict_cdf(chain_model, [2.5])):
+        assert pred.quantile(0.5) == pred.cdf.quantile(0.5)
+        for bad in (np.nan, 0.0, 1.0):
+            with pytest.raises(ValueError, match="alpha"):
+                pred.quantile(bad)
+
+
 def test_incomparable_query_gets_climatology():
     model = fit_idr(make_training_set(CW2, [(0, 0), (1, 1), (2, 2)], [1.0, 2.0, 3.0]))
     p = predict_cdf(model, (5.0, -1.0))

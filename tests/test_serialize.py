@@ -326,7 +326,7 @@ def test_every_key_of_an_order_equivalence_class_predicts_at_its_node_after_a_ro
     spec = OrderSpec((OrderGroup((0, 1), EMPIRICAL_ICX),))
     pts = np.array([(0.0, 1e16), (1.0, 1e16)])
     loaded = model_from_json(model_to_json(fit_idr(make_training_set(spec, pts, [0.0, 1.0]))))
-    assert loaded.dag.keys == [(0.0, 1e16)]
+    assert np.array_equal(loaded.dag.keys, [(0.0, 1e16)])
     batch = predict_batch(loaded, pts)
     assert batch.provenance == [Provenance.AT_TRAINING_POINT] * 2
     assert batch.center.tolist() == [[0.5, 1.0]] * 2

@@ -26,10 +26,11 @@ from .orders import (
     OrderSpec,
 )
 from .oracles import simulate_gamma, true_gamma_cdf, true_gamma_crps, true_gamma_quantile
-from .prediction import predict_batch, predict_rows
-from .scoring import brier, brier_rows, crps_rows, pinball, pit_histogram, pit_rows, quantile_score_rows, reliability_bins
+from .prediction import predict_blocks
+from .scoring import (brier, brier_rows, check_span, crps_rows, pinball, pit_histogram, pit_rows, quantile_score_rows,
+                      reliability_bins)
 from .serialize import load_model, save_model
-from .stepfun import CASE_BLOCK, evaluate_rows, quantile_rows
+from .stepfun import evaluate_rows, quantile_rows
 from .subagging import SubaggedModel, fit_even_odd, fit_subagged
 
 EXIT_PARSE = 2
@@ -238,10 +239,10 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def _cells(values) -> list[str]:
-    """One CSV cell per value: the shortest repr that reads back as the
-    same float."""
-    return list(map(repr, np.asarray(values, dtype=float).tolist()))
+def _cells(values):
+    """One CSV cell per value, made as it is written: the shortest repr
+    that reads back as the same float."""
+    return map(repr, np.asarray(values, dtype=float).tolist())
 
 
 def _covariate_names(model) -> list[str]:
@@ -326,12 +327,9 @@ def fit(data_path, response, order_text, weight_col, out_path, subagg_count, sub
     save_model(model, out_path)
 
     if isinstance(model, SubaggedModel):
-        # a block of training rows at a time, so that no (cases, union grid) matrix is held
         scores = np.empty(training.n)
-        for lo in range(0, training.n, CASE_BLOCK):
-            cut = slice(lo, lo + CASE_BLOCK)
-            rows, _ = predict_rows(model, training.covariates[cut])
-            scores[cut] = crps_rows(model.thresholds, rows, training.responses[cut])
+        for cut, batch in predict_blocks(model, training.covariates, ("center",)):
+            scores[cut] = crps_rows(model.thresholds, batch.center, training.responses[cut])
         mean_crps = float(np.average(scores, weights=training.weights))
     else:
         # each training row sits at its own node, so its fitted row is its prediction
@@ -356,17 +354,19 @@ def predict(model_path, data_path, out_path, quantiles, thresholds, interpolate)
     alphas = _float_list(quantiles, "quantile", low=0.0, high=1.0)
     zs = _float_list(thresholds, "threshold") if thresholds else []
 
-    batch = predict_batch(model, covariates, interpolate)
+    cols = np.empty((len(alphas) + len(zs) + 1, covariates.shape[0]))
+    provenance = []
+    for cut, batch in predict_blocks(model, covariates, interpolate=interpolate):
+        cols[:, cut] = ([quantile_rows(batch.grid, batch.center, a) for a in alphas]
+                        + [evaluate_rows(batch.grid, batch.center, z) for z in zs] + [batch.bound_gap])
+        provenance += [prov.value for prov in batch.provenance]
 
     out_header = (
         [f"q{a:g}" for a in alphas] + [f"p_le_{z:g}" for z in zs] + ["provenance", "bound_gap"]
     )
-    cols = [_cells(quantile_rows(batch.grid, batch.center, a)) for a in alphas]
-    cols += [_cells(evaluate_rows(batch.grid, batch.center, z)) for z in zs]
-    cols.append([prov.value for prov in batch.provenance])
-    cols.append(["" if math.isnan(gap) else repr(gap) for gap in batch.bound_gap.tolist()])
-    _write_csv(out_path, out_header, zip(*cols))
-    click.echo(f"wrote {len(batch.provenance)} predictions to {out_path}")
+    gaps = ("" if math.isnan(gap) else repr(gap) for gap in cols[-1].tolist())
+    _write_csv(out_path, out_header, zip(*map(_cells, cols[:-1]), provenance, gaps))
+    click.echo(f"wrote {len(provenance)} predictions to {out_path}")
 
 
 @main.command()
@@ -399,22 +399,21 @@ def score(model_path, true_gamma, covariate, data_path, response, out_path, thre
 
     if true_gamma:
         xs = _numeric_columns(data_path, header, rows, [covariate])[:, 0]
-        crps_vals = true_gamma_crps(xs, ys)
-        pit_vals = true_gamma_cdf(xs, ys)
-        briers = {z: brier(true_gamma_cdf(xs, z), ys, z) for z in zs}
-        qscores = {a: pinball(true_gamma_quantile(xs, a), ys, a) for a in qas}
+        cols = ([true_gamma_crps(xs, ys), true_gamma_cdf(xs, ys)] + [brier(true_gamma_cdf(xs, z), ys, z) for z in zs]
+                + [pinball(true_gamma_quantile(xs, a), ys, a) for a in qas])
     else:
         model = load_model(model_path)
         names = _covariate_names(model)
         covariates = _numeric_columns(data_path, header, rows, names)
-        grid, (cdf_rows, _) = model.thresholds, predict_rows(model, covariates)
-        crps_vals = crps_rows(grid, cdf_rows, ys)
-        pit_vals = pit_rows(grid, cdf_rows, ys, v)
-        briers = {z: brier_rows(grid, cdf_rows, ys, z) for z in zs}
-        qscores = {a: quantile_score_rows(grid, cdf_rows, ys, a) for a in qas}
+        grid = model.thresholds
+        check_span(np.concatenate([ys, grid]), "outcomes and thresholds")  # all at once: no block sees them all
+        cols = np.empty((2 + len(zs) + len(qas), ys.size))
+        for cut, batch in predict_blocks(model, covariates, ("center",)):
+            f, y = batch.center, ys[cut]
+            cols[:, cut] = ([crps_rows(grid, f, y), pit_rows(grid, f, y, v[cut])]
+                            + [brier_rows(grid, f, y, z) for z in zs] + [quantile_score_rows(grid, f, y, a) for a in qas])
 
     out_header = ["crps", "pit"] + [f"brier_{z:g}" for z in zs] + [f"qs_{a:g}" for a in qas]
-    cols = [crps_vals, pit_vals] + [briers[z] for z in zs] + [qscores[a] for a in qas]
     _write_csv(out_path, out_header, zip(*map(_cells, cols)))
     for name, col in zip(out_header, cols):
         click.echo(f"mean_{name}={float(np.mean(col))!r}")
@@ -452,8 +451,9 @@ def reliability(model_path, data_path, response, threshold, bins, out_path):
     header, rows = _load_table(data_path)
     covariates = _numeric_columns(data_path, header, rows, names)
     ys = _numeric_columns(data_path, header, rows, [response])[:, 0]
-    cdf_rows, _ = predict_rows(model, covariates)
-    probs = evaluate_rows(model.thresholds, cdf_rows, threshold)
+    probs = np.empty(ys.size)
+    for cut, batch in predict_blocks(model, covariates, ("center",)):
+        probs[cut] = evaluate_rows(model.thresholds, batch.center, threshold)
     outcomes = (ys <= threshold).astype(float)
     c, m, f, k = zip(*reliability_bins(probs, outcomes, bins))
     _write_csv(out_path, ["bin_center", "mean_forecast", "observed_frequency", "count"],

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .orders import OrderDag, OrderSpec, build_order_dag
-from .scoring import crps_rows
+from .scoring import check_span, crps_rows
 from .solvers import antitonic_l2_fit
 from .stepfun import CASE_BLOCK, StepCdf, distinct_sorted
 
@@ -73,10 +73,7 @@ def make_training_set(spec: OrderSpec, covariates, responses, weights=None) -> T
         raise ValueError("training set is empty")
     if not np.isfinite(y).all():
         raise ValueError("responses must be finite")
-    with np.errstate(over="ignore"):
-        span = y.max() - y.min()
-    if not np.isfinite(span):
-        raise ValueError("the span of the responses overflows the float range")
+    check_span(y, "responses")
     if weights is None:
         w = np.ones_like(y)
     else:

@@ -9,16 +9,17 @@ incomparable to every node.  Models over a single totally ordered
 covariate additionally support linear interpolation between the
 neighboring fitted CDFs.
 
-:func:`predict_batch` is the one implementation of this rule, for plain
-and subagged models: it takes a covariate matrix and returns the centre
-and bound rows on the model grid with a provenance per case, a block
-of cases at a time.  The order layer's
-:meth:`~idr.orders.OrderDag.query_neighbors` finds which cases sit at
-a node and the neighbours of the others; this module only reduces
-their fitted rows.  :func:`predict_cdf`, :func:`interpolate_total_order`,
-:func:`predict_rows` and the neighbour lists :func:`direct_predecessors`
-and :func:`direct_successors` are views of these two.  A subagged
-model's member rows are read off on the union grid by
+:func:`predict_blocks` is the one implementation of this rule and the
+one loop over cases, for plain and subagged models: it yields the centre
+and bound rows on the model grid, with a provenance per case, a block of
+cases at a time.  :func:`predict_batch` and :func:`predict_rows` join its
+blocks; the command line keeps only per-case values of each.  The order
+layer's :meth:`~idr.orders.OrderDag.query_neighbors` finds which cases
+sit at a node and the neighbours of the others; this module only reduces
+their fitted rows.  :func:`predict_cdf`, :func:`interpolate_total_order`
+and the neighbour lists :func:`direct_predecessors` and
+:func:`direct_successors` are views of these two.  A subagged model's
+member rows are read off on the union grid by
 :func:`~idr.stepfun.evaluate_grid`, the one place that reads step rows
 at shared points.
 """
@@ -100,8 +101,8 @@ class PredictionBatch:
     """Predictions for a batch of queries on one threshold grid.
 
     ``center``, ``lower`` and ``upper`` are (cases, grid) matrices of
-    CDF values; a bound row is NaN where its side of the order holds no
-    training point.  ``provenance`` has one entry per case.
+    CDF values, or None where not asked of :func:`predict_blocks`; a
+    bound row is NaN where its side of the order holds no training point.  ``provenance`` has one entry per case.
     ``bounds_heuristic`` marks bounds averaged across subsample members.
     """
 
@@ -144,109 +145,113 @@ def direct_successors(model: IdrModel, x) -> list[int]:
     return nodes.tolist()
 
 
-def _reduce_rows(ufunc, model: IdrModel, pairs, out: np.ndarray):
-    """Per case, ``ufunc`` over the fitted CDF rows of its nodes in the
-    (cases, nodes) ``pairs``, written into ``out``; NaN where a case has
-    no node."""
+def _reduce_rows(ufunc, model: IdrModel, pairs, n: int) -> np.ndarray:
+    """Per case of ``n``, ``ufunc`` over the fitted CDF rows of its nodes
+    in the (cases, nodes) ``pairs``; NaN where a case has no node."""
     cases, nodes = pairs
     rows = model.node_row[nodes]
     if np.all(cases[1:] > cases[:-1]):
         # at most one node per case, as on a chain: copy its row, with no temporary rows
-        row = np.full(out.shape[0], -1)
+        row = np.full(n, -1)
         row[cases] = rows
-        np.take(model.rows, row, axis=0, mode="clip", out=out)
+        out = np.take(model.rows, row, axis=0, mode="clip")
         out[row < 0] = np.nan
     else:
-        out[...] = np.nan
+        out = np.full((n, model.thresholds.size), np.nan)
         has, starts = np.unique(cases, return_index=True)
         out[has] = ufunc.reduceat(model.rows[rows], starts, axis=0)
+    return out
 
 
-def _block_rows(model: IdrModel, x: np.ndarray, out: dict) -> tuple[np.ndarray, ...]:
-    """``out``'s centre, lower and upper rows for ``x``; a side it lacks is added."""
-    for side in _SIDES:
-        out.setdefault(side, np.empty((x.shape[0], model.thresholds.size)))
-    return tuple(out[side] for side in _SIDES)
-
-
-def _plain_block(model: IdrModel, x: np.ndarray, out: dict) -> np.ndarray:
-    """Write a plain model's rows at the rows of ``x`` into ``out``
-    (rows by side; a side it lacks is added); returns the provenance
-    codes, indices into ``_PROVENANCE_ORDER``."""
-    center, lower, upper = _block_rows(model, x, out)
+def _plain_block(model: IdrModel, x: np.ndarray) -> tuple[np.ndarray, dict]:
+    """A plain model's provenance codes at the rows of ``x``, indices
+    into ``_PROVENANCE_ORDER``, and its rows there by side."""
     exact, pred, succ = model.dag.query_neighbors(x)
     # at a training point both pair lists hold its node alone, so both bounds are its row
-    _reduce_rows(np.maximum, model, succ, lower)
-    _reduce_rows(np.minimum, model, pred, upper)
+    lower = _reduce_rows(np.maximum, model, succ, x.shape[0])
+    upper = _reduce_rows(np.minimum, model, pred, x.shape[0])
     has_lower, has_upper = ~np.isnan(lower[:, 0]), ~np.isnan(upper[:, 0])
     # x + x halves to x exactly
-    np.multiply(0.5, np.add(lower, upper, out=center), out=center)
+    center = np.add(lower, upper)
+    np.multiply(0.5, center, out=center)
     center[~has_upper] = lower[~has_upper]
     center[~has_lower] = upper[~has_lower]
     center[~has_lower & ~has_upper] = model.climatology.cum
-    return np.select([exact, has_lower & has_upper, has_upper, has_lower], [5, 4, 2, 1], 0)
+    codes = np.select([exact, has_lower & has_upper, has_upper, has_lower], [5, 4, 2, 1], 0)
+    return codes, {"center": center, "lower": lower, "upper": upper}
 
 
-def _interpolated_block(model: IdrModel, x: np.ndarray, out: dict) -> np.ndarray:
-    """Write into ``out`` the rows interpolated between the fitted CDFs
-    of the nodes next to each row of ``x``, for a model over one
-    total-order covariate; returns the provenance codes."""
-    center, lower, upper = _block_rows(model, x, out)
+def _interpolated_block(model: IdrModel, x: np.ndarray) -> tuple[np.ndarray, dict]:
+    """The rows interpolated between the fitted CDFs of the nodes next
+    to each row of ``x``, for a model over one total-order covariate,
+    as :func:`_plain_block` gives them."""
     _, pred, succ = model.dag.query_neighbors(x)
     # outside the keys both neighbours are the nearest end node
     lo = np.zeros(x.shape[0], dtype=np.intp)
     hi = np.full(x.shape[0], model.n_nodes - 1)
     lo[pred[0]], hi[succ[0]] = pred[1], succ[1]
-    np.take(model.rows, model.node_row[lo], axis=0, out=upper)
-    np.take(model.rows, model.node_row[hi], axis=0, out=lower)
-    center[...] = upper
+    upper, lower = model.rows[model.node_row[lo]], model.rows[model.node_row[hi]]
+    center = upper.copy()
     # a total key is its own comparison row
     keys, col = model.dag.cmp_matrix[:, 0], x[:, model.spec.total_column]
     inside = lo != hi
     t = ((col[inside] - keys[lo[inside]]) / (keys[hi[inside]] - keys[lo[inside]]))[:, None]
     center[inside] = (1.0 - t) * upper[inside] + t * lower[inside]
-    return np.full(x.shape[0], 3)
+    return np.full(x.shape[0], 3), {"center": center, "lower": lower, "upper": upper}
 
 
-def _pooled_block(model: SubaggedModel, x: np.ndarray, out: dict) -> np.ndarray:
-    """Write into ``out`` (rows by side) the means over the members of
-    their rows, read off on the union grid, NaN where any member's row
-    is; returns the pooled provenance codes."""
-    for total in out.values():
-        total[...] = 0.0
+def _pooled_block(model: SubaggedModel, x: np.ndarray, sides) -> tuple[np.ndarray, dict]:
+    """The means over the members of their rows named in ``sides``, read
+    off on the union grid, NaN where any member's row is, with the
+    pooled provenance codes."""
+    totals = {side: np.zeros((x.shape[0], model.thresholds.size)) for side in sides}
     codes = []
     for member in model.members:
-        rows = {}
-        codes.append(_plain_block(member, x, rows))
-        for side, total in out.items():
+        code, rows = _plain_block(member, x)
+        codes.append(code)
+        for side, total in totals.items():
             total += evaluate_grid(member.thresholds, rows[side], model.thresholds)
             total[np.isnan(rows[side][:, 0])] = np.nan
-    for total in out.values():
+        del rows  # before the next member's rows are built
+    for total in totals.values():
         total /= len(model.members)
     codes = np.array(codes)  # both-bounds (4) where every member reports both bounds, else the weakest
-    return np.where((codes >= 4).all(axis=0), 4, codes.min(axis=0))
+    return np.where((codes >= 4).all(axis=0), 4, codes.min(axis=0)), totals
 
 
-def _predict(model, covariates, sides, interpolate: bool = False) -> PredictionBatch:
-    """:func:`predict_batch` with only the rows named in ``sides`` built
-    (the others are None), CASE_BLOCK cases at a time so that no
-    temporary spans the batch."""
+def predict_blocks(model: IdrModel | SubaggedModel, covariates, sides=_SIDES, interpolate: bool = False):
+    """:func:`predict_batch` a block of ``CASE_BLOCK`` cases at a time:
+    yields ``(cases, batch)``, a slice of the rows of ``covariates`` and
+    their :class:`PredictionBatch`, with None for the rows not named in
+    ``sides``.  A caller that keeps per-case values holds one block."""
     x = np.asarray(covariates, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
     pooled = isinstance(model, SubaggedModel)
     if interpolate and (pooled or model.spec.total_column is None):
         raise ValueError("interpolation needs a plain model with one total-order covariate")
-    block = _interpolated_block if interpolate else _pooled_block if pooled else _plain_block
-    rows = {side: np.empty((x.shape[0], model.thresholds.size)) for side in sides}
-    codes = np.empty(x.shape[0], dtype=np.intp)
+    if not set(sides) <= set(_SIDES):
+        raise ValueError(f"sides must be among {_SIDES}, not {tuple(sides)}")
+    block = _interpolated_block if interpolate else _plain_block
     # at least one block, so that the order layer checks the shape of an empty batch too
     for lo in range(0, max(x.shape[0], 1), CASE_BLOCK):
-        cut = slice(lo, lo + CASE_BLOCK)
-        codes[cut] = block(model, x[cut], {s: rows[s][cut] for s in sides})
-    provenance = [_PROVENANCE_ORDER[c] for c in codes]
-    return PredictionBatch(model.thresholds, rows["center"], rows.get("lower"), rows.get("upper"), provenance,
-                           bounds_heuristic=pooled)
+        cut = slice(lo, min(lo + CASE_BLOCK, x.shape[0]))
+        codes, rows = _pooled_block(model, x[cut], sides) if pooled else block(model, x[cut])
+        yield cut, PredictionBatch(model.thresholds, *(rows[s] if s in sides else None for s in _SIDES),
+                                   [_PROVENANCE_ORDER[c] for c in codes], pooled)
+        del rows  # before the next block is built
+
+
+def _joined(model, covariates, sides, interpolate: bool = False) -> PredictionBatch:
+    """The blocks of :func:`predict_blocks` as one batch."""
+    rows = {side: np.empty((len(np.asarray(covariates)), model.thresholds.size)) for side in sides}
+    provenance = []
+    for cut, batch in predict_blocks(model, covariates, sides, interpolate):
+        for side, out in rows.items():
+            out[cut] = getattr(batch, side)
+        provenance += batch.provenance
+        del batch  # before the next block is built
+    return PredictionBatch(model.thresholds, *map(rows.get, _SIDES), provenance, isinstance(model, SubaggedModel))
 
 
 def predict_batch(model: IdrModel | SubaggedModel, covariates, interpolate: bool = False) -> PredictionBatch:
@@ -274,7 +279,7 @@ def predict_batch(model: IdrModel | SubaggedModel, covariates, interpolate: bool
 
     A 1-d ``covariates`` is read as one column.
     """
-    return _predict(model, covariates, _SIDES, interpolate)
+    return _joined(model, covariates, _SIDES, interpolate)
 
 
 def _one_row(x) -> np.ndarray:
@@ -293,7 +298,7 @@ def predict_cdf(model: IdrModel | SubaggedModel, x) -> Prediction:
 def predict_rows(model: IdrModel | SubaggedModel, covariates) -> tuple[np.ndarray, list[Provenance]]:
     """The (cases, thresholds) centre matrix of :func:`predict_batch`
     and the per-case provenance, without the bound matrices."""
-    batch = _predict(model, covariates, ("center",))
+    batch = _joined(model, covariates, ("center",))
     return batch.center, batch.provenance
 
 

@@ -76,20 +76,30 @@ def crps_rows(thresholds, rows, ys) -> np.ndarray:
     """
     z, rows = grid_rows(thresholds, rows)
     ys = np.asarray(ys, dtype=float)
-    with np.errstate(over="ignore"):
-        span = max(ys.max(), z[-1]) - min(ys.min(), z[0]) if ys.size else 0.0
-    if not np.isfinite(span):
-        raise ValueError("the span of the outcomes and thresholds overflows the float range")
+    check_span(np.concatenate([ys, z]), "outcomes and thresholds")
     widths = np.diff(z)
     out = np.empty(ys.size)
     for lo in range(0, ys.size, CASE_BLOCK):
         hi = lo + CASE_BLOCK
-        y = ys[lo:hi, None]
         f = rows[lo:hi, :-1]
-        below = np.clip(y - z[:-1], 0.0, widths)  # segment length left of y
-        out[lo:hi] = (below * f**2 + (widths - below) * (1.0 - f) ** 2).sum(axis=1)
+        below = np.clip(ys[lo:hi, None] - z[:-1], 0.0, widths)  # segment length left of y
+        left = below * f**2
+        # (widths - below) * (1 - f)**2 in place, so that three (block, grid) arrays are held
+        right = np.subtract(1.0, f)
+        right **= 2
+        right *= np.subtract(widths, below, out=below)
+        out[lo:hi] = np.add(left, right, out=left).sum(axis=1)
     out += np.clip(z[0] - ys, 0.0, None) + np.clip(ys - z[-1], 0.0, None)
     return out
+
+
+def check_span(values, what: str):
+    """A ValueError, naming ``what`` they are, if ``values`` span more
+    than the float range, so that their differences overflow."""
+    with np.errstate(over="ignore"):
+        span = np.ptp(values)
+    if not np.isfinite(span):
+        raise ValueError(f"the span of the {what} overflows the float range")
 
 
 def pinball(q, y, alpha):
@@ -141,8 +151,6 @@ def brier(p, y, z):
 
 def brier_rows(thresholds, rows, ys, z: float) -> np.ndarray:
     """Brier score of each row's probability of {Y <= z}, z not NaN."""
-    if np.isnan(z):
-        raise ValueError("z must not be NaN")
     return brier(evaluate_rows(thresholds, rows, z), ys, z)
 
 

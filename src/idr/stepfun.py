@@ -127,7 +127,7 @@ def evaluate_rows(grid, rows, z, side: str = "right") -> np.ndarray:
     """F(z) of every row, or with ``side="left"`` the left limit F(z-);
     ``z`` is one threshold or one per row."""
     grid, rows = grid_rows(grid, rows)
-    idx = np.broadcast_to(np.searchsorted(grid, z, side=side), rows.shape[:1])
+    idx = np.broadcast_to(np.searchsorted(grid, _points(z), side=side), rows.shape[:1])
     return np.where(idx > 0, rows[np.arange(rows.shape[0]), np.maximum(idx - 1, 0)], 0.0)
 
 
@@ -136,10 +136,19 @@ def evaluate_grid(grid, rows, points, side: str = "right") -> np.ndarray:
     ``side="left"`` the left limit F(z-), 0 below the grid; an array of
     shape (cases, *points.shape)."""
     grid, rows = grid_rows(grid, rows)
-    idx = np.searchsorted(grid, points, side=side)
+    idx = np.searchsorted(grid, _points(points), side=side)
     out = np.take(rows, np.maximum(idx - 1, 0), axis=1)
     out[:, idx == 0] = 0.0
     return out
+
+
+def _points(z) -> np.ndarray:
+    """``z`` as a float array; a ValueError if a point is NaN, which
+    would read as lying above every jump."""
+    z = np.asarray(z, dtype=float)
+    if np.isnan(z).any():
+        raise ValueError("the points z must not be NaN")
+    return z
 
 
 def _levels(alpha) -> np.ndarray:

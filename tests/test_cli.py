@@ -17,6 +17,7 @@ from idr import TOTAL, OrderGroup, OrderSpec, fit_even_odd, load_model, make_tra
 from idr.cli import EXIT_IO, EXIT_PARSE, EXIT_VALIDATION, MAX_BINS, main
 from idr.prediction import predict_rows
 from idr.scoring import crps_rows
+from idr.stepfun import CASE_BLOCK
 
 runner = CliRunner()
 
@@ -355,10 +356,12 @@ def test_fit_and_score_reject_a_response_span_that_overflows(tmp_path):
     assert "span of the responses" in all_output(res)
     assert not (tmp_path / "m.json").exists()
 
-    # outcomes that overflow on their own, and outcomes that overflow only
-    # against a model grid near the top of the float range
+    # outcomes that overflow on their own, outcomes that overflow only
+    # against a model grid near the top of the float range, and outcomes
+    # that overflow only together, in different blocks of cases
     for train_ys, test_ys in (((1.0, 2.0, 1.5), (-1e308, 1e308, 0.0)),
-                              ((5e307, 1e308, 9e307), (-1e308, -1e308, -1e308))):
+                              ((5e307, 1e308, 9e307), (-1e308, -1e308, -1e308)),
+                              ((1.0, 2.0, 1.5), (-1e308,) + (0.0,) * (CASE_BLOCK - 1) + (1e308,))):
         train, test, model = tmp_path / "train.csv", tmp_path / "test.csv", tmp_path / "ok.json"
         write_csv(train, ["x", "y"], [[i + 1.0, y] for i, y in enumerate(train_ys)])
         write_csv(test, ["x", "y"], [[i + 1.0, y] for i, y in enumerate(test_ys)])
@@ -368,6 +371,45 @@ def test_fit_and_score_reject_a_response_span_that_overflows(tmp_path):
         assert res.exit_code == EXIT_VALIDATION, (test_ys, all_output(res))
         assert "span of the outcomes" in all_output(res)
         assert not (tmp_path / "s.csv").exists()
+
+
+def test_predict_score_and_reliability_hold_one_block_of_rows_at_a_time(tmp_path):
+    """`idr predict`, `score` and `reliability` keep per-case columns and
+    one block of (cases, grid) rows at a time.  Above the peak of a
+    one-row run, which loads the model, they stay under ten blocks
+    and 1 kB a case, at 5k and at 20k rows, on a chain and a subagged
+    model; the whole centre matrix alone takes 8 bytes a threshold a case."""
+    train = tmp_path / "train.csv"
+    assert invoke("simulate", "--n", 2400, "--seed", 1, "--out", train).exit_code == 0
+    for n in (1, 5000, 20000):
+        assert invoke("simulate", "--n", n, "--seed", 2, "--out", tmp_path / f"test{n}.csv").exit_code == 0
+    commands = (("predict", "--quantiles", "0.1,0.5,0.9", "--thresholds", 2),
+                ("score", "--response", "y", "--thresholds", 2, "--alphas", 0.5),
+                ("reliability", "--response", "y", "--threshold", 2))
+
+    def peak(command, model, n):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            res = invoke(command[0], "--model", model, "--data", tmp_path / f"test{n}.csv",
+                         "--out", tmp_path / "out.csv", *command[1:])
+            _, top = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.exit_code == 0, all_output(res)
+        return top
+
+    for flags in ((), ("--subagg-count", 2, "--subagg-size", 1800, "--seed", 1)):
+        model = tmp_path / "model.json"
+        res = invoke("fit", "--data", train, "--response", "y", "--order", "x:total", "--out", model, *flags)
+        assert res.exit_code == 0, all_output(res)
+        grid = load_model(model).thresholds.size
+        assert grid >= 2000
+        for command in commands:
+            base = peak(command, model, 1)
+            for n in (5000, 20000):
+                over = peak(command, model, n) - base - 1000 * n
+                assert over < 10 * CASE_BLOCK * grid * 8, (flags, command[0], n, over / (CASE_BLOCK * grid * 8))
 
 
 def test_fit_rejects_weights_whose_sum_overflows(tmp_path):

@@ -18,9 +18,11 @@ from idr import (
     fit_subagged,
     interpolate_total_order,
     make_training_set,
+    predict_batch,
     predict_cdf,
     predict_rows,
 )
+from idr.prediction import predict_blocks
 from idr.stepfun import CASE_BLOCK
 
 TOTAL1 = OrderSpec((OrderGroup((0,), TOTAL),))
@@ -183,6 +185,30 @@ def test_dimension_mismatch_rejected():
         predict_cdf(model, [1.0])
     with pytest.raises(ValueError):
         predict_rows(model, np.empty((0, 1)))  # also when the batch is empty
+
+
+def test_predict_blocks_cover_the_batch_a_block_at_a_time():
+    """The blocks are consecutive CASE_BLOCK slices of the batch, hold
+    only the rows named in ``sides``, and a bad argument raises before
+    the first block, on a plain and a subagged model."""
+    rng = np.random.default_rng(6)
+    x = rng.uniform(0, 10, 300)
+    training = make_training_set(TOTAL1, x, x + rng.normal(size=300))
+    queries = rng.uniform(-1, 11, size=(2 * CASE_BLOCK + 5, 1))
+    for model in (fit_idr(training), fit_subagged(training, count=3, size=150, seed=2)):
+        whole = predict_batch(model, queries)
+        cuts = []
+        for cut, batch in predict_blocks(model, queries, ("center", "upper")):
+            cuts.append((cut.start, cut.stop))
+            assert batch.lower is None
+            assert np.array_equal(batch.center, whole.center[cut])
+            assert np.array_equal(batch.upper, whole.upper[cut], equal_nan=True)
+            assert batch.provenance == whole.provenance[cut]
+        assert cuts == [(0, CASE_BLOCK), (CASE_BLOCK, 2 * CASE_BLOCK), (2 * CASE_BLOCK, 2 * CASE_BLOCK + 5)]
+        with pytest.raises(ValueError, match="sides"):
+            next(predict_blocks(model, queries, ("middle",)))
+    with pytest.raises(ValueError, match="interpolation"):
+        next(predict_blocks(model, queries, interpolate=True))  # the subagged model
 
 
 def test_predict_rows_holds_the_output_and_a_few_blocks():

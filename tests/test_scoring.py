@@ -1,6 +1,8 @@
 """Proper scores on step CDFs: closed forms, mixture representations,
 calibration diagnostics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from idr import (
     quantile_score_rows,
     reliability_bins,
 )
+from idr.stepfun import CASE_BLOCK
 
 
 def random_cdf(rng, max_atoms=8):
@@ -73,6 +76,31 @@ def test_crps_rows_matches_scalar_crps():
         crps_rows(thresholds, rows[:2], [-1e308, 1e308])
     with pytest.raises(ValueError, match="overflows"):
         crps_rows([0.0, 1e308], [[0.5, 1.0]], [-1e308])
+
+
+def test_crps_rows_holds_three_blocks_and_keeps_the_dense_bits():
+    """crps_rows works through a (CASE_BLOCK, grid) block in place: it
+    peaks at three buffers of the block's size (the grid's widths and
+    numpy's own ufunc buffer aside), and its scores equal the dense
+    formula's bit for bit."""
+    rng = np.random.default_rng(15)
+    thresholds = np.cumsum(rng.uniform(0.001, 0.01, size=4000)) - 20.0
+    rows = np.sort(rng.uniform(size=(CASE_BLOCK, 4000)), axis=1)
+    rows[:, -1] = 1.0
+    ys = rng.uniform(-25, 25, size=CASE_BLOCK)
+    tracemalloc.start()
+    try:
+        scores = crps_rows(thresholds, rows, ys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.05 * rows.nbytes, peak / rows.nbytes
+    z, f = thresholds, rows[:, :-1]
+    widths = np.diff(z)
+    below = np.clip(ys[:, None] - z[:-1], 0.0, widths)
+    dense = (below * f**2 + (widths - below) * (1.0 - f) ** 2).sum(axis=1)
+    dense += np.clip(z[0] - ys, 0.0, None) + np.clip(ys - z[-1], 0.0, None)
+    assert np.array_equal(scores.view(np.uint64), dense.view(np.uint64))
 
 
 def test_crps_propriety_spot_check():
@@ -181,6 +209,8 @@ def test_pit_and_brier_rows_reject_nan():
         pit_rows(grid, rows, [0.5], [np.nan])
     with pytest.raises(ValueError, match="z must not be NaN"):
         brier_rows(grid, rows, [0.5], np.nan)
+    with pytest.raises(ValueError, match="z must not be NaN"):
+        pit_rows(grid, rows, [np.nan], [0.5])
 
 
 def test_pit_of_true_model_is_uniform():

@@ -4,8 +4,8 @@ Hypothesis draws step CDFs on a shared grid, with repeated cumulative
 values, and points and levels at, between, below and above the jumps
 (±inf included).  ``StepCdf.evaluate``, ``left_limit`` and ``quantile``
 must equal ``evaluate_grid``, ``evaluate_rows`` and ``quantile_rows``
-bit for bit, and a NaN, 0 or 1 level must raise in both forms.  The
-search is derandomized, so every run draws the same examples.
+bit for bit, and a NaN, 0 or 1 level and a NaN point must raise in both
+forms.  The search is derandomized, so every run draws the same examples.
 """
 
 import numpy as np
@@ -64,6 +64,13 @@ def test_step_cdf_is_one_row_of_the_row_functions(case):
     for a, q in zip(levels, quantiles):
         assert bits(q) == bits(f.quantile(float(a))) == bits(quantile_rows(grid, rows[:1], a)[0])
     for bad in (np.nan, 0.0, 1.0):
+        if np.isnan(bad):  # a NaN point raises too, where it would read as lying above every jump
+            for read in (f.evaluate, f.left_limit, lambda z: evaluate_grid(grid, rows, z),
+                         lambda z: evaluate_rows(grid, rows, z), lambda z: evaluate_rows(grid, rows, z, side="left")):
+                with pytest.raises(ValueError, match="must not be NaN"):
+                    read(bad)
+            with pytest.raises(ValueError, match="must not be NaN"):
+                f.evaluate(np.append(points, bad))
         with pytest.raises(ValueError):
             f.quantile(bad)
         with pytest.raises(ValueError):

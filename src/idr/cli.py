@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import math
 import sys
 from collections import Counter
@@ -27,10 +28,10 @@ from .orders import (
 )
 from .oracles import simulate_gamma, true_gamma_cdf, true_gamma_crps, true_gamma_quantile
 from .prediction import predict_blocks
-from .scoring import (brier, brier_rows, check_span, crps_rows, pinball, pit_histogram, pit_rows, quantile_score_rows,
-                      reliability_bins)
+from .scoring import (brier, brier_rows, check_span, crps_rows, finite_mean, pinball, pit_histogram, pit_rows,
+                      quantile_score_rows, reliability_bins)
 from .serialize import load_model, save_model
-from .stepfun import evaluate_rows, quantile_rows
+from .stepfun import CASE_BLOCK, evaluate_rows, quantile_rows
 from .subagging import SubaggedModel, fit_even_odd, fit_subagged
 
 EXIT_PARSE = 2
@@ -80,8 +81,11 @@ def _lines(numbers) -> str:
 
 
 def _load_table(path):
-    """Read a CSV file into (header, raw string rows), each row as wide
-    as the header; errors name file lines (the header is line 1)."""
+    """Read a CSV file into (header, cells), a float matrix as wide as
+    the header with NaN where a cell is no number; the rows are parsed
+    a block at a time, so none is kept as strings.  Errors name file
+    lines (the header is line 1)."""
+    blocks, ragged, line = [], [], 2
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -89,13 +93,24 @@ def _load_table(path):
                 header = next(reader)
             except StopIteration:
                 raise CliDataError(f"{path}: file is empty, a header row is required")
-            rows = list(reader)
+            for rows in iter(lambda: list(itertools.islice(reader, CASE_BLOCK)), []):
+                ragged += [line + r for r, row in enumerate(rows) if len(row) != len(header)]
+                line += len(rows)
+                if not ragged:
+                    blocks.append(np.array([list(map(_number, row)) for row in rows]).reshape(len(rows), len(header)))
     except UnicodeDecodeError:
         raise CliDataError(f"{path}: not valid UTF-8")
-    ragged = [r + 2 for r, row in enumerate(rows) if len(row) != len(header)]
     if ragged:
         raise CliDataError(f"{path}: the header has {len(header)} fields, but not the rows at lines {_lines(ragged)}")
-    return header, rows
+    return header, np.concatenate(blocks or [np.empty((0, len(header)))])
+
+
+def _number(text: str) -> float:
+    """float(text), or NaN where that fails."""
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
 
 
 def _column_indices(path, header, names):
@@ -110,29 +125,18 @@ def _column_indices(path, header, names):
     return idx
 
 
-def _numeric_columns(path, header, rows, names) -> np.ndarray:
-    """Extract named columns of :func:`_load_table` rows as a float
-    matrix, rejecting bad rows by their file line numbers."""
-    if not rows:
+def _numeric_columns(path, header, cells, names) -> np.ndarray:
+    """The named columns of :func:`_load_table` cells as a float
+    matrix, rejecting rows with a non-finite cell by file line number."""
+    if not len(cells):
         raise ValueError(f"{path}: no data rows")
-    idx = _column_indices(path, header, names)
-    try:
-        block = np.array(rows, dtype=object)[:, idx].astype(float)
-        if np.isfinite(block).all():
-            return block
-    except (ValueError, TypeError):
-        pass
-    # float() takes the strings the cast takes, so some cell is bad: find them all
-    bad = [(r + 2, name) for r, row in enumerate(rows) for name, i in zip(names, idx) if not _finite_cell(row[i])]
-    lines, cols = list(dict.fromkeys(r for r, _ in bad)), sorted({name for _, name in bad})
+    block = cells[:, _column_indices(path, header, names)]
+    finite = np.isfinite(block)
+    if finite.all():
+        return block
+    lines = (np.flatnonzero(~finite.all(axis=1)) + 2).tolist()
+    cols = sorted({name for name, ok in zip(names, finite.all(axis=0)) if not ok})
     raise CliDataError(f"{path}: missing or non-numeric values in columns {cols} at lines {_lines(lines)}")
-
-
-def _finite_cell(text: str) -> bool:
-    try:
-        return math.isfinite(float(text))
-    except ValueError:
-        return False
 
 
 def parse_order_string(text: str, header: list[str]) -> OrderSpec:
@@ -302,12 +306,12 @@ def fit(data_path, response, order_text, weight_col, out_path, subagg_count, sub
         raise CliDataError("--subagg-size needs --subagg-count")
     if subagg_count and subagg_size <= 0:
         raise CliDataError("--subagg-size must be positive when --subagg-count is set")
-    header, rows = _load_table(data_path)
+    header, cells = _load_table(data_path)
     spec = parse_order_string(order_text, header)
     names = list(spec.column_names) + [response]
     if weight_col is not None:
         names.append(weight_col)
-    table = _numeric_columns(data_path, header, rows, names)
+    table = _numeric_columns(data_path, header, cells, names)
     d = len(spec.column_names)
     covariates = table[:, :d]
     responses = table[:, d]
@@ -330,7 +334,7 @@ def fit(data_path, response, order_text, weight_col, out_path, subagg_count, sub
         scores = np.empty(training.n)
         for cut, batch in predict_blocks(model, training.covariates, ("center",)):
             scores[cut] = crps_rows(model.thresholds, batch.center, training.responses[cut])
-        mean_crps = float(np.average(scores, weights=training.weights))
+        mean_crps = finite_mean(scores, training.weights)
     else:
         # each training row sits at its own node, so its fitted row is its prediction
         mean_crps = empirical_crps_loss(model, training)
@@ -349,8 +353,8 @@ def predict(model_path, data_path, out_path, quantiles, thresholds, interpolate)
     """Predict CDF summaries at the covariates of a CSV file."""
     model = load_model(model_path)
     names = _covariate_names(model)
-    header, rows = _load_table(data_path)
-    covariates = _numeric_columns(data_path, header, rows, names)
+    header, cells = _load_table(data_path)
+    covariates = _numeric_columns(data_path, header, cells, names)
     alphas = _float_list(quantiles, "quantile", low=0.0, high=1.0)
     zs = _float_list(thresholds, "threshold") if thresholds else []
 
@@ -390,21 +394,21 @@ def score(model_path, true_gamma, covariate, data_path, response, out_path, thre
         except ImportError:
             raise CliDataError("--true-gamma needs scipy, which is not installed; "
                                "install the package with its 'gamma' extra, e.g. pip install '.[gamma]'")
-    header, rows = _load_table(data_path)
-    ys = _numeric_columns(data_path, header, rows, [response])[:, 0]
+    header, cells = _load_table(data_path)
+    ys = _numeric_columns(data_path, header, cells, [response])[:, 0]
     zs = _float_list(thresholds, "threshold") if thresholds else []
     qas = _float_list(alphas, "alpha", low=0.0, high=1.0) if alphas else []
     rng = np.random.default_rng(seed)
     v = rng.uniform(size=ys.size)
 
     if true_gamma:
-        xs = _numeric_columns(data_path, header, rows, [covariate])[:, 0]
+        xs = _numeric_columns(data_path, header, cells, [covariate])[:, 0]
         cols = ([true_gamma_crps(xs, ys), true_gamma_cdf(xs, ys)] + [brier(true_gamma_cdf(xs, z), ys, z) for z in zs]
                 + [pinball(true_gamma_quantile(xs, a), ys, a) for a in qas])
     else:
         model = load_model(model_path)
         names = _covariate_names(model)
-        covariates = _numeric_columns(data_path, header, rows, names)
+        covariates = _numeric_columns(data_path, header, cells, names)
         grid = model.thresholds
         check_span(np.concatenate([ys, grid]), "outcomes and thresholds")  # all at once: no block sees them all
         cols = np.empty((2 + len(zs) + len(qas), ys.size))
@@ -416,7 +420,7 @@ def score(model_path, true_gamma, covariate, data_path, response, out_path, thre
     out_header = ["crps", "pit"] + [f"brier_{z:g}" for z in zs] + [f"qs_{a:g}" for a in qas]
     _write_csv(out_path, out_header, zip(*map(_cells, cols)))
     for name, col in zip(out_header, cols):
-        click.echo(f"mean_{name}={float(np.mean(col))!r}")
+        click.echo(f"mean_{name}={finite_mean(col)!r}")
 
 
 @main.command("pit-hist")
@@ -427,8 +431,8 @@ def score(model_path, true_gamma, covariate, data_path, response, out_path, thre
 @_handle_errors
 def pit_hist(scores_path, bins, out_path):
     """Histogram of PIT values, as plot-ready CSV."""
-    header, rows = _load_table(scores_path)
-    pit_vals = _numeric_columns(scores_path, header, rows, ["pit"])[:, 0]
+    header, cells = _load_table(scores_path)
+    pit_vals = _numeric_columns(scores_path, header, cells, ["pit"])[:, 0]
     lo, hi, k, f = zip(*pit_histogram(pit_vals, bins))
     _write_csv(out_path, ["bin_low", "bin_high", "count", "frequency"],
                zip(_cells(lo), _cells(hi), map(str, k), _cells(f)))
@@ -448,9 +452,9 @@ def reliability(model_path, data_path, response, threshold, bins, out_path):
     threshold = _finite_float(threshold, "threshold")
     model = load_model(model_path)
     names = _covariate_names(model)
-    header, rows = _load_table(data_path)
-    covariates = _numeric_columns(data_path, header, rows, names)
-    ys = _numeric_columns(data_path, header, rows, [response])[:, 0]
+    header, cells = _load_table(data_path)
+    covariates = _numeric_columns(data_path, header, cells, names)
+    ys = _numeric_columns(data_path, header, cells, [response])[:, 0]
     probs = np.empty(ys.size)
     for cut, batch in predict_blocks(model, covariates, ("center",)):
         probs[cut] = evaluate_rows(model.thresholds, batch.center, threshold)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .orders import OrderDag, OrderSpec, build_order_dag
-from .scoring import check_span, crps_rows
+from .scoring import check_span, crps_rows, finite_mean
 from .solvers import antitonic_l2_fit
 from .stepfun import CASE_BLOCK, StepCdf, distinct_sorted
 
@@ -192,4 +192,4 @@ def empirical_crps_loss(model: IdrModel, training: TrainingSet) -> float:
     for lo in range(0, training.n, CASE_BLOCK):
         cut = slice(lo, lo + CASE_BLOCK)
         scores[cut] = crps_rows(model.thresholds, model.rows[node_row[cut]], training.responses[cut])
-    return float((training.weights * scores).sum() / training.weights.sum())
+    return finite_mean(scores, training.weights)

@@ -225,18 +225,15 @@ class OrderDag:
     of them; ``keys`` is the (nodes, key width) array that a model file
     stores as ``node_keys``.  Nodes are sorted lexicographically by that
     key; as rows of ``cmp_matrix`` (total keys unchanged) their order is
-    componentwise.
-    ``reach[u, v]`` is True iff key_u is below-or-equal key_v (the
-    diagonal is True).  On a chain, ``chain_positions`` gives each
-    node's place from the least element up; it is None on any other
-    order.  The cover edges (the transitive reduction of the strict
-    part) are kept only as :meth:`edges` gives them, never as a matrix.
-    Every array is read-only; ``reach`` and the edges are built on
-    first use and cached, so a chain that only needs its positions
-    never holds an n x n matrix.
+    componentwise.  On a chain, ``chain_positions`` gives each node's
+    place from the least element up; it is None on any other order.
+    The one relation kept is the cover edges (the transitive reduction
+    of the strict order), as index arrays that :meth:`edges` lists,
+    built on first use and cached.  Every array is read-only, and none
+    is n x n: ``reach`` is compared afresh on each access.
     """
 
-    __slots__ = ("spec", "keys", "membership", "cmp_matrix", "chain_positions", "_reach", "_edges")
+    __slots__ = ("spec", "keys", "membership", "cmp_matrix", "chain_positions", "_edges")
 
     def __init__(self, spec, keys, membership, cmp_matrix, chain_positions):
         self.spec = spec
@@ -244,7 +241,7 @@ class OrderDag:
         self.membership = membership
         self.cmp_matrix = cmp_matrix
         self.chain_positions = chain_positions
-        self._reach = self._edges = None
+        self._edges = None
         for a in (keys, membership, cmp_matrix, chain_positions):
             if a is not None:
                 a.setflags(write=False)
@@ -260,29 +257,34 @@ class OrderDag:
 
     @property
     def reach(self) -> np.ndarray:
-        """Boolean matrix: reach[u, v] iff key_u is <= key_v."""
-        if self._reach is None:
-            self._reach = _all_leq(self.cmp_matrix, self.cmp_matrix)
-            self._reach.setflags(write=False)
-        return self._reach
+        """Boolean matrix, not kept: reach[u, v] iff key_u is <= key_v."""
+        return _all_leq(self.cmp_matrix, self.cmp_matrix)
 
-    def edges(self) -> list[tuple[int, int]]:
-        """Cover edges as sorted (lower node, upper node) pairs, built on
-        first call and cached as two index arrays: on a chain from
-        ``chain_positions``, on any other order as the strict pairs of
-        ``reach`` (transitively closed) without a two-step path."""
+    def _cover_ends(self) -> tuple[np.ndarray, ...]:
+        """Cover edges as index arrays (lower, upper) sorted by lower node,
+        then (upper, lower) sorted by upper node: on a chain from
+        ``chain_positions``, on any other order the strict pairs without
+        a two-step path."""
         if self._edges is None:
             if self.is_chain:
                 pos = self.chain_positions
                 lower = np.flatnonzero(pos < pos.size - 1)
                 upper = np.argsort(pos)[pos[lower] + 1]
             else:
-                strict = (self.reach & ~np.eye(self.n_nodes, dtype=bool)).astype(np.float32)
-                lower, upper = np.nonzero(_unreached(strict, strict))
-            lower.setflags(write=False)
-            upper.setflags(write=False)
-            self._edges = lower, upper
-        return list(zip(*(a.tolist() for a in self._edges)))
+                strict = self.reach
+                np.fill_diagonal(strict, False)
+                # float32 (BLAS) sums 0/1 terms exactly; 8-bit ints would wrap at 256
+                paths = strict.astype(np.float32)
+                lower, upper = np.nonzero(strict & (paths @ paths == 0))
+            by_upper = np.argsort(upper, kind="stable")
+            self._edges = lower, upper, upper[by_upper], lower[by_upper]
+            for a in self._edges:
+                a.setflags(write=False)
+        return self._edges
+
+    def edges(self) -> list[tuple[int, int]]:
+        """Cover edges as sorted (lower node, upper node) pairs."""
+        return list(zip(*(a.tolist() for a in self._cover_ends()[:2])))
 
     def query_neighbors(self, x):
         """``(exact, pred, succ)`` for queries ``x``, one covariate vector
@@ -293,8 +295,10 @@ class OrderDag:
         sorted by case and then node, of the direct predecessors (maximal
         nodes below-or-equal a query) and direct successors (minimal nodes
         above-or-equal it); at a node both hold that node alone.  One
-        total-order group is searched by bisection over the node keys;
-        any other order compares each query with every node, on ``reach``.
+        total-order group is searched by bisection over the node keys.
+        Any other order compares each query with every node; a node of
+        the down-set is maximal iff none of its upper covers is in it,
+        and the up-set mirrors this, on the edges (built at first use).
         """
         keys = _canonical_keys(self.spec, np.asarray(x, dtype=float))
         if self.spec.total_column is None:
@@ -302,7 +306,9 @@ class OrderDag:
             # node <= query is -query <= -node; negation is exact
             below, above = _all_leq(-q, -self.cmp_matrix), _all_leq(q, self.cmp_matrix)
             exact = (below & above).any(axis=1)
-            return exact, np.nonzero(_maximal(below, self.reach)), np.nonzero(_maximal(above, self.reach.T))
+            lower, upper, upper_asc, lower_by_upper = self._cover_ends()
+            pred, succ = _without_covers(below, lower, upper), _without_covers(above, upper_asc, lower_by_upper)
+            return exact, np.nonzero(pred), np.nonzero(succ)
         # a total key is its own comparison row, and the nodes ascend
         q, nodes = keys[:, 0], self.cmp_matrix[:, 0]
         above = np.searchsorted(nodes, q, side="left")
@@ -322,26 +328,16 @@ def _all_leq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _unreached(mask: np.ndarray, strict: np.ndarray) -> np.ndarray:
-    """out[i, v] iff mask[i, v] and no u with mask[i, u] has strict[u, v],
-    for 0/1 float32 matrices.  The product sums 0/1 terms, so in float32
-    (BLAS) it is positive exactly when such a u exists; an 8-bit integer
-    product would wrap at 256."""
-    reached = (mask @ strict) > 0
-    return (mask > 0) & ~reached
-
-
-def _maximal(mask: np.ndarray, reach: np.ndarray) -> np.ndarray:
-    """out[i, v] iff mask[i, v] and no u != v with mask[i, u] has
-    reach[v, u].  Only the nodes that some row of ``mask`` holds can
-    matter, so the product runs on them alone: a scalar query costs the
-    square of its down- (or up-) set, not of the whole DAG."""
-    held = np.flatnonzero(mask.any(axis=0))
-    strict = reach[held][:, held]
-    np.fill_diagonal(strict, False)
-    out = np.zeros_like(mask)
-    out[:, held] = _unreached(mask[:, held].astype(np.float32), strict.T.astype(np.float32))
-    return out
+def _without_covers(mask: np.ndarray, ends: np.ndarray, covers: np.ndarray) -> np.ndarray:
+    """out[i, v] iff mask[i, v] and no cover of v is in mask[i], where
+    edge e, sorted by ``ends``, joins ``ends[e]`` to its cover
+    ``covers[e]``.  Eight cases are packed to a byte, and each node ors
+    its covers' bytes over its run of edges."""
+    packed = np.packbits(mask.T, axis=1)
+    hit = np.zeros_like(packed)
+    starts = np.flatnonzero(np.diff(ends, prepend=-1))
+    hit[ends[starts]] = np.bitwise_or.reduceat(packed[covers], starts, axis=0)
+    return mask & ~np.unpackbits(hit, axis=1, count=mask.shape[0]).T.view(bool)
 
 
 def build_order_dag(spec: OrderSpec, points, *, points_are_keys: bool = False) -> OrderDag:

@@ -102,6 +102,23 @@ def check_span(values, what: str):
         raise ValueError(f"the span of the {what} overflows the float range")
 
 
+def finite_mean(values, weights=None) -> float:
+    """Weighted mean of finite ``values`` (unit weights when omitted):
+    ``(w * v).sum() / w.sum()``, bit for bit, where that sum is finite.
+    Where it overflows, values and weights are first scaled by powers
+    of two into [-1, 1], which is exact but for underflow, so the mean
+    stays within the values' range."""
+    v = np.asarray(values, dtype=float)
+    w = np.ones_like(v) if weights is None else np.asarray(weights, dtype=float)
+    with np.errstate(over="ignore"):
+        total = (w * v).sum()
+        if np.isfinite(total):
+            return float(total / w.sum())
+        w, ev = np.ldexp(w, -np.frexp(w.max())[1]), np.frexp(np.abs(v).max())[1]
+        mean = np.ldexp((w * np.ldexp(v, -ev)).sum() / w.sum(), ev)
+    return float(np.clip(mean, v.min(), v.max()))
+
+
 def pinball(q, y, alpha):
     """Pinball loss of quantile forecasts ``q`` at level ``alpha``."""
     return np.where(y <= q, (1.0 - alpha) * (q - y), alpha * (y - q))

@@ -197,13 +197,16 @@ def subagged_case():
     return fit_subagged(ts, count=4, size=25, seed=9), icx_queries(rng, x)
 
 
-def random_poset_case(kind, seed):
-    """A random poset of up to ~150 nodes with random CDF rows.  The rows
-    are not antitonic, as in a hand-edited model file, so only the exact
-    neighbour rule reproduces the reference."""
+def random_poset_case(kind, seed, sizes=(100, 160)):
+    """A random poset of ``sizes`` points (low inclusive, high exclusive)
+    with random CDF rows.  The rows are not antitonic, as in a
+    hand-edited model file, so only the exact neighbour rule reproduces
+    the reference."""
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(100, 160))
-    if kind == "cw_ties":
+    n = int(rng.integers(*sizes))
+    if kind == "cw2":
+        spec, x = CW2, rng.uniform(0, 10, size=(n, 2))
+    elif kind == "cw_ties":
         spec, x = CW2, rng.integers(0, 16, size=(n, 2)).astype(float)
     elif kind == "cw_continuous":
         spec, x = OrderSpec((OrderGroup((0, 1, 2), COMPONENTWISE),)), rng.normal(size=(n, 3))
@@ -234,6 +237,10 @@ def random_poset_case(kind, seed):
 RANDOM_CASES = [
     pytest.param(lambda kind=kind, seed=seed: random_poset_case(kind, seed), id=f"{kind}-{seed}")
     for kind in ("cw_ties", "cw_continuous", "icx", "cw_and_st") for seed in (1, 2, 3)
+] + [
+    # large enough that each node has many covers and each query many neighbours
+    pytest.param(lambda kind=kind, seed=seed: random_poset_case(kind, seed, (500, 1001)), id=f"{kind}-{seed}-large")
+    for kind in ("cw2", "icx") for seed in (4, 5)
 ]
 
 

@@ -3,10 +3,12 @@
 import csv
 import gc
 import json
+import math
 import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +16,7 @@ import pytest
 from click.testing import CliRunner
 
 from idr import TOTAL, OrderGroup, OrderSpec, fit_even_odd, load_model, make_training_set, save_model
-from idr.cli import EXIT_IO, EXIT_PARSE, EXIT_VALIDATION, MAX_BINS, main
+from idr.cli import EXIT_IO, EXIT_PARSE, EXIT_VALIDATION, MAX_BINS, _load_table, main
 from idr.prediction import predict_rows
 from idr.scoring import crps_rows
 from idr.stepfun import CASE_BLOCK
@@ -410,6 +412,51 @@ def test_predict_score_and_reliability_hold_one_block_of_rows_at_a_time(tmp_path
             for n in (5000, 20000):
                 over = peak(command, model, n) - base - 1000 * n
                 assert over < 10 * CASE_BLOCK * grid * 8, (flags, command[0], n, over / (CASE_BLOCK * grid * 8))
+
+
+def test_a_read_table_keeps_one_float_a_cell(tmp_path):
+    """The rows of a CSV file are parsed as they are read: a 20k-row
+    two-column table holds under 24 bytes a row once read, one float a
+    cell, and peaks under 64, not the 230 bytes a row of its strings."""
+    n, data = 20000, tmp_path / "t.csv"
+    assert invoke("simulate", "--n", n, "--seed", 2, "--out", data).exit_code == 0
+    gc.collect()
+    tracemalloc.start()
+    try:
+        header, cells = _load_table(data)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 24 * n and peak < 64 * n, (held / n, peak / n)
+    assert header == ["x", "y"] and np.array_equal(cells, np.loadtxt(data, delimiter=",", skiprows=1))
+
+
+def test_printed_means_stay_finite_where_their_sum_overflows(tmp_path):
+    """Every case scores finite, but the sum of the scores overflows:
+    `score` and `fit`, plain and subagged, still print a finite mean,
+    the exactly rounded one to 1e-12, and numpy warns of nothing."""
+    def mean_crps(res):
+        assert res.exit_code == 0, all_output(res)
+        return float(res.output.split("mean_crps=")[1].split()[0])
+
+    train, test, model = tmp_path / "train.csv", tmp_path / "test.csv", tmp_path / "m.json"
+    write_csv(train, ["x", "y"], [[i, 1.0 + i % 2] for i in range(20)])
+    write_csv(test, ["x", "y"], [[i, 1e308] for i in range(3)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert invoke("fit", "--data", train, "--response", "y", "--order", "x:total", "--out", model).exit_code == 0
+        res = invoke("score", "--model", model, "--data", test, "--response", "y", "--out", tmp_path / "s.csv")
+        scores = [float(r["crps"]) for r in read_csv(tmp_path / "s.csv")]
+        assert mean_crps(res) == scores[0] == scores[2] and math.isfinite(scores[0])
+
+        wide = tmp_path / "wide.csv"
+        write_csv(wide, ["x", "y"], [[i, 1e308 * (i % 2)] for i in range(40)])
+        x, y = np.arange(40.0)[:, None], 1e308 * (np.arange(40) % 2)
+        for flags in ((), ("--subagg-count", 2, "--subagg-size", 20)):
+            res = invoke("fit", "--data", wide, "--response", "y", "--order", "x:total", "--out", model, *flags)
+            got, fitted = mean_crps(res), load_model(model)
+            want = math.fsum(crps_rows(fitted.thresholds, predict_rows(fitted, x)[0], y) / 40)
+            assert math.isfinite(got) and got == pytest.approx(want, rel=1e-12), (flags, got, want)
 
 
 def test_fit_rejects_weights_whose_sum_overflows(tmp_path):

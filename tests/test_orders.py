@@ -30,6 +30,8 @@ from idr import (
     predict_batch,
 )
 
+from idr.stepfun import CASE_BLOCK
+
 from brute_force import cover_matrix, eager_dag_structure
 
 
@@ -355,11 +357,11 @@ def test_dag_reach_agrees_with_compare(relation):
     spec = group_spec(3, relation)
     pts = rng.integers(0, 5, size=(50, 3)).astype(float)
     dag = build_order_dag(spec, pts)
-    below = (Relation.LESS, Relation.EQUAL)
+    below, reach = (Relation.LESS, Relation.EQUAL), dag.reach
     for u in range(dag.n_nodes):
         for v in range(dag.n_nodes):
             expect = compare(spec, dag.keys[u], dag.keys[v]) in below
-            assert dag.reach[u, v] == expect
+            assert reach[u, v] == expect
 
 
 def test_dag_reads_1d_points_as_one_column():
@@ -398,7 +400,7 @@ def test_query_neighbors_matches_compare():
 
 
 # ---------------------------------------------------------------------------
-# one build for every order: chains by one sort, reach and edges on first use
+# one build for every order: chains by one sort, edges on first use
 # ---------------------------------------------------------------------------
 
 TOTAL_ICX = OrderSpec((OrderGroup((0,), TOTAL), OrderGroup((1, 2, 3), EMPIRICAL_ICX)))
@@ -517,19 +519,19 @@ def test_dag_of_a_single_node():
 
 
 def test_dag_arrays_are_read_only(monkeypatch):
-    """The arrays are read-only and built once: the non-chain runs the
-    transitive reduction on its first edges() call only, the chain never."""
-    unreached, calls = orders._unreached, []
+    """The arrays are read-only and the edges built once: the non-chain
+    compares all pairs on its first edges() call only, the chain never."""
+    all_leq, calls = orders._all_leq, []
 
     def counted(*args):
         calls.append(args)
-        return unreached(*args)
+        return all_leq(*args)
 
-    monkeypatch.setattr(orders, "_unreached", counted)
+    monkeypatch.setattr(orders, "_all_leq", counted)
     for spec, pts in ((TOTAL1, [(1.0,), (3.0,), (2.0,)]), (cw_spec(2), [(1.0, 3.0), (2.0, 2.0), (3.0, 3.0)])):
         dag = build_order_dag(spec, pts)
-        assert dag.reach is dag.reach and dag.edges() == dag.edges()
-        for a in (dag.membership, dag.cmp_matrix, dag.reach):
+        assert dag.edges() == dag.edges()
+        for a in (dag.keys, dag.membership, dag.cmp_matrix):
             with pytest.raises(ValueError):
                 a[0] = a[0]
     assert len(calls) == 1
@@ -569,12 +571,12 @@ def test_scalar_poset_query_allocates_far_less_than_a_square_matrix():
     """One query at the centre of a 2000-node 2-d componentwise poset,
     whose down- and up-sets hold about a quarter of the nodes each,
     traces far less memory than one n x n float32 matrix once the DAG's
-    ``reach`` is built.  Its neighbour masks are the ones the cover edges
+    edges are built.  Its neighbour masks are the ones the cover edges
     give: a node of a down-set is maximal in it iff none of its upper
     covers is in it, and the mirror holds for an up-set."""
     n = 2000
     dag = build_order_dag(cw_spec(2), np.random.default_rng(67).uniform(0, 10, size=(n, 2)))
-    dag.reach
+    dag.edges()
     key = np.array([[5.0, 5.0]])
     tracemalloc.start()
     try:
@@ -593,13 +595,31 @@ def test_scalar_poset_query_allocates_far_less_than_a_square_matrix():
     assert np.array_equal(succ_mask, above & ~(covers.T & above).any(axis=1))
 
 
+def test_poset_query_block_allocates_less_than_a_square_matrix():
+    """One block of CASE_BLOCK queries on a 2000-node 2-d componentwise
+    DAG, with its edges built, traces less memory than n x n bytes: the
+    neighbours come from the edges, eight cases to a byte, and no
+    (nodes, nodes) array is made."""
+    n = 2000
+    rng = np.random.default_rng(71)
+    dag = build_order_dag(cw_spec(2), rng.uniform(0, 10, size=(n, 2)))
+    dag.edges()
+    queries = rng.uniform(-1, 11, size=(CASE_BLOCK, 2))
+    tracemalloc.start()
+    try:
+        dag.query_neighbors(queries)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n
+
+
 def test_cover_edges_hold_far_less_than_a_square_matrix():
     """Once built, the cover edges of a 2000-node 2-d componentwise DAG
     hold far less memory than one n x n boolean matrix: they are kept as
-    index pairs only."""
+    index arrays only, and the square matrices that build them are gone."""
     n = 2000
     dag = build_order_dag(cw_spec(2), np.random.default_rng(67).uniform(0, 10, size=(n, 2)))
-    dag.reach
     tracemalloc.start()
     try:
         edges = len(dag.edges())
@@ -617,7 +637,6 @@ def test_total_chain_never_compares_all_pairs(monkeypatch):
         raise AssertionError("a total chain needs no all-pairs matrix")
 
     monkeypatch.setattr(orders, "_all_leq", refuse)
-    monkeypatch.setattr(orders, "_unreached", refuse)
     spec, x, y = _total_chain_training(300, np.random.default_rng(61))
     model = fit_idr(make_training_set(spec, x, y))
     loaded = model_from_json(model_to_json(model))

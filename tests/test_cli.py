@@ -431,14 +431,15 @@ def test_a_read_table_keeps_one_float_a_cell(tmp_path):
     assert header == ["x", "y"] and np.array_equal(cells, np.loadtxt(data, delimiter=",", skiprows=1))
 
 
-def test_printed_means_stay_finite_where_their_sum_overflows(tmp_path):
-    """Every case scores finite, but the sum of the scores overflows:
-    `score` and `fit`, plain and subagged, still print a finite mean,
-    the exactly rounded one to 1e-12, and numpy warns of nothing."""
-    def mean_crps(res):
-        assert res.exit_code == 0, all_output(res)
-        return float(res.output.split("mean_crps=")[1].split()[0])
+def _mean_crps(res) -> float:
+    assert res.exit_code == 0, all_output(res)
+    return float(res.output.split("mean_crps=")[1].split()[0])
 
+
+def test_score_prints_a_finite_mean_where_the_sum_overflows(tmp_path):
+    """Three outcomes of 1e308 against a model of y in [1, 2] each score
+    finite, but their sum overflows: `score` prints their mean, and
+    numpy warns of nothing."""
     train, test, model = tmp_path / "train.csv", tmp_path / "test.csv", tmp_path / "m.json"
     write_csv(train, ["x", "y"], [[i, 1.0 + i % 2] for i in range(20)])
     write_csv(test, ["x", "y"], [[i, 1e308] for i in range(3)])
@@ -446,17 +447,24 @@ def test_printed_means_stay_finite_where_their_sum_overflows(tmp_path):
         warnings.simplefilter("error")
         assert invoke("fit", "--data", train, "--response", "y", "--order", "x:total", "--out", model).exit_code == 0
         res = invoke("score", "--model", model, "--data", test, "--response", "y", "--out", tmp_path / "s.csv")
-        scores = [float(r["crps"]) for r in read_csv(tmp_path / "s.csv")]
-        assert mean_crps(res) == scores[0] == scores[2] and math.isfinite(scores[0])
+    scores = [float(r["crps"]) for r in read_csv(tmp_path / "s.csv")]
+    assert _mean_crps(res) == scores[0] == scores[2] and math.isfinite(scores[0])
 
-        wide = tmp_path / "wide.csv"
-        write_csv(wide, ["x", "y"], [[i, 1e308 * (i % 2)] for i in range(40)])
-        x, y = np.arange(40.0)[:, None], 1e308 * (np.arange(40) % 2)
-        for flags in ((), ("--subagg-count", 2, "--subagg-size", 20)):
+
+def test_fit_prints_a_finite_mean_where_the_sum_overflows(tmp_path):
+    """40 responses alternating between 0 and 1e308 each score finite
+    in-sample, but their sum overflows: `fit`, plain and subagged,
+    prints the exactly rounded mean to 1e-12, and numpy warns of nothing."""
+    wide, model = tmp_path / "wide.csv", tmp_path / "m.json"
+    write_csv(wide, ["x", "y"], [[i, 1e308 * (i % 2)] for i in range(40)])
+    x, y = np.arange(40.0)[:, None], 1e308 * (np.arange(40) % 2)
+    for flags in ((), ("--subagg-count", 2, "--subagg-size", 20)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             res = invoke("fit", "--data", wide, "--response", "y", "--order", "x:total", "--out", model, *flags)
-            got, fitted = mean_crps(res), load_model(model)
-            want = math.fsum(crps_rows(fitted.thresholds, predict_rows(fitted, x)[0], y) / 40)
-            assert math.isfinite(got) and got == pytest.approx(want, rel=1e-12), (flags, got, want)
+        got, fitted = _mean_crps(res), load_model(model)
+        want = math.fsum(crps_rows(fitted.thresholds, predict_rows(fitted, x)[0], y) / 40)
+        assert math.isfinite(got) and got == pytest.approx(want, rel=1e-12), (flags, got, want)
 
 
 def test_fit_rejects_weights_whose_sum_overflows(tmp_path):

@@ -84,10 +84,10 @@ def _load_table(path):
     """Read a CSV file into (header, cells), a float matrix as wide as
     the header with NaN where a cell is no number; the rows are parsed
     a block at a time, so none is kept as strings.  Errors name file
-    lines (the header is line 1)."""
+    lines (the header is line 1).  A leading byte-order mark is dropped."""
     blocks, ragged, line = [], [], 2
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)
@@ -105,10 +105,18 @@ def _load_table(path):
     return header, np.concatenate(blocks or [np.empty((0, len(header)))])
 
 
+def _ascii_float(text: str) -> float:
+    """float(text) for ASCII text without ``_``: float() also reads
+    ``1_0`` as 10 and non-ASCII digits such as ``٣``."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not an ASCII number: {text!r}")
+    return float(text)
+
+
 def _number(text: str) -> float:
-    """float(text), or NaN where that fails."""
+    """The number ``text`` holds, or NaN where it holds none."""
     try:
-        return float(text)
+        return _ascii_float(text)
     except ValueError:
         return math.nan
 
@@ -208,7 +216,7 @@ def parse_order_string(text: str, header: list[str]) -> OrderSpec:
 
 def _finite_float(text: str, what: str) -> float:
     try:
-        val = float(text)
+        val = _ascii_float(text)
     except ValueError:
         raise CliDataError(f"bad {what} value {text!r}")
     if not math.isfinite(val):

@@ -9,20 +9,30 @@ Format 3.0 stores every number once.  A fitted CDF value is a weighted
 mean of threshold indicators over one level set, so a model holds few
 distinct values: each member keeps them as one sorted table,
 ``cdf_rows.values``.  The model's distinct CDF rows,
-:attr:`~idr.fitting.IdrModel.rows`, are written as they are, each as
-the threshold indices where it jumps (``cdf_rows.jump_index``) and the
-table indices of its values after those jumps (``cdf_rows.jump_value``);
-``node_row`` gives the row of every node (``IdrModel.node_row``).  A
-loaded model holds the same rows; its dense ``cdf`` is a view built
-from them on access.  The climatology jumps at the thresholds, so only
-its ``cum`` is stored.  The seed-1 model of the
-benchmark's ``gamma-chain-cli`` workload takes 86,626 bytes as 3.0
-against 187,934 as 2.0; a 4000-point gamma chain, 1.4 MB against 3.0.
+:attr:`~idr.fitting.IdrModel.rows`, are listed in lexicographic order,
+each by the threshold indices where it jumps (``cdf_rows.jump_index``)
+and the table indices of its values after those jumps
+(``cdf_rows.jump_value``); ``node_row`` gives the row of every node
+(``IdrModel.node_row``).  Format 4.0 lists the first row so, and each
+later row only where its jumps differ from the row before: the new
+table index, or -1 where the row before jumped and this one does not.
+On a chain, rows next in lexicographic order are neighbours along it
+and repeat most of each other's jumps; on other orders fewer, and a
+small poset model can take a few percent more bytes than as 3.0.  A
+loaded model holds the same rows; its dense
+``cdf`` is a view built from them on access.  The climatology jumps at
+the thresholds, so only its ``cum`` is stored.  The seed-1 model of the
+benchmark's ``gamma-chain-cli`` workload takes 40,846 bytes as 4.0,
+86,626 as 3.0 and 187,934 as 2.0; a 4000-point gamma chain 0.35 MB as
+4.0, 1.4 MB as 3.0 and 3.0 MB as 2.0.
 
-Files are written as 3.0.  Format 2.0 stored the jump values
-themselves and the climatology's jumps; 1.x stored the dense nodes x
-thresholds ``cdf_matrix``.  All three majors load.  The rows of a 2.x
-or 3.x file must be in the order every writer used: distinct, in
+Files are written as 4.0.  Format 3.0 listed every row's jumps in full;
+2.0 stored the jump values themselves and the climatology's jumps; 1.x
+stored the dense nodes x thresholds ``cdf_matrix``.  All four majors
+load.  A 2.x, 3.x or 4.x row is read by carrying the jumps of the row
+before (4.x) or of no row (2.x, 3.x) and setting those it lists; each
+listed entry must change what is carried, so a model has one encoding.
+The rows must be in the order every writer used: distinct, in
 lexicographic order and each the row of some node.
 """
 
@@ -40,11 +50,11 @@ from .subagging import SubaggedModel
 
 __all__ = ["model_to_json", "model_from_json", "save_model", "load_model"]
 
-FORMAT_VERSION = "3.0"
+FORMAT_VERSION = "4.0"
 
 #: Format majors this module reads: 1.x carries a dense ``cdf_matrix``,
-#: 2.x its rows with the jump values themselves.
-_READABLE_MAJORS = ("1", "2", "3")
+#: 2.x its rows with the jump values themselves, 3.x each row's jumps in full.
+_READABLE_MAJORS = ("1", "2", "3", "4")
 
 
 def _spec_payload(spec: OrderSpec) -> dict:
@@ -69,11 +79,15 @@ def _spec_from_payload(payload: dict) -> OrderSpec:
 def _model_payload(model: IdrModel) -> dict:
     # the rows are distinct and in lexicographic order, so the bytes are canonical
     rows = model.rows
-    jumps = np.diff(rows, axis=1, prepend=0.0) > 0
-    row_of_jump, at = np.nonzero(jumps)
-    cuts = np.cumsum(np.count_nonzero(jumps, axis=1))[:-1]
-    values = rows[row_of_jump, at]
-    table = distinct_sorted(values)
+    carried = np.where(np.diff(rows, axis=1, prepend=0.0) > 0, rows, 0.0)  # jump values, 0 for none
+    changed = np.empty(rows.shape, dtype=bool)
+    changed[0] = carried[0] > 0
+    np.not_equal(carried[1:], carried[:-1], out=changed[1:])
+    row_of_change, at = np.nonzero(changed)
+    cuts = np.cumsum(np.count_nonzero(changed, axis=1))[:-1]
+    values = carried[row_of_change, at]
+    table = distinct_sorted(values[values > 0])
+    index = np.where(values > 0, np.searchsorted(table, values), -1)
     return {
         "type": "idr",
         "order_spec": _spec_payload(model.dag.spec),
@@ -81,7 +95,7 @@ def _model_payload(model: IdrModel) -> dict:
         "thresholds": model.thresholds.tolist(),
         "cdf_rows": {
             "jump_index": [a.tolist() for a in np.split(at, cuts)],
-            "jump_value": [a.tolist() for a in np.split(np.searchsorted(table, values), cuts)],
+            "jump_value": [a.tolist() for a in np.split(index, cuts)],
             "values": table.tolist(),
         },
         "node_row": model.node_row.tolist(),
@@ -111,21 +125,24 @@ def _numbers(value, what: str, depth: int = 1, integers: bool = False) -> tuple[
     raise ValueError(f"{what} must be {shape.format(noun)} within the {dtype} range")
 
 
-def _table_values(table: dict, index: np.ndarray, inner: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """The jump values of a 3.x member: its value table read at ``index``."""
+def _table_values(table: dict, index: np.ndarray) -> np.ndarray:
+    """The jump values of a 3.x or 4.x member: its value table read at
+    ``index``, and 0 (no jump) at an index of -1."""
     values, _ = _numbers(table["values"], "cdf_rows values")
     if not (np.isfinite(values).all() and values[0] > 0 and values[-1] == 1.0 and np.all(np.diff(values) > 0)):
         raise ValueError("cdf_rows values must be a nonempty, finite, strictly increasing list in (0, 1] "
                          "that ends at 1")
-    last = values.size - 1
-    if not (index.min() >= 0 and np.all(np.diff(index)[inner] > 0) and np.all(index[ends] == last)):
-        raise ValueError(f"cdf_rows jump_value rows must be strictly increasing integer indices into "
-                         f"cdf_rows values, each ending at {last}, the index of its 1")
-    return values[index]
+    if not (index.min() >= -1 and index.max() < values.size):
+        raise ValueError(f"cdf_rows jump_value must hold indices into cdf_rows values, in [0, {values.size}), "
+                         f"or -1 where a row stops jumping")
+    return np.concatenate(([0.0], values))[index + 1]
 
 
 def _rows_from_table(payload: dict, n_nodes: int, m: int, major: str) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows and the row of each node of a 2.x or 3.x member."""
+    """The distinct rows and the row of each node of a 2.x, 3.x or 4.x
+    member.  A row carries the jump values of the row before (4.x) or of
+    no row (2.x, 3.x) and sets those its entries list; each entry must
+    change what it carries."""
     table = payload["cdf_rows"]
     if not isinstance(table, dict):
         raise ValueError("cdf_rows must be an object")
@@ -139,18 +156,31 @@ def _rows_from_table(payload: dict, n_nodes: int, m: int, major: str) -> tuple[n
     if not (at.min() >= 0 and at.max() < m and np.all(np.diff(at)[inner] > 0)):
         raise ValueError(f"cdf_rows jump_index rows must be strictly increasing integers in [0, {m})")
     if major == "2":
-        if not (np.isfinite(values).all() and values.min() > 0.0 and values.max() <= 1.0
-                and np.all(np.diff(values)[inner] > 0) and np.all(values[ends] == 1.0)):
-            raise ValueError("cdf_rows jump_value rows must be finite, strictly increasing in (0, 1] and end at 1")
+        if not (np.isfinite(values).all() and values.min() > 0.0 and values.max() <= 1.0):
+            raise ValueError("cdf_rows jump_value entries must be finite and in (0, 1]")
     else:
-        values = _table_values(table, values, inner, ends)
+        values = _table_values(table, values)
     node_row, _ = _numbers(payload["node_row"], "node_row", integers=True)
     if not (node_row.size == n_nodes and node_row.min() >= 0 and node_row.max() < len(counts)):
         raise ValueError(f"node_row must hold one row index in [0, {len(counts)}) for each of the {n_nodes} nodes")
+    # entry[r, j] is 1 + the entry that set row r's jump value at threshold j, 0 for none
+    row_of_entry = np.repeat(np.arange(len(counts)), counts)
+    entry = np.zeros((len(counts), m), dtype=np.min_scalar_type(at.size))
+    entry[row_of_entry, at] = np.arange(1, at.size + 1)
+    jumps, before = np.concatenate(([0.0], values)), 0
+    if major == "4":
+        np.maximum.accumulate(entry, axis=0, out=entry)
+        before = np.where(row_of_entry > 0, entry[row_of_entry - 1, at], 0)
+    if np.any(jumps[before] == values):
+        raise ValueError("cdf_rows jump_value entries must each change the jump value their row carries")
+    rows = jumps[entry]
+    del entry
+    count = np.count_nonzero(rows)
     # rows are nondecreasing, so carrying each jump value forward rebuilds them exactly
-    rows = np.zeros((len(counts), m))
-    rows[np.repeat(np.arange(len(counts)), counts), at] = values
     np.maximum.accumulate(rows, axis=1, out=rows)
+    if not (np.all(rows[:, -1] == 1.0)
+            and np.count_nonzero(rows[:, 0]) + np.count_nonzero(rows[:, 1:] > rows[:, :-1]) == count):
+        raise ValueError("cdf_rows rows must jump to strictly increasing values and end at 1")
     differ = rows[1:] != rows[:-1]
     first, k = differ.argmax(axis=1), np.arange(len(rows) - 1)
     if not (differ.any(axis=1).all() and np.all(rows[k + 1, first] > rows[k, first])
@@ -191,7 +221,7 @@ def _model_from_payload(payload: dict, major: str) -> IdrModel:
     else:
         rows, node_row = _rows_from_table(payload, dag.n_nodes, thresholds.size, major)
     clim = payload["climatology"]
-    jumps = thresholds if major == "3" else _numbers(clim["jumps"], "climatology jumps")[0]
+    jumps = thresholds if major in ("3", "4") else _numbers(clim["jumps"], "climatology jumps")[0]
     cum, _ = _numbers(clim["cum"], "climatology cum")
     if cum.size != jumps.size:
         raise ValueError(f"climatology cum must hold one value for each of its {jumps.size} jumps")

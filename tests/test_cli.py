@@ -20,6 +20,7 @@ from idr.cli import EXIT_IO, EXIT_PARSE, EXIT_VALIDATION, MAX_BINS, _load_table,
 from idr.prediction import predict_rows
 from idr.scoring import crps_rows
 from idr.stepfun import CASE_BLOCK
+from model_files import in_full, reverse_rows
 
 runner = CliRunner()
 
@@ -65,13 +66,14 @@ def test_fit_worked_chain(chain_files):
     assert "edges=2" in res.output
     assert "mean_crps=" in res.output
     doc = json.loads(model.read_text())
-    assert doc["version"] == "3.0"
+    assert doc["version"] == "4.0"
     assert doc["thresholds"] == [1.0, 2.0, 3.0]
-    # the two distinct rows, lowest first, each as its jumps; their
-    # values are indices into the table of distinct values
+    # the two distinct rows, lowest first: the first as its jumps, the
+    # second where its jumps differ, at threshold 0; jump values are
+    # indices into the table of distinct values
     assert np.allclose(doc["cdf_rows"]["values"], [0.5, 2 / 3, 1.0], atol=1e-15)
-    assert doc["cdf_rows"]["jump_index"] == [[1, 2], [0, 1, 2]]
-    assert doc["cdf_rows"]["jump_value"] == [[1, 2], [0, 1, 2]]
+    assert doc["cdf_rows"]["jump_index"] == [[1, 2], [0]]
+    assert doc["cdf_rows"]["jump_value"] == [[1, 2], [0]]
     assert doc["node_row"] == [1, 1, 0]
     assert np.allclose(doc["climatology"]["cum"], [1 / 3, 2 / 3, 1.0], atol=1e-15)
     want = [[0.5, 2 / 3, 1.0], [0.5, 2 / 3, 1.0], [0.0, 2 / 3, 1.0]]
@@ -581,7 +583,7 @@ def _quote(entries, i):
     ("chain", "climatology cum", lambda doc: doc["climatology"]["cum"].__setitem__(1, HUGE)),
     ("chain", "column_names", lambda doc: doc["order_spec"].update(column_names=[5])),
     ("chain", "column_names", lambda doc: doc["order_spec"].update(column_names="x")),
-    ("chain", "cdf_rows", lambda doc: [doc["cdf_rows"][f].reverse() for f in ("jump_index", "jump_value")]),
+    ("chain", "cdf_rows", in_full(reverse_rows)),
     ("icx", "subsample_size", lambda doc: doc.update(subsample_size="5")),
     ("icx", "seed", lambda doc: doc.update(seed=2.7)),
     ("icx", "split", lambda doc: doc.update(split="banana")),
@@ -590,18 +592,19 @@ def _quote(entries, i):
 def test_model_file_entries_of_the_wrong_kind_are_a_validation_error(tmp_path, name, field, edit):
     """A boolean, a numeric string, a literal past the float range, a
     float seed or an unknown split: exit 3, with no traceback, naming
-    the field."""
+    the field; in a model file of the current format and of 3.0."""
     golden = Path(__file__).resolve().parent / "golden"
-    doc = json.loads((golden / f"{name}_model.json").read_text())
-    edit(doc)
-    model = tmp_path / "model.json"
-    model.write_text(json.dumps(doc))
-    res = invoke("predict", "--model", model, "--data", golden / f"{name}_test.csv",
-                 "--quantiles", "0.5", "--out", tmp_path / "p.csv")
-    assert res.exit_code == EXIT_VALIDATION, all_output(res)
-    assert isinstance(res.exception, SystemExit)
-    assert f"error: {field} must be" in all_output(res)
-    assert not (tmp_path / "p.csv").exists()
+    for folder in (golden, golden / "v3"):
+        doc = json.loads((folder / f"{name}_model.json").read_text())
+        edit(doc)
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        res = invoke("predict", "--model", model, "--data", golden / f"{name}_test.csv",
+                     "--quantiles", "0.5", "--out", tmp_path / "p.csv")
+        assert res.exit_code == EXIT_VALIDATION, (folder, all_output(res))
+        assert isinstance(res.exception, SystemExit)
+        assert f"error: {field} must be" in all_output(res)
+        assert not (tmp_path / "p.csv").exists()
 
 
 def test_model_file_with_order_equivalent_node_keys_is_a_validation_error(tmp_path):
@@ -630,6 +633,68 @@ def test_malformed_rows_report_line_numbers(tmp_path):
     err = all_output(res)
     assert "lines 3, 4" in err
     assert "'x'" in err and "'y'" in err
+
+
+def test_csv_files_that_start_with_a_byte_order_mark_read_as_without_it(tmp_path):
+    """Spreadsheet exports start with a UTF-8 byte-order mark; fit,
+    predict and score on such files write the bytes and stdout they
+    write on the same files without it."""
+    rows = [[x, (7 * x) % 5 + 0.5] for x in range(12)]
+    outputs = []
+    for name, bom in (("plain", ""), ("bom", "\ufeff")):
+        folder = tmp_path / name
+        folder.mkdir()
+        data = folder / "data.csv"
+        write_csv(data, ["x", "y"], rows)
+        data.write_text(bom + data.read_text(encoding="utf-8"), encoding="utf-8")
+        model, preds, scores = folder / "model.json", folder / "p.csv", folder / "s.csv"
+        runs = [
+            invoke("fit", "--data", data, "--response", "y", "--order", "x:total", "--out", model),
+            invoke("predict", "--model", model, "--data", data, "--quantiles", "0.5", "--thresholds", "2",
+                   "--out", preds),
+            invoke("score", "--model", model, "--data", data, "--response", "y", "--out", scores),
+        ]
+        for res in runs:
+            assert res.exit_code == 0, (name, all_output(res))
+        outputs.append(([res.output.replace(str(folder), "") for res in runs],
+                        [f.read_bytes() for f in (model, preds, scores)]))
+    assert (tmp_path / "bom" / "data.csv").read_bytes().startswith(b"\xef\xbb\xbf")
+    assert outputs[0] == outputs[1]
+
+
+def test_number_cells_that_are_not_ascii_or_hold_an_underscore_are_a_parse_error(tmp_path):
+    """float() reads ``1_0`` as 10 and ``\u0663`` (Arabic-Indic three) as 3;
+    such a cell is no number, so the fit exits 2 naming its line.  ASCII
+    cells padded with spaces still load."""
+    data = tmp_path / "cells.csv"
+    data.write_text("x,y\n 1.5 ,2\n1_0,1\n\u0663,3\n2,+4e0\n", encoding="utf-8")
+    res = invoke("fit", "--data", data, "--response", "y", "--order", "x:total", "--out", tmp_path / "m.json")
+    assert res.exit_code == EXIT_PARSE, all_output(res)
+    assert "['x'] at lines 3, 4" in all_output(res)
+    assert not (tmp_path / "m.json").exists()
+    data.write_text("x,y\n 1.5 ,2\n2,+4e0\n", encoding="utf-8")
+    res = invoke("fit", "--data", data, "--response", "y", "--order", "x:total", "--out", tmp_path / "m.json")
+    assert res.exit_code == 0, all_output(res)
+    assert "n=2 nodes=2" in res.output
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("predict", "--thresholds", "1_0"),
+    ("predict", "--quantiles", "0.\u0665"),
+    ("score", "--alphas", "0.1_0"),
+    ("reliability", "--threshold", "\u0662"),
+])
+def test_flag_values_that_are_not_ascii_or_hold_an_underscore_are_a_parse_error(chain_files, tmp_path,
+                                                                                 command, flag, value):
+    """``--thresholds 1_0`` would name an output column ``p_le_10``; such
+    a value is a bad flag value, exit 2, and nothing is written."""
+    data, model, _ = chain_files
+    out = tmp_path / "out.csv"
+    extra = () if command == "predict" else ("--response", "y")
+    res = invoke(command, "--model", model, "--data", data, *extra, flag, value, "--out", out)
+    assert res.exit_code == EXIT_PARSE, all_output(res)
+    assert f"value {value!r}" in all_output(res)
+    assert not out.exists()
 
 
 def test_icx_tail_sums_that_overflow_exit_3_without_a_numpy_warning(tmp_path):

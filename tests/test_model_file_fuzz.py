@@ -1,7 +1,7 @@
 """Fuzz of the model reader on the golden model files.
 
-Hypothesis picks one of the nine golden model files (plain and
-subagged, formats 1.0, 2.0 and 3.0), one field of it, one leaf of that
+Hypothesis picks one of the twelve golden model files (plain and
+subagged, formats 1.0, 2.0, 3.0 and 4.0), one field of it, one leaf of that
 field, and replaces the leaf by a value of the wrong kind.  Loading
 must give a model or raise one of the exceptions the command line turns
 into exit 3, never another.  A string in place of one of the file's
@@ -57,10 +57,10 @@ LISTS = [fields(doc, lambda value: isinstance(value, list)) for doc in DOCS]
 
 
 def test_every_golden_model_file_is_fuzzed():
-    """Plain and subagged files of the current format and of 1.0 and 2.0."""
-    assert len(FILES) >= 9
+    """Plain and subagged files of the current format and of 1.0, 2.0 and 3.0."""
+    assert len(FILES) >= 12
     assert {(doc["type"], doc["version"]) for doc in DOCS} >= {
-        (kind, version) for kind in ("idr", "subagged") for version in ("1.0", "2.0", "3.0")}
+        (kind, version) for kind in ("idr", "subagged") for version in ("1.0", "2.0", "3.0", "4.0")}
 
 
 def replace_one(data, targets, replacements) -> str:

@@ -1,3 +1,4 @@
+import bisect
 import gc
 import json
 import tracemalloc
@@ -29,6 +30,8 @@ from idr import (
     save_model,
 )
 from idr.oracles import simulate_gamma
+from idr.serialize import FORMAT_VERSION
+from model_files import in_full, listed_as_changes, listed_in_full, member_docs, reverse_rows, row_jumps
 
 TOTAL1 = OrderSpec((OrderGroup((0,), TOTAL),))
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -134,23 +137,32 @@ def _assert_canonical_rows(model):
         assert np.array_equal(np.unique(node_row), np.arange(len(rows)))
 
 
+def v3_document(model) -> dict:
+    """``model`` as a format 3.0 document."""
+    return listed_in_full(json.loads(model_to_json(model)))
+
+
 def _assert_round_trip(model) -> str:
-    """The clone of ``model`` holds its rows bit for bit and writes the
-    same bytes; returns them."""
+    """The clone of ``model``, and the model read from its 3.0 document,
+    hold its rows bit for bit; the clone writes the same bytes, which
+    list the rows as the 3.0 document does, as changes.  Returns them."""
     blob = model_to_json(model)
     clone = model_from_json(blob)
     assert model_to_json(clone) == blob
-    for a, b in zip(_members(model), _members(clone), strict=True):
-        assert np.array_equal(_bits(a.rows), _bits(b.rows))
-        assert np.array_equal(a.node_row, b.node_row)
-        assert np.array_equal(_bits(a.thresholds), _bits(b.thresholds))
-        assert np.array_equal(_bits(a.climatology.jumps), _bits(b.climatology.jumps))
-        assert np.array_equal(_bits(a.climatology.cum), _bits(b.climatology.cum))
+    v3 = v3_document(model)
+    assert listed_as_changes(v3) == json.loads(blob)
+    for other in (clone, model_from_json(json.dumps(v3))):
+        for a, b in zip(_members(model), _members(other), strict=True):
+            assert np.array_equal(_bits(a.rows), _bits(b.rows))
+            assert np.array_equal(a.node_row, b.node_row)
+            assert np.array_equal(_bits(a.thresholds), _bits(b.thresholds))
+            assert np.array_equal(_bits(a.climatology.jumps), _bits(b.climatology.jumps))
+            assert np.array_equal(_bits(a.climatology.cum), _bits(b.climatology.cum))
     _assert_canonical_rows(clone)
     return blob
 
 
-def _file_cdf(doc) -> np.ndarray:
+def _file_cdf(doc, version) -> np.ndarray:
     """The dense nodes x thresholds CDF of one member of a model file of
     any format, each row held at its jump value up to its next jump."""
     m = len(doc["thresholds"])
@@ -158,8 +170,10 @@ def _file_cdf(doc) -> np.ndarray:
         return np.array(doc["cdf_matrix"], dtype=float)
     table = doc["cdf_rows"]
     rows = np.zeros((len(table["jump_index"]), m))
-    for row, at, values in zip(rows, table["jump_index"], table["jump_value"]):
-        if "values" in table:  # 3.x: indices into the value table
+    for row, jumps in zip(rows, row_jumps(table, version)):
+        at = sorted(jumps)
+        values = [jumps[j] for j in at]
+        if "values" in table:  # 3.x and 4.x: indices into the value table
             values = [table["values"][i] for i in values]
         for start, stop, value in zip(at, at[1:] + [m], values):
             row[start:stop] = value
@@ -170,27 +184,40 @@ def _file_cdf(doc) -> np.ndarray:
 def test_round_trip_rebuilds_the_cdf_bit_for_bit(kind):
     """The rows, the thresholds and the climatology come back bit for
     bit, the clone writes the same bytes as the model, and the dense
-    ``cdf`` is the one the file describes."""
+    ``cdf`` is the one the file describes.  A 4.0 row is decoded here by
+    its own loop: each threshold keeps the jump value of the row before
+    until the row lists it again, -1 for no jump."""
     for seed in range(25):
         model = _random_fit(kind, seed)
         _assert_canonical_rows(model)
         doc = json.loads(_assert_round_trip(model))
-        for m, member in zip(_members(model), doc["members"] if "members" in doc else [doc], strict=True):
-            assert np.array_equal(_bits(m.cdf), _bits(_file_cdf(member))), (kind, seed)
+        assert doc["version"] == "4.0"
+        for m, member in zip(_members(model), member_docs(doc), strict=True):
+            rows, carried = [], [-1] * len(member["thresholds"])
+            for at, index in zip(member["cdf_rows"]["jump_index"], member["cdf_rows"]["jump_value"]):
+                for j, i in zip(at, index):
+                    assert carried[j] != i
+                    carried[j] = i
+                value, row = 0.0, []
+                for i in carried:
+                    value = value if i == -1 else member["cdf_rows"]["values"][i]
+                    row.append(value)
+                rows.append(row)
+            assert np.array_equal(_bits(m.cdf), _bits(np.array(rows)[member["node_row"]])), (kind, seed)
 
 
 @pytest.mark.parametrize("path", sorted(GOLDEN.rglob("*_model.json")), ids=lambda p: str(p.relative_to(GOLDEN)))
 def test_golden_model_files_load_their_rows_and_round_trip(path):
     """Every golden model file, of every format, loads with the dense
-    ``cdf`` the file describes; a 3.0 file writes its own bytes."""
+    ``cdf`` the file describes; a 4.0 file writes its own bytes."""
     text = path.read_text()
     doc = json.loads(text)
     model = model_from_json(text)
-    for m, member in zip(_members(model), doc["members"] if "members" in doc else [doc], strict=True):
-        assert np.array_equal(m.cdf, _file_cdf(member))
+    for m, member in zip(_members(model), member_docs(doc), strict=True):
+        assert np.array_equal(m.cdf, _file_cdf(member, doc["version"]))
         assert not m.cdf.flags.writeable
     blob = _assert_round_trip(model)
-    if doc["version"] == "3.0":
+    if doc["version"] == FORMAT_VERSION:
         assert blob + "\n" == text
 
 
@@ -227,6 +254,9 @@ def test_signed_zero_responses_round_trip_bit_for_bit():
 
 
 def test_distinct_rows_are_stored_once_in_lexicographic_order():
+    """The first row lists all its jumps; each later row lists the
+    thresholds where its jump value (none counting as -1) differs from
+    the row before's, and only those."""
     model, _ = small_model(4)
     doc = json.loads(model_to_json(model))
     want, inverse = np.unique(model.cdf, axis=0, return_inverse=True)
@@ -234,20 +264,26 @@ def test_distinct_rows_are_stored_once_in_lexicographic_order():
     assert doc["node_row"] == inverse.reshape(-1).tolist()
     table = doc["cdf_rows"]
     assert len(table["jump_index"]) == len(table["jump_value"]) == len(want)
-    for row, at, values in zip(want, table["jump_index"], table["jump_value"]):
-        assert at == np.flatnonzero(np.diff(row, prepend=0.0)).tolist()
-        assert [table["values"][i] for i in values] == row[at].tolist()
+    before = np.full(want.shape[1], -1)
+    for row, at, index in zip(want, table["jump_index"], table["jump_value"]):
+        jumps = np.diff(row, prepend=0.0) > 0
+        carried = np.where(jumps, np.searchsorted(table["values"], row), -1)
+        assert row[jumps].tolist() == [table["values"][i] for i in carried[jumps]]
+        assert at == np.flatnonzero(carried != before).tolist()
+        assert index == carried[at].tolist()
+        before = carried
+    assert sum(map(len, table["jump_index"])) < np.count_nonzero(np.diff(want, axis=1, prepend=0.0))
 
 
 def test_each_jump_value_and_the_threshold_grid_are_stored_once():
     model, _ = small_model(4)
     doc = json.loads(model_to_json(model))
     table = doc["cdf_rows"]
-    used = sorted({i for row in table["jump_value"] for i in row})
+    used = sorted({i for row in table["jump_value"] for i in row} - {-1})
     assert used == list(range(len(table["values"])))
     jumps = np.diff(model.cdf, axis=1, prepend=0.0) > 0
     assert table["values"] == np.unique(model.cdf[jumps]).tolist()
-    assert sum(map(len, table["jump_value"])) > len(table["values"])
+    assert sum(i != -1 for row in table["jump_value"] for i in row) > len(table["values"])
     assert doc["climatology"] == {"cum": model.climatology.cum.tolist()}
 
 
@@ -267,7 +303,7 @@ def test_save_and_load_files(tmp_path):
     assert np.array_equal(clone.cdf, model.cdf)
     text = path.read_text()
     assert text.endswith("\n")
-    assert json.loads(text)["version"] == "3.0"
+    assert json.loads(text)["version"] == "4.0" == FORMAT_VERSION
 
 
 def v1_document(model) -> dict:
@@ -284,7 +320,7 @@ def v1_document(model) -> dict:
 def v2_document(model) -> dict:
     """``model`` as a format 2.0 document, which stores the jump values
     themselves and the climatology's jumps."""
-    doc = json.loads(model_to_json(model))
+    doc = v3_document(model)
     rows = doc["cdf_rows"]
     table = rows.pop("values")
     rows["jump_value"] = [[table[i] for i in row] for row in rows["jump_value"]]
@@ -295,14 +331,14 @@ def v2_document(model) -> dict:
 
 def test_rejects_other_major_versions():
     model, _ = small_model()
-    v1, v2, v3 = v1_document(model), v2_document(model), json.loads(model_to_json(model))
-    for doc in (v1, v2, v3):
-        for version in ("0.9", "4.0"):
+    v1, v2, v3, v4 = v1_document(model), v2_document(model), v3_document(model), json.loads(model_to_json(model))
+    for doc in (v1, v2, v3, v4):
+        for version in ("0.9", "5.0"):
             doc["version"] = version
             with pytest.raises(ValueError, match="version"):
                 model_from_json(json.dumps(doc))
     # every minor of a readable major loads, each through its own layout
-    for doc, versions in ((v1, ("1.0", "1.9")), (v2, ("2.0", "2.7")), (v3, ("3.0", "3.1"))):
+    for doc, versions in ((v1, ("1.0", "1.9")), (v2, ("2.0", "2.7")), (v3, ("3.0", "3.1")), (v4, ("4.0", "4.2"))):
         for version in versions:
             doc["version"] = version
             loaded = model_from_json(json.dumps(doc))
@@ -382,12 +418,12 @@ MALFORMED = {
 }
 
 
-def _assert_rejected(doc):
+def _assert_rejected(doc, match=None):
     """``doc`` fails to load, plain and as the member of a subagged file."""
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=match):
         model_from_json(json.dumps(doc))
     sub = {"type": "subagged", "members": [doc], "subsample_size": 40, "seed": 1, "version": doc["version"]}
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=match):
         model_from_json(json.dumps(sub))
 
 
@@ -401,10 +437,12 @@ def test_rejects_malformed_thresholds_and_cdf_matrix(name):
 
 
 def _longest_row(doc) -> int:
-    """Index of a stored row with the most jumps (at least two)."""
+    """Index of a stored row with the most jumps (at least two); in a
+    4.x document the first row, the one it lists in full."""
     lengths = [len(r) for r in doc["cdf_rows"]["jump_index"]]
-    assert max(lengths) >= 2
-    return lengths.index(max(lengths))
+    row = 0 if doc["version"].startswith("4.") else lengths.index(max(lengths))
+    assert lengths[row] >= 2
+    return row
 
 
 def _edit_jumps(field, edit):
@@ -412,13 +450,6 @@ def _edit_jumps(field, edit):
         row = doc["cdf_rows"][field][_longest_row(doc)]
         edit(row, len(doc["thresholds"]))
     return apply
-
-
-def _reverse_rows(doc):
-    count = len(doc["cdf_rows"]["jump_index"])
-    for field in ("jump_index", "jump_value"):
-        doc["cdf_rows"][field].reverse()
-    doc["node_row"] = [count - 1 - r for r in doc["node_row"]]
 
 
 def _repeat_first_row(doc):
@@ -431,14 +462,15 @@ def _repeat_first_row(doc):
 #: rows that every writer has listed distinct, in lexicographic order
 #: and each the row of some node, listed otherwise
 ROWS_NOT_CANONICAL = {
-    "rows_reversed": _reverse_rows,
-    "row_repeated": _repeat_first_row,
+    "rows_reversed": in_full(reverse_rows),
+    "row_repeated": in_full(_repeat_first_row),
     "row_unused": lambda doc: doc.update(node_row=[min(r, len(doc["cdf_rows"]["jump_index"]) - 2)
                                                    for r in doc["node_row"]]),
 }
 
 
-MALFORMED_V2 = {
+#: faults of the rows that read alike in the 2.x, 3.x and 4.x layouts
+MALFORMED_ROWS = {
     **ROWS_NOT_CANONICAL,
     "node_row_short": lambda doc: doc["node_row"].pop(),
     "node_row_long": lambda doc: doc["node_row"].append(0),
@@ -450,20 +482,11 @@ MALFORMED_V2 = {
     "node_row_past_the_int64_range": lambda doc: doc["node_row"].__setitem__(0, 10**400),
     "jump_index_boolean": _edit_jumps("jump_index", lambda row, m: row.__setitem__(-1, True)),
     "jump_value_a_string": _edit_jumps("jump_value", lambda row, m: row.__setitem__(-1, "1")),
-    "climatology_jumps_off_the_thresholds": lambda doc: doc["climatology"].update(
-        jumps=[t + 0.5 for t in doc["thresholds"]]),
     "jump_index_unsorted": _edit_jumps("jump_index", lambda row, m: row.reverse()),
     "jump_index_repeated": _edit_jumps("jump_index", lambda row, m: row.__setitem__(1, row[0])),
     "jump_index_at_m": _edit_jumps("jump_index", lambda row, m: row.__setitem__(-1, m)),
     "jump_index_negative": _edit_jumps("jump_index", lambda row, m: row.__setitem__(0, -1)),
     "jump_index_not_integer": _edit_jumps("jump_index", lambda row, m: row.__setitem__(0, float(row[0]))),
-    "jump_value_not_increasing": _edit_jumps("jump_value", lambda row, m: row.__setitem__(0, row[1])),
-    "jump_value_decreasing": _edit_jumps("jump_value", lambda row, m: row.reverse()),
-    "jump_value_zero": _edit_jumps("jump_value", lambda row, m: row.__setitem__(0, 0.0)),
-    "jump_value_above_one": _edit_jumps("jump_value", lambda row, m: row.__setitem__(-1, 1.5)),
-    "jump_value_last_below_one": _edit_jumps("jump_value", lambda row, m: row.__setitem__(-1, 0.999)),
-    "jump_value_nan": _edit_jumps("jump_value", lambda row, m: row.__setitem__(0, float("nan"))),
-    "jump_value_infinite": _edit_jumps("jump_value", lambda row, m: row.__setitem__(0, float("inf"))),
     "jump_value_one_short": _edit_jumps("jump_value", lambda row, m: row.pop(0)),
     "row_without_jumps": lambda doc: [doc["cdf_rows"][f].__setitem__(0, []) for f in ("jump_index", "jump_value")],
     "no_rows": lambda doc: doc.update(cdf_rows={"jump_index": [], "jump_value": []}),
@@ -471,13 +494,37 @@ MALFORMED_V2 = {
 }
 
 
+MALFORMED_V2 = {
+    **MALFORMED_ROWS,
+    "climatology_jumps_off_the_thresholds": lambda doc: doc["climatology"].update(
+        jumps=[t + 0.5 for t in doc["thresholds"]]),
+    "jump_value_not_increasing": _edit_jumps("jump_value", lambda row, m: row.__setitem__(0, row[1])),
+    "jump_value_decreasing": _edit_jumps("jump_value", lambda row, m: row.reverse()),
+    "jump_value_zero": _edit_jumps("jump_value", lambda row, m: row.__setitem__(0, 0.0)),
+    "jump_value_above_one": _edit_jumps("jump_value", lambda row, m: row.__setitem__(-1, 1.5)),
+    "jump_value_last_below_one": _edit_jumps("jump_value", lambda row, m: row.__setitem__(-1, 0.999)),
+    "jump_value_nan": _edit_jumps("jump_value", lambda row, m: row.__setitem__(0, float("nan"))),
+    "jump_value_infinite": _edit_jumps("jump_value", lambda row, m: row.__setitem__(0, float("inf"))),
+}
+
+
+def _document(model, version) -> dict:
+    """``model`` as a document of format ``version``, 2.0, 3.0 or 4.0."""
+    if version == "4.0":
+        return json.loads(model_to_json(model))
+    return v3_document(model) if version == "3.0" else v2_document(model)
+
+
 @pytest.mark.parametrize("name", sorted(MALFORMED_V2))
 def test_rejects_malformed_cdf_rows(name):
+    """Each fault on a 2.0 document; a fault of the rows that reads
+    alike in every layout also on a 3.0 and a 4.0 document."""
     model, _ = small_model()
-    doc = v2_document(model)
-    model_from_json(json.dumps(doc))
-    MALFORMED_V2[name](doc)
-    _assert_rejected(doc)
+    for version in ("2.0", "3.0", "4.0") if name in MALFORMED_ROWS else ("2.0",):
+        doc = _document(model, version)
+        model_from_json(json.dumps(doc))
+        MALFORMED_V2[name](doc)
+        _assert_rejected(doc)
 
 
 def _edit_values(edit):
@@ -524,7 +571,89 @@ MALFORMED_V3 = {
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_V3))
 def test_rejects_malformed_value_table(name):
+    """Each fault on a 3.0 document and on a 4.0 one, whose first row is
+    listed as in 3.0."""
+    model, _ = small_model()
+    for version in ("3.0", "4.0"):
+        doc = _document(model, version)
+        model_from_json(json.dumps(doc))
+        MALFORMED_V3[name](doc)
+        _assert_rejected(doc)
+
+
+def _edit_changes(field, edit):
+    """``edit`` one list of the first later row that lists two changes."""
+    def apply(doc):
+        row = next(r for r, at in enumerate(doc["cdf_rows"]["jump_index"]) if r and len(at) >= 2)
+        edit(doc["cdf_rows"][field][row], len(doc["thresholds"]), len(doc["cdf_rows"]["values"]))
+    return apply
+
+
+def _insert(doc, row, at, index):
+    """Row ``row`` also lists ``index`` at threshold ``at``."""
+    table = doc["cdf_rows"]
+    k = bisect.bisect(table["jump_index"][row], at)
+    table["jump_index"][row].insert(k, at)
+    table["jump_value"][row].insert(k, index)
+
+
+def _insert_where(where, index):
+    """Insert the entry ``index(before, at)`` at the first threshold ``at``
+    of a later row that it does not list, such that ``where(before, row,
+    at, last)`` holds, ``before`` and ``row`` being the jumps that the row
+    before and the row carry and ``last`` the index of the table's 1.
+    The next row that lists ``at``, if any, must list another entry, so
+    that it still changes what it carries."""
+    def apply(doc):
+        table, last = doc["cdf_rows"], len(doc["cdf_rows"]["values"]) - 1
+        rows = row_jumps(table, doc["version"])
+        for r in range(1, len(rows)):
+            for at in sorted(set(range(len(doc["thresholds"]))) - set(table["jump_index"][r])):
+                if not where(rows[r - 1], rows[r], at, last):
+                    continue
+                new = index(rows[r - 1], at)
+                later = [dict(zip(a, v))[at] for a, v in zip(table["jump_index"][r + 1:], table["jump_value"][r + 1:])
+                         if at in a]
+                if later[:1] != [new]:
+                    return _insert(doc, r, at, new)
+        raise AssertionError("no such threshold")
+    return apply
+
+
+_CHANGES = "change the jump value"
+_RISE = "strictly increasing values and end at 1"
+
+#: 4.0 faults, each with the message that rejects it
+MALFORMED_V4 = {
+    "change_index_unsorted": (_edit_changes("jump_index", lambda row, m, t: row.reverse()), "jump_index"),
+    "change_index_repeated": (_edit_changes("jump_index", lambda row, m, t: row.__setitem__(1, row[0])),
+                              "jump_index"),
+    "change_index_at_m": (_edit_changes("jump_index", lambda row, m, t: row.__setitem__(-1, m)), "jump_index"),
+    "change_index_negative": (_edit_changes("jump_index", lambda row, m, t: row.__setitem__(0, -1)), "jump_index"),
+    "change_value_past_the_table": (_edit_changes("jump_value", lambda row, m, t: row.__setitem__(0, t)),
+                                    "jump_value must hold indices"),
+    "change_value_below_minus_one": (_edit_changes("jump_value", lambda row, m, t: row.__setitem__(0, -2)),
+                                     "jump_value must hold indices"),
+    "minus_one_in_the_first_row": (lambda doc: _insert(doc, 0, min(
+        set(range(len(doc["thresholds"]))) - set(doc["cdf_rows"]["jump_index"][0])), -1), _CHANGES),
+    "minus_one_where_the_row_before_had_no_jump": (
+        _insert_where(lambda before, row, at, last: at not in before, lambda before, at: -1), _CHANGES),
+    "entry_repeats_the_carried_one": (
+        _insert_where(lambda before, row, at, last: at in before, lambda before, at: before[at]), _CHANGES),
+    "carried_row_falls": (
+        _insert_where(lambda before, row, at, last: at not in before and at > max(row), lambda before, at: 0), _RISE),
+    "carried_row_ends_below_one": (
+        _insert_where(lambda before, row, at, last: before.get(at) == last, lambda before, at: -1), _RISE),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_V4))
+def test_rejects_malformed_changes(name):
+    """A 4.0 row lists sorted thresholds, each with a table index or -1,
+    and each entry changes the jump its row carries from the row before;
+    the rows so carried rise strictly at each jump and end at 1."""
     model, _ = small_model()
     doc = json.loads(model_to_json(model))
-    MALFORMED_V3[name](doc)
-    _assert_rejected(doc)
+    edit, message = MALFORMED_V4[name]
+    edit(doc)
+    _assert_rejected(doc, message)

@@ -319,12 +319,10 @@ class OrderDag:
 
 
 def _all_leq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """out[i, j] iff a[i] <= b[j] in every column, in chunks of rows of
-    ``a`` that bound the broadcast buffer."""
-    out = np.empty((a.shape[0], b.shape[0]), dtype=bool)
-    step = max(1, int(2**22 // max(1, b.size)))
-    for lo in range(0, a.shape[0], step):
-        out[lo:lo + step] = np.all(a[lo:lo + step, None, :] <= b[None, :, :], axis=2)
+    """out[i, j] iff a[i] <= b[j] in every column, one column at a time."""
+    out = np.ones((a.shape[0], b.shape[0]), dtype=bool)
+    for c in range(a.shape[1]):
+        out &= a[:, c, None] <= b[None, :, c]
     return out
 
 

@@ -150,16 +150,17 @@ def _reduce_rows(ufunc, model: IdrModel, pairs, n: int) -> np.ndarray:
     in the (cases, nodes) ``pairs``; NaN where a case has no node."""
     cases, nodes = pairs
     rows = model.node_row[nodes]
-    if np.all(cases[1:] > cases[:-1]):
-        # at most one node per case, as on a chain: copy its row, with no temporary rows
-        row = np.full(n, -1)
-        row[cases] = rows
-        out = np.take(model.rows, row, axis=0, mode="clip")
-        out[row < 0] = np.nan
-    else:
-        out = np.full((n, model.thresholds.size), np.nan)
-        has, starts = np.unique(cases, return_index=True)
-        out[has] = ufunc.reduceat(model.rows[rows], starts, axis=0)
+    # copy the row of each case's first node, then fold in its r-th node, if it has one
+    starts = np.flatnonzero(np.diff(cases, prepend=-1))
+    counts = np.diff(starts, append=cases.size)
+    row = np.full(n, -1)
+    row[cases[starts]] = rows[starts]
+    out = np.take(model.rows, row, axis=0, mode="clip")
+    out[row < 0] = np.nan
+    for r in range(1, counts.max(initial=0)):
+        more = starts[counts > r]
+        at = cases[more]
+        out[at] = ufunc(out[at], model.rows[rows[more + r]])
     return out
 
 

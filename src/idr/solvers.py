@@ -6,10 +6,10 @@ pool-adjacent-violators over all columns at once.  On a general partial
 order it splits a block recursively: the block is cut into the lower
 set with the largest positive residual mass and the rest, until no
 lower set gains.  That lower set is a maximum-weight closure, found by
-a Dinic max-flow on a network built as plain lists, whose infinite arcs
-are the block's cover edges only: a final block is a level set, so it is
-order-convex and its covers close it like the full order.  The final
-blocks are the level sets of the fit.
+shortest augmenting paths (Edmonds & Karp) on a network built as plain
+lists, whose infinite arcs are the block's cover edges only: a final
+block is a level set, so it is order-convex and its covers close it like
+the full order.  The final blocks are the level sets of the fit.
 
 Neighbouring threshold columns differ in few nodes (one observation's
 indicator), so each poset column starts from the blocks of the one
@@ -122,82 +122,44 @@ def pav_antitonic(values, weights=None) -> np.ndarray:
     return _pav_chain(v[:, None], w, np.arange(v.size))[:, 0]
 
 
-def _distances(s, t, adj, head, cap, eps) -> list[int]:
-    """BFS distances to ``t`` (-1: unreached) against the residual arcs,
-    up to the first that reaches ``s``: nodes no nearer than ``s`` lie on
-    no shortest path from it."""
-    dist, queue = [-1] * len(adj), [t]
-    dist[t] = 0
-    for u in queue:
-        d = dist[u] + 1
-        for e in adj[u]:
-            v = head[e]
-            if dist[v] < 0 and cap[e ^ 1] > eps:
-                dist[v] = d
-                if v == s:
-                    return dist
-                queue.append(v)
-    return dist
-
-
-def _reached(s, adj, head, cap, eps) -> list[bool]:
-    """The nodes that ``s`` reaches along residual arcs."""
-    seen, queue = [False] * len(adj), [s]
-    seen[s] = True
-    for u in queue:
-        for e in adj[u]:
-            v = head[e]
-            if not seen[v] and cap[e] > eps:
-                seen[v] = True
-                queue.append(v)
-    return seen
-
-
-def _max_flow(s, t, adj, head, cap, eps) -> float:
-    """Dinic max-flow: ``adj[u]`` lists the arcs leaving node u, arc e
-    runs to ``head[e]``, its reverse is ``e ^ 1``; ``cap`` holds residual
-    capacities, updated in place.  A phase labels nodes by distance to
-    ``t``, so the path search from ``s`` (on a list: a path can be as
-    long as the poset is tall) meets dead ends only past saturated arcs."""
+def _min_cut(s, t, adj, head, cap, eps) -> tuple[float, list[bool]]:
+    """Max-flow along shortest augmenting paths: arc e runs to ``head[e]``
+    with residual capacity ``cap[e]`` (updated in place), its reverse is
+    ``e ^ 1``, and ``adj[u]`` lists the arcs leaving node u.  Each pass
+    searches from ``s`` breadth-first, level by level, over arcs with more
+    than ``eps`` left, up to the first level with arcs into ``t``, then
+    pushes along the path to each in turn.  Returns the flow and the nodes
+    that the last pass, which found no path, reached."""
     flow = 0.0
     while True:
-        dist = _distances(s, t, adj, head, cap, eps)
-        if dist[s] < 0:
-            return flow
-        it, path, u = [0] * len(adj), [], s
-        while True:
-            if u == t:
-                f = min([cap[e] for e in path])
+        via = [-1] * len(adj)  # the arc that first reached each node
+        via[s] = len(head)
+        level, ends = [s], []
+        while level and not ends:
+            nxt = []
+            for u in level:
+                for e in adj[u]:
+                    v = head[e]
+                    if via[v] < 0 and cap[e] > eps:
+                        if v == t:
+                            ends.append(e)
+                        else:
+                            via[v] = e
+                            nxt.append(v)
+            level = nxt
+        if not ends:
+            return flow, [e >= 0 for e in via]
+        for e in ends:
+            path = [e]
+            while head[e ^ 1] != s:
+                e = via[head[e ^ 1]]
+                path.append(e)
+            f = min([cap[e] for e in path])
+            if f > eps:
                 for e in path:
                     cap[e] -= f
                     cap[e ^ 1] += f
                 flow += f
-                # resume at the tail of the first arc the push saturated
-                j = 0
-                while cap[path[j]] > eps:
-                    j += 1
-                u = head[path[j] ^ 1]
-                del path[j:]
-                continue
-            arcs, k, down = adj[u], it[u], dist[u] - 1
-            end = len(arcs)
-            while k < end:
-                e = arcs[k]
-                if dist[head[e]] == down and cap[e] > eps:
-                    break
-                k += 1
-            it[u] = k
-            if k < end:
-                path.append(e)
-                u = head[e]
-            elif path:  # dead end: retreat along the path
-                u = head[path.pop() ^ 1]
-                it[u] += 1
-            else:
-                break
-        # with every source or every sink arc saturated, no path is left
-        if all(cap[e] <= eps for e in adj[s]) or all(cap[e ^ 1] <= eps for e in adj[t]):
-            return flow
 
 
 def _best_lower_set(edges, b: np.ndarray):
@@ -213,7 +175,9 @@ def _best_lower_set(edges, b: np.ndarray):
     to the lower end of edge j and arc 2j + 1 back, then come the
     terminal arcs by node; each node lists its terminal arc first and
     then its edge arcs in edge order.  That order fixes the augmenting
-    paths, and with them the bits of the flow.
+    paths, and with them the bits of the flow.  The paths are shortest
+    ones (Edmonds & Karp); the breadth-first search that finds none
+    reaches the source side of the minimal min-cut, which is D.
     """
     pos = float(b[b > 0].sum())
     if pos == 0.0:
@@ -223,7 +187,7 @@ def _best_lower_set(edges, b: np.ndarray):
     s, t = n, n + 1
     head = [v for edge in edges for v in edge]
     cap = [inf, 0.0] * len(edges)
-    adj, out_s, in_t = [], [], []
+    adj, out_s = [], []
     for u, x in enumerate(b.tolist()):
         if x > 0:
             adj.append([m + 1])
@@ -232,23 +196,19 @@ def _best_lower_set(edges, b: np.ndarray):
             cap += (x, 0.0)
         elif x < 0:
             adj.append([m])
-            in_t.append(m + 1)
             head += (t, u)
             cap += (-x, 0.0)
         else:
             adj.append([])
             continue
         m += 2
-    adj += (out_s, in_t)
+    adj += (out_s, [])  # the search stops at t
     for e, (lo, hi) in zip(range(0, m, 2), edges):
         adj[hi].append(e)
         adj[lo].append(e + 1)
-    eps = 1e-14 * inf
-    if not pos - _max_flow(s, t, adj, head, cap, eps) > 1e-12 * inf:
-        return None
-    # the source side of the minimal min-cut
-    side = _reached(s, adj, head, cap, eps)[:n]
-    return side if any(side) and not all(side) else None
+    flow, reached = _min_cut(s, t, adj, head, cap, 1e-14 * inf)
+    side = reached[:n]
+    return side if pos - flow > 1e-12 * inf and any(side) and not all(side) else None
 
 
 def _split(idx, edges, w, col, level, block, members):

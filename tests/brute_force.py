@@ -11,7 +11,9 @@ earlier min-cut solver, with a recursive Dinic max-flow and an infinite
 edge on every strict pair; the cover-edge solver must match it bit for
 bit.  The DAG reference is the earlier eager build, which made the
 reach and cover matrices of every order up front and found chains by
-testing every pair.
+testing every pair.  The optimality certificate checks a fit of any
+size against the Karush-Kuhn-Tucker conditions of the projection, with
+the same max-flow, so it needs no second solver.
 """
 
 from __future__ import annotations
@@ -213,6 +215,84 @@ def eager_dag_structure(dag):
     is_chain = bool(np.all(strict | strict.T | np.eye(n, dtype=bool)))
     positions = strict.sum(axis=0).astype(np.intp) if is_chain else None
     return is_chain, positions, reach, covers
+
+
+def kkt_violation(dag, values, fit, weights=None) -> float:
+    """The largest violation of the optimality (Karush-Kuhn-Tucker)
+    conditions that make ``fit`` the weighted L2 antitonic projection of
+    ``values`` on ``dag``, over every column.  Residual masses are divided
+    by the total weight, so each violation is on the scale of the values.
+
+    On the cover edges of :func:`eager_dag_structure`, as (lower, upper)
+    pairs, ``fit`` is the projection iff:
+
+    - it is antitonic: the fit never rises from a lower to an upper end;
+    - on each connected component of the tight edges, those whose two
+      ends are fitted equal, the residuals ``w * (values - fit)`` sum to
+      zero;
+    - on each such component, a flow along the tight edges, from upper
+      to lower end, carries the positive residuals to the negative ones:
+      the flow on an edge is its dual, and it may be nonzero only where
+      the edge is tight.
+
+    The flows come from this file's own max-flow.  A component whose
+    nodes and residuals an earlier column had is not solved again.
+    """
+    n = dag.n_nodes
+    v = np.asarray(values, dtype=float).reshape(n, -1)
+    eta = np.asarray(fit, dtype=float).reshape(n, -1)
+    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
+    total = float(w.sum())
+    lower, upper = np.nonzero(eager_dag_structure(dag)[3])
+    worst = float(np.max(eta[upper] - eta[lower], initial=0.0))
+    m = eta.shape[1]
+    r = (w[:, None] * (v - eta)).ravel()
+    # cell i * m + k is node i in column k; a tight edge joins two cells
+    edge, k = np.nonzero(eta[lower] == eta[upper])
+    lo, hi = lower[edge] * m + k, upper[edge] * m + k
+    # label the cells of each component alike: propagate the least label
+    # across the tight edges, jumping to the label's own label
+    label = np.arange(n * m)
+    while True:
+        new = label.copy()
+        least = np.minimum(label[lo], label[hi])
+        np.minimum.at(new, lo, least)
+        np.minimum.at(new, hi, least)
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    sums = np.bincount(label, weights=r, minlength=n * m)
+    worst = max(worst, float(np.abs(sums).max(initial=0.0)) / total)
+    # the components with a tight edge and a nonzero residual, each
+    # with its cells and its tight edges
+    cells = np.argsort(label, kind="stable")
+    starts = np.flatnonzero(np.diff(label[cells], prepend=-1))
+    stops = np.append(starts[1:], n * m)
+    roots = label[cells[starts]]
+    edges = np.argsort(label[lo], kind="stable")
+    first, last = (np.searchsorted(label[lo][edges], roots, side=side) for side in ("left", "right"))
+    loaded = np.add.reduceat(np.abs(r[cells]), starts) > 0
+    done = {}
+    for j in np.flatnonzero((stops - starts > 1) & loaded).tolist():
+        at = cells[starts[j]:stops[j]]
+        res = r[at]
+        key = (tuple((at // m).tolist()), res.tobytes())
+        if key not in done:
+            local = dict(zip(at.tolist(), range(at.size)))
+            pos, neg = float(res[res > 0].sum()), float(-res[res < 0].sum())
+            s, t = at.size, at.size + 1
+            net = _Dinic(at.size + 2)
+            for i, x in enumerate(res.tolist()):
+                if x > 0:
+                    net.add_edge(s, i, x)
+                elif x < 0:
+                    net.add_edge(i, t, -x)
+            for e in edges[first[j]:last[j]].tolist():
+                net.add_edge(local[int(hi[e])], local[int(lo[e])], pos + neg)
+            done[key] = max(pos, neg) - net.max_flow(s, t, 1e-18 * total)
+        worst = max(worst, done[key] / total)
+    return worst
 
 
 def _check_size(n: int):

@@ -19,7 +19,16 @@ from idr import (
 
 from idr.solvers import _PAV_BLOCK
 
-from brute_force import brute_force_antitonic, cover_matrix, pav_antitonic_columns, strict_pair_antitonic
+from idr.oracles import simulate_gamma
+
+from brute_force import (
+    _closed_masks,
+    brute_force_antitonic,
+    cover_matrix,
+    kkt_violation,
+    pav_antitonic_columns,
+    strict_pair_antitonic,
+)
 
 
 def test_pav_pools_violating_pair():
@@ -328,6 +337,83 @@ def test_poset_taller_than_the_recursion_limit():
     want = pav_antitonic_columns(values[chain, None], np.ones(n))[:, 0]
     assert np.allclose(fit[chain], want, rtol=0, atol=1e-12)
     assert np.array_equal(fit, strict_pair_antitonic(dag, values))
+
+
+def test_best_lower_set_is_the_least_maximiser():
+    """On random posets of at most 10 nodes, with residuals drawn from a
+    few halves so that gains tie and several lower sets maximise, the
+    min-cut returns the least lower set of largest gain, checked against
+    every lower set; None when no lower set gains more than the
+    tolerance or the least maximiser is everything.  The sums are exact,
+    so the tolerance cuts at zero gain."""
+    rng = np.random.default_rng(21)
+    specs = [CW2, OrderSpec((OrderGroup((0, 1, 2), EMPIRICAL_ICX),))]
+    seen = {"none": 0, "set": 0, "tied": 0}
+    for trial in range(400):
+        spec = specs[trial % 2]
+        points = rng.integers(0, 4, size=(rng.integers(2, 11), len(spec.groups[0].columns))).astype(float)
+        dag = build_order_dag(spec, points)
+        n = dag.n_nodes
+        b = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=n)
+        if trial % 3 == 0:
+            b[0] -= b.sum()  # residuals about a block mean sum to zero
+        masks = np.array(_closed_masks(cover_matrix(dag)))
+        gains = ((masks[:, None] >> np.arange(n)) & 1) @ b
+        winners = masks[gains == gains.max()]
+        least = int(np.bitwise_and.reduce(winners))
+        assert least in winners
+        side = solvers._best_lower_set(dag.edges(), b)
+        if gains.max() <= 1e-12 * (np.abs(b).sum() + 1.0) or least == (1 << n) - 1:
+            assert side is None, trial
+            seen["none"] += 1
+        else:
+            assert side == [bool(least >> i & 1) for i in range(n)], trial
+            seen["set"] += 1
+            seen["tied"] += winners.size > 1
+    assert min(seen.values()) >= 40, seen
+
+
+def certified_training_set(kind):
+    """A seeded training set of 300 rows: a 2-d componentwise poset, a
+    noisy point forecast (total) plus a 10-member ensemble (icx), or
+    the gamma benchmark's chain."""
+    rng = np.random.default_rng(["cw2", "icx", "chain"].index(kind))
+    if kind == "chain":
+        x, y = simulate_gamma(300, 1)
+        return make_training_set(OrderSpec((OrderGroup((0,), TOTAL),)), x[:, None], y)
+    if kind == "cw2":
+        x = rng.uniform(0, 10, size=(300, 2))
+        return make_training_set(CW2, x, x.mean(axis=1) + rng.gamma(2.0, size=300))
+    s = rng.uniform(0, 10, size=300)
+    x = np.column_stack([s + rng.normal(size=300)] + [rng.gamma(np.sqrt(s) + 0.1, 2.0) for _ in range(10)])
+    spec = OrderSpec((OrderGroup((0,), TOTAL), OrderGroup(tuple(range(1, 11)), EMPIRICAL_ICX)))
+    return make_training_set(spec, x, rng.gamma(np.sqrt(s) + 0.1, 2.0))
+
+
+@pytest.mark.parametrize("kind", ["cw2", "icx", "chain"])
+def test_fit_meets_the_optimality_conditions(kind):
+    """Every threshold column of a ``fit_idr`` model at n = 300, where
+    the strict-pair reference is slow, meets the Karush-Kuhn-Tucker
+    conditions of the weighted L2 projection to 1e-12: antitonic on the
+    cover edges, and on each level set a zero residual sum that a flow
+    along its tight edges carries, found by the brute-force file's own
+    max-flow.  Moving one cell of the fit by 1e-6 breaks them.  So do
+    the values themselves, which leave no residual but rise along some
+    edge, and a column's mean, which is antitonic and leaves a zero
+    residual sum, but no flow carries its residuals."""
+    training = certified_training_set(kind)
+    dag, y = training.dag, training.responses
+    values, node_w = indicator_means(dag, y, training.weights, np.unique(y))
+    fit = fit_idr(training).cdf
+    assert kkt_violation(dag, values, fit, node_w) <= 1e-12
+    rng = np.random.default_rng(2)
+    moved = fit.copy()
+    moved[rng.integers(fit.shape[0]), rng.integers(fit.shape[1])] += 1e-6
+    assert kkt_violation(dag, values, moved, node_w) > 1e-12
+    assert kkt_violation(dag, values, values, node_w) > 1e-6
+    middle = values[:, values.shape[1] // 2]
+    mean = np.full_like(middle, node_w @ middle / node_w.sum())
+    assert kkt_violation(dag, middle, mean, node_w) > 1e-6
 
 
 def test_fit_respects_all_order_constraints():

@@ -109,16 +109,45 @@ class IdrModel:
     responses.  ``rows`` holds each distinct fitted CDF row once, in
     lexicographic order, and ``node_row`` the row of each node, as
     :func:`distinct_rows` gives them.  The climatology is a step CDF
-    that jumps at the thresholds.  Immutable."""
+    that jumps at the thresholds.  Immutable.
+
+    The constructor raises a ValueError naming the rule a model breaks:
+
+    - ``thresholds`` is 1-d, nonempty, finite and strictly increasing;
+    - the climatology jumps at the thresholds;
+    - ``rows`` is 2-d with one column per threshold;
+    - its values are finite and nonnegative, each row is nondecreasing,
+      and the last column is exactly 1;
+    - ``node_row`` has an integer dtype and one entry per DAG node, each
+      the index of a row;
+    - the rows are distinct, in lexicographic order, and each is the
+      row of some node.
+    """
 
     __slots__ = ("thresholds", "rows", "node_row", "dag", "climatology")
 
     def __init__(self, thresholds, rows, node_row, dag, climatology):
-        self.thresholds = np.asarray(thresholds, dtype=float)
-        if not np.array_equal(climatology.jumps, self.thresholds):
+        t = self.thresholds = np.asarray(thresholds, dtype=float)
+        if not (t.ndim == 1 and t.size and np.isfinite(t).all() and np.all(t[1:] > t[:-1])):
+            raise ValueError("thresholds must be a nonempty, finite, strictly increasing 1-d array")
+        if not np.array_equal(climatology.jumps, t):
             raise ValueError("the climatology must jump at the model's thresholds")
-        self.rows = np.asarray(rows, dtype=float)
-        self.node_row = np.asarray(node_row, dtype=np.intp)
+        rows = self.rows = np.asarray(rows, dtype=float)
+        if rows.ndim != 2 or rows.shape[1] != t.size:
+            raise ValueError("rows must be a 2-d array with one column per threshold")
+        # a NaN fails every comparison, so rows that rise from 0 or more to 1 are finite
+        if not (np.all(rows[:, 0] >= 0) and np.all(rows[:, 1:] >= rows[:, :-1]) and np.all(rows[:, -1] == 1)):
+            raise ValueError("rows must be finite, nonnegative and nondecreasing, and end at exactly 1")
+        node_row = np.asarray(node_row)
+        if not (node_row.dtype.kind in "iu" and node_row.shape == (dag.n_nodes,) and np.all(node_row < len(rows))
+                and np.all(node_row >= 0)):
+            raise ValueError(f"node_row must hold one integer row index in [0, {len(rows)}) for each node")
+        self.node_row = node_row.astype(np.intp, copy=False)
+        differ = rows[1:] != rows[:-1]
+        first, k = differ.argmax(axis=1), np.arange(len(rows) - 1)
+        if not (differ.any(axis=1).all() and np.all(rows[k + 1, first] > rows[k, first])
+                and np.bincount(self.node_row, minlength=len(rows)).all()):
+            raise ValueError("rows must be distinct, in lexicographic order and each the row of some node")
         self.dag = dag
         self.climatology = climatology
         for a in (self.thresholds, self.rows, self.node_row):

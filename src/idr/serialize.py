@@ -31,9 +31,18 @@ Files are written as 4.0.  Format 3.0 listed every row's jumps in full;
 stored the dense nodes x thresholds ``cdf_matrix``.  All four majors
 load.  A 2.x, 3.x or 4.x row is read by carrying the jumps of the row
 before (4.x) or of no row (2.x, 3.x) and setting those it lists; each
-listed entry must change what is carried, so a model has one encoding.
-The rows must be in the order every writer used: distinct, in
-lexicographic order and each the row of some node.
+listed entry must change what is carried, and each jump must rise, so a
+model has one encoding.
+
+The reader checks only the rules of its encoding: the types and ranges
+of the stored numbers, the jumps of each row and the node keys.  The
+model types check the model: :class:`~idr.fitting.IdrModel` that its
+rows are valid CDFs, distinct, in lexicographic order and each the row
+of some node, and that ``node_row`` indexes them;
+:class:`~idr.stepfun.StepCdf` the climatology;
+:class:`~idr.subagging.SubaggedModel` its members.  So every path that
+makes a model meets one definition of a valid model, and every model
+the constructors accept saves as a file that loads.
 """
 
 from __future__ import annotations
@@ -138,11 +147,11 @@ def _table_values(table: dict, index: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], values))[index + 1]
 
 
-def _rows_from_table(payload: dict, n_nodes: int, m: int, major: str) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows and the row of each node of a 2.x, 3.x or 4.x
-    member.  A row carries the jump values of the row before (4.x) or of
+def _rows_from_table(payload: dict, m: int, major: str) -> tuple[np.ndarray, np.ndarray]:
+    """The rows and the row of each node of a 2.x, 3.x or 4.x member, as
+    stored.  A row carries the jump values of the row before (4.x) or of
     no row (2.x, 3.x) and sets those its entries list; each entry must
-    change what it carries."""
+    change what it carries, and each jump must rise."""
     table = payload["cdf_rows"]
     if not isinstance(table, dict):
         raise ValueError("cdf_rows must be an object")
@@ -160,9 +169,6 @@ def _rows_from_table(payload: dict, n_nodes: int, m: int, major: str) -> tuple[n
             raise ValueError("cdf_rows jump_value entries must be finite and in (0, 1]")
     else:
         values = _table_values(table, values)
-    node_row, _ = _numbers(payload["node_row"], "node_row", integers=True)
-    if not (node_row.size == n_nodes and node_row.min() >= 0 and node_row.max() < len(counts)):
-        raise ValueError(f"node_row must hold one row index in [0, {len(counts)}) for each of the {n_nodes} nodes")
     # entry[r, j] is 1 + the entry that set row r's jump value at threshold j, 0 for none
     row_of_entry = np.repeat(np.arange(len(counts)), counts)
     entry = np.zeros((len(counts), m), dtype=np.min_scalar_type(at.size))
@@ -178,28 +184,18 @@ def _rows_from_table(payload: dict, n_nodes: int, m: int, major: str) -> tuple[n
     count = np.count_nonzero(rows)
     # rows are nondecreasing, so carrying each jump value forward rebuilds them exactly
     np.maximum.accumulate(rows, axis=1, out=rows)
-    if not (np.all(rows[:, -1] == 1.0)
-            and np.count_nonzero(rows[:, 0]) + np.count_nonzero(rows[:, 1:] > rows[:, :-1]) == count):
-        raise ValueError("cdf_rows rows must jump to strictly increasing values and end at 1")
-    differ = rows[1:] != rows[:-1]
-    first, k = differ.argmax(axis=1), np.arange(len(rows) - 1)
-    if not (differ.any(axis=1).all() and np.all(rows[k + 1, first] > rows[k, first])
-            and np.bincount(node_row, minlength=len(rows)).all()):
-        raise ValueError("cdf_rows must be distinct rows in lexicographic order, each the row of some node")
-    return rows, node_row
+    if np.count_nonzero(rows[:, 0]) + np.count_nonzero(rows[:, 1:] > rows[:, :-1]) != count:
+        raise ValueError("cdf_rows rows must jump to strictly increasing values")
+    return rows, _numbers(payload["node_row"], "node_row", integers=True)[0]
 
 
 def _rows_from_matrix(payload: dict, n_nodes: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows and the row of each node of a 1.x member's
-    dense CDF, checked."""
+    dense CDF."""
     cdf, widths = _numbers(payload["cdf_matrix"], "cdf_matrix", 2)
     if len(widths) != n_nodes or set(widths) != {m}:
         raise ValueError(f"cdf_matrix must be nodes x thresholds, {n_nodes} rows of {m} values")
-    cdf = cdf.reshape(n_nodes, m)
-    if not (np.isfinite(cdf).all() and cdf.min() >= 0.0 and cdf.max() <= 1.0
-            and np.all(cdf[:, 1:] >= cdf[:, :-1]) and np.all(cdf[:, -1] == 1.0)):
-        raise ValueError("every cdf_matrix row must be finite, within [0, 1], nondecreasing and end at 1")
-    return distinct_rows(cdf)
+    return distinct_rows(cdf.reshape(n_nodes, m))
 
 
 def _model_from_payload(payload: dict, major: str) -> IdrModel:
@@ -214,17 +210,13 @@ def _model_from_payload(payload: dict, major: str) -> IdrModel:
     if not np.array_equal(dag.keys, keys):
         raise ValueError("node_keys are not in canonical order")
     thresholds, _ = _numbers(payload["thresholds"], "thresholds")
-    if not np.isfinite(thresholds).all() or np.any(np.diff(thresholds) <= 0):
-        raise ValueError("thresholds must be finite and strictly increasing")
     if major == "1":
         rows, node_row = _rows_from_matrix(payload, dag.n_nodes, thresholds.size)
     else:
-        rows, node_row = _rows_from_table(payload, dag.n_nodes, thresholds.size, major)
+        rows, node_row = _rows_from_table(payload, thresholds.size, major)
     clim = payload["climatology"]
     jumps = thresholds if major in ("3", "4") else _numbers(clim["jumps"], "climatology jumps")[0]
     cum, _ = _numbers(clim["cum"], "climatology cum")
-    if cum.size != jumps.size:
-        raise ValueError(f"climatology cum must hold one value for each of its {jumps.size} jumps")
     return IdrModel(thresholds, rows, node_row, dag, StepCdf(jumps, cum))
 
 

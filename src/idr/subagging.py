@@ -49,8 +49,9 @@ class SubaggedModel:
         if self.split not in _SPLITS:
             raise ValueError(f"split must be one of {', '.join(_SPLITS)}, not {self.split!r}")
         first = self.members[0].spec
-        if any(m.spec != first for m in self.members[1:]):
-            raise ValueError("members must share the order spec")
+        # OrderSpec equality ignores column_names, but the CLI finds every member's columns by member 0's
+        if any(m.spec != first or m.spec.column_names != first.column_names for m in self.members[1:]):
+            raise ValueError("members must share the order spec and its column names")
         grid = distinct_sorted(np.concatenate([m.thresholds for m in self.members]))
         grid.setflags(write=False)
         object.__setattr__(self, "thresholds", grid)

@@ -12,8 +12,9 @@ edge on every strict pair; the cover-edge solver must match it bit for
 bit.  The DAG reference is the earlier eager build, which made the
 reach and cover matrices of every order up front and found chains by
 testing every pair.  The optimality certificate checks a fit of any
-size against the Karush-Kuhn-Tucker conditions of the projection, with
-the same max-flow, so it needs no second solver.
+size against the Karush-Kuhn-Tucker conditions of the projection, so it
+needs no second solver: on a chain the edge duals are prefix sums, and
+on any other order they are flows of the same max-flow.
 """
 
 from __future__ import annotations
@@ -236,13 +237,16 @@ def kkt_violation(dag, values, fit, weights=None) -> float:
       the edge is tight.
 
     The flows come from this file's own max-flow.  A component whose
-    nodes and residuals an earlier column had is not solved again.
+    nodes and residuals an earlier column had is not solved again.  A
+    chain needs no flow: see :func:`_chain_kkt_violation`.
     """
     n = dag.n_nodes
     v = np.asarray(values, dtype=float).reshape(n, -1)
     eta = np.asarray(fit, dtype=float).reshape(n, -1)
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
     total = float(w.sum())
+    if dag.chain_positions is not None:
+        return _chain_kkt_violation(dag.chain_positions, v, eta, w, total)
     lower, upper = np.nonzero(eager_dag_structure(dag)[3])
     worst = float(np.max(eta[upper] - eta[lower], initial=0.0))
     m = eta.shape[1]
@@ -293,6 +297,25 @@ def kkt_violation(dag, values, fit, weights=None) -> float:
             done[key] = max(pos, neg) - net.max_flow(s, t, 1e-18 * total)
         worst = max(worst, done[key] / total)
     return worst
+
+
+def _chain_kkt_violation(positions, v, eta, w, total) -> float:
+    """:func:`kkt_violation` on a chain.  Its cover edges join each node
+    to the next one up, and the duals are forced: the dual of the edge
+    above a node is the prefix sum of ``w * (fit - values)`` from the
+    least node up to it.  ``fit`` is the projection iff it is antitonic,
+    these duals are nonnegative and zero wherever the fit drops
+    strictly, and their sum over all nodes, the dual above the top one,
+    is zero."""
+    order = np.argsort(positions)
+    dual = eta[order] - v[order]
+    dual *= w[order, None]
+    np.cumsum(dual, axis=0, out=dual)
+    drop = eta[order[:-1]] - eta[order[1:]]
+    return max(float(np.max(-drop, initial=0.0)),
+               float(np.max(-dual[:-1], initial=0.0)) / total,
+               float(np.max(np.abs(dual[:-1][drop > 0]), initial=0.0)) / total,
+               float(np.max(np.abs(dual[-1]))) / total)
 
 
 def _check_size(n: int):

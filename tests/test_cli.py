@@ -583,7 +583,7 @@ def _quote(entries, i):
     ("chain", "climatology cum", lambda doc: doc["climatology"]["cum"].__setitem__(1, HUGE)),
     ("chain", "column_names", lambda doc: doc["order_spec"].update(column_names=[5])),
     ("chain", "column_names", lambda doc: doc["order_spec"].update(column_names="x")),
-    ("chain", "cdf_rows", in_full(reverse_rows)),
+    ("chain", "rows", in_full(reverse_rows)),
     ("icx", "subsample_size", lambda doc: doc.update(subsample_size="5")),
     ("icx", "seed", lambda doc: doc.update(seed=2.7)),
     ("icx", "split", lambda doc: doc.update(split="banana")),
@@ -604,6 +604,23 @@ def test_model_file_entries_of_the_wrong_kind_are_a_validation_error(tmp_path, n
         assert res.exit_code == EXIT_VALIDATION, (folder, all_output(res))
         assert isinstance(res.exception, SystemExit)
         assert f"error: {field} must be" in all_output(res)
+        assert not (tmp_path / "p.csv").exists()
+
+
+def test_subagged_members_that_name_their_columns_apart_are_a_validation_error(tmp_path):
+    """``idr predict`` reads the columns that member 0 names for every
+    member, so a file whose members name them apart is exit 3; in a
+    model file of the current format and of 3.0."""
+    golden = Path(__file__).resolve().parent / "golden"
+    for folder in (golden, golden / "v3"):
+        doc = json.loads((folder / "icx_model.json").read_text())
+        doc["members"][1]["order_spec"]["column_names"] = ["hres", "p2", "p1", "p3", "p4"]
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        res = invoke("predict", "--model", model, "--data", golden / "icx_test.csv",
+                     "--quantiles", "0.5", "--out", tmp_path / "p.csv")
+        assert res.exit_code == EXIT_VALIDATION, (folder, all_output(res))
+        assert "error: members must share the order spec and its column names" in all_output(res)
         assert not (tmp_path / "p.csv").exists()
 
 

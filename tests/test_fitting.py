@@ -10,10 +10,12 @@ from idr import (
     COMPONENTWISE,
     EMPIRICAL_ICX,
     TOTAL,
+    IdrModel,
     OrderGroup,
     OrderSpec,
     TrainingSet,
     crps,
+    distinct_rows,
     empirical_crps_loss,
     fit_idr,
     make_training_set,
@@ -51,6 +53,61 @@ def test_perfectly_ordered_data_gives_point_masses():
         f = model.node_cdf(i)
         assert f.evaluate(float(i + 1)) == 1.0
         assert f.left_limit(float(i + 1)) == 0.0
+
+
+def _edit_chain3(edit):
+    """The arguments of the 3-node chain fitted to x = y = (1, 2, 3),
+    whose rows are [0, 0, 1], [0, 1, 1] and [1, 1, 1] and whose
+    ``node_row`` is [2, 1, 0], as ``edit(thresholds, rows, node_row)``
+    returns them."""
+    model = fit_chain([1.0, 2.0, 3.0])
+    thresholds, rows, node_row = edit(model.thresholds.copy(), model.rows.copy(), model.node_row.copy())
+    return thresholds, rows, node_row, model.dag, model.climatology
+
+
+#: edits of the 3-node chain's arguments that each break one rule of a
+#: valid model, with the message that names the rule
+INVALID_MODELS = {
+    "thresholds_falling": (lambda t, r, i: (t[::-1], r, i), "thresholds must be"),
+    "thresholds_2d": (lambda t, r, i: (t[None, :], r, i), "thresholds must be"),
+    "rows_one_column_short": (lambda t, r, i: (t, r[:, 1:], i), "one column per threshold"),
+    "rows_halved": (lambda t, r, i: (t, r * 0.5, i), "end at exactly 1"),
+    "row_falls": (lambda t, r, i: (t, np.array([[0.0, 0.5, 1.0], [0.0, 1.0, 1.0], [1.0, 0.5, 1.0]]), i),
+                  "nondecreasing"),
+    "row_negative": (lambda t, r, i: (t, np.array([[-0.5, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 1.0]]), i),
+                     "nonnegative"),
+    "row_nan": (lambda t, r, i: (t, np.array([[0.0, np.nan, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 1.0]]), i),
+                "finite"),
+    "node_row_past_the_rows": (lambda t, r, i: (t, r, np.array([0, 1, 7])), "node_row must hold"),
+    "node_row_negative": (lambda t, r, i: (t, r, np.array([2, 1, -1])), "node_row must hold"),
+    "node_row_fractional": (lambda t, r, i: (t, r, np.array([0.5, 1.0, 0.0])), "node_row must hold one integer"),
+    "node_row_boolean": (lambda t, r, i: (t, r[1:], np.array([True, True, False])), "node_row must hold one integer"),
+    "node_row_short": (lambda t, r, i: (t, r, i[:2]), "node_row must hold"),
+    "rows_reversed": (lambda t, r, i: (t, r[::-1], 2 - i), "lexicographic order"),
+    "row_repeated": (lambda t, r, i: (t, r[[0, 1, 1, 2]], np.array([3, 2, 0])), "distinct"),
+    "row_unused": (lambda t, r, i: (t, np.insert(r, 1, [0.0, 0.5, 1.0], axis=0), np.array([3, 2, 0])),
+                   "row of some node"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVALID_MODELS))
+def test_model_constructor_names_the_rule_a_model_breaks(name):
+    edit, message = INVALID_MODELS[name]
+    with pytest.raises(ValueError, match=message):
+        IdrModel(*_edit_chain3(edit))
+
+
+def test_model_constructor_takes_what_distinct_rows_gives():
+    """The rows and ``node_row`` of any valid nodes x thresholds CDF
+    matrix, through ``distinct_rows``; repeated, all-ones and the fitted
+    rows alike, and a ``node_row`` of any integer dtype."""
+    model = fit_chain([1.0, 2.0, 3.0])
+    for cdf in (model.cdf, np.ones((3, 3)), model.cdf[[1, 1, 1]], model.cdf[[2, 0, 2]]):
+        rows, node_row = distinct_rows(cdf)
+        for dtype in (np.int32, np.uint8, np.int64):
+            clone = IdrModel(model.thresholds, rows, node_row.astype(dtype), model.dag, model.climatology)
+            assert np.array_equal(clone.cdf, cdf)
+            assert clone.node_row.dtype == np.intp
 
 
 def test_incomparable_covariates_give_point_masses():

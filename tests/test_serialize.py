@@ -209,7 +209,8 @@ def test_round_trip_rebuilds_the_cdf_bit_for_bit(kind):
 @pytest.mark.parametrize("path", sorted(GOLDEN.rglob("*_model.json")), ids=lambda p: str(p.relative_to(GOLDEN)))
 def test_golden_model_files_load_their_rows_and_round_trip(path):
     """Every golden model file, of every format, loads with the dense
-    ``cdf`` the file describes; a 4.0 file writes its own bytes."""
+    ``cdf`` the file describes, and writes the bytes of the golden file
+    of the current format of the same name: its own, for a 4.0 file."""
     text = path.read_text()
     doc = json.loads(text)
     model = model_from_json(text)
@@ -217,8 +218,8 @@ def test_golden_model_files_load_their_rows_and_round_trip(path):
         assert np.array_equal(m.cdf, _file_cdf(member, doc["version"]))
         assert not m.cdf.flags.writeable
     blob = _assert_round_trip(model)
-    if doc["version"] == FORMAT_VERSION:
-        assert blob + "\n" == text
+    assert blob + "\n" == (GOLDEN / path.name).read_text()
+    assert (doc["version"] == FORMAT_VERSION) == (path.parent == GOLDEN)
 
 
 def test_a_loaded_model_holds_its_distinct_rows_not_the_dense_matrix(tmp_path):
@@ -621,7 +622,7 @@ def _insert_where(where, index):
 
 
 _CHANGES = "change the jump value"
-_RISE = "strictly increasing values and end at 1"
+_RISE = "jump to strictly increasing values"
 
 #: 4.0 faults, each with the message that rejects it
 MALFORMED_V4 = {
@@ -642,8 +643,10 @@ MALFORMED_V4 = {
         _insert_where(lambda before, row, at, last: at in before, lambda before, at: before[at]), _CHANGES),
     "carried_row_falls": (
         _insert_where(lambda before, row, at, last: at not in before and at > max(row), lambda before, at: 0), _RISE),
+    # a valid model's rule, which the model constructor checks
     "carried_row_ends_below_one": (
-        _insert_where(lambda before, row, at, last: before.get(at) == last, lambda before, at: -1), _RISE),
+        _insert_where(lambda before, row, at, last: before.get(at) == last, lambda before, at: -1),
+        "end at exactly 1"),
 }
 
 
@@ -651,7 +654,8 @@ MALFORMED_V4 = {
 def test_rejects_malformed_changes(name):
     """A 4.0 row lists sorted thresholds, each with a table index or -1,
     and each entry changes the jump its row carries from the row before;
-    the rows so carried rise strictly at each jump and end at 1."""
+    the rows so carried rise strictly at each jump, and the model they
+    make ends each row at 1."""
     model, _ = small_model()
     doc = json.loads(model_to_json(model))
     edit, message = MALFORMED_V4[name]

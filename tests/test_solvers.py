@@ -397,10 +397,14 @@ def test_fit_meets_the_optimality_conditions(kind):
     conditions of the weighted L2 projection to 1e-12: antitonic on the
     cover edges, and on each level set a zero residual sum that a flow
     along its tight edges carries, found by the brute-force file's own
-    max-flow.  Moving one cell of the fit by 1e-6 breaks them.  So do
-    the values themselves, which leave no residual but rise along some
-    edge, and a column's mean, which is antitonic and leaves a zero
-    residual sum, but no flow carries its residuals."""
+    max-flow (on the chain, the prefix sums of the residuals).  Moving
+    one cell of the fit by 1e-6 breaks them.  So do the values
+    themselves, which leave no residual but rise along some edge; a
+    column's mean, which is antitonic and leaves a zero residual sum,
+    but no flow carries its residuals; its maximum, whose residuals do
+    not sum to zero; and a fitted column spread away
+    from its mean, whose residuals only a flow across the edges where
+    it drops would carry."""
     training = certified_training_set(kind)
     dag, y = training.dag, training.responses
     values, node_w = indicator_means(dag, y, training.weights, np.unique(y))
@@ -414,6 +418,33 @@ def test_fit_meets_the_optimality_conditions(kind):
     middle = values[:, values.shape[1] // 2]
     mean = np.full_like(middle, node_w @ middle / node_w.sum())
     assert kkt_violation(dag, middle, mean, node_w) > 1e-6
+    assert kkt_violation(dag, middle, np.full_like(middle, middle.max()), node_w) > 1e-6
+    assert kkt_violation(dag, *_spread(fit, node_w)) > 1e-6
+
+
+def _spread(fit, weights):
+    """The middle column of ``fit`` as the values, and that column moved
+    half as far again from its weighted mean as the fit: antitonic, with
+    a zero residual sum and, on a chain, nonnegative duals, but with
+    nonzero duals where the fit drops."""
+    column = fit[:, fit.shape[1] // 2]
+    return column, column + 0.5 * (column - weights @ column / weights.sum()), weights
+
+
+def test_a_2000_point_chain_fit_meets_the_optimality_conditions():
+    """On a chain the certificate needs no flow, so it reaches fits that
+    the flow check cannot: the ``simulate_gamma(2000, 1)`` fit meets the
+    conditions to 1e-12, and moving one cell by 1e-6 or spreading a
+    column away from its mean breaks them."""
+    x, y = simulate_gamma(2000, 1)
+    training = make_training_set(OrderSpec((OrderGroup((0,), TOTAL),)), x, y)
+    values, node_w = indicator_means(training.dag, y, training.weights, np.unique(y))
+    fit = fit_idr(training).cdf
+    assert kkt_violation(training.dag, values, fit, node_w) <= 1e-12
+    moved = fit.copy()
+    moved[1000, 1000] += 1e-6
+    assert kkt_violation(training.dag, values, moved, node_w) > 1e-12
+    assert kkt_violation(training.dag, *_spread(fit, node_w)) > 1e-6
 
 
 def test_fit_respects_all_order_constraints():

@@ -153,3 +153,14 @@ def test_members_must_share_the_spec():
         SubaggedModel((a, b), subsample_size=2, seed=0)
     with pytest.raises(ValueError):
         SubaggedModel((), subsample_size=2, seed=0)
+
+
+def test_members_must_name_the_columns_alike():
+    """``OrderSpec`` equality ignores ``column_names``, but a file-based
+    caller reads the columns member 0 names for every member."""
+    x, y = [1.0, 2.0], [0.0, 1.0]
+    a, b = (fit_idr(make_training_set(OrderSpec(TOTAL1.groups, column_names=(name,)), x, y)) for name in "xz")
+    assert a.spec == b.spec
+    with pytest.raises(ValueError, match="column names"):
+        SubaggedModel((a, b), subsample_size=2, seed=0)
+    assert SubaggedModel((a, a), subsample_size=2, seed=0).spec.column_names == ("x",)

@@ -18,7 +18,7 @@ import numpy as np
 from .orders import OrderDag, OrderSpec, build_order_dag
 from .scoring import check_span, crps_rows, finite_mean
 from .solvers import antitonic_l2_fit
-from .stepfun import CASE_BLOCK, StepCdf, distinct_sorted
+from .stepfun import CASE_BLOCK, StepCdf, check_cdf_rows, check_grid, check_weights, distinct_sorted
 
 __all__ = ["TrainingSet", "make_training_set", "IdrModel", "distinct_rows", "fit_idr", "empirical_crps_loss"]
 
@@ -61,7 +61,7 @@ def make_training_set(spec: OrderSpec, covariates, responses, weights=None) -> T
         Rows may also be 1-d for a single covariate column.
     responses : array_like, shape (n,)
     weights : array_like, optional
-        Strictly positive; unit weights when omitted.
+        As :func:`idr.stepfun.check_weights` takes them; unit weights when omitted.
     """
     x = np.asarray(covariates, dtype=float)
     if x.ndim == 1:
@@ -74,18 +74,7 @@ def make_training_set(spec: OrderSpec, covariates, responses, weights=None) -> T
     if not np.isfinite(y).all():
         raise ValueError("responses must be finite")
     check_span(y, "responses")
-    if weights is None:
-        w = np.ones_like(y)
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != y.shape:
-            raise ValueError("weights must match responses in length")
-        if not np.isfinite(w).all() or np.any(w <= 0):
-            raise ValueError("weights must be finite and strictly positive")
-        with np.errstate(over="ignore"):
-            total = w.sum()
-        if not np.isfinite(total):
-            raise ValueError("the sum of the weights overflows the float range")
+    w = check_weights(weights, y.size)
     return TrainingSet(build_order_dag(spec, x), y, w, x)
 
 
@@ -111,13 +100,12 @@ class IdrModel:
     :func:`distinct_rows` gives them.  The climatology is a step CDF
     that jumps at the thresholds.  Immutable.
 
-    The constructor raises a ValueError naming the rule a model breaks:
+    The constructor freezes copies of its three arrays and raises a
+    ValueError naming the rule a model breaks:
 
-    - ``thresholds`` is 1-d, nonempty, finite and strictly increasing;
-    - the climatology jumps at the thresholds;
-    - ``rows`` is 2-d with one column per threshold;
-    - its values are finite and nonnegative, each row is nondecreasing,
-      and the last column is exactly 1;
+    - ``thresholds`` is a grid, at which the climatology jumps, and
+      ``rows`` are CDF rows on it (:func:`idr.stepfun.check_grid`,
+      :func:`idr.stepfun.check_cdf_rows`);
     - ``node_row`` has an integer dtype and one entry per DAG node, each
       the index of a row;
     - the rows are distinct, in lexicographic order, and each is the
@@ -127,18 +115,11 @@ class IdrModel:
     __slots__ = ("thresholds", "rows", "node_row", "dag", "climatology")
 
     def __init__(self, thresholds, rows, node_row, dag, climatology):
-        t = self.thresholds = np.asarray(thresholds, dtype=float)
-        if not (t.ndim == 1 and t.size and np.isfinite(t).all() and np.all(t[1:] > t[:-1])):
-            raise ValueError("thresholds must be a nonempty, finite, strictly increasing 1-d array")
+        t = self.thresholds = check_grid(np.array(thresholds, dtype=float), "thresholds")
         if not np.array_equal(climatology.jumps, t):
             raise ValueError("the climatology must jump at the model's thresholds")
-        rows = self.rows = np.asarray(rows, dtype=float)
-        if rows.ndim != 2 or rows.shape[1] != t.size:
-            raise ValueError("rows must be a 2-d array with one column per threshold")
-        # a NaN fails every comparison, so rows that rise from 0 or more to 1 are finite
-        if not (np.all(rows[:, 0] >= 0) and np.all(rows[:, 1:] >= rows[:, :-1]) and np.all(rows[:, -1] == 1)):
-            raise ValueError("rows must be finite, nonnegative and nondecreasing, and end at exactly 1")
-        node_row = np.asarray(node_row)
+        rows = self.rows = check_cdf_rows(t, rows) + 0.0  # a copy; -0.0 + 0.0 is 0.0, as a model file stores it
+        node_row = np.array(node_row)
         if not (node_row.dtype.kind in "iu" and node_row.shape == (dag.n_nodes,) and np.all(node_row < len(rows))
                 and np.all(node_row >= 0)):
             raise ValueError(f"node_row must hold one integer row index in [0, {len(rows)}) for each node")

@@ -36,6 +36,8 @@ from itertools import accumulate
 
 import numpy as np
 
+from .stepfun import check_weights
+
 __all__ = ["pav_antitonic", "antitonic_l2_fit"]
 
 
@@ -43,11 +45,12 @@ __all__ = ["pav_antitonic", "antitonic_l2_fit"]
 _PAV_BLOCK = 256
 
 
-def _pav_chain(values: np.ndarray, weights: np.ndarray, order: np.ndarray) -> np.ndarray:
+def _pav_chain(values: np.ndarray, weights: np.ndarray, order: np.ndarray, shift: int) -> np.ndarray:
     """Antitonic PAV of every column of ``values`` along the chain that
-    visits the rows in ``order``.  Each step pushes the next row onto every
-    column's stack, then pools the top two blocks wherever they violate, so
-    each column gets the one-column loop's float operations, in order."""
+    visits the rows in ``order``, times 2**-shift.  Each step pushes the
+    next row onto every column's stack, then pools the top two blocks
+    wherever they violate, so each column gets the one-column loop's
+    float operations, in order."""
     n, m = values.shape
     out = np.empty((n, m))
     for c0 in range(0, m, _PAV_BLOCK):
@@ -82,20 +85,24 @@ def _pav_chain(values: np.ndarray, weights: np.ndarray, order: np.ndarray) -> np
         flat[first, np.arange(b)] = np.arange(n * b).reshape(n, b)
         np.maximum.accumulate(flat, axis=0, out=flat)
         out[order, c0:c0 + b] = sums[flat[:n]]
-    return out
+    return np.ldexp(out, -shift, out=out) if shift else out
 
 
-def _checked(values, weights, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Validated values (one entry or row per node) and node weights."""
+def _checked(values, weights, n: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Validated values (one entry or row per node) and node weights,
+    each scaled exactly by a power of two to a largest magnitude in
+    [1, 2), so that no sum overflows and the poset tolerances are free
+    of the scale; and ``shift``: the fit is 2**-shift times that of the
+    scaled values, and 0 for a fit's values, which end at 1 (no copy)."""
     v = np.asarray(values, dtype=float)
-    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
-    if v.ndim not in (1, 2) or v.shape[0] != n or w.shape != (n,):
-        raise ValueError("values and weights must have one entry per node")
-    if np.any(~np.isfinite(w)) or np.any(w <= 0):
-        raise ValueError("weights must be finite and strictly positive")
+    if v.ndim not in (1, 2) or v.shape[0] != n:
+        raise ValueError("values must have one entry or row per node")
+    w = check_weights(weights, n)
     if not np.isfinite(v).all():
         raise ValueError("values must be finite")
-    return v, w
+    top = int(np.frexp(w.max())[1]) if n else 1
+    shift = 1 - int(np.frexp(max(v.max(initial=0.0), -v.min(initial=0.0)))[1])
+    return (np.ldexp(v, shift) if shift else v), (np.ldexp(w, 1 - top) if top != 1 else w), shift
 
 
 def pav_antitonic(values, weights=None) -> np.ndarray:
@@ -109,7 +116,7 @@ def pav_antitonic(values, weights=None) -> np.ndarray:
     ----------
     values : array_like
     weights : array_like, optional
-        Strictly positive; unit weights when omitted.
+        As :func:`idr.stepfun.check_weights` takes them; unit weights when omitted.
 
     Returns
     -------
@@ -118,8 +125,8 @@ def pav_antitonic(values, weights=None) -> np.ndarray:
     v = np.asarray(values, dtype=float)
     if v.ndim != 1:
         raise ValueError("values must be 1-d")
-    v, w = _checked(v, weights, v.size)
-    return _pav_chain(v[:, None], w, np.arange(v.size))[:, 0]
+    v, w, shift = _checked(v, weights, v.size)
+    return _pav_chain(v[:, None], w, np.arange(v.size), shift)[:, 0]
 
 
 def _min_cut(s, t, adj, head, cap, eps) -> tuple[float, list[bool]]:
@@ -352,23 +359,15 @@ def antitonic_l2_fit(dag, values, weights=None) -> np.ndarray:
     dag : OrderDag
     values : array_like, shape (n_nodes,) or (n_nodes, n_columns)
     weights : array_like, shape (n_nodes,), optional
-        Strictly positive; unit weights when omitted.  Only their ratios
-        matter: on a poset they are scaled by the power of two that puts
-        the largest in [1, 2), which is exact and frees the tolerances of
-        their scale.
+        As :func:`idr.stepfun.check_weights` takes them; unit weights
+        when omitted.  Only their ratios matter (see :func:`_checked`).
     """
     n = dag.n_nodes
-    v, w = _checked(values, weights, n)
+    v, w, shift = _checked(values, weights, n)
     cols = v.reshape(n, -1)
     if dag.is_chain:
-        return _pav_chain(cols, w, np.argsort(dag.chain_positions)).reshape(v.shape)
+        return _pav_chain(cols, w, np.argsort(dag.chain_positions), shift).reshape(v.shape)
 
-    # the tolerances have an absolute floor: put the largest weight and the
-    # largest |value| in [1, 2), by powers of two, which is exact
-    w = np.ldexp(w, 1 - np.frexp(w.max())[1])
-    shift = 1 - int(np.frexp(max(cols.max(initial=0.0), -cols.min(initial=0.0)))[1])
-    if shift:
-        cols = np.ldexp(cols, shift)
     ups, downs = [[] for _ in range(n)], [[] for _ in range(n)]
     for a, c in dag.edges():
         ups[a].append(c)

@@ -7,7 +7,8 @@ once: :func:`evaluate_grid` reads every row at shared points,
 :func:`quantile_rows` takes each row's quantile.  :class:`StepCdf` is
 one CDF; its ``evaluate`` and ``left_limit`` are one-row calls of
 :func:`evaluate_grid`, and its ``quantile`` checks the levels as
-:func:`quantile_rows` does.
+:func:`quantile_rows` does.  :func:`check_grid`, :func:`check_cdf_rows`
+and :func:`check_weights` hold the package's rules of valid inputs.
 """
 
 from __future__ import annotations
@@ -24,47 +25,27 @@ CASE_BLOCK = 256
 class StepCdf:
     """A finite step CDF: jump points with cumulative probabilities.
 
-    ``jumps`` is strictly increasing, ``cum`` is nondecreasing with
-    final value exactly 1.  Evaluation is right-continuous: F(z) is the
-    cumulative probability at the largest jump <= z, and 0 before the
-    first jump.
+    ``jumps`` is a grid and ``cum`` a CDF row on it (:func:`check_grid`,
+    :func:`check_cdf_rows`).  Evaluation is right-continuous: F(z) is
+    the cumulative probability at the largest jump <= z, and 0 before
+    the first jump.
     """
 
     __slots__ = ("jumps", "cum")
 
     def __init__(self, jumps, cum, *, validate: bool = True):
-        jumps = np.array(jumps, dtype=float)
-        cum = np.array(cum, dtype=float)
+        self.jumps, self.cum = np.array(jumps, dtype=float), np.array(cum, dtype=float)
         if validate:
-            if jumps.ndim != 1 or cum.ndim != 1 or jumps.size != cum.size:
-                raise ValueError("jumps and cum must be 1-d arrays of equal length")
-            if jumps.size == 0:
-                raise ValueError("a step CDF needs at least one jump")
-            if not np.isfinite(jumps).all() or not np.isfinite(cum).all():
-                raise ValueError("jumps and cum must be finite")
-            if jumps.size > 1 and not np.all(np.diff(jumps) > 0):
-                raise ValueError("jumps must be strictly increasing")
-            if np.any(np.diff(cum) < 0) or cum[0] < 0:
-                raise ValueError("cum must be nondecreasing and nonnegative")
-            if cum[-1] != 1.0:
-                raise ValueError("cum must end at exactly 1")
-        jumps.setflags(write=False)
-        cum.setflags(write=False)
-        self.jumps = jumps
-        self.cum = cum
+            check_cdf_rows(check_grid(self.jumps, "jumps"), self.cum[None])
+        self.jumps.setflags(write=False)
+        self.cum.setflags(write=False)
 
     @classmethod
     def from_sample(cls, values, weights=None) -> "StepCdf":
         """Weighted empirical CDF of a sample."""
         v = np.asarray(values, dtype=float)
-        if weights is None:
-            w = np.ones_like(v)
-        else:
-            w = np.asarray(weights, dtype=float)
-            if not np.isfinite(w).all() or np.any(w <= 0):
-                raise ValueError("weights must be finite and strictly positive")
         jumps, inverse = np.unique(v, return_inverse=True)
-        mass = np.bincount(inverse, weights=w, minlength=jumps.size)
+        mass = np.bincount(inverse, weights=check_weights(weights, v.size), minlength=jumps.size)
         cum = np.cumsum(mass)
         cum /= cum[-1]
         cum[-1] = 1.0
@@ -123,6 +104,43 @@ def grid_rows(grid, rows) -> tuple[np.ndarray, np.ndarray]:
     return grid, rows
 
 
+def check_grid(grid, what: str) -> np.ndarray:
+    """``grid`` as a float array; a ValueError, naming ``what`` it is,
+    unless it is 1-d, nonempty, finite and strictly increasing."""
+    grid = np.asarray(grid, dtype=float)
+    if not (grid.ndim == 1 and grid.size and np.isfinite(grid).all() and np.all(grid[1:] > grid[:-1])):
+        raise ValueError(f"{what} must be a nonempty, finite, strictly increasing 1-d array")
+    return grid
+
+
+def check_cdf_rows(grid, rows) -> np.ndarray:
+    """``rows`` as a float array; a ValueError unless they are rows on
+    the checked ``grid`` (:func:`grid_rows`), each finite, nonnegative,
+    nondecreasing and ending at exactly 1."""
+    grid, rows = grid_rows(grid, rows)
+    # a NaN fails every comparison, so rows that rise from 0 or more to 1 are finite
+    if not (np.all(rows[:, 0] >= 0) and np.all(rows[:, 1:] >= rows[:, :-1]) and np.all(rows[:, -1] == 1)):
+        raise ValueError("CDF rows must be finite, nonnegative and nondecreasing, and end at exactly 1")
+    return rows
+
+
+def check_weights(weights, n: int) -> np.ndarray:
+    """``weights`` as a float array, ``n`` ones for None; a ValueError
+    unless they are ``n`` finite, positive values with a finite sum, the
+    smallest normal once the solvers scale the largest into [1, 2)."""
+    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
+    if w.shape != (n,):
+        raise ValueError(f"weights of shape {w.shape} do not give one entry to each of {n} values")
+    if not (np.isfinite(w).all() and np.all(w > 0)):
+        raise ValueError("weights must be finite and strictly positive")
+    with np.errstate(over="ignore"):
+        if not np.isfinite(w.sum()):
+            raise ValueError("the sum of the weights overflows the float range")
+    if n and np.ldexp(w.min(), 1 - np.frexp(w.max())[1]) < np.finfo(float).tiny:
+        raise ValueError("the weights span more than the float range")
+    return w
+
+
 def evaluate_rows(grid, rows, z, side: str = "right") -> np.ndarray:
     """F(z) of every row, or with ``side="left"`` the left limit F(z-);
     ``z`` is one threshold or one per row."""
@@ -161,9 +179,11 @@ def _levels(alpha) -> np.ndarray:
 
 
 def quantile_rows(grid, rows, alpha: float) -> np.ndarray:
-    """Smallest grid point at which each row reaches ``alpha``, which
-    must lie strictly between 0 and 1."""
+    """Smallest grid point at which each row reaches ``alpha``, one level
+    strictly between 0 and 1."""
     alpha = _levels(alpha)
+    if alpha.ndim:
+        raise ValueError("quantile_rows takes one level alpha, not an array")
     grid, rows = grid_rows(grid, rows)
     below = (rows < alpha).sum(axis=1)  # rows are nondecreasing
     return grid[np.minimum(below, grid.size - 1)]

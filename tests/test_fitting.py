@@ -70,7 +70,7 @@ def _edit_chain3(edit):
 INVALID_MODELS = {
     "thresholds_falling": (lambda t, r, i: (t[::-1], r, i), "thresholds must be"),
     "thresholds_2d": (lambda t, r, i: (t[None, :], r, i), "thresholds must be"),
-    "rows_one_column_short": (lambda t, r, i: (t, r[:, 1:], i), "one column per threshold"),
+    "rows_one_column_short": (lambda t, r, i: (t, r[:, 1:], i), "do not fit a grid"),
     "rows_halved": (lambda t, r, i: (t, r * 0.5, i), "end at exactly 1"),
     "row_falls": (lambda t, r, i: (t, np.array([[0.0, 0.5, 1.0], [0.0, 1.0, 1.0], [1.0, 0.5, 1.0]]), i),
                   "nondecreasing"),
@@ -108,6 +108,22 @@ def test_model_constructor_takes_what_distinct_rows_gives():
             clone = IdrModel(model.thresholds, rows, node_row.astype(dtype), model.dag, model.climatology)
             assert np.array_equal(clone.cdf, cdf)
             assert clone.node_row.dtype == np.intp
+
+
+def test_model_constructor_copies_the_callers_arrays():
+    """The model freezes its own copies: the caller's arrays stay
+    writeable, and an edit of them does not reach the model."""
+    thresholds, rows, node_row, dag, climatology = _edit_chain3(lambda t, r, i: (t, r, i))
+    model = IdrModel(thresholds, rows, node_row, dag, climatology)
+    for mine in (thresholds, rows, node_row):
+        assert mine.flags.writeable
+    rows[:] = 0.5
+    thresholds[0] = -1.0
+    node_row[:] = 0
+    assert model.rows.tolist() == [[0.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 1.0]]
+    assert model.thresholds.tolist() == [1.0, 2.0, 3.0] and model.node_row.tolist() == [2, 1, 0]
+    for held in (model.thresholds, model.rows, model.node_row):
+        assert not held.flags.writeable
 
 
 def test_incomparable_covariates_give_point_masses():

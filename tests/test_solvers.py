@@ -77,6 +77,44 @@ def chain_dag(n):
     return build_order_dag(OrderSpec((OrderGroup((0,), TOTAL),)), np.arange(n)[:, None])
 
 
+#: the chain solvers: PAV itself, and the L2 fit on a 2-node chain, the
+#: componentwise order of (0, 0) and (1, 1)
+CHAIN_SOLVERS = {
+    "pav": pav_antitonic,
+    "chain_fit": lambda v, w: antitonic_l2_fit(
+        build_order_dag(OrderSpec((OrderGroup((0, 1), COMPONENTWISE),)), [[0.0, 0.0], [1.0, 1.0]]), v, w),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_SOLVERS))
+def test_chain_solvers_take_weights_by_the_one_rule(name):
+    """Weights whose sum overflows, or too few of them, are a ValueError
+    with the message make_training_set gives; an overflowing sum used to
+    fit [0, 0] with only a RuntimeWarning.  So are weights whose smallest
+    cannot be scaled as a normal float beside the largest."""
+    solve = CHAIN_SOLVERS[name]
+    with pytest.raises(ValueError, match="the sum of the weights overflows the float range"):
+        solve([0.0, 1.0], [1e308, 1e308])
+    with pytest.raises(ValueError, match="weights of shape"):
+        solve([0.0, 1.0], [1.0])
+    with pytest.raises(ValueError, match="the weights span more than the float range"):
+        solve([0.3, 0.1], [5e-324, 1.0])
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_SOLVERS))
+def test_chain_solvers_scale_values_whose_sums_overflow(name):
+    """Values and weights are scaled by powers of two before they are
+    summed, on a chain as on a poset: [0, 1e308] with weights 2 pools to
+    its mean instead of inf, and tiny or huge weights fit as unit ones."""
+    solve = CHAIN_SOLVERS[name]
+    assert solve([0.0, 1e308], [2.0, 2.0]).tolist() == [5e307, 5e307]
+    assert solve([-(2.0**1023), -(2.0**1022)], [1.0, 3.0]).tolist() == [-1.25 * 2.0**1022] * 2
+    for w in ([1.0, 1.0], [1e-300, 1e-300], [1e300, 1e300], [2.0**-500, 2.0**500]):
+        fit = solve([0.25, 0.75], w)
+        expect = [0.5, 0.5] if w[0] == w[1] else [0.75, 0.75]
+        assert fit.tolist() == expect, w
+
+
 def test_antichain_values_unchanged():
     spec = OrderSpec((OrderGroup((0, 1), COMPONENTWISE),))
     dag = build_order_dag(spec, [(0, 3), (1, 2), (2, 1), (3, 0)])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from idr import StepCdf
+from idr import StepCdf, quantile_rows
 from idr.stepfun import distinct_sorted
 
 
@@ -96,6 +96,29 @@ def test_from_sample_rejects_weights_that_are_not_finite():
     for bad in (np.inf, np.nan):
         with pytest.raises(ValueError, match="weights must be finite and strictly positive"):
             StepCdf.from_sample([1, 2], weights=[1.0, bad])
+
+
+def test_from_sample_takes_weights_by_the_one_rule():
+    """An overflowing weight sum used to give cum [0, 1], and too few
+    weights failed inside np.bincount; both are the weight rule's errors,
+    as is a weight too small to scale beside the largest."""
+    with pytest.raises(ValueError, match="the sum of the weights overflows the float range"):
+        StepCdf.from_sample([1, 2], weights=[1e308, 1e308])
+    with pytest.raises(ValueError, match="weights of shape"):
+        StepCdf.from_sample([1, 2, 3], weights=[1.0, 2.0])
+    with pytest.raises(ValueError, match="the weights span more than the float range"):
+        StepCdf.from_sample([1, 2], weights=[5e-324, 1.0])
+    assert StepCdf.from_sample([1, 2], weights=[1e307, 1e307]).cum.tolist() == [0.5, 1.0]
+
+
+def test_quantile_rows_takes_one_level():
+    """An array of levels used to be compared column by column with the
+    rows, giving [1, 1] here; ``StepCdf.quantile`` still takes arrays."""
+    grid, rows = [1.0, 2.0, 3.0], [[0.2, 0.6, 1.0], [0.5, 0.7, 1.0]]
+    with pytest.raises(ValueError, match="one level"):
+        quantile_rows(grid, rows, [0.1, 0.5, 0.9])
+    assert quantile_rows(grid, rows, 0.5).tolist() == [2.0, 1.0]
+    assert StepCdf(grid, rows[0]).quantile([0.1, 0.5, 0.9]).tolist() == [1.0, 2.0, 3.0]
 
 
 def test_masses_sum_to_one():

@@ -292,7 +292,9 @@ def _refit(region, col, near, w, ups, downs, level, block, members):
     one solve (or kept from the column before), one level set cut apart,
     is solved as one block: it stays one unless a cut gains.  The run is
     order-convex, as any value between two of its values would be in it,
-    and no value outside it comes near, so this breaks no edge.
+    and no value outside it comes near, so this breaks no edge.  A run
+    whose values are all exactly 1 (or +0) is left as its blocks: each
+    block's mean is already that value bit for bit, and no cut gains.
     """
     n = len(level)
     src = np.full(n, -1)  # the round that last solved each node
@@ -329,6 +331,9 @@ def _refit(region, col, near, w, ups, downs, level, block, members):
         order = order.tolist()
         for r in sorted({bisect(stops, p) for p in np.flatnonzero(joined).tolist()}):
             group = sorted(order[stops[r - 1] if r else 0:stops[r]])
+            run = col[group]
+            if run[0] in (0.0, 1.0) and np.all(run == run[0]) and not np.signbit(run).any():
+                continue  # every block already holds this exact mean, and no residual is left to cut
             _split(group, _within(group, ups), w, col, level, block, members)
         lv = np.array(level)
     return lv

@@ -42,8 +42,10 @@ class StepCdf:
 
     @classmethod
     def from_sample(cls, values, weights=None) -> "StepCdf":
-        """Weighted empirical CDF of a sample."""
+        """Weighted empirical CDF of a sample; a ValueError if it is empty."""
         v = np.asarray(values, dtype=float)
+        if v.size == 0:
+            raise ValueError("an empirical CDF needs a sample of at least one value")
         jumps, inverse = np.unique(v, return_inverse=True)
         mass = np.bincount(inverse, weights=check_weights(weights, v.size), minlength=jumps.size)
         cum = np.cumsum(mass)

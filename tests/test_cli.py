@@ -66,7 +66,7 @@ def test_fit_worked_chain(chain_files):
     assert "edges=2" in res.output
     assert "mean_crps=" in res.output
     doc = json.loads(model.read_text())
-    assert doc["version"] == "4.0"
+    assert doc["version"] == "5.0"
     assert doc["thresholds"] == [1.0, 2.0, 3.0]
     # the two distinct rows, lowest first: the first as its jumps, the
     # second where its jumps differ, at threshold 0; jump values are
@@ -610,17 +610,25 @@ def test_model_file_entries_of_the_wrong_kind_are_a_validation_error(tmp_path, n
 def test_subagged_members_that_name_their_columns_apart_are_a_validation_error(tmp_path):
     """``idr predict`` reads the columns that member 0 names for every
     member, so a file whose members name them apart is exit 3; in a
-    model file of the current format and of 3.0."""
+    model file of 4.0 and of 3.0.  A file of the current format stores
+    one order spec for all members, and a member that carries its own,
+    naming the columns apart, is exit 3 too."""
     golden = Path(__file__).resolve().parent / "golden"
-    for folder in (golden, golden / "v3"):
+    renamed = ["hres", "p2", "p1", "p3", "p4"]
+    for folder in (golden, golden / "v4", golden / "v3"):
         doc = json.loads((folder / "icx_model.json").read_text())
-        doc["members"][1]["order_spec"]["column_names"] = ["hres", "p2", "p1", "p3", "p4"]
+        if folder == golden:
+            doc["members"][1]["order_spec"] = {**doc["order_spec"], "column_names": renamed}
+            message = "error: members must not carry an order_spec"
+        else:
+            doc["members"][1]["order_spec"]["column_names"] = renamed
+            message = "error: members must share the order spec and its column names"
         model = tmp_path / "model.json"
         model.write_text(json.dumps(doc))
         res = invoke("predict", "--model", model, "--data", golden / "icx_test.csv",
                      "--quantiles", "0.5", "--out", tmp_path / "p.csv")
         assert res.exit_code == EXIT_VALIDATION, (folder, all_output(res))
-        assert "error: members must share the order spec and its column names" in all_output(res)
+        assert message in all_output(res)
         assert not (tmp_path / "p.csv").exists()
 
 

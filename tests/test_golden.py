@@ -3,10 +3,12 @@
 The inputs and outputs under ``tests/golden/`` were written by the
 command line as it stood before prediction and scoring moved onto one
 batch path; the three ``*_model.json`` files were rewritten when the
-model format moved to 2.0, at 3.0 and again at 4.0.  Each ``v<major>/``
-directory keeps them as that older format wrote them (``v3/`` as 3.0,
-which lists every row's jumps in full), and predict, score and
-reliability on those copies must give the same outputs.
+model format moved to 2.0, at 3.0, at 4.0 and again at 5.0.  Each
+``v<major>/`` directory keeps them as that older format wrote them
+(``v3/`` as 3.0, which lists every row's jumps in full; ``v4/`` as 4.0,
+whose subagged icx model repeats the order spec, node keys and
+thresholds in every member), and predict, score and reliability on
+those copies must give the same outputs.
 Every command below must reproduce each file it writes, and its
 stdout, exactly.  ``python tests/test_golden.py`` rewrites the
 golden files at the top level and leaves the ``v<major>/`` directories

@@ -1,15 +1,17 @@
 """Fuzz of the model reader on the golden model files.
 
-Hypothesis picks one of the twelve golden model files (plain and
-subagged, formats 1.0, 2.0, 3.0 and 4.0), one field of it, one leaf of that
-field, and replaces the leaf by a value of the wrong kind.  Loading
+Hypothesis picks one of the fifteen golden model files (plain and
+subagged, formats 1.0, 2.0, 3.0, 4.0 and 5.0), one field of it, one leaf
+of that field, and replaces the leaf by a value of the wrong kind.  Loading
 must give a model or raise one of the exceptions the command line turns
 into exit 3, never another.  A string in place of one of the file's
 lists must raise one of them, as no list of a model file reads a string.
 The other way round, every model the constructors accept, built from a
 random CDF matrix through ``distinct_rows``, saves as a file that loads
-as the same model bit for bit.  The searches are derandomized, so every
-run draws the same examples.
+as the same model bit for bit, and so does every subagged model whose
+members are fitted on subsets of one pool of rows, which share node
+keys and thresholds.  The searches are derandomized, so every run draws
+the same examples.
 """
 
 import copy
@@ -33,11 +35,14 @@ from idr import (  # noqa: E402
     SubaggedModel,
     build_order_dag,
     distinct_rows,
+    fit_idr,
     load_model,
+    make_training_set,
     model_from_json,
     model_to_json,
     save_model,
 )
+from model_files import listed_per_member, shared_tables  # noqa: E402
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 FILES = sorted(GOLDEN.glob("*_model.json")) + sorted(GOLDEN.glob("v*/*_model.json"))
@@ -75,10 +80,10 @@ LISTS = [fields(doc, lambda value: isinstance(value, list)) for doc in DOCS]
 
 
 def test_every_golden_model_file_is_fuzzed():
-    """Plain and subagged files of the current format and of 1.0, 2.0 and 3.0."""
-    assert len(FILES) >= 12
+    """Plain and subagged files of the current format and of 1.0, 2.0, 3.0 and 4.0."""
+    assert len(FILES) >= 15
     assert {(doc["type"], doc["version"]) for doc in DOCS} >= {
-        (kind, version) for kind in ("idr", "subagged") for version in ("1.0", "2.0", "3.0", "4.0")}
+        (kind, version) for kind in ("idr", "subagged") for version in ("1.0", "2.0", "3.0", "4.0", "5.0")}
 
 
 def replace_one(data, targets, replacements) -> str:
@@ -173,3 +178,46 @@ def test_every_model_the_constructors_accept_round_trips(tmp_path_factory, model
     assert model_to_json(clone) == model_to_json(model)
     for a, b in zip(getattr(model, "members", [model]), getattr(clone, "members", [clone]), strict=True):
         _assert_same_model(a, b)
+
+
+#: covariate and response values of a pool, few so that they repeat,
+#: with a zero of either sign
+POOL_VALUES = [-1.0, -0.0, 0.0, 0.5, 2.0, 3.5]
+
+
+@st.composite
+def pooled_subagged(draw):
+    """A subagged model of 1 to 4 members, each fitted on a subset of
+    one pool of 2 to 30 weighted rows on a chain or a 2-d componentwise
+    order, so that members share node keys and thresholds."""
+    n = draw(st.integers(2, 30))
+    if draw(st.booleans()):
+        spec, width = OrderSpec((OrderGroup((0,), TOTAL),)), 1
+    else:
+        spec, width = OrderSpec((OrderGroup((0, 1), COMPONENTWISE),)), 2
+    value = st.sampled_from(POOL_VALUES)
+    x = np.array(draw(st.lists(st.lists(value, min_size=width, max_size=width), min_size=n, max_size=n)))
+    y = np.array(draw(st.lists(value, min_size=n, max_size=n)))
+    w = np.array(draw(st.lists(st.sampled_from([1.0, 0.5, 3.0]), min_size=n, max_size=n)))
+    subsets = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True),
+                            min_size=1, max_size=4))
+    members = tuple(fit_idr(make_training_set(spec, x[idx], y[idx], w[idx])) for idx in subsets)
+    return SubaggedModel(members, draw(st.integers(1, n)), draw(st.integers(0, 5)))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(pooled_subagged())
+def test_subagged_members_from_one_pool_round_trip(model):
+    """The file stores the members' shared node keys and thresholds once:
+    the model comes back from it bit for bit and writes the same bytes,
+    which the plain-Python re-encoding of its 4.0 document, with every
+    member's own keys and thresholds, gives too; that document loads as
+    the same model."""
+    blob = model_to_json(model)
+    doc = json.loads(blob)
+    v4 = listed_per_member(doc)
+    assert shared_tables(v4) == doc
+    for clone in (model_from_json(blob), model_from_json(json.dumps(v4))):
+        assert model_to_json(clone) == blob
+        for a, b in zip(model.members, clone.members, strict=True):
+            _assert_same_model(a, b)

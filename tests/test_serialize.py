@@ -31,7 +31,17 @@ from idr import (
 )
 from idr.oracles import simulate_gamma
 from idr.serialize import FORMAT_VERSION
-from model_files import in_full, listed_as_changes, listed_in_full, member_docs, reverse_rows, row_jumps
+from model_files import (
+    in_full,
+    listed_as_changes,
+    listed_in_full,
+    listed_per_member,
+    major,
+    member_docs,
+    reverse_rows,
+    row_jumps,
+    shared_tables,
+)
 
 TOTAL1 = OrderSpec((OrderGroup((0,), TOTAL),))
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -143,15 +153,17 @@ def v3_document(model) -> dict:
 
 
 def _assert_round_trip(model) -> str:
-    """The clone of ``model``, and the model read from its 3.0 document,
-    hold its rows bit for bit; the clone writes the same bytes, which
-    list the rows as the 3.0 document does, as changes.  Returns them."""
+    """The clone of ``model``, and the models read from its 3.0 and 4.0
+    documents, hold its rows bit for bit; the clone writes the same
+    bytes, which list the rows as the 3.0 document does, as changes, and
+    store the tables that the plain-Python re-encoding of a subagged 4.0
+    document shares.  Returns them."""
     blob = model_to_json(model)
     clone = model_from_json(blob)
     assert model_to_json(clone) == blob
-    v3 = v3_document(model)
-    assert listed_as_changes(v3) == json.loads(blob)
-    for other in (clone, model_from_json(json.dumps(v3))):
+    v3, v4 = v3_document(model), listed_per_member(json.loads(blob))
+    assert shared_tables(listed_as_changes(v3)) == shared_tables(v4) == json.loads(blob)
+    for other in (clone, model_from_json(json.dumps(v3)), model_from_json(json.dumps(v4))):
         for a, b in zip(_members(model), _members(other), strict=True):
             assert np.array_equal(_bits(a.rows), _bits(b.rows))
             assert np.array_equal(a.node_row, b.node_row)
@@ -186,12 +198,13 @@ def test_round_trip_rebuilds_the_cdf_bit_for_bit(kind):
     bit, the clone writes the same bytes as the model, and the dense
     ``cdf`` is the one the file describes.  A 4.0 row is decoded here by
     its own loop: each threshold keeps the jump value of the row before
-    until the row lists it again, -1 for no jump."""
+    until the row lists it again, -1 for no jump.  A subagged member's
+    thresholds are indices into the file's shared grid."""
     for seed in range(25):
         model = _random_fit(kind, seed)
         _assert_canonical_rows(model)
         doc = json.loads(_assert_round_trip(model))
-        assert doc["version"] == "4.0"
+        assert doc["version"] == "5.0"
         for m, member in zip(_members(model), member_docs(doc), strict=True):
             rows, carried = [], [-1] * len(member["thresholds"])
             for at, index in zip(member["cdf_rows"]["jump_index"], member["cdf_rows"]["jump_value"]):
@@ -210,7 +223,8 @@ def test_round_trip_rebuilds_the_cdf_bit_for_bit(kind):
 def test_golden_model_files_load_their_rows_and_round_trip(path):
     """Every golden model file, of every format, loads with the dense
     ``cdf`` the file describes, and writes the bytes of the golden file
-    of the current format of the same name: its own, for a 4.0 file."""
+    of the current format of the same name: its own, for a 5.0 file.  A
+    4.0 file re-encoded in plain Python is that 5.0 file."""
     text = path.read_text()
     doc = json.loads(text)
     model = model_from_json(text)
@@ -219,6 +233,8 @@ def test_golden_model_files_load_their_rows_and_round_trip(path):
         assert not m.cdf.flags.writeable
     blob = _assert_round_trip(model)
     assert blob + "\n" == (GOLDEN / path.name).read_text()
+    if doc["version"] == "4.0":
+        assert shared_tables(doc) == json.loads(blob)
     assert (doc["version"] == FORMAT_VERSION) == (path.parent == GOLDEN)
 
 
@@ -252,6 +268,19 @@ def test_signed_zero_responses_round_trip_bit_for_bit():
         clone = model_from_json(model_to_json(model))
         assert np.array_equal(_bits(model.thresholds), _bits(np.unique(y)))
         assert np.array_equal(_bits(clone.thresholds), _bits(model.thresholds))
+
+
+def test_a_subagged_file_keeps_the_sign_of_each_members_zeros():
+    """One member's threshold and node key hold -0.0 where the other's
+    hold 0.0.  The shared tables keep both zeros, -0.0 first, so each
+    member reloads with its own bits."""
+    members = tuple(fit_idr(make_training_set(TOTAL1, [zero, 1.0, 2.0], [zero, 1.0, 2.0])) for zero in (-0.0, 0.0))
+    model = SubaggedModel(members, 3, 0)
+    doc = json.loads(_assert_round_trip(model))
+    assert json.dumps(doc["thresholds"]) == "[-0.0, 0.0, 1.0, 2.0]"
+    assert json.dumps(doc["node_keys"]) == "[[-0.0], [0.0], [1.0], [2.0]]"
+    assert [m["thresholds"] for m in doc["members"]] == [[0, 2, 3], [1, 2, 3]]
+    assert [m["node_keys"] for m in doc["members"]] == [[0, 2, 3], [1, 2, 3]]
 
 
 def test_distinct_rows_are_stored_once_in_lexicographic_order():
@@ -304,7 +333,7 @@ def test_save_and_load_files(tmp_path):
     assert np.array_equal(clone.cdf, model.cdf)
     text = path.read_text()
     assert text.endswith("\n")
-    assert json.loads(text)["version"] == "4.0" == FORMAT_VERSION
+    assert json.loads(text)["version"] == "5.0" == FORMAT_VERSION
 
 
 def v1_document(model) -> dict:
@@ -332,14 +361,16 @@ def v2_document(model) -> dict:
 
 def test_rejects_other_major_versions():
     model, _ = small_model()
-    v1, v2, v3, v4 = v1_document(model), v2_document(model), v3_document(model), json.loads(model_to_json(model))
-    for doc in (v1, v2, v3, v4):
-        for version in ("0.9", "5.0"):
+    v5 = json.loads(model_to_json(model))
+    v1, v2, v3, v4 = v1_document(model), v2_document(model), v3_document(model), listed_per_member(v5)
+    for doc in (v1, v2, v3, v4, v5):
+        for version in ("0.9", "6.0"):
             doc["version"] = version
             with pytest.raises(ValueError, match="version"):
                 model_from_json(json.dumps(doc))
     # every minor of a readable major loads, each through its own layout
-    for doc, versions in ((v1, ("1.0", "1.9")), (v2, ("2.0", "2.7")), (v3, ("3.0", "3.1")), (v4, ("4.0", "4.2"))):
+    for doc, versions in ((v1, ("1.0", "1.9")), (v2, ("2.0", "2.7")), (v3, ("3.0", "3.1")), (v4, ("4.0", "4.2")),
+                          (v5, ("5.0", "5.3"))):
         for version in versions:
             doc["version"] = version
             loaded = model_from_json(json.dumps(doc))
@@ -420,12 +451,16 @@ MALFORMED = {
 
 
 def _assert_rejected(doc, match=None):
-    """``doc`` fails to load, plain and as the member of a subagged file."""
+    """``doc`` fails to load, plain and as the member of a subagged file;
+    a 5.0 ``doc`` as the member of a 4.0 and of a 5.0 subagged file, which
+    shares its order spec, node keys and thresholds."""
     with pytest.raises(ValueError, match=match):
         model_from_json(json.dumps(doc))
-    sub = {"type": "subagged", "members": [doc], "subsample_size": 40, "seed": 1, "version": doc["version"]}
-    with pytest.raises(ValueError, match=match):
-        model_from_json(json.dumps(sub))
+    version = "4.0" if major(doc["version"]) >= 4 else doc["version"]
+    sub = {"type": "subagged", "members": [doc], "subsample_size": 40, "seed": 1, "version": version}
+    for sub in (sub, shared_tables(sub)) if major(doc["version"]) >= 5 else (sub,):
+        with pytest.raises(ValueError, match=match):
+            model_from_json(json.dumps(sub))
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))
@@ -439,9 +474,9 @@ def test_rejects_malformed_thresholds_and_cdf_matrix(name):
 
 def _longest_row(doc) -> int:
     """Index of a stored row with the most jumps (at least two); in a
-    4.x document the first row, the one it lists in full."""
+    4.x or 5.x document the first row, the one it lists in full."""
     lengths = [len(r) for r in doc["cdf_rows"]["jump_index"]]
-    row = 0 if doc["version"].startswith("4.") else lengths.index(max(lengths))
+    row = 0 if major(doc["version"]) >= 4 else lengths.index(max(lengths))
     assert lengths[row] >= 2
     return row
 
@@ -470,7 +505,7 @@ ROWS_NOT_CANONICAL = {
 }
 
 
-#: faults of the rows that read alike in the 2.x, 3.x and 4.x layouts
+#: faults of the rows that read alike in the 2.x, 3.x, 4.x and 5.x layouts
 MALFORMED_ROWS = {
     **ROWS_NOT_CANONICAL,
     "node_row_short": lambda doc: doc["node_row"].pop(),
@@ -510,18 +545,18 @@ MALFORMED_V2 = {
 
 
 def _document(model, version) -> dict:
-    """``model`` as a document of format ``version``, 2.0, 3.0 or 4.0."""
-    if version == "4.0":
-        return json.loads(model_to_json(model))
-    return v3_document(model) if version == "3.0" else v2_document(model)
+    """``model`` as a document of format ``version``, 2.0, 3.0, 4.0 or 5.0."""
+    doc = json.loads(model_to_json(model))
+    documents = {"2.0": v2_document, "3.0": v3_document, "4.0": lambda _: listed_per_member(doc)}
+    return documents[version](model) if version in documents else doc
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_V2))
 def test_rejects_malformed_cdf_rows(name):
     """Each fault on a 2.0 document; a fault of the rows that reads
-    alike in every layout also on a 3.0 and a 4.0 document."""
+    alike in every layout also on a 3.0, a 4.0 and a 5.0 document."""
     model, _ = small_model()
-    for version in ("2.0", "3.0", "4.0") if name in MALFORMED_ROWS else ("2.0",):
+    for version in ("2.0", "3.0", "4.0", "5.0") if name in MALFORMED_ROWS else ("2.0",):
         doc = _document(model, version)
         model_from_json(json.dumps(doc))
         MALFORMED_V2[name](doc)
@@ -572,10 +607,10 @@ MALFORMED_V3 = {
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_V3))
 def test_rejects_malformed_value_table(name):
-    """Each fault on a 3.0 document and on a 4.0 one, whose first row is
-    listed as in 3.0."""
+    """Each fault on a 3.0 document and on a 4.0 and a 5.0 one, whose
+    first row is listed as in 3.0."""
     model, _ = small_model()
-    for version in ("3.0", "4.0"):
+    for version in ("3.0", "4.0", "5.0"):
         doc = _document(model, version)
         model_from_json(json.dumps(doc))
         MALFORMED_V3[name](doc)
@@ -655,9 +690,119 @@ def test_rejects_malformed_changes(name):
     """A 4.0 row lists sorted thresholds, each with a table index or -1,
     and each entry changes the jump its row carries from the row before;
     the rows so carried rise strictly at each jump, and the model they
-    make ends each row at 1."""
+    make ends each row at 1.  So does a 5.0 row."""
     model, _ = small_model()
-    doc = json.loads(model_to_json(model))
     edit, message = MALFORMED_V4[name]
+    for version in ("4.0", "5.0"):
+        doc = _document(model, version)
+        edit(doc)
+        _assert_rejected(doc, message)
+
+
+def shared_subagged(seed=2):
+    """A subagged model of three members of 30 rows each, drawn from 60
+    rows on a 3 x 3 componentwise grid with responses in halves, so that
+    the members share most of their node keys and thresholds.  Adding
+    0.0 turns each -0.0 that rounding gives into 0.0, so that the grid
+    holds one zero (the file keeps both signs of zero apart: see
+    test_a_subagged_file_keeps_the_sign_of_each_members_zeros)."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, 3, size=(60, 2)).astype(float)
+    y = np.round(x.sum(axis=1) + 2 * rng.normal(size=60)) / 2 + 0.0
+    return fit_subagged(make_training_set(OrderSpec((OrderGroup((0, 1), COMPONENTWISE),)), x, y), 3, 30, seed)
+
+
+def test_a_subagged_file_stores_the_order_spec_node_keys_and_thresholds_once():
+    """The order spec, the distinct node keys of all members in
+    lexicographic order and their union grid are stored once; each
+    member lists its own keys and thresholds as increasing indices into
+    them, and carries no order spec.  So the file is smaller than the
+    4.0 one, which repeats them in every member."""
+    model = shared_subagged()
+    blob = _assert_round_trip(model)
+    doc = json.loads(blob)
+    keys = np.concatenate([m.dag.keys for m in model.members])
+    assert doc["node_keys"] == np.unique(keys, axis=0).tolist()
+    assert len(doc["node_keys"]) < len(keys)
+    assert doc["thresholds"] == model.thresholds.tolist()
+    assert sum(m.thresholds.size for m in model.members) > model.thresholds.size
+    assert doc["order_spec"] == {"column_names": None, "groups": [{"columns": [0, 1], "relation": "componentwise"}]}
+    for m, member in zip(model.members, doc["members"], strict=True):
+        assert "order_spec" not in member
+        assert [doc["node_keys"][i] for i in member["node_keys"]] == m.dag.keys.tolist()
+        assert [doc["thresholds"][i] for i in member["thresholds"]] == m.thresholds.tolist()
+    assert len(blob) < len(json.dumps(listed_per_member(doc), sort_keys=True, separators=(",", ":")))
+
+
+def _reindex(doc, field, at):
+    """Every member index ``i`` of ``field`` becomes ``at(i)``."""
+    for member in doc["members"]:
+        member[field] = [at(i) for i in member[field]]
+
+
+def _repeat_table_entry(field):
+    """The shared table's first entry twice, the members' indices moved
+    past the copy."""
+    def apply(doc):
+        doc[field].insert(1, doc[field][0])
+        _reindex(doc, field, lambda i: i + (i > 0))
+    return apply
+
+
+def _reverse_table(field):
+    """The shared table reversed, each member listing the same entries."""
+    def apply(doc):
+        n = len(doc[field])
+        doc[field].reverse()
+        _reindex(doc, field, lambda i: n - 1 - i)
+        for member in doc["members"]:
+            member[field].reverse()
+    return apply
+
+
+def _edit_member(field, edit):
+    """``edit`` the index list ``field`` of the first member, and the
+    length of the table it indexes."""
+    return lambda doc: edit(doc["members"][0][field], len(doc[field]))
+
+
+_TABLE_ORDER = "must be distinct and in lexicographic order"
+
+#: 5.0 faults of the shared tables and the members' indices, each with
+#: the message that rejects it
+MALFORMED_V5 = {
+    "node_keys_repeated": (_repeat_table_entry("node_keys"), f"node_keys {_TABLE_ORDER}"),
+    "node_keys_reversed": (_reverse_table("node_keys"), f"node_keys {_TABLE_ORDER}"),
+    "thresholds_repeated": (_repeat_table_entry("thresholds"), f"thresholds {_TABLE_ORDER}"),
+    "thresholds_reversed": (_reverse_table("thresholds"), f"thresholds {_TABLE_ORDER}"),
+    "node_key_unused": (lambda doc: doc["node_keys"].append([9.0, 9.0]), "every entry of node_keys must be used"),
+    "threshold_unused": (lambda doc: doc["thresholds"].append(doc["thresholds"][-1] + 1),
+                         "every entry of thresholds must be used"),
+    "member_with_an_order_spec": (lambda doc: doc["members"][0].update(order_spec=doc["order_spec"]),
+                                  "must not carry an order_spec"),
+}
+for _field in ("node_keys", "thresholds"):
+    _INDICES = f"member {_field} must be strictly increasing indices into {_field}"
+    MALFORMED_V5.update({
+        f"member_{_field}_reversed": (_edit_member(_field, lambda row, n: row.reverse()), _INDICES),
+        f"member_{_field}_repeated": (_edit_member(_field, lambda row, n: row.__setitem__(1, row[0])), _INDICES),
+        f"member_{_field}_past_the_table": (_edit_member(_field, lambda row, n: row.__setitem__(-1, n)), _INDICES),
+        f"member_{_field}_negative": (_edit_member(_field, lambda row, n: row.__setitem__(0, -1)), _INDICES),
+        f"member_{_field}_not_integer": (_edit_member(_field, lambda row, n: row.__setitem__(0, float(row[0]))),
+                                         f"member {_field} must be a nonempty list of integers"),
+        f"member_{_field}_empty": (_edit_member(_field, lambda row, n: row.clear()),
+                                   f"member {_field} must be a nonempty list of integers"),
+    })
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_V5))
+def test_rejects_malformed_shared_tables(name):
+    """A 5.0 subagged file stores its node keys and grid once, distinct,
+    in lexicographic order and each used by some member, and each member
+    lists strictly increasing indices into them and no order spec, so
+    the model has one encoding."""
+    doc = json.loads(model_to_json(shared_subagged()))
+    edit, message = MALFORMED_V5[name]
     edit(doc)
-    _assert_rejected(doc, message)
+    with pytest.raises(ValueError, match=message):
+        model_from_json(json.dumps(doc))

@@ -270,6 +270,28 @@ def test_ties_between_blocks_of_two_rounds_match_the_reference(monkeypatch):
         assert np.array_equal(fit, strict_pair_antitonic(dag, values, w)), draw
 
 
+def test_a_level_set_of_exact_ones_is_not_solved_again(monkeypatch):
+    """Node 0 lies below nodes 1 and 2.  The first column pools nodes 0
+    and 2 at 1 and leaves node 1 at 0.5; the second raises node 1 to 1,
+    solved alone.  The level set at 1 then holds blocks of two solves,
+    but the mean of exact ones is 1 bit for bit and nothing is left to
+    cut, so the merge does not solve it again, and the third column
+    re-solves only the block of nodes 0 and 2.  The fit is the
+    reference's, bit for bit, under unit, integer and float weights."""
+    dag = build_order_dag(CW2, [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0)])
+    assert dag.edges() == [(0, 1), (0, 2)]
+    values = np.array([[1.0, 1.0, 1.0], [0.5, 1.0, 1.0], [1.0, 1.0, 0.0]])
+    solved = []
+    real = solvers._split
+    monkeypatch.setattr(solvers, "_split", lambda idx, *args: solved.append(list(idx)) or real(idx, *args))
+    for w in (None, np.array([1.0, 3.0, 2.0]), np.random.default_rng(6).uniform(0.2, 3.0, size=3)):
+        del solved[:]
+        fit = antitonic_l2_fit(dag, values, w)
+        assert solved == [[0, 1, 2], [1], [0, 2]]
+        assert np.array_equal(fit, strict_pair_antitonic(dag, values, w))
+        assert fit.tolist() == [[1.0, 1.0, 1.0], [0.5, 1.0, 1.0], [1.0, 1.0, 0.0]]
+
+
 def test_warm_start_cuts_fewer_blocks_than_solving_each_column_alone(monkeypatch):
     """A 2-d componentwise ``fit_idr`` at n = 200, where every threshold
     column differs from the one before by one observation, needs under

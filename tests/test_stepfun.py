@@ -111,6 +111,14 @@ def test_from_sample_takes_weights_by_the_one_rule():
     assert StepCdf.from_sample([1, 2], weights=[1e307, 1e307]).cum.tolist() == [0.5, 1.0]
 
 
+def test_from_sample_rejects_an_empty_sample():
+    """An empty sample used to fail with an IndexError from its last
+    cumulative sum, with or without weights."""
+    for weights in (None, []):
+        with pytest.raises(ValueError, match="at least one value"):
+            StepCdf.from_sample([], weights=weights)
+
+
 def test_quantile_rows_takes_one_level():
     """An array of levels used to be compared column by column with the
     rows, giving [1, 1] here; ``StepCdf.quantile`` still takes arrays."""

@@ -17,7 +17,7 @@ import numpy as np
 
 from .orders import OrderDag, OrderSpec, build_order_dag
 from .scoring import check_span, crps_rows, finite_mean
-from .solvers import antitonic_l2_fit
+from .solvers import _fit_sums, antitonic_l2_fit
 from .stepfun import CASE_BLOCK, StepCdf, check_cdf_rows, check_grid, check_weights, distinct_sorted
 
 __all__ = ["TrainingSet", "make_training_set", "IdrModel", "distinct_rows", "fit_idr", "empirical_crps_loss"]
@@ -163,6 +163,12 @@ def fit_idr(training: TrainingSet) -> IdrModel:
     1{y <= threshold} are projected onto the antitonic cone of the DAG,
     so nodes with larger covariates receive pointwise smaller CDFs.
 
+    The solver gets each node's weighted indicator sum c and weight w.
+    On a chain it fits the means c / w.  On any other order it divides
+    nothing before the end: every fitted value is the sum S over the
+    weight W of its level set, rounded once, so the fit is the exact
+    projection, correctly rounded.
+
     Returns
     -------
     IdrModel
@@ -184,12 +190,16 @@ def fit_idr(training: TrainingSet) -> IdrModel:
     values = np.cumsum(mass, axis=1)
     del mass
     node_weight = values[:, -1].copy()
-    values /= node_weight[:, None]
-    fitted = antitonic_l2_fit(dag, values, node_weight)
-
+    if dag.is_chain:
+        values /= node_weight[:, None]
+        fitted = antitonic_l2_fit(dag, values, node_weight)
+        # float pooling can leave a rounding outside [0, 1] or against the
+        # order of the thresholds; the exact poset fit leaves none
+        np.clip(fitted, 0.0, 1.0, out=fitted)
+        np.maximum.accumulate(fitted, axis=1, out=fitted)
+    else:
+        fitted = _fit_sums(dag, values, node_weight)
     del values
-    np.clip(fitted, 0.0, 1.0, out=fitted)
-    np.maximum.accumulate(fitted, axis=1, out=fitted)
     return IdrModel(thresholds, *distinct_rows(fitted), dag, climatology)
 
 

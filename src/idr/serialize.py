@@ -95,9 +95,23 @@ def _spec_payload(spec: OrderSpec) -> dict:
     }
 
 
-def _spec_from_payload(payload: dict) -> OrderSpec:
+def _field(obj, name: str, where: str = ""):
+    """``obj[name]``, where ``obj`` is the object at ``where`` (a path
+    such as ``"members[2]."``) in a model file; a ValueError that names
+    the field if it is missing, or the object if it is none."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where[:-1] or 'the model file'} must be an object")
+    if name not in obj:
+        raise ValueError(f"the model file lacks the field {where}{name}")
+    return obj[name]
+
+
+def _spec_from_payload(payload: dict, where: str) -> OrderSpec:
+    """The ``order_spec`` of the object at ``where``."""
+    payload, where = _field(payload, "order_spec", where), f"{where}order_spec."
     groups = tuple(
-        OrderGroup(tuple(g["columns"]), g["relation"]) for g in payload["groups"]
+        OrderGroup(tuple(_field(g, "columns", f"{where}groups[{i}].")), _field(g, "relation", f"{where}groups[{i}]."))
+        for i, g in enumerate(_field(payload, "groups", where))
     )
     names = payload.get("column_names")
     if names is not None and not (isinstance(names, list) and names and all(isinstance(n, str) for n in names)):
@@ -195,10 +209,10 @@ def _numbers(value, what: str, depth: int = 1, integers: bool = False) -> tuple[
     raise ValueError(f"{what} must be {shape.format(noun)} within the {dtype} range")
 
 
-def _table_values(table: dict, index: np.ndarray) -> np.ndarray:
+def _table_values(table: dict, index: np.ndarray, where: str) -> np.ndarray:
     """The jump values of a 3.x, 4.x or 5.x member: its value table read
     at ``index``, and 0 (no jump) at an index of -1."""
-    values, _ = _numbers(table["values"], "cdf_rows values")
+    values, _ = _numbers(_field(table, "values", where), "cdf_rows values")
     if not (np.isfinite(values).all() and values[0] > 0 and values[-1] == 1.0 and np.all(np.diff(values) > 0)):
         raise ValueError("cdf_rows values must be a nonempty, finite, strictly increasing list in (0, 1] "
                          "that ends at 1")
@@ -208,16 +222,15 @@ def _table_values(table: dict, index: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], values))[index + 1]
 
 
-def _rows_from_table(payload: dict, m: int, major: int) -> tuple[np.ndarray, np.ndarray]:
+def _rows_from_table(payload: dict, m: int, major: int, where: str) -> tuple[np.ndarray, np.ndarray]:
     """The rows and the row of each node of a 2.x, 3.x, 4.x or 5.x member,
     as stored.  A row carries the jump values of the row before (4.x and
     5.x) or of no row (2.x, 3.x) and sets those its entries list; each
     entry must change what it carries, and each jump must rise."""
-    table = payload["cdf_rows"]
-    if not isinstance(table, dict):
-        raise ValueError("cdf_rows must be an object")
-    at, counts = _numbers(table["jump_index"], "cdf_rows jump_index", 2, integers=True)
-    values, value_counts = _numbers(table["jump_value"], "cdf_rows jump_value", 2, integers=major != 2)
+    table, in_table = _field(payload, "cdf_rows", where), f"{where}cdf_rows."
+    at, counts = _numbers(_field(table, "jump_index", in_table), "cdf_rows jump_index", 2, integers=True)
+    values, value_counts = _numbers(_field(table, "jump_value", in_table), "cdf_rows jump_value", 2,
+                                    integers=major != 2)
     if counts != value_counts:
         raise ValueError("cdf_rows needs one jump_value per jump_index, row by row")
     ends = np.cumsum(counts) - 1
@@ -229,7 +242,7 @@ def _rows_from_table(payload: dict, m: int, major: int) -> tuple[np.ndarray, np.
         if not (np.isfinite(values).all() and values.min() > 0.0 and values.max() <= 1.0):
             raise ValueError("cdf_rows jump_value entries must be finite and in (0, 1]")
     else:
-        values = _table_values(table, values)
+        values = _table_values(table, values, in_table)
     # entry[r, j] is 1 + the entry that set row r's jump value at threshold j, 0 for none
     row_of_entry = np.repeat(np.arange(len(counts)), counts)
     entry = np.zeros((len(counts), m), dtype=np.min_scalar_type(at.size))
@@ -247,13 +260,13 @@ def _rows_from_table(payload: dict, m: int, major: int) -> tuple[np.ndarray, np.
     np.maximum.accumulate(rows, axis=1, out=rows)
     if np.count_nonzero(rows[:, 0]) + np.count_nonzero(rows[:, 1:] > rows[:, :-1]) != count:
         raise ValueError("cdf_rows rows must jump to strictly increasing values")
-    return rows, _numbers(payload["node_row"], "node_row", integers=True)[0]
+    return rows, _numbers(_field(payload, "node_row", where), "node_row", integers=True)[0]
 
 
-def _rows_from_matrix(payload: dict, n_nodes: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+def _rows_from_matrix(payload: dict, n_nodes: int, m: int, where: str) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows and the row of each node of a 1.x member's
     dense CDF."""
-    cdf, widths = _numbers(payload["cdf_matrix"], "cdf_matrix", 2)
+    cdf, widths = _numbers(_field(payload, "cdf_matrix", where), "cdf_matrix", 2)
     if len(widths) != n_nodes or set(widths) != {m}:
         raise ValueError(f"cdf_matrix must be nodes x thresholds, {n_nodes} rows of {m} values")
     return distinct_rows(cdf.reshape(n_nodes, m))
@@ -268,29 +281,32 @@ def _keys(value) -> np.ndarray:
 
 
 def _model_from_payload(payload: dict, major: int, spec: OrderSpec, keys: np.ndarray,
-                        thresholds: np.ndarray) -> IdrModel:
+                        thresholds: np.ndarray, where: str) -> IdrModel:
     """A model of the order ``spec`` with nodes named by ``keys``, on
-    ``thresholds``; its rows and climatology as ``payload`` stores them."""
+    ``thresholds``; its rows and climatology as ``payload``, the object
+    at ``where`` in the file, stores them."""
     dag = build_order_dag(spec, keys, points_are_keys=True)
     if dag.n_nodes < len(keys):
         raise ValueError("node_keys hold order-equivalent keys; each node must have one")
     if not np.array_equal(dag.keys, keys):
         raise ValueError("node_keys are not in canonical order")
     if major == 1:
-        rows, node_row = _rows_from_matrix(payload, dag.n_nodes, thresholds.size)
+        rows, node_row = _rows_from_matrix(payload, dag.n_nodes, thresholds.size, where)
     else:
-        rows, node_row = _rows_from_table(payload, thresholds.size, major)
-    clim = payload["climatology"]
-    jumps = thresholds if major >= 3 else _numbers(clim["jumps"], "climatology jumps")[0]
-    cum, _ = _numbers(clim["cum"], "climatology cum")
+        rows, node_row = _rows_from_table(payload, thresholds.size, major, where)
+    clim, in_clim = _field(payload, "climatology", where), f"{where}climatology."
+    jumps = thresholds if major >= 3 else _numbers(_field(clim, "jumps", in_clim), "climatology jumps")[0]
+    cum, _ = _numbers(_field(clim, "cum", in_clim), "climatology cum")
     return IdrModel(thresholds, rows, node_row, dag, StepCdf(jumps, cum))
 
 
-def _plain_model(payload: dict, major: int) -> IdrModel:
+def _plain_model(payload: dict, major: int, where: str = "") -> IdrModel:
     """A model that stores its own order spec, node keys and thresholds:
-    a plain one, or a subagged member before 5.0."""
-    return _model_from_payload(payload, major, _spec_from_payload(payload["order_spec"]),
-                               _keys(payload["node_keys"]), _numbers(payload["thresholds"], "thresholds")[0])
+    a plain one, or a subagged member before 5.0, at ``where`` in the
+    file."""
+    keys, grid = _field(payload, "node_keys", where), _field(payload, "thresholds", where)
+    return _model_from_payload(payload, major, _spec_from_payload(payload, where), _keys(keys),
+                               _numbers(grid, "thresholds")[0], where)
 
 
 def _indices(value, size: int, what: str) -> np.ndarray:
@@ -312,21 +328,23 @@ def _shared_table(table: np.ndarray, what: str) -> np.ndarray:
 def _shared_members(payload: dict, major: int) -> tuple[IdrModel, ...]:
     """The members of a 5.x subagged document, each with its node keys
     and thresholds gathered from the document's shared tables."""
-    spec = _spec_from_payload(payload["order_spec"])
-    keys = _shared_table(_keys(payload["node_keys"]), "node_keys")
-    grid = _shared_table(_numbers(payload["thresholds"], "thresholds")[0][:, None], "thresholds")[:, 0]
-    members = payload["members"]
+    spec = _spec_from_payload(payload, "")
+    keys = _shared_table(_keys(_field(payload, "node_keys")), "node_keys")
+    grid = _shared_table(_numbers(_field(payload, "thresholds"), "thresholds")[0][:, None], "thresholds")[:, 0]
+    members = _field(payload, "members")
     if any("order_spec" in m for m in members):
         raise ValueError("members must not carry an order_spec; the subagged model stores it once")
     picks, key_used, grid_used = [], np.zeros(len(keys), dtype=bool), np.zeros(grid.size, dtype=bool)
-    for m in members:
-        k, t = _indices(m["node_keys"], len(keys), "node_keys"), _indices(m["thresholds"], grid.size, "thresholds")
+    for i, m in enumerate(members):
+        k = _indices(_field(m, "node_keys", f"members[{i}]."), len(keys), "node_keys")
+        t = _indices(_field(m, "thresholds", f"members[{i}]."), grid.size, "thresholds")
         key_used[k] = grid_used[t] = True
         picks.append((k, t))
     for what, used in (("node_keys", key_used), ("thresholds", grid_used)):
         if not used.all():
             raise ValueError(f"every entry of {what} must be used by some member")
-    return tuple(_model_from_payload(m, major, spec, keys[k], grid[t]) for m, (k, t) in zip(members, picks))
+    return tuple(_model_from_payload(m, major, spec, keys[k], grid[t], f"members[{i}].")
+                 for i, (m, (k, t)) in enumerate(zip(members, picks)))
 
 
 def model_to_json(model) -> str:
@@ -358,15 +376,15 @@ def model_from_json(text: str):
     if not isinstance(payload, dict):
         raise ValueError("model file must contain a JSON object")
     major = _format_major(payload)
-    kind = payload.get("type")
+    kind = _field(payload, "type")
     if kind == "idr":
         return _plain_model(payload, major)
     if kind == "subagged":
         if major >= 5:
             members = _shared_members(payload, major)
         else:
-            members = tuple(_plain_model(m, major) for m in payload["members"])
-        size, seed = (_numbers(payload[f], f, 0, integers=True)[0].item() for f in ("subsample_size", "seed"))
+            members = tuple(_plain_model(m, major, f"members[{i}].") for i, m in enumerate(_field(payload, "members")))
+        size, seed = (_numbers(_field(payload, f), f, 0, integers=True)[0].item() for f in ("subsample_size", "seed"))
         return SubaggedModel(members, size, seed, payload.get("split", "random"))
     raise ValueError(f"unknown model type {kind!r}")
 

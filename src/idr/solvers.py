@@ -2,36 +2,34 @@
 
 :func:`antitonic_l2_fit` projects every threshold column of a fit with
 the solver for the order's shape.  On a chain it runs
-pool-adjacent-violators over all columns at once.  On a general partial
-order it splits a block recursively: the block is cut into the lower
-set with the largest positive residual mass and the rest, until no
-lower set gains.  That lower set is a maximum-weight closure, found by
-shortest augmenting paths (Edmonds & Karp) on a network built as plain
-lists, whose infinite arcs are the block's cover edges only: a final
-block is a level set, so it is order-convex and its covers close it like
-the full order.  The final blocks are the level sets of the fit.
+pool-adjacent-violators over all columns at once, in floats.  On a
+general partial order it splits a block recursively: the block is cut
+into the least lower set with the largest positive residual mass and
+the rest, until no lower set gains.  That lower set is a maximum-weight
+closure, found by shortest augmenting paths (Edmonds & Karp) on a
+network built as plain lists, whose uncuttable arcs are the block's
+cover edges only.
+
+The poset solver is exact.  Its node sums and weights are Python ints,
+scaled by a power of two, so every residual, capacity, gain and
+comparison of two means is exact, and each fitted value is its block's
+sum over its weight, rounded once: the correctly rounded value of the
+exact projection.
 
 Neighbouring threshold columns differ in few nodes (one observation's
 indicator), so each poset column starts from the blocks of the one
 before.  The blocks that hold a changed node are solved again, on the
-cover edges among them.  Where the new values break a cover edge (its
+cover edges among them.  Where the new means break a cover edge (its
 lower end now below its upper end), the next round solves again only
 the blocks at the two ends of the broken edges.  Every other block
-keeps its data, its mean and the proof that no lower subset gains, so
-its value carries over bit for bit.  Once no edge is broken, the column
-is feasible and every block optimal, so it is the exact projection;
-:func:`_refit` says why the loop stops.  A level set can end cut between
-blocks of different solves at (nearly) the same value; solving it as
-one block merges it and takes its mean afresh over its nodes in
-ascending order, as the recursion from scratch does.  The first column
-is the same loop with every node changed.  Both solvers return the
-unique projection onto the cone of vectors nonincreasing along the
-order.
+keeps its sums and its proof that no lower subset gains.  Once no edge
+is broken, the column is feasible and every block optimal, so it is the
+exact projection; :func:`_refit` says why the loop stops.  The first
+column is the same loop with every node changed.
 """
 
 from __future__ import annotations
 
-from bisect import bisect
 from itertools import accumulate
 
 import numpy as np
@@ -45,12 +43,18 @@ __all__ = ["pav_antitonic", "antitonic_l2_fit"]
 _PAV_BLOCK = 256
 
 
-def _pav_chain(values: np.ndarray, weights: np.ndarray, order: np.ndarray, shift: int) -> np.ndarray:
+def _pav_chain(values: np.ndarray, weights: np.ndarray, order: np.ndarray) -> np.ndarray:
     """Antitonic PAV of every column of ``values`` along the chain that
-    visits the rows in ``order``, times 2**-shift.  Each step pushes the
-    next row onto every column's stack, then pools the top two blocks
-    wherever they violate, so each column gets the one-column loop's
-    float operations, in order."""
+    visits the rows in ``order``.  The values and the weights are each
+    scaled exactly by a power of two to a largest magnitude in [1, 2), so
+    that no sum overflows; a fit's values, which end at 1, are not (no
+    copy).  Each step pushes the next row onto every column's stack, then
+    pools the top two blocks wherever they violate, so each column gets
+    the one-column loop's float operations, in order."""
+    top = int(np.frexp(weights.max())[1]) if weights.size else 1
+    shift = 1 - int(np.frexp(max(values.max(initial=0.0), -values.min(initial=0.0)))[1])
+    values = np.ldexp(values, shift) if shift else values
+    weights = np.ldexp(weights, 1 - top) if top != 1 else weights
     n, m = values.shape
     out = np.empty((n, m))
     for c0 in range(0, m, _PAV_BLOCK):
@@ -88,21 +92,15 @@ def _pav_chain(values: np.ndarray, weights: np.ndarray, order: np.ndarray, shift
     return np.ldexp(out, -shift, out=out) if shift else out
 
 
-def _checked(values, weights, n: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Validated values (one entry or row per node) and node weights,
-    each scaled exactly by a power of two to a largest magnitude in
-    [1, 2), so that no sum overflows and the poset tolerances are free
-    of the scale; and ``shift``: the fit is 2**-shift times that of the
-    scaled values, and 0 for a fit's values, which end at 1 (no copy)."""
+def _checked(values, weights, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Validated values (one entry or row per node) and node weights."""
     v = np.asarray(values, dtype=float)
     if v.ndim not in (1, 2) or v.shape[0] != n:
         raise ValueError("values must have one entry or row per node")
     w = check_weights(weights, n)
     if not np.isfinite(v).all():
         raise ValueError("values must be finite")
-    top = int(np.frexp(w.max())[1]) if n else 1
-    shift = 1 - int(np.frexp(max(v.max(initial=0.0), -v.min(initial=0.0)))[1])
-    return (np.ldexp(v, shift) if shift else v), (np.ldexp(w, 1 - top) if top != 1 else w), shift
+    return v, w
 
 
 def pav_antitonic(values, weights=None) -> np.ndarray:
@@ -125,19 +123,31 @@ def pav_antitonic(values, weights=None) -> np.ndarray:
     v = np.asarray(values, dtype=float)
     if v.ndim != 1:
         raise ValueError("values must be 1-d")
-    v, w, shift = _checked(v, weights, v.size)
-    return _pav_chain(v[:, None], w, np.arange(v.size), shift)[:, 0]
+    v, w = _checked(v, weights, v.size)
+    return _pav_chain(v[:, None], w, np.arange(v.size))[:, 0]
 
 
-def _min_cut(s, t, adj, head, cap, eps) -> tuple[float, list[bool]]:
+def _shift(a: np.ndarray) -> int:
+    """The least k >= 0 that makes every entry of ``a`` times 2**k an
+    integer."""
+    return max([x.as_integer_ratio()[1].bit_length() - 1 for x in a.tolist()], default=0)
+
+
+def _ints(a: np.ndarray, shift: int) -> list[int]:
+    """The entries of ``a`` times 2**shift as Python ints, exactly; each
+    must be an integer (see :func:`_shift`)."""
+    return [num << (shift + 1 - den.bit_length()) for num, den in map(float.as_integer_ratio, a.tolist())]
+
+
+def _min_cut(s, t, adj, head, cap) -> tuple[int, list[bool]]:
     """Max-flow along shortest augmenting paths: arc e runs to ``head[e]``
-    with residual capacity ``cap[e]`` (updated in place), its reverse is
-    ``e ^ 1``, and ``adj[u]`` lists the arcs leaving node u.  Each pass
-    searches from ``s`` breadth-first, level by level, over arcs with more
-    than ``eps`` left, up to the first level with arcs into ``t``, then
-    pushes along the path to each in turn.  Returns the flow and the nodes
-    that the last pass, which found no path, reached."""
-    flow = 0.0
+    with residual capacity ``cap[e]``, an int (updated in place), its
+    reverse is ``e ^ 1``, and ``adj[u]`` lists the arcs leaving node u.
+    Each pass searches from ``s`` breadth-first, level by level, over
+    arcs with capacity left, up to the first level with arcs into ``t``,
+    then pushes along the path to each in turn.  Returns the flow and the
+    nodes that the last pass, which found no path, reached."""
+    flow = 0
     while True:
         via = [-1] * len(adj)  # the arc that first reached each node
         via[s] = len(head)
@@ -147,7 +157,7 @@ def _min_cut(s, t, adj, head, cap, eps) -> tuple[float, list[bool]]:
             for u in level:
                 for e in adj[u]:
                     v = head[e]
-                    if via[v] < 0 and cap[e] > eps:
+                    if via[v] < 0 and cap[e]:
                         if v == t:
                             ends.append(e)
                         else:
@@ -162,49 +172,47 @@ def _min_cut(s, t, adj, head, cap, eps) -> tuple[float, list[bool]]:
                 e = via[head[e ^ 1]]
                 path.append(e)
             f = min([cap[e] for e in path])
-            if f > eps:
-                for e in path:
-                    cap[e] -= f
-                    cap[e ^ 1] += f
-                flow += f
+            for e in path:
+                cap[e] -= f
+                cap[e ^ 1] += f
+            flow += f
 
 
-def _best_lower_set(edges, b: np.ndarray):
-    """The lower set D that maximizes sum(b[D]), given cover edges as
-    (lower, upper) pairs (D holds the lower end whenever it holds the
-    upper), as a list of booleans, if it gains more than the tolerance
-    and is neither empty nor everything; else None.
+def _best_lower_set(edges, b: list[int]):
+    """The least lower set D that maximizes sum(b[D]), given cover edges
+    as (lower, upper) pairs (D holds the lower end whenever it holds the
+    upper), as a list of booleans, if that sum is above 0; else None.
+    Where ``b`` sums to 0, as a block's residuals do, D is then neither
+    empty nor everything.
 
     Solved as a max-weight closure problem: cutting a positive node's
     source arc excludes it, cutting a negative node's sink arc includes
-    it, and an infinite arc from each upper end to its lower end forces
-    closure.  The network is built as lists: arc 2j runs from the upper
-    to the lower end of edge j and arc 2j + 1 back, then come the
-    terminal arcs by node; each node lists its terminal arc first and
-    then its edge arcs in edge order.  That order fixes the augmenting
-    paths, and with them the bits of the flow.  The paths are shortest
-    ones (Edmonds & Karp); the breadth-first search that finds none
-    reaches the source side of the minimal min-cut, which is D.
+    it, and an arc from each upper end to its lower end, with more
+    capacity than any cut, forces closure.  The network is built as
+    lists: arc 2j runs from the upper to the lower end of edge j and arc
+    2j + 1 back, then come the terminal arcs by node.  The capacities are
+    ints, so the flow is exact, and the breadth-first search that finds
+    no augmenting path reaches the source side of the least min-cut,
+    which is D, whatever paths the flow took.
     """
-    pos = float(b[b > 0].sum())
-    if pos == 0.0:
+    pos = sum([x for x in b if x > 0])
+    if not pos:
         return None
-    inf = float(np.abs(b).sum()) + 1.0
-    n, m = b.size, 2 * len(edges)
+    n, m = len(b), 2 * len(edges)
     s, t = n, n + 1
     head = [v for edge in edges for v in edge]
-    cap = [inf, 0.0] * len(edges)
+    cap = [pos + 1, 0] * len(edges)
     adj, out_s = [], []
-    for u, x in enumerate(b.tolist()):
+    for u, x in enumerate(b):
         if x > 0:
             adj.append([m + 1])
             out_s.append(m)
             head += (u, s)
-            cap += (x, 0.0)
+            cap += (x, 0)
         elif x < 0:
             adj.append([m])
             head += (t, u)
-            cap += (-x, 0.0)
+            cap += (-x, 0)
         else:
             adj.append([])
             continue
@@ -213,25 +221,25 @@ def _best_lower_set(edges, b: np.ndarray):
     for e, (lo, hi) in zip(range(0, m, 2), edges):
         adj[hi].append(e)
         adj[lo].append(e + 1)
-    flow, reached = _min_cut(s, t, adj, head, cap, 1e-14 * inf)
-    side = reached[:n]
-    return side if pos - flow > 1e-12 * inf and any(side) and not all(side) else None
+    flow, reached = _min_cut(s, t, adj, head, cap)
+    return reached[:n] if flow < pos else None
 
 
-def _split(idx, edges, w, col, level, block, members):
-    """Fit ``col`` on the nodes ``idx`` (ascending) under the cover
-    ``edges``, (lower, upper) pairs numbered within ``idx``: cut a block
-    into its best lower set and the rest until no lower set gains more
-    than the tolerance.  Writes each final block's mean into ``level``,
-    its least node into ``block`` and its nodes into ``members``."""
+def _split(idx, edges, w, col, level, frac, block, members):
+    """Fit ``col`` (node sums, ints) on the nodes ``idx`` (ascending)
+    under the cover ``edges``, (lower, upper) pairs numbered within
+    ``idx``: cut a block into its best lower set and the rest until no
+    lower set gains.  A block of sum S and weight W has the residuals
+    W * col[i] - w[i] * S, its mean times W * w[i] away from node i's.
+    Writes each final block's mean S / W into ``level``, (S, W) into
+    ``frac``, its least node into ``block`` and its nodes into
+    ``members``."""
     stack = [(idx, edges)]
     while stack:
         idx, edges = stack.pop()
-        at = np.array(idx)
-        ww = w[at]
-        vv = col[at]
-        mu = float((ww * vv).sum() / ww.sum())
-        side = _best_lower_set(edges, ww * (vv - mu)) if len(idx) > 1 else None
+        s = sum([col[i] for i in idx])
+        t = sum([w[i] for i in idx])
+        side = _best_lower_set(edges, [t * col[i] - w[i] * s for i in idx]) if len(idx) > 1 else None
         if side is not None:
             # side is a lower set: an edge stays inside iff its upper end
             # is in it, and outside iff its lower end is not
@@ -241,8 +249,10 @@ def _split(idx, edges, w, col, level, block, members):
             stack.append(([g for g, d in zip(idx, side) if not d],
                           [(a - rank[a], c - rank[c]) for a, c in edges if not side[a]]))
             continue
+        mean = s / t
         for i in idx:
-            level[i] = mu
+            level[i] = mean
+            frac[i] = (s, t)
             block[i] = idx[0]
         members[idx[0]] = idx
 
@@ -257,23 +267,19 @@ def _within(nodes, ups):
     return [(i, local[v]) for i, u in enumerate(nodes) for v in ups[u] if local[v] >= 0]
 
 
-#: Local rounds of :func:`_refit`, per node, before it falls back to
-#: solving a growing region.
-_ROUNDS_PER_NODE = 1
-
-
-def _refit(region, col, near, w, ups, downs, level, block, members):
+def _refit(region, col, w, ups, downs, level, frac, block, members):
     """Re-solve one column, starting from the blocks whose nodes are
-    ``region`` (ascending); returns the new fit as an array.
+    ``region`` (ascending).
 
     The region is solved on the cover edges among its nodes.  Each round
     then checks the cover edges from the nodes it solved to the rest:
-    where the new values break one, the next round solves again only the
-    blocks at the two ends of the broken edges, together.  Every other
-    block keeps its mean and its proof that no lower subset gains.  The
-    loop stops only when no edge is broken: the column is then feasible
-    and every block has zero residual sum and no gaining lower subset,
-    which is the optimality test of the exact projection.
+    where one is broken (S_u * W_v < S_v * W_u, its lower end's mean
+    below its upper end's), the next round solves again only the blocks
+    at the two ends of the broken edges, together.  The loop stops only
+    when no edge is broken: the column is then feasible and every block
+    has zero residual sum and no gaining lower subset, which is the
+    optimality test of the exact projection.  A level set may end split
+    between blocks; they share one exact mean, so one rounded value.
 
     The loop stops.  Every block is the projection of its values onto
     its own cone (antitonic along its cover edges).  A round replaces
@@ -281,62 +287,79 @@ def _refit(region, col, near, w, ups, downs, level, block, members):
     of those cones, by the projection onto a smaller cone, one that also
     holds the broken edge, which the old fit violates; so the squared
     error on them rises strictly, the error of the whole column rises
-    with it, and no partition repeats.  Rounding weakens that argument,
-    so after ``_ROUNDS_PER_NODE`` rounds per node the loop falls back to
-    solving the whole region solved so far in this column, joined by the
-    blocks at each broken edge.  A solved region satisfies its own edges,
-    so every edge it breaks leads out of it: the region grows each round
-    and the fallback stops after at most one round per node.
-
-    Then each run of nearly equal values that holds blocks from more than
-    one solve (or kept from the column before), one level set cut apart,
-    is solved as one block: it stays one unless a cut gains.  The run is
-    order-convex, as any value between two of its values would be in it,
-    and no value outside it comes near, so this breaks no edge.  A run
-    whose values are all exactly 1 (or +0) is left as its blocks: each
-    block's mean is already that value bit for bit, and no cut gains.
+    with it, and no partition repeats.
     """
-    n = len(level)
-    src = np.full(n, -1)  # the round that last solved each node
-    rnd = 0
     while True:
-        if rnd >= n * _ROUNDS_PER_NODE:
-            region = sorted(set(np.flatnonzero(src >= 0).tolist()).union(region))
-        _split(region, _within(region, ups), w, col, level, block, members)
+        _split(region, _within(region, ups), w, col, level, frac, block, members)
         inside = set(region)
-        src[region] = rnd
         ends = set()
         for u in region:
+            s, t = frac[u]
             for v in ups[u]:
-                if level[u] < level[v] and v not in inside:
+                if v not in inside and s * frac[v][1] < frac[v][0] * t:
                     ends.add(block[v])
                     ends.add(block[u])
             for v in downs[u]:
-                if level[v] < level[u] and v not in inside:
+                if v not in inside and frac[v][0] * t < s * frac[v][1]:
                     ends.add(block[v])
                     ends.add(block[u])
         if not ends:
-            break
+            return
         region = sorted(i for b in ends for i in members[b])
-        rnd += 1
-    lv = np.array(level)
-    order = lv.argsort()
-    sorted_lv, source = lv[order], src[order]
-    gap = sorted_lv[1:] - sorted_lv[:-1] > near
-    # neighbours in sorted order from different solves, with no gap between
-    joined = (source[1:] != source[:-1]) > gap
-    if joined.any():
-        # runs are stretches of the sorted order between gaps
-        stops = (np.flatnonzero(gap) + 1).tolist() + [n]
-        order = order.tolist()
-        for r in sorted({bisect(stops, p) for p in np.flatnonzero(joined).tolist()}):
-            group = sorted(order[stops[r - 1] if r else 0:stops[r]])
-            run = col[group]
-            if run[0] in (0.0, 1.0) and np.all(run == run[0]) and not np.signbit(run).any():
-                continue  # every block already holds this exact mean, and no residual is left to cut
-            _split(group, _within(group, ups), w, col, level, block, members)
-        lv = np.array(level)
-    return lv
+
+
+def _changes(cells: np.ndarray):
+    """The columns and rows of the entries of ``cells`` that differ from
+    the one before them in their row, after every entry of the first
+    column, in column order; and those entries."""
+    k, i = np.nonzero((cells[:, 1:] != cells[:, :-1]).T)
+    n = cells.shape[0] if cells.shape[1] else 0  # no first column, no entries
+    cols = np.concatenate([np.zeros(n, dtype=np.intp), k + 1])
+    nodes = np.concatenate([np.arange(n), i])
+    return cols, nodes, cells[nodes, cols]
+
+
+def _poset_fit(dag, m: int, cols: np.ndarray, nodes: np.ndarray, sums: list[int], weights: list[int]) -> np.ndarray:
+    """The exact projection on a poset of ``m`` columns of node sums over
+    node weights, all ints.  The sums come as they change
+    (:func:`_changes`): node ``nodes[j]`` takes ``sums[j]`` in column
+    ``cols[j]`` and keeps it until it next changes.
+
+    The columns are solved in turn, each starting from the blocks of the
+    one before (:func:`_refit`).  Each fitted value is a block's sum over
+    its weight, rounded once."""
+    n = dag.n_nodes
+    ups, downs = [[] for _ in range(n)], [[] for _ in range(n)]
+    for a, c in dag.edges():
+        ups[a].append(c)
+        downs[c].append(a)
+    out = np.empty((n, m))
+    col = [0] * n  # the node sums of the column being solved
+    level = [0.0] * n  # the fit of the column before
+    frac = [(0, 1)] * n  # the sum and weight of each node's block
+    block = [0] * n  # each node's block, named by its least node
+    members = {0: list(range(n))}  # the nodes of each block, by its name
+    stops = np.searchsorted(cols, np.arange(m + 1)).tolist()
+    nodes = nodes.tolist()
+    for k in range(m):
+        changed = nodes[stops[k]:stops[k + 1]]
+        if changed:
+            for i, x in zip(changed, sums[stops[k]:stops[k + 1]]):
+                col[i] = x
+            region = sorted(i for b in {block[i] for i in changed} for i in members[b])
+            _refit(region, col, weights, ups, downs, level, frac, block, members)
+        out[:, k] = level
+    return out
+
+
+def _fit_sums(dag, sums: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The exact projection of ``sums / weights`` (nodes x columns, and
+    one positive weight per node) on a poset, with no division before the
+    one that gives each fitted value: sums and weights are scaled to ints
+    by one power of two."""
+    cols, nodes, x = _changes(sums)
+    shift = max(_shift(x), _shift(weights))
+    return _poset_fit(dag, sums.shape[1], cols, nodes, _ints(x, shift), _ints(weights, shift))
 
 
 def antitonic_l2_fit(dag, values, weights=None) -> np.ndarray:
@@ -346,18 +369,10 @@ def antitonic_l2_fit(dag, values, weights=None) -> np.ndarray:
     subject to eta_u >= eta_v whenever node u is below node v in ``dag``;
     the result is shaped like ``values``.
 
-    On a chain every column runs through one vectorised PAV.  On any
-    other order the columns are solved in turn, each starting from the
-    blocks (level sets) of the one before: only the blocks that hold a
-    node whose value changed are re-solved, by the recursive min-cut on
-    their own cover edges.  Where the new values break a cover edge, the
-    blocks at its two ends are solved again together, until no edge is
-    broken, and a level set left split between blocks of different
-    solves is merged and its mean taken afresh.  Every other block keeps
-    its data, mean and optimality, so every column is the exact
-    projection; the tests check it bit for bit against solving each
-    column from scratch.  The first column is solved with every node
-    changed.
+    On a chain every column runs through one vectorised PAV, in floats.
+    On any other order the solver takes the exact products w_i * v_i of
+    the floats it is given, and each fitted value is the exact mean of
+    its level set, rounded once; the module docstring says how.
 
     Parameters
     ----------
@@ -365,33 +380,14 @@ def antitonic_l2_fit(dag, values, weights=None) -> np.ndarray:
     values : array_like, shape (n_nodes,) or (n_nodes, n_columns)
     weights : array_like, shape (n_nodes,), optional
         As :func:`idr.stepfun.check_weights` takes them; unit weights
-        when omitted.  Only their ratios matter (see :func:`_checked`).
+        when omitted.  Only their ratios matter.
     """
     n = dag.n_nodes
-    v, w, shift = _checked(values, weights, n)
+    v, w = _checked(values, weights, n)
     cols = v.reshape(n, -1)
     if dag.is_chain:
-        return _pav_chain(cols, w, np.argsort(dag.chain_positions), shift).reshape(v.shape)
-
-    ups, downs = [[] for _ in range(n)], [[] for _ in range(n)]
-    for a, c in dag.edges():
-        ups[a].append(c)
-        downs[c].append(a)
-    # far above the rounding of a block mean; whether a run of nearly
-    # equal values is one level is then the recursion's call
-    near = (2.0 ** -30 * np.maximum(cols.max(axis=0), -cols.min(axis=0))).tolist()
-    out = np.empty_like(cols)
-    level = [0.0] * n  # the fit of the column before
-    block = [0] * n  # each node's block, named by its least node
-    members = {0: list(range(n))}  # the nodes of each block, by its name
-    changed = [[] for _ in range(cols.shape[1])]
-    changed[0] = range(n)  # before the first column, every node
-    for k, i in zip(*(a.tolist() for a in np.nonzero((cols[:, 1:] != cols[:, :-1]).T))):
-        changed[k + 1].append(i)
-    for k, nodes in enumerate(changed):
-        if nodes:
-            region = sorted(i for b in {block[i] for i in nodes} for i in members[b])
-            out[:, k] = _refit(region, cols[:, k], near[k], w, ups, downs, level, block, members)
-        else:
-            out[:, k] = out[:, k - 1]
-    return np.ldexp(out, -shift, out=out).reshape(v.shape)
+        return _pav_chain(cols, w, np.argsort(dag.chain_positions)).reshape(v.shape)
+    k, i, x = _changes(cols)
+    shift, u = _shift(x), _ints(w, _shift(w))
+    sums = [u[a] * b for a, b in zip(i.tolist(), _ints(x, shift))]
+    return _poset_fit(dag, cols.shape[1], k, i, sums, [x << shift for x in u]).reshape(v.shape)

@@ -7,18 +7,22 @@ isotonic quantile vectors come from exhaustive dynamic programming over
 nested upper sets.  Node counts are capped so enumeration stays exact.
 The chain PAV is the classic one-column stack loop, which the
 vectorised solver must match bit for bit.  The poset reference is the
-earlier min-cut solver, with a recursive Dinic max-flow and an infinite
-edge on every strict pair; the cover-edge solver must match it bit for
-bit.  The DAG reference is the earlier eager build, which made the
-reach and cover matrices of every order up front and found chains by
-testing every pair.  The optimality certificate checks a fit of any
-size against the Karush-Kuhn-Tucker conditions of the projection, so it
+earlier min-cut solver, with a recursive Dinic max-flow and an
+uncuttable edge on every strict pair, in exact integer arithmetic; the
+cover-edge solver must match it bit for bit.  The exact oracles work in
+Fractions: a PAV for chains, and the max-min formula for posets of at
+most 12 nodes; rounded once, they are what an exact solver returns.
+The DAG reference is the earlier eager build, which made the reach and
+cover matrices of every order up front and found chains by testing
+every pair.  The optimality certificate checks a fit of any size
+against the Karush-Kuhn-Tucker conditions of the projection, so it
 needs no second solver: on a chain the edge duals are prefix sums, and
 on any other order they are flows of the same max-flow.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -56,39 +60,40 @@ def pav_antitonic_columns(values: np.ndarray, weights: np.ndarray) -> np.ndarray
 
 
 class _Dinic:
-    """Max-flow on a small dense graph, float capacities."""
+    """Max-flow on a small dense graph; capacities are ints for an exact
+    flow, or floats."""
 
     def __init__(self, n: int):
         self.n = n
         self.head: list[list[int]] = [[] for _ in range(n)]
         self.to: list[int] = []
-        self.cap: list[float] = []
+        self.cap: list = []
 
-    def add_edge(self, u: int, v: int, c: float):
+    def add_edge(self, u: int, v: int, c):
         self.head[u].append(len(self.to))
         self.to.append(v)
         self.cap.append(c)
         self.head[v].append(len(self.to))
         self.to.append(u)
-        self.cap.append(0.0)
+        self.cap.append(0 * c)
 
-    def _augment(self, u: int, t: int, f: float, level: list[int], it: list[int], eps: float) -> float:
+    def _augment(self, u: int, t: int, f, level: list[int], it: list[int]):
         if u == t:
             return f
         while it[u] < len(self.head[u]):
             e = self.head[u][it[u]]
             v = self.to[e]
-            if self.cap[e] > eps and level[v] == level[u] + 1:
-                d = self._augment(v, t, min(f, self.cap[e]), level, it, eps)
-                if d > eps:
+            if self.cap[e] > 0 and level[v] == level[u] + 1:
+                d = self._augment(v, t, min(f, self.cap[e]), level, it)
+                if d > 0:
                     self.cap[e] -= d
                     self.cap[e ^ 1] += d
                     return d
             it[u] += 1
-        return 0.0
+        return 0
 
-    def max_flow(self, s: int, t: int, eps: float) -> float:
-        flow = 0.0
+    def max_flow(self, s: int, t: int):
+        flow = 0
         while True:
             level = [-1] * self.n
             level[s] = 0
@@ -96,93 +101,131 @@ class _Dinic:
             for u in queue:
                 for e in self.head[u]:
                     v = self.to[e]
-                    if self.cap[e] > eps and level[v] < 0:
+                    if self.cap[e] > 0 and level[v] < 0:
                         level[v] = level[u] + 1
                         queue.append(v)
             if level[t] < 0:
                 return flow
             it = [0] * self.n
             while True:
-                pushed = self._augment(s, t, float("inf"), level, it, eps)
-                if pushed <= eps:
+                pushed = self._augment(s, t, float("inf"), level, it)
+                if pushed <= 0:
                     break
                 flow += pushed
 
-    def source_side(self, s: int, eps: float) -> np.ndarray:
+    def source_side(self, s: int) -> np.ndarray:
         seen = np.zeros(self.n, dtype=bool)
         seen[s] = True
         queue = [s]
         for u in queue:
             for e in self.head[u]:
                 v = self.to[e]
-                if self.cap[e] > eps and not seen[v]:
+                if self.cap[e] > 0 and not seen[v]:
                     seen[v] = True
                     queue.append(v)
         return seen
 
 
-def _best_lower_set(strict: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
-    """Maximize sum(b[D]) over lower sets D of the strict order.
+def _best_lower_set(strict: np.ndarray, b: list[int]) -> tuple[int, np.ndarray]:
+    """Maximize sum(b[D]) over lower sets D of the strict order, for int
+    residuals ``b``.
 
-    Returns the gain and the maximizing set (as a mask).  Solved as a
-    max-weight closure problem: cutting a positive node's source edge
-    excludes it, cutting a negative node's sink edge includes it, and
-    infinite edges from each node to its predecessors force closure.
+    Returns the gain and the least maximizing set (as a mask).  Solved
+    as a max-weight closure problem: cutting a positive node's source
+    edge excludes it, cutting a negative node's sink edge includes it,
+    and edges from each node to its predecessors, with more capacity
+    than any cut, force closure.  The flow is exact, so the nodes that
+    the source still reaches are the least maximizer.
     """
-    n = b.size
+    n = len(b)
     s, t = n, n + 1
-    pos = float(b[b > 0].sum())
-    if pos == 0.0:
-        return 0.0, np.zeros(n, dtype=bool)
-    inf = float(np.abs(b).sum()) + 1.0
-    eps = 1e-14 * inf
+    pos = sum(x for x in b if x > 0)
     net = _Dinic(n + 2)
-    for i in range(n):
-        if b[i] > 0:
-            net.add_edge(s, i, float(b[i]))
-        elif b[i] < 0:
-            net.add_edge(i, t, float(-b[i]))
+    for i, x in enumerate(b):
+        if x > 0:
+            net.add_edge(s, i, x)
+        elif x < 0:
+            net.add_edge(i, t, -x)
     below, above = np.nonzero(strict)
     for u, v in zip(below.tolist(), above.tolist()):
         # u is below v: including v forces u in
-        net.add_edge(v, u, inf)
-    cut = net.max_flow(s, t, eps)
-    gain = pos - cut
-    mask = net.source_side(s, eps)[:n]
-    return gain, mask
+        net.add_edge(v, u, pos + 1)
+    gain = pos - net.max_flow(s, t)
+    return gain, net.source_side(s)[:n]
+
+
+def _exact_ints(a) -> tuple[list[int], int]:
+    """The entries of float array ``a`` as ints times 2**-shift, exactly,
+    for the least shift >= 0 that makes them all ints; and that shift."""
+    ratios = [x.as_integer_ratio() for x in np.asarray(a, dtype=float).ravel().tolist()]
+    shift = max([den.bit_length() - 1 for _, den in ratios], default=0)
+    return [num << (shift + 1 - den.bit_length()) for num, den in ratios], shift
 
 
 def strict_pair_antitonic(dag, values, weights=None) -> np.ndarray:
     """Antitonic L2 fit of every column of ``values`` on a poset by the
     recursive min-cut split, closing each block under all its strict
-    pairs."""
+    pairs, in exact arithmetic: node i's sum in a column is the exact
+    product w_i * v_i, as an int scaled by a power of two, so that every
+    residual and gain is an int, and each fitted value is its final
+    block's sum over its weight, rounded once."""
     n = dag.n_nodes
     v = np.asarray(values, dtype=float)
-    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
-    # the solver's exact power-of-two rescaling: the largest weight in [1, 2)
-    w = np.ldexp(w, 1 - np.frexp(w.max())[1])
     cols = v.reshape(n, -1)
+    u, _ = _exact_ints(np.ones(n) if weights is None else weights)
+    ints, shift = _exact_ints(cols)
+    # node i's weight, at the scale of its sums u[i] * ints[i, k]
+    w = [x << shift for x in u]
     strict = dag.reach & ~np.eye(n, dtype=bool)
     out = np.empty_like(cols)
     for k in range(cols.shape[1]):
+        sums = [u[i] * ints[i * cols.shape[1] + k] for i in range(n)]
         stack = [np.arange(n)]
         while stack:
             idx = stack.pop()
-            ww = w[idx]
-            vv = cols[idx, k]
-            mu = float((ww * vv).sum() / ww.sum())
-            if idx.size == 1:
-                out[idx, k] = mu
-                continue
-            b = ww * (vv - mu)
+            total = sum(sums[i] for i in idx.tolist())
+            weight = sum(w[i] for i in idx.tolist())
+            b = [weight * sums[i] - w[i] * total for i in idx.tolist()]
             gain, mask = _best_lower_set(strict[np.ix_(idx, idx)], b)
-            tol = 1e-12 * (1.0 + float(np.abs(b).sum()))
-            if gain <= tol or not mask.any() or mask.all():
-                out[idx, k] = mu
+            if gain <= 0:
+                out[idx, k] = total / weight
                 continue
             stack.append(idx[mask])
             stack.append(idx[~mask])
     return out.reshape(v.shape)
+
+
+def exact_pav(values, weights=None) -> list[Fraction]:
+    """Antitonic PAV of one column along a chain, its entries from the
+    least element up, in Fractions: values and weights (floats, ints or
+    Fractions) are taken exactly, and so is every block mean."""
+    blocks = []  # [sum, weight, length] of each pooled block, bottom first
+    for x, u in zip(values, [1] * len(values) if weights is None else weights):
+        blocks.append([Fraction(u) * Fraction(x), Fraction(u), 1])
+        while len(blocks) > 1 and blocks[-2][0] / blocks[-2][1] < blocks[-1][0] / blocks[-1][1]:
+            top = blocks.pop()
+            blocks[-1] = [a + b for a, b in zip(blocks[-1], top)]
+    return [total / weight for total, weight, length in blocks for _ in range(length)]
+
+
+def exact_antitonic(dag, values, weights=None) -> list[Fraction]:
+    """The antitonic projection of one column on a poset of at most 12
+    nodes, in Fractions: node i's value is the largest, over lower sets
+    L that hold i, of the smallest weighted mean over L minus K, for the
+    lower sets K within L that do not hold i.  Values and weights
+    (floats, ints or Fractions) are taken exactly."""
+    n = dag.n_nodes
+    _check_size(n)
+    w = [Fraction(1)] * n if weights is None else [Fraction(u) for u in weights]
+    # subset sums over all 2^n masks: bit i of a mask picks node i
+    sums, totals = [Fraction(0)], [Fraction(0)]
+    for u, x in zip(w, values):
+        sums += [a + u * Fraction(x) for a in sums]
+        totals += [a + u for a in totals]
+    mean = [a / b if b else None for a, b in zip(sums, totals)]
+    lower = _closed_masks(_strict_matrix(dag))
+    return [max(min(mean[whole & ~part] for part in lower if not part & (~whole | 1 << i))
+                for whole in lower if whole >> i & 1) for i in range(n)]
 
 
 def cover_matrix(dag) -> np.ndarray:
@@ -294,7 +337,7 @@ def kkt_violation(dag, values, fit, weights=None) -> float:
                     net.add_edge(i, t, -x)
             for e in edges[first[j]:last[j]].tolist():
                 net.add_edge(local[int(hi[e])], local[int(lo[e])], pos + neg)
-            done[key] = max(pos, neg) - net.max_flow(s, t, 1e-18 * total)
+            done[key] = max(pos, neg) - net.max_flow(s, t)
         worst = max(worst, done[key] / total)
     return worst
 

@@ -22,7 +22,6 @@ from idr import (
     Relation,
     StepCdf,
     compare,
-    crps_mixture_check,
     crps_rows,
     empirical_crps_loss,
     fit_idr,
@@ -42,6 +41,7 @@ from brute_force import (
     isotonic_quantile_oracle,
     pinball_loss,
 )
+from mixture_check import crps_mixture_check
 
 TOTAL1 = OrderSpec((OrderGroup((0,), TOTAL),))
 

@@ -566,6 +566,56 @@ def test_malformed_model_file_is_a_validation_error(tmp_path):
         assert not (tmp_path / "p.csv").exists()
 
 
+def _field_paths(obj, path=""):
+    """The path of every field of every object in a model document, as
+    the reader names them: ``members[2].cdf_rows.values``."""
+    for key, value in obj.items():
+        yield f"{path}{key}"
+        items = value if isinstance(value, list) else [value]
+        for i, item in enumerate(items):
+            if isinstance(item, dict):
+                yield from _field_paths(item, f"{path}{key}[{i}]." if isinstance(value, list) else f"{path}{key}.")
+
+
+def _without(doc, path):
+    """A copy of ``doc`` without the field at ``path``."""
+    doc = json.loads(json.dumps(doc))
+    *steps, last = path.replace("[", ".").replace("]", "").split(".")
+    obj = doc
+    for step in steps:
+        obj = obj[int(step)] if isinstance(obj, list) else obj[step]
+    del obj[last]
+    return doc
+
+
+#: fields that a model file may leave out
+OPTIONAL_FIELDS = {"column_names", "split"}
+
+
+@pytest.mark.parametrize("folder", ["", "v1", "v2", "v3", "v4"])
+def test_a_missing_model_field_names_itself(folder, tmp_path):
+    """Deleting any required field of any golden model, at the top level
+    or in a member, one at a time, is a validation error that names the
+    field and, in a member, the member's index."""
+    golden = Path(__file__).resolve().parent / "golden"
+    seen = 0
+    for name in ("chain", "cw", "icx"):
+        doc = json.loads((golden / folder / f"{name}_model.json").read_text())
+        for path in _field_paths(doc):
+            # a member before 5.0 carries the type of a plain model, which the reader does not read
+            if path.rsplit(".", 1)[-1] in OPTIONAL_FIELDS or path.startswith("members[") and path.endswith("].type"):
+                continue
+            model = tmp_path / "missing.json"
+            model.write_text(json.dumps(_without(doc, path)))
+            res = invoke("predict", "--model", model, "--data", golden / f"{name}_test.csv",
+                         "--quantiles", "0.5", "--out", tmp_path / "p.csv")
+            assert res.exit_code == EXIT_VALIDATION, (name, path, all_output(res))
+            named = "version field" if path == "version" else f"lacks the field {path}\n"
+            assert named in all_output(res), (name, path, all_output(res))
+            seen += path.startswith("members[")
+    assert seen > 10
+
+
 #: a JSON integer literal past the float range
 HUGE = 10**400
 

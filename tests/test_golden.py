@@ -33,7 +33,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 MODELS = ("chain_model.json", "cw_model.json", "icx_model.json")
 #: one directory per older format, named v<major>
 OLD_FORMATS = sorted(p for p in GOLDEN.glob("v*") if p.is_dir())
-INPUTS = ("chain_test.csv", "cw_train.csv", "cw_test.csv", "icx_train.csv", "icx_test.csv")
+INPUTS = ("chain_test.csv", "cw_train.csv", "cw_weighted_train.csv", "cw_test.csv", "icx_train.csv", "icx_test.csv")
 ICX = "hres:total;p1-p4:icx"
 
 # (command line, files it writes); later commands read earlier outputs
@@ -56,6 +56,8 @@ COMMANDS = [
      "--out cw_predict.csv", ["cw_predict.csv"]),
     ("score --model cw_model.json --data cw_test.csv --response y --thresholds 3 --alphas 0.5 "
      "--seed 2 --out cw_score.csv", ["cw_score.csv"]),
+    ("fit --data cw_weighted_train.csv --response y --order a,b:cw --weight w --out cw_weighted_model.json",
+     ["cw_weighted_model.json"]),
     (f"fit --data icx_train.csv --response y --order {ICX} --subagg-count 4 --subagg-size 25 --seed 3 "
      "--out icx_model.json", ["icx_model.json"]),
     ("predict --model icx_model.json --data icx_test.csv --quantiles 0.1,0.5,0.9 --thresholds 2 "
@@ -151,6 +153,11 @@ def _write_inputs(rng):
     # below all, above all, incomparable to all
     tail = np.array([[-5.0] * 5 + [0.0], [20.0] * 5 + [6.0], [20.0] + [-5.0] * 4 + [1.0]])
     write("icx_test.csv", ["hres", "p1", "p2", "p3", "p4", "y"], np.vstack([icx[:3], ensemble(9), tail]))
+
+    # the componentwise table with integer weights 1-3, drawn last so that
+    # the tables above keep their draws
+    cw = np.loadtxt(GOLDEN / "cw_train.csv", delimiter=",", skiprows=1)
+    write("cw_weighted_train.csv", ["a", "b", "y", "w"], np.column_stack([cw, rng.integers(1, 4, size=len(cw))]))
 
 
 if __name__ == "__main__":

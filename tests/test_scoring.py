@@ -11,7 +11,6 @@ from idr import (
     brier_rows,
     brier_score,
     crps,
-    crps_mixture_check,
     crps_rows,
     elementary_probability_score,
     elementary_quantile_score,
@@ -25,6 +24,8 @@ from idr import (
     reliability_bins,
 )
 from idr.stepfun import CASE_BLOCK
+
+from mixture_check import crps_mixture_check
 
 
 def random_cdf(rng, max_atoms=8):

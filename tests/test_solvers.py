@@ -1,5 +1,7 @@
 """Exact antitonic least-squares solvers, cross-checked against brute force."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,8 @@ from brute_force import (
     _closed_masks,
     brute_force_antitonic,
     cover_matrix,
+    exact_antitonic,
+    exact_pav,
     kkt_violation,
     pav_antitonic_columns,
     strict_pair_antitonic,
@@ -121,6 +125,7 @@ def test_antichain_values_unchanged():
     assert dag.edges() == []
     v = np.array([0.9, 0.1, 0.5, 0.7])
     assert antitonic_l2_fit(dag, v).tolist() == v.tolist()
+    assert antitonic_l2_fit(dag, np.empty((4, 0))).shape == (4, 0)
 
 
 def test_chain_agrees_with_pav():
@@ -230,10 +235,10 @@ def test_poset_fit_matches_strict_pair_reference(kind):
 def test_ties_across_carried_blocks_match_the_reference():
     """Two incomparable nodes meet at one value c: the second column moves
     one of them onto the other's value.  The warm start re-solves only
-    the moved node's block; under float weights each node's own mean can
-    differ from c by an ulp, while solving from scratch pools the two.
-    Moved to within 1e-12 of c they pool too; 1e-10 away they do not.
-    The fit must be the reference's, bit for bit, in every case."""
+    the moved node's block, and solving from scratch pools the two; at
+    one exact value they round alike.  Moved 1e-12 or 1e-10 from c, they
+    are two values.  The fit must be the reference's, bit for bit, in
+    every case, under float weights."""
     dag = build_order_dag(CW2, [(0, 0), (0, 1), (1, 0), (2, 2)])
     assert dag.edges() == [(0, 1), (0, 2), (1, 3), (2, 3)]
     rng = np.random.default_rng(5)
@@ -249,9 +254,10 @@ def test_ties_between_blocks_of_two_rounds_match_the_reference(monkeypatch):
     """Node 0 lies below node 1; node 2 is incomparable to both.  Nodes
     0 and 2 form one block in the first column, and the second moves
     both: the first round splits them, node 0 breaks its edge to node 1,
-    and the second round pools nodes 0 and 1 at (nearly) node 2's value.
-    The two rounds' blocks are one level set, which solving from scratch
-    pools, and the merge solves them as one block again: the fit must be
+    and the second round pools nodes 0 and 1 at node 2's value, as
+    nearly as floats allow.  Where the two rounds' blocks hold one exact
+    mean, they are one level set, which solving from scratch pools; they
+    round to one value, so they are not solved again.  The fit must be
     the reference's, bit for bit, under float weights."""
     dag = build_order_dag(CW2, [(0.0, 0.0), (0.0, 1.0), (1.0, -1.0)])
     assert dag.edges() == [(0, 1)]
@@ -266,7 +272,7 @@ def test_ties_between_blocks_of_two_rounds_match_the_reference(monkeypatch):
         values = np.array([[0.9, (c * (w[0] + w[1]) - w[1] * 0.5) / w[0]], [0.5, 0.5], [0.9, c]])
         del solved[:]
         fit = antitonic_l2_fit(dag, values, w)
-        assert solved == [[0, 1, 2], [0, 2], [0, 1], [0, 1, 2]], draw
+        assert solved == [[0, 1, 2], [0, 2], [0, 1]], draw
         assert np.array_equal(fit, strict_pair_antitonic(dag, values, w)), draw
 
 
@@ -296,10 +302,7 @@ def test_warm_start_cuts_fewer_blocks_than_solving_each_column_alone(monkeypatch
     """A 2-d componentwise ``fit_idr`` at n = 200, where every threshold
     column differs from the one before by one observation, needs under
     60% of the min-cuts that solving each column on its own needs, and
-    gives the same bits.  Solving again only the blocks at broken edges
-    needs fewer min-cuts than solving the whole region each round, as
-    the fallback does when the local rounds are capped at none, and the
-    bits are the same."""
+    gives the same bits."""
     rng = np.random.default_rng(4)
     x = rng.uniform(0, 10, size=(200, 2))
     y = x.mean(axis=1) + rng.normal(size=200)
@@ -314,38 +317,27 @@ def test_warm_start_cuts_fewer_blocks_than_solving_each_column_alone(monkeypatch
     n_cold = len(cuts) - n_warm
     assert np.array_equal(warm, np.maximum.accumulate(np.clip(cold, 0.0, 1.0), axis=1))
     assert 0 < n_warm < 0.6 * n_cold, (n_warm, n_cold)
-    monkeypatch.setattr(solvers, "_ROUNDS_PER_NODE", 0)
-    del cuts[:]
-    assert np.array_equal(fit_idr(training).cdf, warm)
-    assert n_warm < 0.9 * len(cuts), (n_warm, len(cuts))
 
 
-@pytest.mark.parametrize("rounds_per_node, regions", [
-    (1, [[0], [0, 1, 5], [0, 5, 6], [0, 5, 6, 7], [0, 5, 6, 7, 8]]),
-    (0, [[0], [0, 1, 5], [0, 1, 5, 6], [0, 1, 5, 6, 7], [0, 1, 5, 6, 7, 8]]),
-], ids=["local", "growing"])
-def test_rounds_re_solve_the_blocks_at_broken_edges(monkeypatch, rounds_per_node, regions):
+def test_rounds_re_solve_the_blocks_at_broken_edges(monkeypatch):
     """Node 0 lies below two incomparable arms, nodes 1-4 straight up
     from it and nodes 5-8 straight right.  The second column drops it
     from the top of the fit to the bottom.  Solved alone, it breaks its
     cover edges into both arms, and the next round solves it with the
     two far-apart blocks at those edges.  From then on only the right
     arm's edges break: each round solves the blocks at the broken edge,
-    and the left arm's block is not solved again.  With the local rounds
-    capped at none, the fallback's growing region solves every block
-    solved so far, each round.  Both fits are the reference's, bit for
-    bit, under unit and float weights."""
+    and the left arm's block is not solved again.  The fit is the
+    reference's, bit for bit, under unit and float weights."""
     arm = np.arange(1.0, 5.0)
     dag = build_order_dag(CW2, [(0.0, 0.0)] + [(0.0, y) for y in arm] + [(x, 0.0) for x in arm])
     assert dag.edges() == [(0, 1), (0, 5), (1, 2), (2, 3), (3, 4), (5, 6), (6, 7), (7, 8)]
     col = np.array([0.9, 0.3, 0.25, 0.2, 0.1, 0.85, 0.8, 0.7, 0.6])
     values = np.column_stack([col, np.r_[0.0, col[1:]]])
-    monkeypatch.setattr(solvers, "_ROUNDS_PER_NODE", rounds_per_node)
     solved = []
     real = solvers._split
     monkeypatch.setattr(solvers, "_split", lambda idx, *args: solved.append(list(idx)) or real(idx, *args))
     fit = antitonic_l2_fit(dag, values)
-    assert solved == [list(range(9))] + regions
+    assert solved == [list(range(9)), [0], [0, 1, 5], [0, 5, 6], [0, 5, 6, 7], [0, 5, 6, 7, 8]]
     assert np.array_equal(fit, strict_pair_antitonic(dag, values))
     assert np.allclose(fit[:, 1], [0.59, 0.3, 0.25, 0.2, 0.1, 0.59, 0.59, 0.59, 0.59], rtol=0, atol=1e-12)
     w = np.random.default_rng(8).uniform(0.2, 3.0, size=9)
@@ -377,6 +369,78 @@ def test_poset_fit_is_free_of_the_weight_scale():
         assert np.array_equal(antitonic_l2_fit(dag, v * scale) / scale, base), scale
 
 
+def test_integer_weights_times_3_or_7_fit_the_same_bits():
+    """Multiplying integer weights by 3 or by 7 keeps every indicator sum
+    and node weight an integer, so the poset fit, which divides only once
+    per level set, gives the same model bit for bit on a tied 2-d
+    componentwise table."""
+    rng = np.random.default_rng(23)
+    x = rng.integers(0, 8, size=(200, 2)).astype(float)
+    y = x.sum(axis=1) + rng.integers(0, 6, size=200)
+    w = rng.integers(1, 6, size=200).astype(float)
+    base = fit_idr(make_training_set(CW2, x, y, w))
+    for factor in (3.0, 7.0):
+        model = fit_idr(make_training_set(CW2, x, y, w * factor))
+        assert np.array_equal(model.rows, base.rows) and np.array_equal(model.node_row, base.node_row), factor
+
+
+#: values that tie, as indicator means do, and their neighbours an ulp up
+TIED = [0.0, 0.25, 1 / 3, 0.5, 2 / 3, 1.0]
+TIED += [float(np.nextafter(v, 2.0)) for v in TIED]
+
+
+@pytest.mark.parametrize("weights", ["unit", "integer", "float"])
+def test_poset_fit_is_the_exact_projection_rounded_once(weights):
+    """On random posets of at most 10 nodes (chains left out), with
+    values that tie, lie an ulp apart or are drawn at random, each fitted
+    value of the poset solver is the exact projection, computed in
+    Fractions by the max-min formula, rounded once: bit for bit, under
+    unit, integer or float weights."""
+    rng = np.random.default_rng(["unit", "integer", "float"].index(weights))
+    specs = [CW2, OrderSpec((OrderGroup((0, 1, 2), EMPIRICAL_ICX),))]
+    checked = 0
+    for trial in range(100):
+        spec = specs[trial % 2]
+        points = rng.integers(0, 4, size=(rng.integers(3, 11), len(spec.groups[0].columns))).astype(float)
+        dag = build_order_dag(spec, points)
+        if dag.is_chain:
+            continue
+        n = dag.n_nodes
+        w = {"unit": None, "integer": rng.integers(1, 5, size=n).astype(float),
+             "float": rng.uniform(0.2, 3.0, size=n)}[weights]
+        values = rng.choice(TIED, size=(n, 3))
+        values[:, 2] = np.where(rng.random(n) < 0.5, values[:, 2], rng.uniform(size=n))
+        fit = antitonic_l2_fit(dag, values, w)
+        for k in range(3):
+            want = [float(v) for v in exact_antitonic(dag, values[:, k], w)]
+            assert fit[:, k].tolist() == want, (trial, k)
+        checked += 1
+    assert checked >= 50
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_tied_chain_fit_is_the_exact_pav_rounded_once(weighted):
+    """``fit_idr`` on a chain with rounded covariates and responses, under
+    unit or integer weights, fits every cell as the exact PAV of the
+    nodes' indicator sums over their weights, in Fractions, rounded once:
+    with integer sums below 2**53, pooling in floats is exact in any
+    order."""
+    rng = np.random.default_rng(int(weighted))
+    x = np.round(rng.uniform(0, 10, size=300), 1)
+    y = np.round(x + rng.normal(size=300), 1)
+    w = rng.integers(1, 4, size=300).astype(float) if weighted else np.ones(300)
+    training = make_training_set(OrderSpec((OrderGroup((0,), TOTAL),)), x[:, None], y, w)
+    dag, model = training.dag, fit_idr(training)
+    assert dag.is_chain and dag.n_nodes < 300
+    order = np.argsort(dag.chain_positions)
+    node_w = np.bincount(dag.membership, weights=w)[order].astype(int).tolist()
+    cdf = model.cdf
+    for k, t in enumerate(model.thresholds):
+        sums = np.bincount(dag.membership, weights=w * (y <= t), minlength=dag.n_nodes)[order]
+        want = exact_pav([Fraction(int(c), u) for c, u in zip(sums, node_w)], node_w)
+        assert cdf[order, k].tolist() == [float(v) for v in want], k
+
+
 def test_poset_taller_than_the_recursion_limit():
     """A 1500-point componentwise staircase plus one point incomparable
     to all of it.  A column rising along the staircase pools it into one
@@ -400,12 +464,12 @@ def test_poset_taller_than_the_recursion_limit():
 
 
 def test_best_lower_set_is_the_least_maximiser():
-    """On random posets of at most 10 nodes, with residuals drawn from a
-    few halves so that gains tie and several lower sets maximise, the
-    min-cut returns the least lower set of largest gain, checked against
-    every lower set; None when no lower set gains more than the
-    tolerance or the least maximiser is everything.  The sums are exact,
-    so the tolerance cuts at zero gain."""
+    """On random posets of at most 10 nodes, with int residuals drawn from
+    a few small values so that gains tie and several lower sets
+    maximise, the min-cut returns the least lower set of largest gain,
+    checked against every lower set, and None exactly when no lower set
+    gains: where the residuals do not sum to 0, the least maximiser can
+    be everything."""
     rng = np.random.default_rng(21)
     specs = [CW2, OrderSpec((OrderGroup((0, 1, 2), EMPIRICAL_ICX),))]
     seen = {"none": 0, "set": 0, "tied": 0}
@@ -414,7 +478,7 @@ def test_best_lower_set_is_the_least_maximiser():
         points = rng.integers(0, 4, size=(rng.integers(2, 11), len(spec.groups[0].columns))).astype(float)
         dag = build_order_dag(spec, points)
         n = dag.n_nodes
-        b = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=n)
+        b = rng.choice([-2, -1, 0, 1, 2], size=n)
         if trial % 3 == 0:
             b[0] -= b.sum()  # residuals about a block mean sum to zero
         masks = np.array(_closed_masks(cover_matrix(dag)))
@@ -422,8 +486,8 @@ def test_best_lower_set_is_the_least_maximiser():
         winners = masks[gains == gains.max()]
         least = int(np.bitwise_and.reduce(winners))
         assert least in winners
-        side = solvers._best_lower_set(dag.edges(), b)
-        if gains.max() <= 1e-12 * (np.abs(b).sum() + 1.0) or least == (1 << n) - 1:
+        side = solvers._best_lower_set(dag.edges(), b.tolist())
+        if gains.max() <= 0:
             assert side is None, trial
             seen["none"] += 1
         else:

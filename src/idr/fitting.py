@@ -17,7 +17,7 @@ import numpy as np
 
 from .orders import OrderDag, OrderSpec, build_order_dag
 from .scoring import check_span, crps_rows, finite_mean
-from .solvers import _fit_sums, antitonic_l2_fit
+from .solvers import _fit_sums
 from .stepfun import CASE_BLOCK, StepCdf, check_cdf_rows, check_grid, check_weights, distinct_sorted
 
 __all__ = ["TrainingSet", "make_training_set", "IdrModel", "distinct_rows", "fit_idr", "empirical_crps_loss"]
@@ -161,13 +161,9 @@ def fit_idr(training: TrainingSet) -> IdrModel:
     The thresholds are the sorted distinct responses.  For each
     threshold, node-level weighted means of the indicators
     1{y <= threshold} are projected onto the antitonic cone of the DAG,
-    so nodes with larger covariates receive pointwise smaller CDFs.
-
-    The solver gets each node's weighted indicator sum c and weight w.
-    On a chain it fits the means c / w.  On any other order it divides
-    nothing before the end: every fitted value is the sum S over the
-    weight W of its level set, rounded once, so the fit is the exact
-    projection, correctly rounded.
+    so nodes with larger covariates receive pointwise smaller CDFs.  The
+    solver divides nothing before the end: each fitted value is a level
+    set's indicator sum over its weight, rounded once.
 
     Returns
     -------
@@ -175,31 +171,14 @@ def fit_idr(training: TrainingSet) -> IdrModel:
     """
     dag = training.dag
     y = training.responses
-    w = training.weights
     thresholds = distinct_sorted(y)
+    climatology = StepCdf.from_sample(y, training.weights)
 
-    pos = np.searchsorted(thresholds, y)
-    mass = np.zeros((dag.n_nodes, thresholds.size))
-    np.add.at(mass, (training.node_ids, pos), w)
-    pooled = np.cumsum(mass.sum(axis=0))
-    pooled /= pooled[-1]
-    pooled[-1] = 1.0
-    climatology = StepCdf(thresholds, pooled)
-
-    # one nodes x thresholds matrix at a time besides the solver's output
-    values = np.cumsum(mass, axis=1)
-    del mass
-    node_weight = values[:, -1].copy()
-    if dag.is_chain:
-        values /= node_weight[:, None]
-        fitted = antitonic_l2_fit(dag, values, node_weight)
-        # float pooling can leave a rounding outside [0, 1] or against the
-        # order of the thresholds; the exact poset fit leaves none
-        np.clip(fitted, 0.0, 1.0, out=fitted)
-        np.maximum.accumulate(fitted, axis=1, out=fitted)
-    else:
-        fitted = _fit_sums(dag, values, node_weight)
-    del values
+    # the indicator sums, cumulated in place: one nodes x thresholds matrix besides the fit
+    sums = np.zeros((dag.n_nodes, thresholds.size))
+    np.add.at(sums, (training.node_ids, np.searchsorted(thresholds, y)), training.weights)
+    fitted = _fit_sums(dag, np.cumsum(sums, axis=1, out=sums))
+    del sums
     return IdrModel(thresholds, *distinct_rows(fitted), dag, climatology)
 
 

@@ -1,20 +1,18 @@
 """Weighted least-squares projection onto antitonic cones.
 
-:func:`antitonic_l2_fit` projects every threshold column of a fit with
-the solver for the order's shape.  On a chain it runs
-pool-adjacent-violators over all columns at once, in floats.  On a
-general partial order it splits a block recursively: the block is cut
-into the least lower set with the largest positive residual mass and
-the rest, until no lower set gains.  That lower set is a maximum-weight
-closure, found by shortest augmenting paths (Edmonds & Karp) on a
-network built as plain lists, whose uncuttable arcs are the block's
-cover edges only.
-
-The poset solver is exact.  Its node sums and weights are Python ints,
-scaled by a power of two, so every residual, capacity, gain and
-comparison of two means is exact, and each fitted value is its block's
-sum over its weight, rounded once: the correctly rounded value of the
-exact projection.
+A fit hands the solver for its order's shape each node's weighted
+indicator sums and weight (:func:`_fit_sums`), and each fitted value is
+a level set's sum over its weight, rounded once.  On a chain,
+pool-adjacent-violators pools the sums over all columns at once, in
+floats, exactly for integer weights.  On a general partial order a
+block is split recursively into the least lower set with the largest
+positive residual mass and the rest, until no lower set gains.  That
+lower set is a maximum-weight closure, found by shortest augmenting
+paths (Edmonds & Karp) on a network built as plain lists, whose
+uncuttable arcs are the block's cover edges only.  The node sums and
+weights are Python ints, scaled by a power of two, so every residual,
+capacity, gain and comparison of two means is exact: the correctly
+rounded value of the exact projection.
 
 Neighbouring threshold columns differ in few nodes (one observation's
 indicator), so each poset column starts from the blocks of the one
@@ -43,52 +41,62 @@ __all__ = ["pav_antitonic", "antitonic_l2_fit"]
 _PAV_BLOCK = 256
 
 
-def _pav_chain(values: np.ndarray, weights: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """Antitonic PAV of every column of ``values`` along the chain that
-    visits the rows in ``order``.  The values and the weights are each
-    scaled exactly by a power of two to a largest magnitude in [1, 2), so
-    that no sum overflows; a fit's values, which end at 1, are not (no
-    copy).  Each step pushes the next row onto every column's stack, then
-    pools the top two blocks wherever they violate, so each column gets
-    the one-column loop's float operations, in order."""
-    top = int(np.frexp(weights.max())[1]) if weights.size else 1
-    shift = 1 - int(np.frexp(max(values.max(initial=0.0), -values.min(initial=0.0)))[1])
-    values = np.ldexp(values, shift) if shift else values
-    weights = np.ldexp(weights, 1 - top) if top != 1 else weights
-    n, m = values.shape
+def _pav_chain(sums: np.ndarray, weights: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Antitonic PAV of every column of ``sums`` (nodes x columns) over
+    the node ``weights``, along the chain that visits the rows in
+    ``order``.  Each step pushes the next node onto every column's stack,
+    then pools the top two blocks wherever their means violate.  Each
+    fitted value is a block's sum S over its weight W, rounded once.
+    For integer weights (or integers times one power of two, the unit)
+    totalling below 2**26 units, every S and W is exact, and two distinct
+    means differ by 1 / (W1 * W2) > 2**-52 or more, over one ulp in
+    [0, 1], so the fit is the exact PAV, correctly rounded."""
+    n, m = sums.shape
     out = np.empty((n, m))
     for c0 in range(0, m, _PAV_BLOCK):
-        v = values[:, c0:c0 + _PAV_BLOCK]
-        b = v.shape[1]
+        block = sums[:, c0:c0 + _PAV_BLOCK]
+        b = block.shape[1]
         # one stack per column, entry (stack row r, column c) at r * b + c
-        sums = np.zeros(n * b)
+        ssum = np.zeros(n * b)
         wsum = np.ones(n * b)
         first = np.empty(n * b, dtype=np.intp)
         top = np.arange(b) - b
         for i, node in enumerate(order):
             top += b
-            sums[top] = weights[node] * v[node]
+            ssum[top] = block[node]
             wsum[top] = weights[node]
             first[top] = i
             t = top[top >= b]
             while t.size:
                 below = t - b
-                pool = sums[below] / wsum[below] < sums[t] / wsum[t]
+                pool = ssum[below] / wsum[below] < ssum[t] / wsum[t]
                 if not pool.any():
                     break
                 t, below = t[pool], below[pool]
-                sums[below] += sums[t]
+                ssum[below] += ssum[t]
                 wsum[below] += wsum[t]
                 top[below % b] = below
                 t = below[below >= b]
         # block means; chain position p takes the last block starting at or before p
-        sums /= wsum
+        ssum /= wsum
         first = first.reshape(n, b)
         first[np.arange(n)[:, None] > top // b] = n
         flat = np.zeros((n + 1, b), dtype=np.intp)
         flat[first, np.arange(b)] = np.arange(n * b).reshape(n, b)
         np.maximum.accumulate(flat, axis=0, out=flat)
-        out[order, c0:c0 + b] = sums[flat[:n]]
+        out[order, c0:c0 + b] = ssum[flat[:n]]
+    return out
+
+
+def _pav_values(values: np.ndarray, weights: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """:func:`_pav_chain` of the products of ``values`` and ``weights``,
+    each scaled exactly by a power of two to a largest magnitude in
+    [1, 2), so that no sum overflows, and the fit scaled back."""
+    top = int(np.frexp(weights.max())[1]) if weights.size else 1
+    shift = 1 - int(np.frexp(max(values.max(initial=0.0), -values.min(initial=0.0)))[1])
+    values = np.ldexp(values, shift) if shift else values
+    weights = np.ldexp(weights, 1 - top) if top != 1 else weights
+    out = _pav_chain(weights[:, None] * values, weights, order)
     return np.ldexp(out, -shift, out=out) if shift else out
 
 
@@ -124,7 +132,7 @@ def pav_antitonic(values, weights=None) -> np.ndarray:
     if v.ndim != 1:
         raise ValueError("values must be 1-d")
     v, w = _checked(v, weights, v.size)
-    return _pav_chain(v[:, None], w, np.arange(v.size))[:, 0]
+    return _pav_values(v[:, None], w, np.arange(v.size))[:, 0]
 
 
 def _shift(a: np.ndarray) -> int:
@@ -352,11 +360,18 @@ def _poset_fit(dag, m: int, cols: np.ndarray, nodes: np.ndarray, sums: list[int]
     return out
 
 
-def _fit_sums(dag, sums: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """The exact projection of ``sums / weights`` (nodes x columns, and
-    one positive weight per node) on a poset, with no division before the
-    one that gives each fitted value: sums and weights are scaled to ints
-    by one power of two."""
+def _fit_sums(dag, sums: np.ndarray) -> np.ndarray:
+    """The fit of a model's threshold columns from each node's cumulative
+    weighted indicator sums (nodes x thresholds; the last column holds
+    the node weights).  On a chain a block's sum is at most its weight,
+    added in the same order, so each value is in [0, 1] and the last 1;
+    with fractional weights a row can end a rounding against the order
+    of the thresholds, which its running maximum repairs.  On any other
+    order :func:`_poset_fit` gives the exact projection."""
+    weights = sums[:, -1]
+    if dag.is_chain:
+        fitted = _pav_chain(sums, weights, np.argsort(dag.chain_positions))
+        return np.maximum.accumulate(fitted, axis=1, out=fitted)
     cols, nodes, x = _changes(sums)
     shift = max(_shift(x), _shift(weights))
     return _poset_fit(dag, sums.shape[1], cols, nodes, _ints(x, shift), _ints(weights, shift))
@@ -369,10 +384,12 @@ def antitonic_l2_fit(dag, values, weights=None) -> np.ndarray:
     subject to eta_u >= eta_v whenever node u is below node v in ``dag``;
     the result is shaped like ``values``.
 
-    On a chain every column runs through one vectorised PAV, in floats.
-    On any other order the solver takes the exact products w_i * v_i of
-    the floats it is given, and each fitted value is the exact mean of
-    its level set, rounded once; the module docstring says how.
+    On a chain every column runs through one vectorised PAV, in floats,
+    of the rounded products w_i * v_i (a model fit pools its indicator
+    sums themselves, :func:`_fit_sums`).  On any other order the
+    solver takes the exact products w_i * v_i of the floats it is given,
+    and each fitted value is the exact mean of its level set, rounded
+    once; the module docstring says how.
 
     Parameters
     ----------
@@ -386,7 +403,7 @@ def antitonic_l2_fit(dag, values, weights=None) -> np.ndarray:
     v, w = _checked(values, weights, n)
     cols = v.reshape(n, -1)
     if dag.is_chain:
-        return _pav_chain(cols, w, np.argsort(dag.chain_positions)).reshape(v.shape)
+        return _pav_values(cols, w, np.argsort(dag.chain_positions)).reshape(v.shape)
     k, i, x = _changes(cols)
     shift, u = _shift(x), _ints(w, _shift(w))
     sums = [u[a] * b for a, b in zip(i.tolist(), _ints(x, shift))]

@@ -33,7 +33,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 MODELS = ("chain_model.json", "cw_model.json", "icx_model.json")
 #: one directory per older format, named v<major>
 OLD_FORMATS = sorted(p for p in GOLDEN.glob("v*") if p.is_dir())
-INPUTS = ("chain_test.csv", "cw_train.csv", "cw_weighted_train.csv", "cw_test.csv", "icx_train.csv", "icx_test.csv")
+INPUTS = ("chain_test.csv", "chain_tied_train.csv", "cw_train.csv", "cw_weighted_train.csv", "cw_test.csv",
+          "icx_train.csv", "icx_test.csv")
 ICX = "hres:total;p1-p4:icx"
 
 # (command line, files it writes); later commands read earlier outputs
@@ -51,6 +52,8 @@ COMMANDS = [
     ("pit-hist --scores chain_score.csv --bins 5 --out chain_pit.csv", ["chain_pit.csv"]),
     ("reliability --model chain_model.json --data chain_test.csv --response y --threshold 4 --bins 5 "
      "--out chain_rel.csv", ["chain_rel.csv"]),
+    ("fit --data chain_tied_train.csv --response y --order x:total --out chain_tied_model.json",
+     ["chain_tied_model.json"]),
     ("fit --data cw_train.csv --response y --order a,b:cw --out cw_model.json", ["cw_model.json"]),
     ("predict --model cw_model.json --data cw_test.csv --quantiles 0.25,0.5 --thresholds 3 "
      "--out cw_predict.csv", ["cw_predict.csv"]),
@@ -158,6 +161,13 @@ def _write_inputs(rng):
     # the tables above keep their draws
     cw = np.loadtxt(GOLDEN / "cw_train.csv", delimiter=",", skiprows=1)
     write("cw_weighted_train.csv", ["a", "b", "y", "w"], np.column_stack([cw, rng.integers(1, 4, size=len(cw))]))
+
+    # 48 rows on three tied chain covariates, fixed: pooling w * fl(c / w)
+    # in place of the indicator sums c fits y <= 2 as 0.5625000000000001,
+    # not 27 / 48
+    x = np.repeat([8.0, 9.0, 10.0], [3, 38, 7])
+    y = np.repeat([1.0, 3, 0, 1, 2, 3, 4, 5, 6, 0, 1, 2, 3, 6], [1, 2, 2, 11, 8, 11, 3, 1, 2, 1, 1, 3, 1, 1])
+    write("chain_tied_train.csv", ["x", "y"], np.column_stack([x, y]))
 
 
 if __name__ == "__main__":

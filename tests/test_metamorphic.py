@@ -10,12 +10,16 @@ posets of every relation:
   leaves every CDF row unchanged;
 - a componentwise order on collinear points is the total order along
   the line, for the fit and for predictions on that line;
-- on at most 12 nodes, every threshold column of the fit is the
-  brute-force projection, to 1e-10, whatever the scale of the weights.
+- on at most 12 nodes, every threshold column of the fit is the exact
+  projection rounded once, bit for bit, under integer weights or those
+  times 2**-60, and the brute-force projection to 1e-10 at 1e-300 or
+  1e300 times them.
 
 The weights are integers, so every sum the fit takes is exact in any
 order of its terms.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,7 +36,7 @@ from idr import (
     predict_batch,
 )
 
-from brute_force import brute_force_antitonic
+from brute_force import brute_force_antitonic, exact_antitonic, exact_pav
 
 SPECS = {
     "total": OrderSpec((OrderGroup((0,), TOTAL),)),
@@ -129,14 +133,33 @@ def test_fit_is_the_brute_force_projection_at_every_weight_scale(name, seed):
     """Twelve rows make at most 12 nodes.  At each threshold the fit
     projects the nodes' indicator means, weighted by the nodes' integer
     weights; scaling every weight by one factor leaves the projection
-    as it is."""
+    as it is.  Under the weights times 2**-60 or 1, whose sums are
+    exact, every fitted value is the exact projection rounded once, bit
+    for bit; under 1e-300 or 1e300 times them it is within 1e-10."""
     spec, x, y, w = draw(name, seed, n=12)
-    fits = [fit(spec, x, y, w * scale) for scale in (2.0**-60, 1e-300, 1.0, 1e300)]
-    dag, thresholds = fits[0].dag, fits[0].thresholds
+    fits = {scale: fit(spec, x, y, w * scale) for scale in (2.0**-60, 1e-300, 1.0, 1e300)}
+    dag, thresholds = fits[1.0].dag, fits[1.0].thresholds
     node_weight = np.bincount(dag.membership, weights=w, minlength=dag.n_nodes)
+    units = node_weight.astype(int).tolist()
     for k, t in enumerate(thresholds):
-        means = np.bincount(dag.membership, weights=w * (y <= t), minlength=dag.n_nodes) / node_weight
-        oracle = brute_force_antitonic(dag, means, node_weight)
-        for model in fits:
+        sums = np.bincount(dag.membership, weights=w * (y <= t), minlength=dag.n_nodes)
+        oracle = brute_force_antitonic(dag, sums / node_weight, node_weight)
+        exact = [float(v) for v in exact_projection(dag, [Fraction(int(c), u) for c, u in zip(sums, units)], units)]
+        for scale, model in fits.items():
             assert np.array_equal(model.dag.keys, dag.keys) and np.array_equal(model.thresholds, thresholds)
-            assert np.allclose(model.cdf[:, k], oracle, rtol=0, atol=1e-10), (t, model.cdf[:, k], oracle)
+            if scale in (2.0**-60, 1.0):
+                assert model.cdf[:, k].tolist() == exact, (scale, t)
+            else:
+                assert np.allclose(model.cdf[:, k], oracle, rtol=0, atol=1e-10), (t, model.cdf[:, k], oracle)
+
+
+def exact_projection(dag, values, weights):
+    """The exact antitonic projection of one column, in Fractions: PAV
+    along a chain, else the max-min formula."""
+    if not dag.is_chain:
+        return exact_antitonic(dag, values, weights)
+    order = np.argsort(dag.chain_positions)
+    out = [None] * dag.n_nodes
+    for i, v in zip(order, exact_pav([values[i] for i in order], [weights[i] for i in order])):
+        out[i] = v
+    return out

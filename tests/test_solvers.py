@@ -1,6 +1,7 @@
 """Exact antitonic least-squares solvers, cross-checked against brute force."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -418,27 +419,47 @@ def test_poset_fit_is_the_exact_projection_rounded_once(weights):
     assert checked >= 50
 
 
+#: 48 rows on three tied covariates (x, y), on which a chain fit that
+#: pools w * fl(c / w) in place of the indicator sums c fits the column
+#: y <= 2 as 0.5625000000000001, not 27 / 48
+TIED_48 = tuple(np.loadtxt(Path(__file__).parent / "golden" / "chain_tied_train.csv", delimiter=",", skiprows=1).T)
+
+
 @pytest.mark.parametrize("weighted", [False, True])
 def test_tied_chain_fit_is_the_exact_pav_rounded_once(weighted):
-    """``fit_idr`` on a chain with rounded covariates and responses, under
-    unit or integer weights, fits every cell as the exact PAV of the
-    nodes' indicator sums over their weights, in Fractions, rounded once:
-    with integer sums below 2**53, pooling in floats is exact in any
-    order."""
+    """``fit_idr`` on a chain with rounded covariates and responses, and
+    on the 48 rows of ``TIED_48``, under unit or integer weights, fits
+    every cell as the exact PAV of the nodes' indicator sums over their
+    weights, in Fractions, rounded once: the chain solver pools the
+    integer sums themselves, so every block's sum and weight is exact."""
     rng = np.random.default_rng(int(weighted))
     x = np.round(rng.uniform(0, 10, size=300), 1)
-    y = np.round(x + rng.normal(size=300), 1)
-    w = rng.integers(1, 4, size=300).astype(float) if weighted else np.ones(300)
-    training = make_training_set(OrderSpec((OrderGroup((0,), TOTAL),)), x[:, None], y, w)
-    dag, model = training.dag, fit_idr(training)
-    assert dag.is_chain and dag.n_nodes < 300
-    order = np.argsort(dag.chain_positions)
-    node_w = np.bincount(dag.membership, weights=w)[order].astype(int).tolist()
-    cdf = model.cdf
-    for k, t in enumerate(model.thresholds):
-        sums = np.bincount(dag.membership, weights=w * (y <= t), minlength=dag.n_nodes)[order]
-        want = exact_pav([Fraction(int(c), u) for c, u in zip(sums, node_w)], node_w)
-        assert cdf[order, k].tolist() == [float(v) for v in want], k
+    for x, y in ((x, np.round(x + rng.normal(size=300), 1)), TIED_48):
+        w = rng.integers(1, 4, size=y.size).astype(float) if weighted else np.ones(y.size)
+        training = make_training_set(OrderSpec((OrderGroup((0,), TOTAL),)), x[:, None], y, w)
+        dag, model = training.dag, fit_idr(training)
+        assert dag.is_chain and dag.n_nodes < y.size
+        order = np.argsort(dag.chain_positions)
+        node_w = np.bincount(dag.membership, weights=w)[order].astype(int).tolist()
+        cdf = model.cdf
+        for k, t in enumerate(model.thresholds):
+            sums = np.bincount(dag.membership, weights=w * (y <= t), minlength=dag.n_nodes)[order]
+            want = exact_pav([Fraction(int(c), u) for c, u in zip(sums, node_w)], node_w)
+            assert cdf[order, k].tolist() == [float(v) for v in want], (y.size, k)
+
+
+def test_fractional_weight_chain_fit_keeps_its_rows_nondecreasing():
+    """Pooling float sums under fractional weights can leave a fitted row
+    a rounding against the order of the thresholds; on these 10 rows the
+    running maximum over each row repairs it, and the model is valid."""
+    x = np.array([0, 1, 1, 2, 3, 3, 3, 4, 4, 4], dtype=float)
+    y = np.array([0, 1, 1, 0, 0, 1, 2, 0, 2, 2], dtype=float)
+    w = np.array([3.3, 1 / 7, 1 / 7, 1 / 7, 0.1, 0.1, 0.1, 0.7, 0.7, 0.7])
+    model = fit_idr(make_training_set(OrderSpec((OrderGroup((0,), TOTAL),)), x, y, w))
+    assert model.dag.is_chain and model.n_nodes == 5
+    chain = model.cdf[np.argsort(model.dag.chain_positions)]
+    assert np.all(np.diff(chain, axis=1) >= 0) and np.all(chain[:, -1] == 1.0)
+    assert np.all(np.diff(chain, axis=0) <= 0)
 
 
 def test_poset_taller_than_the_recursion_limit():

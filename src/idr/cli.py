@@ -17,7 +17,7 @@ from collections import Counter
 import click
 import numpy as np
 
-from .fitting import empirical_crps_loss, fit_idr, make_training_set
+from .fitting import fit_idr, make_training_set
 from .orders import (
     COMPONENTWISE,
     EMPIRICAL_ICX,
@@ -27,12 +27,12 @@ from .orders import (
     OrderSpec,
 )
 from .oracles import simulate_gamma, true_gamma_cdf, true_gamma_crps, true_gamma_quantile
-from .prediction import predict_blocks
-from .scoring import (brier, brier_rows, check_span, crps_rows, finite_mean, pinball, pit_histogram, pit_rows,
+from .prediction import empirical_crps_loss, predict_blocks
+from .scoring import (brier, brier_rows, crps_rows, finite_mean, pinball, pit_histogram, pit_rows,
                       quantile_score_rows, reliability_bins)
 from .serialize import load_model, save_model
-from .stepfun import CASE_BLOCK, evaluate_rows, quantile_rows
-from .subagging import SubaggedModel, fit_even_odd, fit_subagged
+from .stepfun import CASE_BLOCK, check_span, evaluate_rows, quantile_rows
+from .subagging import fit_even_odd, fit_subagged
 
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
@@ -337,16 +337,7 @@ def fit(data_path, response, order_text, weight_col, out_path, subagg_count, sub
         edges = f" edges={len(training.dag.edges())}"
 
     save_model(model, out_path)
-
-    if isinstance(model, SubaggedModel):
-        scores = np.empty(training.n)
-        for cut, batch in predict_blocks(model, training.covariates, ("center",)):
-            scores[cut] = crps_rows(model.thresholds, batch.center, training.responses[cut])
-        mean_crps = finite_mean(scores, training.weights)
-    else:
-        # each training row sits at its own node, so its fitted row is its prediction
-        mean_crps = empirical_crps_loss(model, training)
-    click.echo(f"n={training.n} nodes={training.dag.n_nodes}{edges} mean_crps={mean_crps!r}")
+    click.echo(f"n={training.n} nodes={training.dag.n_nodes}{edges} mean_crps={empirical_crps_loss(model, training)!r}")
 
 
 @main.command()

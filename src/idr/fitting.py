@@ -4,9 +4,10 @@ The fitted model stores, for every node of the comparability DAG and
 every distinct training response, the conditional CDF value at that
 response.  Each threshold column is the exact least-squares projection
 of the node-level indicator means onto the antitonic cone, which makes
-the assembled step CDFs the CRPS-optimal monotone assignment.  Each
-fitted value is a weighted mean of indicators over one level set, so
-nodes share few distinct CDF rows; the model keeps each row once.
+the assembled step CDFs the CRPS-optimal monotone assignment (scored by
+:func:`idr.prediction.empirical_crps_loss`).  Each fitted value is a
+weighted mean of indicators over one level set, so nodes share few
+distinct CDF rows; the model keeps each row once.
 """
 
 from __future__ import annotations
@@ -16,11 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .orders import OrderDag, OrderSpec, build_order_dag
-from .scoring import check_span, crps_rows, finite_mean
 from .solvers import _fit_sums
-from .stepfun import CASE_BLOCK, StepCdf, check_cdf_rows, check_grid, check_weights, distinct_sorted
+from .stepfun import StepCdf, check_cdf_rows, check_grid, check_span, check_weights, distinct_sorted
 
-__all__ = ["TrainingSet", "make_training_set", "IdrModel", "distinct_rows", "fit_idr", "empirical_crps_loss"]
+__all__ = ["TrainingSet", "make_training_set", "IdrModel", "distinct_rows", "fit_idr"]
 
 
 @dataclass(frozen=True)
@@ -181,14 +181,3 @@ def fit_idr(training: TrainingSet) -> IdrModel:
     del sums
     return IdrModel(thresholds, *distinct_rows(fitted), dag, climatology)
 
-
-def empirical_crps_loss(model: IdrModel, training: TrainingSet) -> float:
-    """Weighted mean CRPS of the fitted CDFs at their own responses,
-    scored CASE_BLOCK cases at a time, so that no (cases, thresholds)
-    matrix is gathered."""
-    node_row = model.node_row[training.node_ids]
-    scores = np.empty(training.n)
-    for lo in range(0, training.n, CASE_BLOCK):
-        cut = slice(lo, lo + CASE_BLOCK)
-        scores[cut] = crps_rows(model.thresholds, model.rows[node_row[cut]], training.responses[cut])
-    return finite_mean(scores, training.weights)

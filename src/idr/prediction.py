@@ -13,7 +13,8 @@ neighboring fitted CDFs.
 one loop over cases, for plain and subagged models: it yields the centre
 and bound rows on the model grid, with a provenance per case, a block of
 cases at a time.  :func:`predict_batch` and :func:`predict_rows` join its
-blocks; the command line keeps only per-case values of each.  The order
+blocks; the command line keeps only per-case values of each, as does
+:func:`empirical_crps_loss`, the in-sample CRPS of any model.  The order
 layer's :meth:`~idr.orders.OrderDag.query_neighbors` finds which cases
 sit at a node and the neighbours of the others; this module only reduces
 their fitted rows.  :func:`predict_cdf`, :func:`interpolate_total_order`
@@ -31,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fitting import IdrModel
+from .fitting import IdrModel, TrainingSet
+from .scoring import crps_rows, finite_mean
 from .stepfun import CASE_BLOCK, StepCdf, evaluate_grid
 from .subagging import SubaggedModel
 
@@ -45,6 +47,7 @@ __all__ = [
     "predict_cdf",
     "predict_rows",
     "interpolate_total_order",
+    "empirical_crps_loss",
 ]
 
 
@@ -196,7 +199,10 @@ def _interpolated_block(model: IdrModel, x: np.ndarray) -> tuple[np.ndarray, dic
     # a total key is its own comparison row
     keys, col = model.dag.cmp_matrix[:, 0], x[:, model.spec.total_column]
     inside = lo != hi
-    t = ((col[inside] - keys[lo[inside]]) / (keys[hi[inside]] - keys[lo[inside]]))[:, None]
+    a, b = keys[lo[inside]], keys[hi[inside]]
+    with np.errstate(over="ignore"):  # halving a, b and x where b - a overflows is exact: t is rounded as if it did not
+        half = np.where(np.isinf(b - a), 0.5, 1.0)
+    t = ((half * col[inside] - half * a) / (half * b - half * a))[:, None]
     center[inside] = (1.0 - t) * upper[inside] + t * lower[inside]
     return np.full(x.shape[0], 3), {"center": center, "lower": lower, "upper": upper}
 
@@ -238,8 +244,8 @@ def predict_blocks(model: IdrModel | SubaggedModel, covariates, sides=_SIDES, in
     for lo in range(0, max(x.shape[0], 1), CASE_BLOCK):
         cut = slice(lo, min(lo + CASE_BLOCK, x.shape[0]))
         codes, rows = _pooled_block(model, x[cut], sides) if pooled else block(model, x[cut])
-        yield cut, PredictionBatch(model.thresholds, *(rows[s] if s in sides else None for s in _SIDES),
-                                   [_PROVENANCE_ORDER[c] for c in codes], pooled)
+        rows = {side: rows[side] for side in sides}  # the others go before the caller works on the block
+        yield cut, PredictionBatch(model.thresholds, *map(rows.get, _SIDES), [_PROVENANCE_ORDER[c] for c in codes], pooled)
         del rows  # before the next block is built
 
 
@@ -310,3 +316,13 @@ def interpolate_total_order(model: IdrModel, x: float) -> Prediction:
     if arr.size != 1:
         raise ValueError("interpolation takes a single scalar covariate")
     return predict_batch(model, np.full((1, model.spec.dimension), arr[0]), interpolate=True).prediction(0)
+
+
+def empirical_crps_loss(model: IdrModel | SubaggedModel, training: TrainingSet) -> float:
+    """Weighted mean CRPS of the predictions of ``model`` at the rows of
+    ``training``; at a plain model's own training set, the criterion its
+    fit minimises.  Scored a block of :func:`predict_blocks` at a time."""
+    scores = np.empty(training.n)
+    for cut, batch in predict_blocks(model, training.covariates, ("center",)):
+        scores[cut] = crps_rows(model.thresholds, batch.center, training.responses[cut])
+    return finite_mean(scores, training.weights)

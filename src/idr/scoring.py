@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .stepfun import CASE_BLOCK, StepCdf, evaluate_rows, grid_rows, quantile_rows
+from .stepfun import CASE_BLOCK, StepCdf, check_span, evaluate_rows, grid_rows, quantile_rows
 
 __all__ = [
     "crps",
@@ -88,15 +88,6 @@ def crps_rows(thresholds, rows, ys) -> np.ndarray:
         out[lo:hi] = np.add(left, right, out=left).sum(axis=1)
     out += np.clip(z[0] - ys, 0.0, None) + np.clip(ys - z[-1], 0.0, None)
     return out
-
-
-def check_span(values, what: str):
-    """A ValueError, naming ``what`` they are, if ``values`` span more
-    than the float range, so that their differences overflow."""
-    with np.errstate(over="ignore"):
-        span = np.ptp(values)
-    if not np.isfinite(span):
-        raise ValueError(f"the span of the {what} overflows the float range")
 
 
 def finite_mean(values, weights=None) -> float:

@@ -116,7 +116,10 @@ def pav_antitonic(values, weights=None) -> np.ndarray:
 
     Entries are indexed from the least to the greatest element of the
     chain, so the output is nonincreasing.  Each output entry is the
-    weighted mean of a contiguous pooled block of the input.
+    weighted mean of a contiguous pooled block of the input, pooled as
+    products fl(w_i * v_i): the exact PAV, rounded once, where these and
+    their sums are exact and distinct means round apart (0/1 values or
+    multiples of 1/16 under integer weights), else a few ulps off it.
 
     Parameters
     ----------
@@ -385,11 +388,12 @@ def antitonic_l2_fit(dag, values, weights=None) -> np.ndarray:
     the result is shaped like ``values``.
 
     On a chain every column runs through one vectorised PAV, in floats,
-    of the rounded products w_i * v_i (a model fit pools its indicator
-    sums themselves, :func:`_fit_sums`).  On any other order the
-    solver takes the exact products w_i * v_i of the floats it is given,
-    and each fitted value is the exact mean of its level set, rounded
-    once; the module docstring says how.
+    of the rounded products w_i * v_i: exact, as :func:`pav_antitonic`
+    is, only where these and their sums are exact and distinct means
+    round apart (a model fit pools its exact sums, :func:`_fit_sums`).
+    On any other order the solver takes the exact products w_i * v_i of
+    the floats it is given, and each fitted value is the exact mean of
+    its level set, rounded once; the module docstring says how.
 
     Parameters
     ----------

@@ -7,8 +7,8 @@ once: :func:`evaluate_grid` reads every row at shared points,
 :func:`quantile_rows` takes each row's quantile.  :class:`StepCdf` is
 one CDF; its ``evaluate`` and ``left_limit`` are one-row calls of
 :func:`evaluate_grid`, and its ``quantile`` checks the levels as
-:func:`quantile_rows` does.  :func:`check_grid`, :func:`check_cdf_rows`
-and :func:`check_weights` hold the package's rules of valid inputs.
+:func:`quantile_rows` does.  :func:`check_grid`, :func:`check_cdf_rows`,
+:func:`check_weights` and :func:`check_span` hold the input rules.
 """
 
 from __future__ import annotations
@@ -129,7 +129,7 @@ def check_cdf_rows(grid, rows) -> np.ndarray:
 def check_weights(weights, n: int) -> np.ndarray:
     """``weights`` as a float array, ``n`` ones for None; a ValueError
     unless they are ``n`` finite, positive values with a finite sum, the
-    smallest normal once the solvers scale the largest into [1, 2)."""
+    smallest normal once the public chain solver scales the largest into [1, 2)."""
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
     if w.shape != (n,):
         raise ValueError(f"weights of shape {w.shape} do not give one entry to each of {n} values")
@@ -141,6 +141,14 @@ def check_weights(weights, n: int) -> np.ndarray:
     if n and np.ldexp(w.min(), 1 - np.frexp(w.max())[1]) < np.finfo(float).tiny:
         raise ValueError("the weights span more than the float range")
     return w
+
+
+def check_span(values, what: str):
+    """A ValueError, naming ``what`` they are, if ``values`` span more
+    than the float range, so that their differences overflow."""
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.ptp(values)):
+            raise ValueError(f"the span of the {what} overflows the float range")
 
 
 def evaluate_rows(grid, rows, z, side: str = "right") -> np.ndarray:

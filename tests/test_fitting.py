@@ -1,7 +1,9 @@
 """Model fitting on small worked examples and randomized invariants."""
 
+import ast
 import gc
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from idr import (
     fit_idr,
     make_training_set,
 )
+from idr import fitting
 from idr.oracles import simulate_gamma
 from idr.scoring import crps_rows
 
@@ -272,6 +275,22 @@ def test_in_sample_crps_is_scored_a_block_at_a_time():
     assert peak < dense * 3 / 4, peak
     scores = crps_rows(model.thresholds, model.cdf[training.node_ids], y)
     assert loss == float((training.weights * scores).sum() / training.weights.sum())
+
+
+def test_fitting_imports_no_layer_that_builds_on_the_fit():
+    """The fit sits below prediction and scoring: fitting imports nothing
+    from scoring, prediction, subagging, serialize or cli."""
+    tree = ast.parse(Path(fitting.__file__).read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+            if node.module is None:
+                names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(part for alias in node.names for part in alias.name.split("."))
+    assert "stepfun" in names
+    assert not names & {"scoring", "prediction", "subagging", "serialize", "cli"}
 
 
 def test_extra_comparable_column_does_not_hurt_in_sample():

@@ -1,12 +1,17 @@
 """Prediction at new covariates: neighbors, bound averaging, fallbacks."""
 
+import math
 import tracemalloc
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import idr
 from idr import (
     COMPONENTWISE,
+    EMPIRICAL_ICX,
     TOTAL,
     OrderGroup,
     OrderSpec,
@@ -14,6 +19,7 @@ from idr import (
     build_order_dag,
     direct_predecessors,
     direct_successors,
+    empirical_crps_loss,
     fit_idr,
     fit_subagged,
     interpolate_total_order,
@@ -22,11 +28,15 @@ from idr import (
     predict_cdf,
     predict_rows,
 )
+from idr.oracles import simulate_gamma
 from idr.prediction import predict_blocks
+from idr.scoring import crps_rows, finite_mean
 from idr.stepfun import CASE_BLOCK
 
 TOTAL1 = OrderSpec((OrderGroup((0,), TOTAL),))
 CW2 = OrderSpec((OrderGroup((0, 1), COMPONENTWISE),))
+ICX = OrderSpec((OrderGroup((0,), TOTAL), OrderGroup((1, 2, 3, 4), EMPIRICAL_ICX)))
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.fixture(scope="module")
@@ -229,3 +239,85 @@ def test_predict_rows_holds_the_output_and_a_few_blocks():
             tracemalloc.stop()
         assert rows.shape == (queries.shape[0], model.thresholds.size)
         assert peak < rows.nbytes + 6 * block, (peak - rows.nbytes) / block
+
+
+def _rounded(q: Fraction) -> Fraction:
+    """``q`` rounded once to a float, as if the exponent had no bound."""
+    try:
+        return Fraction(float(q))
+    except OverflowError:
+        return 2 * _rounded(q / 2)
+
+
+def test_interpolation_weight_is_rounded_once_per_step_at_any_span():
+    """Between keys lo and hi with responses 1 and 3, the interpolated
+    P(Y <= 2) is 1 - t for t = (x - lo) / (hi - lo), each difference and
+    then the quotient of the exact Fractions rounded once, as if the
+    exponent had no bound: bit for bit the plain float quotient wherever
+    hi - lo is finite, 1/2 halfway between -1e308 and 1e308 (the first
+    case), and within 3 ulps of the exact t also where the keys span
+    more than the float range."""
+    big = np.finfo(float).max
+    rng = np.random.default_rng(8)
+    # fixed cases, then keys whose span overflows, spans of any size, and small same-sign spans
+    lo = np.concatenate([[-1e308, -1e308, -1e308, -big, -1e300, 0.0, 1.0], -10.0 ** rng.uniform(307.96, 308.25, 30),
+                         -10.0 ** rng.uniform(-5, 300, 30), rng.uniform(1, 2, 30)])
+    hi = np.concatenate([[1e308, 1e308, 1e308, big, big, 5e-324 * 7, 2.0], 10.0 ** rng.uniform(307.96, 308.25, 30),
+                         10.0 ** rng.uniform(-5, 300, 30), rng.uniform(2.5, 5, 30)])
+    u = rng.uniform(size=90)
+    x = np.concatenate([[0.0, 9e307, -9e307, 1.0, 5e-324, 5e-324 * 3, 1.25], (1 - u) * lo[7:] + u * hi[7:]])
+    x = np.clip(x, lo, hi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        wide = np.isinf(hi - lo)
+        plain = (x - lo) / (hi - lo)
+    assert wide.sum() >= 30
+    for k in range(x.size):
+        model = fit_idr(make_training_set(TOTAL1, [lo[k], hi[k]], [1.0, 3.0]))
+        got = predict_batch(model, x[k:k + 1, None], interpolate=True).center[0, 0]
+        a, b, c = Fraction(x[k]), Fraction(lo[k]), Fraction(hi[k])
+        t = _rounded(a - b) / _rounded(c - b)
+        assert got == float(1 - Fraction(float(t))), k
+        error = abs(Fraction(got) - (1 - (a - b) / (c - b)))
+        assert error <= 3 * Fraction(math.ulp(float(t))) + Fraction(math.ulp(got)), k
+        assert wide[k] or got == 1.0 - plain[k], k
+        assert k or got == 0.5, got
+
+
+def test_in_sample_crps_at_its_own_rows_is_the_gathered_fit_bit_for_bit():
+    """At a plain model's own training set each row is predicted by its
+    node's fitted row, so empirical_crps_loss gives the bits of scoring
+    the gathered rows rows[node_row[node_ids]]: on chain, tied-chain,
+    componentwise (unit and integer weights) and icx fits."""
+    assert idr.empirical_crps_loss is idr.prediction.empirical_crps_loss
+    x, y = simulate_gamma(600, 4)
+    tied = np.loadtxt(GOLDEN / "chain_tied_train.csv", delimiter=",", skiprows=1)
+    cw = np.loadtxt(GOLDEN / "cw_weighted_train.csv", delimiter=",", skiprows=1)
+    icx = np.loadtxt(GOLDEN / "icx_train.csv", delimiter=",", skiprows=1)
+    cases = [(TOTAL1, x, y, None), (TOTAL1, tied[:, 0], tied[:, 1], None), (CW2, cw[:, :2], cw[:, 2], None),
+             (CW2, cw[:, :2], cw[:, 2], cw[:, 3]), (ICX, icx[:, :5], icx[:, 5], None)]
+    for spec, x, y, w in cases:
+        training = make_training_set(spec, x, y, w)
+        model = fit_idr(training)
+        gathered = model.rows[model.node_row[training.node_ids]]
+        want = finite_mean(crps_rows(model.thresholds, gathered, y), training.weights)
+        assert empirical_crps_loss(model, training) == want, spec
+
+
+def test_in_sample_crps_scores_any_model_at_any_training_set():
+    """empirical_crps_loss(model, t) is the weighted mean of crps_rows over
+    predict_rows(model, t.covariates) against t's responses, bit for bit,
+    for a plain and a subagged model, at their own training set and at
+    others of 50 and 600 weighted rows (three blocks)."""
+    rng = np.random.default_rng(9)
+    x, y = simulate_gamma(200, 1)
+    own = make_training_set(TOTAL1, x, y)
+    models = (fit_idr(own), fit_subagged(own, count=3, size=100, seed=1))
+    others = []
+    for n, seed in ((50, 2), (600, 3)):
+        x, y = simulate_gamma(n, seed)
+        others.append(make_training_set(TOTAL1, x, y, rng.integers(1, 4, size=n)))
+    for model in models:
+        for training in (own, *others):
+            rows, _ = predict_rows(model, training.covariates)
+            want = finite_mean(crps_rows(model.thresholds, rows, training.responses), training.weights)
+            assert empirical_crps_loss(model, training) == want

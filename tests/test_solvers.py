@@ -448,6 +448,27 @@ def test_tied_chain_fit_is_the_exact_pav_rounded_once(weighted):
             assert cdf[order, k].tolist() == [float(v) for v in want], (y.size, k)
 
 
+@pytest.mark.parametrize("grain", [1, 16])
+def test_public_chain_solver_is_the_exact_pav_on_exact_products(grain):
+    """The contract of the public chain solver: on values that are 0/1
+    (grain 1) or multiples of 1/16 in [0, 1] (grain 16), under unit or
+    integer weights, every product w * v and every pooled sum is exact and
+    distinct means round apart, so ``pav_antitonic`` and
+    ``antitonic_l2_fit`` on a chain give the exact PAV in Fractions,
+    rounded once, bit for bit (on uniform values they need not)."""
+    rng = np.random.default_rng(grain)
+    for trial in range(300):
+        n = int(rng.integers(2, 80))
+        values = rng.integers(0, grain + 1, size=n) / grain
+        w = rng.integers(1, 5, size=n).astype(float) if trial % 2 else None
+        want = [float(v) for v in exact_pav(values, w)]
+        assert pav_antitonic(values, w).tolist() == want, trial
+        dag = build_order_dag(OrderSpec((OrderGroup((0,), TOTAL),)), rng.permutation(n)[:, None].astype(float))
+        pos = dag.chain_positions
+        fit = antitonic_l2_fit(dag, values[pos], None if w is None else w[pos])
+        assert fit[np.argsort(pos)].tolist() == want, trial
+
+
 def test_fractional_weight_chain_fit_keeps_its_rows_nondecreasing():
     """Pooling float sums under fractional weights can leave a fitted row
     a rounding against the order of the thresholds; on these 10 rows the

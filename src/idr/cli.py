@@ -31,7 +31,7 @@ from .prediction import empirical_crps_loss, predict_blocks
 from .scoring import (brier, brier_rows, crps_rows, finite_mean, pinball, pit_histogram, pit_rows,
                       quantile_score_rows, reliability_bins)
 from .serialize import load_model, save_model
-from .stepfun import CASE_BLOCK, check_span, evaluate_rows, quantile_rows
+from .stepfun import CASE_BLOCK, check_span, evaluate_grid, evaluate_rows, quantile_rows
 from .subagging import fit_even_odd, fit_subagged
 
 EXIT_PARSE = 2
@@ -360,8 +360,8 @@ def predict(model_path, data_path, out_path, quantiles, thresholds, interpolate)
     cols = np.empty((len(alphas) + len(zs) + 1, covariates.shape[0]))
     provenance = []
     for cut, batch in predict_blocks(model, covariates, interpolate=interpolate):
-        cols[:, cut] = ([quantile_rows(batch.grid, batch.center, a) for a in alphas]
-                        + [evaluate_rows(batch.grid, batch.center, z) for z in zs] + [batch.bound_gap])
+        cols[:, cut] = np.vstack((quantile_rows(batch.grid, batch.center, alphas).T,
+                                  evaluate_grid(batch.grid, batch.center, zs).T, batch.bound_gap))
         provenance += [prov.value for prov in batch.provenance]
 
     out_header = (
@@ -414,7 +414,7 @@ def score(model_path, true_gamma, covariate, data_path, response, out_path, thre
         for cut, batch in predict_blocks(model, covariates, ("center",)):
             f, y = batch.center, ys[cut]
             cols[:, cut] = ([crps_rows(grid, f, y), pit_rows(grid, f, y, v[cut])]
-                            + [brier_rows(grid, f, y, z) for z in zs] + [quantile_score_rows(grid, f, y, a) for a in qas])
+                            + [brier_rows(grid, f, y, z) for z in zs] + [*quantile_score_rows(grid, f, y, qas).T])
 
     out_header = ["crps", "pit"] + [f"brier_{z:g}" for z in zs] + [f"qs_{a:g}" for a in qas]
     _write_csv(out_path, out_header, zip(*map(_cells, cols)))

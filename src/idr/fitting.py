@@ -18,7 +18,7 @@ import numpy as np
 
 from .orders import OrderDag, OrderSpec, build_order_dag
 from .solvers import _fit_sums
-from .stepfun import StepCdf, check_cdf_rows, check_grid, check_span, check_weights, distinct_sorted
+from .stepfun import StepCdf, check_cdf_rows, check_grid, check_span, check_weights
 
 __all__ = ["TrainingSet", "make_training_set", "IdrModel", "distinct_rows", "fit_idr"]
 
@@ -171,8 +171,8 @@ def fit_idr(training: TrainingSet) -> IdrModel:
     """
     dag = training.dag
     y = training.responses
-    thresholds = distinct_sorted(y)
     climatology = StepCdf.from_sample(y, training.weights)
+    thresholds = climatology.jumps
 
     # the indicator sums, cumulated in place: one nodes x thresholds matrix besides the fit
     sums = np.zeros((dag.n_nodes, thresholds.size))

@@ -8,6 +8,7 @@ as a batch of one.  ``brier`` and ``pinball`` score forecast
 probabilities and quantiles that come from elsewhere.  The CRPS is also
 available in closed form for one step CDF, and the elementary quantile
 and probability scores that its mixture representations integrate.
+Every score raises a ValueError for a NaN outcome.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ def crps(cdf: StepCdf, y: float) -> float:
     For atoms t_k with masses p_k this is
     sum_k p_k |t_k - y| - 0.5 sum_{k,l} p_k p_l |t_k - t_l|.
     """
+    _outcomes(y)
     t = cdf.jumps
     p = cdf.masses()
     term1 = float((p * np.abs(t - y)).sum())
@@ -58,8 +60,8 @@ def crps_rows(thresholds, rows, ys) -> np.ndarray:
         Common, strictly increasing jump points.
     rows : array_like, shape (cases, m)
         Cumulative probabilities per case; each row ends at 1.
-    ys : array_like, shape (cases,)
-        Outcomes.
+    ys : array_like, shape (cases,) or scalar
+        Outcomes, or one outcome for every case.
 
     Returns
     -------
@@ -68,11 +70,12 @@ def crps_rows(thresholds, rows, ys) -> np.ndarray:
     Raises
     ------
     ValueError
-        When ``rows`` do not fit the grid, or the outcomes and thresholds
-        span more than the float range, so their differences overflow.
+        When ``rows`` do not fit the grid, an outcome is NaN, or the
+        outcomes and thresholds span more than the float range, so their
+        differences overflow.
     """
     z, rows = grid_rows(thresholds, rows)
-    ys = np.asarray(ys, dtype=float)
+    ys = np.broadcast_to(_outcomes(ys), rows.shape[:1])
     check_span(np.concatenate([ys, z]), "outcomes and thresholds")
     widths = np.diff(z)
     out = np.empty(ys.size)
@@ -107,14 +110,25 @@ def finite_mean(values, weights=None) -> float:
     return float(np.clip(mean, v.min(), v.max()))
 
 
+def _outcomes(y) -> np.ndarray:
+    """``y`` as a float array; a ValueError if an outcome is NaN, which
+    no comparison with a forecast would catch."""
+    y = np.asarray(y, dtype=float)
+    if np.isnan(y).any():
+        raise ValueError("the outcomes y must not be NaN")
+    return y
+
+
 def pinball(q, y, alpha):
     """Pinball loss of quantile forecasts ``q`` at level ``alpha``."""
+    y = _outcomes(y)
     return np.where(y <= q, (1.0 - alpha) * (q - y), alpha * (y - q))
 
 
-def quantile_score_rows(thresholds, rows, ys, alpha: float) -> np.ndarray:
-    """Pinball loss of each row's alpha-quantile against its outcome."""
-    return pinball(quantile_rows(thresholds, rows, alpha), np.asarray(ys, dtype=float), alpha)
+def quantile_score_rows(thresholds, rows, ys, alpha) -> np.ndarray:
+    """Pinball loss of each row's quantile at each level ``alpha`` against its outcome: (cases, *alpha.shape)."""
+    alpha = np.asarray(alpha, dtype=float)
+    return pinball(quantile_rows(thresholds, rows, alpha), np.reshape(ys, (-1,) + (1,) * alpha.ndim), alpha)
 
 
 def quantile_score(cdf: StepCdf, alpha: float, y: float) -> float:
@@ -129,6 +143,7 @@ def elementary_quantile_score(cdf: StepCdf, alpha: float, theta: float, y: float
     forecast quantile lies above it, alpha in the mirrored case, and 0
     otherwise.
     """
+    _outcomes(y)
     q = cdf.quantile(alpha)
     if y <= theta < q:
         return 1.0 - alpha
@@ -141,6 +156,7 @@ def elementary_probability_score(cdf: StepCdf, z: float, c: float, y: float) -> 
     """Elementary score for the exceedance forecast at threshold z."""
     if not 0.0 < c < 1.0:
         raise ValueError("c must lie strictly between 0 and 1")
+    _outcomes(y)
     f = cdf.evaluate(z)
     if f < c and y <= z:
         return 1.0 - c
@@ -151,7 +167,7 @@ def elementary_probability_score(cdf: StepCdf, z: float, c: float, y: float) -> 
 
 def brier(p, y, z):
     """Squared error of forecast probabilities ``p`` of {Y <= z}."""
-    return (p - (np.asarray(y) <= z)) ** 2
+    return (p - (_outcomes(y) <= z)) ** 2
 
 
 def brier_rows(thresholds, rows, ys, z: float) -> np.ndarray:

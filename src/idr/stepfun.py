@@ -4,11 +4,12 @@ The row functions act on many CDFs that share one jump grid, stored as
 a (cases, grid) matrix of cumulative probabilities, and hold each rule
 once: :func:`evaluate_grid` reads every row at shared points,
 :func:`evaluate_rows` each row at its own point, and
-:func:`quantile_rows` takes each row's quantile.  :class:`StepCdf` is
-one CDF; its ``evaluate`` and ``left_limit`` are one-row calls of
-:func:`evaluate_grid`, and its ``quantile`` checks the levels as
-:func:`quantile_rows` does.  :func:`check_grid`, :func:`check_cdf_rows`,
-:func:`check_weights` and :func:`check_span` hold the input rules.
+:func:`quantile_rows` takes each row's quantiles.  :class:`StepCdf` is
+one CDF, a one-row view: ``evaluate`` and ``left_limit`` call
+:func:`evaluate_grid`, ``quantile`` calls :func:`quantile_rows`, and
+``from_sample`` finds its jumps with :func:`distinct_sorted`.
+:func:`check_grid`, :func:`check_cdf_rows`, :func:`check_weights` and
+:func:`check_span` hold the input rules.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ class StepCdf:
         v = np.asarray(values, dtype=float)
         if v.size == 0:
             raise ValueError("an empirical CDF needs a sample of at least one value")
-        jumps, inverse = np.unique(v, return_inverse=True)
-        mass = np.bincount(inverse, weights=check_weights(weights, v.size), minlength=jumps.size)
+        jumps = distinct_sorted(v)
+        mass = np.bincount(np.searchsorted(jumps, v), weights=check_weights(weights, v.size), minlength=jumps.size)
         cum = np.cumsum(mass)
         cum /= cum[-1]
         cum[-1] = 1.0
@@ -68,12 +69,9 @@ class StepCdf:
         return float(out) if np.isscalar(z) else out
 
     def quantile(self, alpha):
-        """Smallest jump with cumulative probability >= alpha.
-
-        ``alpha`` must lie strictly between 0 and 1 (scalar or array).
-        """
-        idx = np.searchsorted(self.cum, _levels(alpha), side="left")
-        out = self.jumps[np.minimum(idx, self.jumps.size - 1)]
+        """Smallest jump with cumulative probability >= alpha, the one
+        row of :func:`quantile_rows`; ``alpha`` a level or an array."""
+        out = quantile_rows(self.jumps, self.cum[None, :], alpha)[0]
         return float(out) if np.isscalar(alpha) else out
 
     def masses(self) -> np.ndarray:
@@ -85,10 +83,9 @@ class StepCdf:
 
 
 def distinct_sorted(values) -> np.ndarray:
-    """The sorted distinct entries of a 1-d array, bit for bit as
-    ``np.unique(values)`` gives them (of ``0.0`` and ``-0.0`` the one its
-    sort puts first).  ``np.unique`` without ``return_inverse`` first asks
-    ``np.ma.is_masked``, which imports ``numpy.ma`` (tens of ms a process)."""
+    """The sorted distinct entries of a 1-d array; of ``0.0`` and
+    ``-0.0`` the one the sort puts first.  Every grid is built here, so
+    a fit's thresholds and its climatology's jumps hold the same zero."""
     ranked = np.sort(np.asarray(values, dtype=float).ravel())
     first = np.empty(ranked.size, dtype=bool)
     first[:1] = True
@@ -188,12 +185,13 @@ def _levels(alpha) -> np.ndarray:
     return alpha
 
 
-def quantile_rows(grid, rows, alpha: float) -> np.ndarray:
-    """Smallest grid point at which each row reaches ``alpha``, one level
-    strictly between 0 and 1."""
+def quantile_rows(grid, rows, alpha) -> np.ndarray:
+    """Smallest grid point at which each row reaches each level of
+    ``alpha``, levels strictly between 0 and 1; an array of shape
+    (cases, *alpha.shape)."""
     alpha = _levels(alpha)
-    if alpha.ndim:
-        raise ValueError("quantile_rows takes one level alpha, not an array")
     grid, rows = grid_rows(grid, rows)
-    below = (rows < alpha).sum(axis=1)  # rows are nondecreasing
-    return grid[np.minimum(below, grid.size - 1)]
+    below = np.empty((rows.shape[0], alpha.size), dtype=np.intp)
+    for k, a in enumerate(alpha.flat):  # one level at a time, so that one (cases, grid) mask is held
+        below[:, k] = (rows < a).sum(axis=1)  # rows are nondecreasing
+    return grid[np.minimum(below, grid.size - 1)].reshape(rows.shape[:1] + alpha.shape)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from idr import TOTAL, OrderGroup, OrderSpec, fit_even_odd, load_model, make_training_set, save_model
+from idr import TOTAL, OrderGroup, OrderSpec, fit_even_odd, fit_idr, load_model, make_training_set, save_model
 from idr.cli import EXIT_IO, EXIT_PARSE, EXIT_VALIDATION, MAX_BINS, _load_table, main
 from idr.prediction import predict_rows
 from idr.scoring import crps_rows
@@ -534,6 +534,49 @@ def test_unknown_order_column_is_a_parse_error(tmp_path):
                  "--out", tmp_path / "m.json")
     assert res.exit_code == EXIT_PARSE
     assert "z" in all_output(res)
+
+
+@pytest.mark.parametrize("order, message", [
+    ("c-a:st", "range 'c-a' runs right to left in the header"),
+    ("a:total;", "empty group in order specification"),
+    ("a,:cw", "empty column reference in group 'a,:cw'"),
+])
+def test_order_strings_that_break_a_rule_are_a_parse_error(tmp_path, order, message):
+    data = tmp_path / "d.csv"
+    write_csv(data, ["a", "b", "c", "y"], [[1, 2, 3, 4], [2, 3, 4, 5]])
+    res = invoke("fit", "--data", data, "--response", "y", "--order", order, "--out", tmp_path / "m.json")
+    assert res.exit_code == EXIT_PARSE
+    assert f"error: {message}\n" in all_output(res)
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"", "file is empty, a header row is required"),
+    (b"x,y\n1,\xff\n", "not valid UTF-8"),
+])
+def test_tables_that_are_empty_or_not_utf8_are_a_parse_error(tmp_path, content, message):
+    data = tmp_path / "d.csv"
+    data.write_bytes(content)
+    res = invoke("fit", "--data", data, "--response", "y", "--order", "x:total", "--out", tmp_path / "m.json")
+    assert res.exit_code == EXIT_PARSE
+    assert f"error: {data}: {message}\n" in all_output(res)
+
+
+def test_score_needs_exactly_one_of_a_model_or_true_gamma(chain_files, tmp_path):
+    data, model, _ = chain_files
+    for flags in ([], ["--model", model, "--true-gamma"]):
+        res = invoke("score", *flags, "--data", data, "--response", "y", "--out", tmp_path / "s.csv")
+        assert res.exit_code == EXIT_PARSE
+        assert "error: give exactly one of --model or --true-gamma\n" in all_output(res)
+
+
+def test_a_model_without_column_names_is_a_validation_error(tmp_path):
+    """A model fitted through the library names no columns to read."""
+    model, data = tmp_path / "m.json", tmp_path / "d.csv"
+    save_model(fit_idr(make_training_set(OrderSpec((OrderGroup((0,), TOTAL),)), [1.0, 2.0], [1.0, 3.0])), model)
+    write_csv(data, ["x"], [[1.5]])
+    res = invoke("predict", "--model", model, "--data", data, "--out", tmp_path / "p.csv")
+    assert res.exit_code == EXIT_VALIDATION
+    assert "error: model carries no column names; refit through the command line\n" in all_output(res)
 
 
 def test_missing_file_is_an_io_error(tmp_path):

@@ -1,5 +1,6 @@
 """Order relations, canonical keys, and the comparability DAG."""
 
+import gc
 import json
 import tracemalloc
 import warnings
@@ -278,6 +279,22 @@ def test_gini_permutation_invariant():
     rng = np.random.default_rng(3)
     x = rng.normal(size=6)
     assert gini_mean_difference(x) == pytest.approx(gini_mean_difference(x[::-1]), abs=1e-15)
+
+
+def test_gini_holds_no_pairwise_matrix():
+    """The pairwise form held two d x d float64 arrays, 256 MB at
+    d = 4000; the sorted form needs a few d-vectors."""
+    x = np.random.default_rng(5).normal(size=4000)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        gini_mean_difference(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6, peak
+    y = x[:300]
+    assert gini_mean_difference(y) == pytest.approx(np.abs(y[:, None] - y).sum() / (300 * 299), rel=1e-12)
 
 
 def test_gini_needs_two_entries():

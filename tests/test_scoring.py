@@ -8,6 +8,7 @@ import pytest
 
 from idr import (
     StepCdf,
+    brier,
     brier_rows,
     brier_score,
     crps,
@@ -18,6 +19,7 @@ from idr import (
     pit,
     pit_histogram,
     pit_rows,
+    pinball,
     quantile_rows,
     quantile_score,
     quantile_score_rows,
@@ -212,6 +214,54 @@ def test_pit_and_brier_rows_reject_nan():
         brier_rows(grid, rows, [0.5], np.nan)
     with pytest.raises(ValueError, match="z must not be NaN"):
         pit_rows(grid, rows, [np.nan], [0.5])
+
+
+def test_every_score_rejects_a_nan_outcome():
+    """A NaN outcome used to count as one above z in the Brier scores
+    (0.25 here), give nan from the pinball scores and ``crps``, and an
+    overflow message from ``crps_rows``; ``pit`` keeps its message."""
+    grid, rows = [1.0, 2.0, 3.0], [[0.2, 0.5, 1.0]]
+    f = StepCdf(grid, rows[0])
+    calls = [
+        lambda: brier(np.array([0.5]), [np.nan], 2.0),
+        lambda: brier_rows(grid, rows, [np.nan], 2.0),
+        lambda: brier_score(f, 2.0, np.nan),
+        lambda: pinball(np.array([2.0]), [np.nan], 0.5),
+        lambda: quantile_score_rows(grid, rows, [np.nan], 0.5),
+        lambda: quantile_score(f, 0.5, np.nan),
+        lambda: crps(f, np.nan),
+        lambda: crps_rows(grid, rows, [np.nan]),
+        lambda: crps_rows(grid, rows, np.nan),
+        lambda: elementary_quantile_score(f, 0.5, 2.0, np.nan),
+        lambda: elementary_probability_score(f, 2.0, 0.5, np.nan),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="outcomes y must not be NaN"):
+            call()
+    with pytest.raises(ValueError, match="z must not be NaN"):
+        pit(f, np.nan, 0.5)
+
+
+def test_row_scores_take_one_outcome_for_every_case():
+    """``crps_rows`` used to fail inside numpy on a scalar outcome; every
+    row form scores it as that outcome repeated, bit for bit."""
+    grid, rows = [1.0, 2.0, 3.0], [[0.2, 0.5, 1.0], [0.5, 0.7, 1.0]]
+    for y in (0.5, 2.5, 3.0):
+        for score in (crps_rows, lambda g, r, ys: brier_rows(g, r, ys, 2.0),
+                      lambda g, r, ys: quantile_score_rows(g, r, ys, 0.6),
+                      lambda g, r, ys: pit_rows(g, r, ys, [0.3, 0.3])):
+            assert np.array_equal(score(grid, rows, y).view(np.int64), score(grid, rows, [y, y]).view(np.int64))
+    assert crps_rows(grid, rows, 2.5)[0] == pytest.approx(crps(StepCdf(grid, rows[0]), 2.5), rel=1e-14)
+
+
+def test_quantile_score_rows_scores_each_level_against_its_rows_outcome():
+    """An array of levels gives (cases, levels), each column the
+    one-level call, with outcomes matched to rows, not to levels."""
+    grid, rows, ys = [1.0, 2.0, 3.0], [[0.2, 0.5, 1.0], [0.5, 0.7, 1.0]], [0.0, 4.0]
+    table = quantile_score_rows(grid, rows, ys, [0.1, 0.9])
+    assert table.shape == (2, 2)
+    for k, a in enumerate([0.1, 0.9]):
+        assert np.array_equal(table[:, k], quantile_score_rows(grid, rows, ys, a))
 
 
 def test_pit_of_true_model_is_uniform():

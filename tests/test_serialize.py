@@ -270,6 +270,26 @@ def test_signed_zero_responses_round_trip_bit_for_bit():
         assert np.array_equal(_bits(clone.thresholds), _bits(model.thresholds))
 
 
+def test_a_fits_climatology_jumps_at_its_thresholds_bit_for_bit():
+    """The climatology used to sort the responses apart from the
+    thresholds and could keep the other zero: here it jumped at 0.0
+    while the thresholds, and the reloaded climatology, held -0.0, so
+    its 0.1-quantile read 0.0 before a reload and -0.0 after."""
+    y = [2, 1, 1, 0.0, 0.0, -0.0, -0.0, -0.0, -0.0, 2, 1, 2, 1, 1, 2, 1, 1, 1, 1, 2]
+    rng = np.random.default_rng(1)
+    mixed = rng.choice([0.0, -0.0, 1.0, 2.5], size=300)
+    for training in (make_training_set(TOTAL1, np.arange(20.0), y),
+                     make_training_set(TOTAL1, rng.uniform(0, 10, size=mixed.size), mixed)):
+        for model in (fit_idr(training), fit_subagged(training, 3, training.n // 2, 2)):
+            clone = model_from_json(model_to_json(model))
+            for m, c in zip(_members(model), _members(clone), strict=True):
+                assert np.array_equal(_bits(m.climatology.jumps), _bits(m.thresholds))
+                assert np.array_equal(_bits(c.climatology.jumps), _bits(m.thresholds))
+    model = fit_idr(make_training_set(TOTAL1, np.arange(20.0), y))
+    clone = model_from_json(model_to_json(model))
+    assert [_bits(m.climatology.quantile(0.1)) for m in (model, clone)] == [_bits(-0.0)] * 2
+
+
 def test_a_subagged_file_keeps_the_sign_of_each_members_zeros():
     """One member's threshold and node key hold -0.0 where the other's
     hold 0.0.  The shared tables keep both zeros, -0.0 first, so each

@@ -121,12 +121,45 @@ def test_from_sample_rejects_an_empty_sample():
 
 def test_quantile_rows_takes_one_level():
     """An array of levels used to be compared column by column with the
-    rows, giving [1, 1] here; ``StepCdf.quantile`` still takes arrays."""
+    rows, giving [1, 1] here, and then was a ValueError; it now gives a
+    (rows, levels) array whose every column is the one-level call."""
     grid, rows = [1.0, 2.0, 3.0], [[0.2, 0.6, 1.0], [0.5, 0.7, 1.0]]
-    with pytest.raises(ValueError, match="one level"):
-        quantile_rows(grid, rows, [0.1, 0.5, 0.9])
+    table = quantile_rows(grid, rows, [0.1, 0.5, 0.9])
+    assert table.shape == (2, 3)
+    for k, a in enumerate([0.1, 0.5, 0.9]):
+        assert np.array_equal(table[:, k].view(np.int64), quantile_rows(grid, rows, a).view(np.int64))
+    assert table.tolist() == [[1.0, 2.0, 3.0], [1.0, 1.0, 3.0]]
     assert quantile_rows(grid, rows, 0.5).tolist() == [2.0, 1.0]
     assert StepCdf(grid, rows[0]).quantile([0.1, 0.5, 0.9]).tolist() == [1.0, 2.0, 3.0]
+
+
+@pytest.mark.parametrize("shape", [(), (4,), (4, 3), (0,)])
+def test_quantile_rows_and_step_cdf_quantile_take_levels_of_any_shape(shape):
+    """Shape (cases, *alpha.shape), each entry bit for bit the one-level
+    call; ``StepCdf.quantile`` is the first row."""
+    rng = np.random.default_rng(7)
+    grid = np.array([-1.5, -0.0, 0.25, 2.0, 9.0])
+    rows = np.sort(rng.choice([0.0, 0.25, 0.5, 0.75], size=(6, grid.size)), axis=1)
+    rows[:, -1] = 1.0
+    alpha = rng.choice([0.25, 0.5, 1e-9, 0.6, 1 - 1e-9], size=shape)
+    table = quantile_rows(grid, rows, alpha)
+    assert table.shape == (6, *shape)
+    f = StepCdf(grid, rows[0])
+    assert np.array_equal(np.asarray(f.quantile(alpha)).view(np.int64), table[0].view(np.int64))
+    for index in np.ndindex(shape):
+        one = quantile_rows(grid, rows, float(alpha[index]))
+        assert np.array_equal(table[(slice(None), *index)].view(np.int64), one.view(np.int64))
+        assert np.float64(f.quantile(float(alpha[index]))).view(np.int64) == one[0].view(np.int64)
+
+
+def test_from_sample_jumps_at_the_zero_distinct_sorted_keeps():
+    """Of 0.0 and -0.0 the empirical CDF jumps at the one the sort puts
+    first, as :func:`distinct_sorted` gives it; it used to keep the
+    first in input order."""
+    v = np.array([2, 1, 1, 0.0, 0.0, -0.0, -0.0, -0.0, -0.0, 2, 1, 2, 1, 1, 2, 1, 1, 1, 1, 2])
+    f = StepCdf.from_sample(v)
+    assert np.array_equal(f.jumps.view(np.int64), distinct_sorted(v).view(np.int64))
+    assert f.cum.tolist() == [0.3, 0.75, 1.0]
 
 
 def test_masses_sum_to_one():
